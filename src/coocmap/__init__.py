@@ -73,6 +73,7 @@ from .kernels import (  # noqa: E402
     drop_head,
     epow,
     normalize,
+    pair_sim_matrix,
     percentile,
     procrustes,
     psd_sqrt_gram,

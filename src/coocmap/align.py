@@ -11,7 +11,14 @@ import numpy as np
 from . import assoc
 from .cooc import CoocMatrix
 from .errors import ValidationError
-from .kernels import normalize, procrustes, psd_sqrt_gram, sim_matrix
+from .kernels import (
+    check_finite,
+    normalize,
+    pair_sim_matrix,
+    procrustes,
+    psd_sqrt_gram,
+    sim_matrix,
+)
 
 # mean of the k largest entries per row
 
@@ -99,7 +106,7 @@ def unsupervised_init(X, Z, cfg: AlignConfig) -> MatchState:
     # unequal widths: keep the low/middle quantiles of the sorted rows
     Rx = np.sort(Xd, axis=1)[:, :width]
     Rz = np.sort(Zd, axis=1)[:, :width]
-    S = sim_matrix(normalize(Rx), normalize(Rz), cfg.metric)
+    S = check_finite(sim_matrix(normalize(Rx), normalize(Rz), cfg.metric), "initial")
     state = match_bidirectional(csls(S, cfg.csls_k))
     state.objective = objective(S)
     return state
@@ -113,7 +120,7 @@ def _selflearn(measure, init: MatchState, cfg: AlignConfig):
     prev = None
     trace: list[float] = []
     for _ in range(cfg.max_iters):
-        S = measure(s, t)
+        S = check_finite(measure(s, t), "self-learning")
         obj = objective(S)
         state = match_bidirectional(csls(S, cfg.csls_k))
         state.objective = obj
@@ -131,13 +138,9 @@ def _selflearn(measure, init: MatchState, cfg: AlignConfig):
 def coocmap_selflearn(X, Z, init: MatchState, cfg: AlignConfig):
     """Self-learning on association columns: similarity of X[:, s] vs Z[:, t]."""
     Xd, Zd = _matrix_data(X), _matrix_data(Z)
-    if init.s.max() >= Xd.shape[1] or init.t.max() >= Zd.shape[1]:
-        raise ValidationError("initial match indices out of range")
-    if init.s.min() < 0 or init.t.min() < 0:
-        raise ValidationError("initial match indices out of range")
 
     def measure(s, t):
-        return sim_matrix(Xd[:, s], Zd[:, t], cfg.metric)
+        return pair_sim_matrix(Xd, Zd, s, t, cfg.metric)
 
     return _selflearn(measure, init, cfg)
 
@@ -179,14 +182,14 @@ def stage_steps(cfg: AlignConfig, stage2: bool) -> list[str]:
     """Pipeline steps appended to the association constructor for a stage."""
     steps: list[str] = []
     if cfg.dim is not None:
-        steps.append(f"trunc({cfg.dim})")
+        steps.append(assoc.render_step("trunc", cfg.dim))
     if stage2:
         assert cfg.stage2 is not None
-        steps.append(f"drop({drop_schedule(cfg.stage2.drop_r, cfg.dim)})")
+        steps.append(assoc.render_step("drop", drop_schedule(cfg.stage2.drop_r, cfg.dim)))
         if cfg.stage2.clip is not None:
-            steps.append("clip(%g,%g)" % cfg.stage2.clip)
+            steps.append(assoc.render_step("clip", *cfg.stage2.clip))
     elif cfg.clip is not None:
-        steps.append("clip(%g,%g)" % cfg.clip)
+        steps.append(assoc.render_step("clip", *cfg.clip))
     return steps
 
 

@@ -104,6 +104,22 @@ def parse_step(step: str):
     return name, args
 
 
+def _render_number(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(x)
+    short = "%g" % x
+    return short if float(short) == x else repr(float(x))
+
+
+def render_step(name: str, *args) -> str:
+    """Inverse of parse_step: every number parses back to exactly the value
+    given. %g is kept where it is exact, so ppmi(1) and clip(1,99) render as
+    they always have; other floats get their shortest round-trip repr."""
+    if not args:
+        return name
+    return f"{name}({','.join(_render_number(a) for a in args)})"
+
+
 def replay_chain(source: np.ndarray, chain) -> np.ndarray:
     """Run a recorded chain of steps against raw counts (or raw vectors)."""
     data = np.asarray(source, dtype=np.float64)
@@ -154,7 +170,7 @@ def fung_assoc(C: CoocMatrix) -> AssocMatrix:
 
 
 def ppmi_assoc(C: CoocMatrix, k: float = 1.0) -> AssocMatrix:
-    chain = (f"ppmi({k:g})", "unit_l2")
+    chain = (render_step("ppmi", k), "unit_l2")
     return AssocMatrix(
         data=replay_chain(C.counts, chain), chain=chain, vocab_digest=C.vocab_digest
     )

@@ -83,16 +83,24 @@ def save_cooc(C: CoocMatrix, path) -> None:
         f.write(np.ascontiguousarray(C.counts, dtype="<f8").tobytes())
 
 
+def _read_exact(f, n: int, path, what: str) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise IntegrityError(f"{path}: truncated {what}: expected {n} bytes, read {len(data)}")
+    return data
+
+
 def load_cooc(path, vocab: Vocabulary | None = None) -> CoocMatrix:
     """Read a counts file; if a vocabulary is given, verify its digest."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != MAGIC:
             raise IntegrityError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<I", _read_exact(f, 4, path, "header length"))
+        header = json.loads(_read_exact(f, hlen, path, "header").decode("utf-8"))
         V = header["V"]
-        data = np.frombuffer(f.read(V * V * 8), dtype="<f8").reshape(V, V)
+        payload = _read_exact(f, V * V * 8, path, f"counts for V={V}")
+        data = np.frombuffer(payload, dtype="<f8").reshape(V, V)
     if vocab is not None and vocab.digest != header["vocab_digest"]:
         raise IntegrityError(f"{path}: vocabulary digest mismatch")
     return CoocMatrix(

@@ -11,7 +11,7 @@ import numpy as np
 from .align import AlignConfig, MatchState, csls
 from .corpus import Vocabulary
 from .errors import ValidationError
-from .kernels import sim_matrix
+from .kernels import check_finite, pair_sim_matrix, sim_matrix
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,10 @@ def translate(
     Xd = np.asarray(getattr(X, "data", X), dtype=np.float64)
     Zd = np.asarray(getattr(Z, "data", Z), dtype=np.float64)
     if family == "cooc":
-        S = sim_matrix(Xd[:, final.s], Zd[:, final.t], cfg.metric)
+        S = pair_sim_matrix(Xd, Zd, final.s, final.t, cfg.metric)
     else:  # vectors, already mapped into the target space
         S = sim_matrix(Xd, Zd, "cosine")
-    best = csls(S, cfg.csls_k).argmax(axis=1)
+    best = csls(check_finite(S, "translation"), cfg.csls_k).argmax(axis=1)
     rows = [
         Prediction(source=tok, predicted=target_tokens[best[i]], rank=i)
         for i, tok in enumerate(source_tokens)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial.distance import cdist
 
 from .errors import NumericError, ValidationError
@@ -63,8 +64,7 @@ def clip_thresholds(X: np.ndarray, p_lo: float = 1.0, p_hi: float = 99.0):
     if not (0.0 <= p_lo < p_hi <= 100.0):
         raise ValidationError(f"need 0 <= p_lo < p_hi <= 100, got ({p_lo}, {p_hi})")
     X = np.asarray(X, dtype=np.float64)
-    row_hi = np.percentile(X, p_hi, axis=1)
-    row_lo = np.percentile(X, p_lo, axis=1)
+    row_lo, row_hi = np.percentile(X, [p_lo, p_hi], axis=1)
     return float(np.percentile(row_lo, p_lo)), float(np.percentile(row_hi, p_hi))
 
 
@@ -138,6 +138,52 @@ def sim_matrix(X: np.ndarray, Z: np.ndarray, metric: str = "cosine") -> np.ndarr
     if metric == "neg_l1":
         return -cdist(X, Z, metric="cityblock")
     raise ValidationError(f"unknown metric {metric!r}, expected one of {METRICS}")
+
+
+def pair_sim_matrix(X, Z, s, t, metric: str = "cosine") -> np.ndarray:
+    """sim_matrix(X[:, s], Z[:, t], metric) without gathering the paired columns.
+
+    Column p of the gathered pair contributes once per occurrence of the pair
+    (s[p], t[p]), so only the pair counts matter. cosine/dot use the sparse
+    V1 x V2 count matrix M: X[:, s] @ Z[:, t].T = (X M) @ Z.T, and the squared
+    row norms of X[:, s] are (X*X) @ bincount(s). neg_l1/neg_l2 measure each
+    distinct pair once, its columns scaled by the count w (l1) or sqrt(w) (l2).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Z = np.asarray(Z, dtype=np.float64)
+    s = np.asarray(s, dtype=np.int64)
+    t = np.asarray(t, dtype=np.int64)
+    if s.ndim != 1 or s.shape != t.shape or s.size < 1:
+        raise ValidationError(f"need nonempty paired index vectors, got {s.shape} vs {t.shape}")
+    v1, v2 = X.shape[1], Z.shape[1]
+    if s.min() < 0 or s.max() >= v1 or t.min() < 0 or t.max() >= v2:
+        raise ValidationError(f"pair indices out of range for {v1} x {v2} columns")
+    if metric in ("cosine", "dot"):
+        M = sparse.csr_array((np.ones(s.size), (s, t)), shape=(v1, v2))
+        XM = np.asarray(X @ M)
+        if metric == "dot":
+            return XM @ Z.T
+        nx = np.sqrt((X * X) @ np.bincount(s, minlength=v1))
+        nz = np.sqrt((Z * Z) @ np.bincount(t, minlength=v2))
+        nx[nx == 0.0] = 1.0  # all-zero rows stay zero, as in unitr
+        nz[nz == 0.0] = 1.0
+        XM /= nx[:, None]
+        S = XM @ Z.T
+        S /= nz
+        return S
+    if metric in ("neg_l1", "neg_l2"):
+        pairs, w = np.unique(s * v2 + t, return_counts=True)
+        scale = w if metric == "neg_l1" else np.sqrt(w)
+        return sim_matrix(X[:, pairs // v2] * scale, Z[:, pairs % v2] * scale, metric)
+    raise ValidationError(f"unknown metric {metric!r}, expected one of {METRICS}")
+
+
+def check_finite(S: np.ndarray, what: str) -> np.ndarray:
+    """Return S, or raise NumericError if any entry is NaN or infinite, so a
+    bad row cannot argmax silently to index 0."""
+    if not np.isfinite(S).all():
+        raise NumericError(f"non-finite values in {what} similarities")
+    return S
 
 
 def procrustes(Xs: np.ndarray, Zt: np.ndarray) -> np.ndarray:

@@ -15,13 +15,14 @@ from coocmap.align import (
     objective,
     run_coocmap,
     run_vecmap,
+    stage_steps,
     unsupervised_init,
     vecmap_selflearn,
 )
 from coocmap.assoc import coocmap_assoc
 from coocmap.cooc import CoocMatrix, count_cooc, permute_cooc
 from coocmap.corpus import build_vocab, encode, tokenize
-from coocmap.errors import ValidationError
+from coocmap.errors import NumericError, ValidationError
 from coocmap.synth import generate_corpus
 
 finite = st.floats(-5, 5, allow_nan=False, width=64)
@@ -173,6 +174,17 @@ class TestSelfLearn:
         with pytest.raises(ValidationError):
             coocmap_selflearn(X, X, bad, AlignConfig(csls_k=2))
 
+    def test_nan_association_raises(self):
+        X = toy_assoc(11)
+        X[2, 5] = np.nan
+        n = X.shape[0]
+        init = MatchState(np.arange(n), np.arange(n))
+        cfg = AlignConfig(csls_k=2)
+        with pytest.raises(NumericError):
+            coocmap_selflearn(X, toy_assoc(11), init, cfg)
+        with pytest.raises(NumericError):
+            unsupervised_init(X, toy_assoc(11), cfg)
+
 
 class TestCipherOracle:
     def test_selflearn_recovers_permutation(self, tmp_path):
@@ -271,6 +283,13 @@ class TestPipelines:
         assert drop_schedule(20, 1000) == 20
         assert drop_schedule(20, 100) == 5
         assert drop_schedule(20, 10) == 1
+
+    def test_stage_steps_keep_parameters_exactly(self):
+        plain = AlignConfig(clip=(1.0, 99.0), stage2=Stage2Config(20, (1.5, 98.5)), dim=300)
+        assert stage_steps(plain, False) == ["trunc(300)", "clip(1,99)"]
+        assert stage_steps(plain, True) == ["trunc(300)", "drop(15)", "clip(1.5,98.5)"]
+        odd = AlignConfig(clip=(1.2345678, 98.7654321))
+        assert stage_steps(odd, False) == ["clip(1.2345678,98.7654321)"]
 
     def _counts(self, seed, V=10):
         rng = np.random.default_rng(seed)

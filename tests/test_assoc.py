@@ -10,8 +10,10 @@ from coocmap.assoc import (
     glove_assoc,
     load_vectors,
     log1p_assoc,
+    parse_step,
     ppmi_assoc,
     rapp_assoc,
+    render_step,
     replay_chain,
     svd_vectors,
 )
@@ -129,18 +131,29 @@ class TestPpmi:
         C = random_counts(np.random.default_rng(7))
         assert not ppmi_assoc(C, 1e12).data.any()
 
-    def test_direct_recomputation(self):
-        C = random_counts(np.random.default_rng(8))
+    @staticmethod
+    def oracle(C, k):
         P = C.counts / C.counts.sum()
         denom = np.outer(P.sum(1), P.sum(0))
         expect = np.zeros_like(P)
         m = (P > 0) & (denom > 0)
-        expect[m] = np.maximum(0.0, np.log(P[m] / denom[m]) - np.log(2.0))
-        np.testing.assert_allclose(ppmi_assoc(C, 2.0).data, unitr(expect), atol=1e-12)
+        expect[m] = np.maximum(0.0, np.log(P[m] / denom[m]) - np.log(k))
+        return unitr(expect)
+
+    def test_direct_recomputation(self):
+        C = random_counts(np.random.default_rng(8))
+        np.testing.assert_allclose(ppmi_assoc(C, 2.0).data, self.oracle(C, 2.0), atol=1e-12)
 
     def test_bad_shift(self):
         with pytest.raises(ValidationError):
             ppmi_assoc(cmat(np.eye(2)), 0.0)
+
+    def test_chain_keeps_shift_exactly(self):
+        C = random_counts(np.random.default_rng(9))
+        A = ppmi_assoc(C, 1.2345678)
+        assert A.chain[0] == "ppmi(1.2345678)"
+        assert replay_chain(C.counts, A.chain).tobytes() == A.data.tobytes()
+        np.testing.assert_allclose(A.data, self.oracle(C, 1.2345678), atol=1e-12)
 
 
 class TestGlove:
@@ -269,6 +282,18 @@ class TestApplyPipeline:
         C = count_cooc(encode([tokens], vocab), 2)
         A = apply_pipeline(coocmap_assoc(C), ["trunc(3)", "clip(5,95)"])
         assert replay_chain(C.counts, A.chain).tobytes() == A.data.tobytes()
+
+    def test_recorded_renders_unchanged(self):
+        assert ppmi_assoc(cmat(np.eye(2))).chain[0] == "ppmi(1)"
+        assert render_step("clip", 1.0, 99.0) == "clip(1,99)"
+        assert render_step("clip", 1.5, 98.5) == "clip(1.5,98.5)"
+        assert render_step("trunc", 300) == "trunc(300)"
+        assert render_step("normalize") == "normalize"
+
+    @pytest.mark.parametrize("args", [(1.2345678, 98.7654321), (0.1, 99.9), (1e-7, 100.0),
+                                      (1 / 3, 2 / 3), (12345678.5, 1e22)])
+    def test_render_parse_round_trip(self, args):
+        assert parse_step(render_step("clip", *args)) == ("clip", args)
 
     def test_unknown_step(self):
         with pytest.raises(ValidationError):

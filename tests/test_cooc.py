@@ -124,6 +124,23 @@ class TestSerialization:
         with pytest.raises(IntegrityError):
             load_cooc(tmp_path / "c.bin", other)
 
+    @pytest.mark.parametrize("cut", [8, 1])
+    def test_truncated_payload(self, tmp_path, cut):
+        vocab = build_vocab(["a", "b", "a", "c"], 4)
+        save_cooc(count_cooc(encode([["a", "b", "a", "c"]], vocab), 2), tmp_path / "c.bin")
+        raw = (tmp_path / "c.bin").read_bytes()
+        (tmp_path / "c.bin").write_bytes(raw[:-cut])
+        with pytest.raises(IntegrityError, match="truncated"):
+            load_cooc(tmp_path / "c.bin", vocab)
+
+    def test_truncated_header(self, tmp_path):
+        vocab = build_vocab(["a", "b"], 3)
+        save_cooc(count_cooc(encode([["a", "b"]], vocab), 1), tmp_path / "c.bin")
+        raw = (tmp_path / "c.bin").read_bytes()
+        (tmp_path / "c.bin").write_bytes(raw[:20])
+        with pytest.raises(IntegrityError, match="truncated"):
+            load_cooc(tmp_path / "c.bin")
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "bad.bin").write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(IntegrityError):

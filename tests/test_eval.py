@@ -3,7 +3,7 @@ import pytest
 
 from coocmap.align import AlignConfig, MatchState
 from coocmap.corpus import build_vocab
-from coocmap.errors import ValidationError
+from coocmap.errors import NumericError, ValidationError
 from coocmap.evaluation import (
     ClipDiff,
     Dictionary,
@@ -86,6 +86,16 @@ class TestTranslate:
         a = translate(X, Z, state, cfg, toks, toks)
         b = translate(X, Z, state, cfg, toks, toks)
         assert a.rows == b.rows
+
+    @pytest.mark.parametrize("family", ["cooc", "vec"])
+    def test_non_finite_similarity_raises(self, family):
+        X = _toy_pair(4)
+        X[1, 1] = np.inf
+        n = X.shape[0]
+        toks = tuple(f"w{i}" for i in range(n))
+        state = MatchState(np.arange(n), np.arange(n))
+        with pytest.raises(NumericError):
+            translate(X, _toy_pair(5), state, AlignConfig(csls_k=2), toks, toks, family)
 
 
 class TestPrecisionAt1:

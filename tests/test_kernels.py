@@ -4,14 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coocmap.errors import ValidationError
+from coocmap.align import csls, match_bidirectional
+from coocmap.errors import NumericError, ValidationError
 from coocmap.kernels import (
+    METRICS,
     centerc,
+    check_finite,
     clip,
     clip_thresholds,
     drop_head,
     epow,
     normalize,
+    pair_sim_matrix,
     percentile,
     procrustes,
     psd_sqrt_gram,
@@ -158,6 +162,12 @@ class TestPercentileAndClip:
         with pytest.raises(ValidationError):
             clip_thresholds(np.ones((2, 2)), 99, 1)
 
+    def test_thresholds_match_separate_percentiles(self):
+        X = np.random.default_rng(4).random((40, 300))
+        lo, hi = clip_thresholds(X, 1.5, 98.5)
+        assert lo == float(np.percentile(np.percentile(X, 1.5, axis=1), 1.5))
+        assert hi == float(np.percentile(np.percentile(X, 98.5, axis=1), 98.5))
+
     @given(small_matrices(min_side=2))
     @settings(max_examples=80)
     def test_bounds_and_order_preserved(self, X):
@@ -286,6 +296,80 @@ class TestSimMatrix:
     def test_width_mismatch(self):
         with pytest.raises(ValidationError):
             sim_matrix(np.ones((1, 2)), np.ones((1, 3)))
+
+
+# no subnormals: their squares lose the bits both norm computations rely on
+tame = st.floats(-10, 10, allow_nan=False, width=64).map(lambda x: x if abs(x) >= 1e-3 else 0.0)
+
+
+@st.composite
+def pair_problems(draw):
+    """X (n x V1), Z (m x V2) with some all-zero rows, and arbitrary paired
+    column indices: repeats, gaps and any length, as dictionary seeds give."""
+    n, m, v1, v2 = (draw(st.integers(1, 6)) for _ in range(4))
+    X = draw(arrays(np.float64, (n, v1), elements=tame))
+    Z = draw(arrays(np.float64, (m, v2), elements=tame))
+    X[draw(arrays(bool, n))] = 0.0
+    Z[draw(arrays(bool, m))] = 0.0
+    pairs = draw(st.lists(st.tuples(st.integers(0, v1 - 1), st.integers(0, v2 - 1)),
+                          min_size=1, max_size=12))
+    s, t = (np.array(c) for c in zip(*pairs))
+    return X, Z, s, t
+
+
+class TestPairSimMatrix:
+    @pytest.mark.parametrize("metric", METRICS)
+    @given(problem=pair_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_gathered_sim_matrix(self, metric, problem):
+        X, Z, s, t = problem
+        ref = sim_matrix(X[:, s], Z[:, t], metric)
+        got = pair_sim_matrix(X, Z, s, t, metric)
+        # a bound on the magnitude of the summed terms sets the rounding scale
+        scale = 1.0 + s.size * 20.0 * max(1.0, np.abs(X).max(), np.abs(Z).max())
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
+        k = min(2, *ref.shape)
+        Cr, Cn = csls(ref, k), csls(got, k)
+        # equal argmax; where the reference ties (within rounding), the pick
+        # must be one of the tied columns
+        picked = Cr[np.arange(Cr.shape[0]), Cn.argmax(axis=1)]
+        assert np.all(picked >= Cr.max(axis=1) - 1e-10 * scale)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_matched_pairs_from_a_real_iteration(self, metric):
+        rng = np.random.default_rng(21)
+        X, Z = rng.random((40, 40)), rng.random((40, 50))
+        X[3] = 0.0
+        state = match_bidirectional(rng.random((40, 50)) ** 8)
+        assert np.unique(state.s * 50 + state.t).size < state.s.size  # repeated pairs
+        ref = sim_matrix(X[:, state.s], Z[:, state.t], metric)
+        got = pair_sim_matrix(X, Z, state.s, state.t, metric)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(csls(got, 5).argmax(axis=1), csls(ref, 5).argmax(axis=1))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("s, t", [([-1], [0]), ([3], [0]), ([0], [4]), ([0], [-1]),
+                                      ([0, 1], [0]), ([], [])])
+    def test_bad_indices_rejected(self, metric, s, t):
+        with pytest.raises(ValidationError):
+            pair_sim_matrix(np.ones((2, 3)), np.ones((2, 4)), s, t, metric)
+
+    def test_unknown_metric(self):
+        with pytest.raises(ValidationError):
+            pair_sim_matrix(np.ones((1, 2)), np.ones((1, 2)), [0], [1], "manhattan")
+
+
+class TestCheckFinite:
+    def test_passes_finite_through(self):
+        S = np.eye(2)
+        assert check_finite(S, "test") is S
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        S = np.eye(3)
+        S[1, 2] = bad
+        with pytest.raises(NumericError):
+            check_finite(S, "test")
 
 
 def random_rotation(d, rng):
