@@ -10,6 +10,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .align import AlignConfig
 from .config import parse_kv_file
 from .cooc import CoocMatrix, count_cooc, permute_cooc
 from .corpus import Vocabulary, build_vocab, encode, take_head_bytes, tokenize
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .evaluation import (
     Dictionary,
     load_dictionary,
@@ -48,7 +49,13 @@ class BenchConfig:
 
 @dataclass
 class RunReport:
-    """One experiment, serializable; `seconds` is the only volatile field."""
+    """One experiment, serializable; `seconds` is the only volatile field.
+
+    `seconds` runs from reading the corpus to scoring. In a sweep, the
+    points of one budget share a single ingest: the budget's first point
+    carries it and the others cover their own align and score, so a
+    budget's rows still sum to the time that budget took.
+    """
 
     mode: str
     preset: str
@@ -87,10 +94,44 @@ def alternate_blocks(lines: list, block: int) -> tuple[list, list]:
     return a, b
 
 
+@dataclass(frozen=True)
+class _Sides:
+    """The two sides of one budget, reduced to what aligning and scoring
+    need: no text or token lists are kept, so several points can share it."""
+
+    v1: Vocabulary
+    v2: Vocabulary
+    C1: CoocMatrix
+    C2: CoocMatrix
+    data_bytes: int
+
+
 def _build_side(lines, cfg: BenchConfig):
-    vocab = build_vocab((tok for line in lines for tok in line), cfg.vocab_size)
-    enc = encode(lines, vocab)
-    return vocab, enc, count_cooc(enc, cfg.window)
+    vocab = build_vocab(chain.from_iterable(lines), cfg.vocab_size)
+    C = count_cooc(encode(lines, vocab), cfg.window)
+    C.counts.flags.writeable = False  # shared by every point of a sweep budget
+    return vocab, C
+
+
+def _split_sides(corpus_path, budget: int, cfg: BenchConfig) -> _Sides:
+    """Both halves of one corpus, dealt in alternate blocks of lines."""
+    text = take_head_bytes(corpus_path, budget)
+    data_bytes = len(text.encode("utf-8"))
+    half_a, half_b = alternate_blocks(tokenize(text), cfg.block_lines)
+    del text
+    v1, C1 = _build_side(half_a, cfg)
+    v2, C2 = _build_side(half_b, cfg)
+    return _Sides(v1, v2, C1, C2, data_bytes)
+
+
+def _corpus_pair_sides(source_path, target_path, budget: int, cfg: BenchConfig) -> _Sides:
+    """One side per corpus, each cut to the same byte budget."""
+    text1 = take_head_bytes(source_path, budget)
+    text2 = take_head_bytes(target_path, budget)
+    data_bytes = len(text1.encode("utf-8")) + len(text2.encode("utf-8"))
+    v1, C1 = _build_side(tokenize(text1), cfg)
+    v2, C2 = _build_side(tokenize(text2), cfg)
+    return _Sides(v1, v2, C1, C2, data_bytes)
 
 
 def _align_cfg(cfg: BenchConfig) -> AlignConfig:
@@ -108,7 +149,7 @@ def _shared_top(v1: Vocabulary, v2: Vocabulary, top_eval: int) -> list[str]:
 
 
 def _report(mode, cfg: BenchConfig, budget, run, acc, evaluated, correct,
-            no_overlap, t0, vocabs, tokens, data_bytes, seed=None) -> RunReport:
+            no_overlap, t0, sides: _Sides, seed=None) -> RunReport:
     return RunReport(
         mode=mode,
         preset=cfg.preset,
@@ -119,9 +160,9 @@ def _report(mode, cfg: BenchConfig, budget, run, acc, evaluated, correct,
         correct=correct,
         no_overlap=no_overlap,
         seconds=time.perf_counter() - t0,
-        vocab_sizes=vocabs,
-        token_counts=tokens,
-        data_bytes=data_bytes,
+        vocab_sizes=(sides.v1.size, sides.v2.size),
+        token_counts=(sides.C1.token_count, sides.C2.token_count),
+        data_bytes=sides.data_bytes,
         traces=run.traces if run is not None else [],
         config=asdict(cfg),
         seed=seed,
@@ -132,12 +173,13 @@ def split_identity_bench(corpus_path, budget: int, cfg: BenchConfig, preds_out=N
     """Self-translation: align two disjoint halves of one corpus and score
     how many of the top shared tokens map to themselves."""
     t0 = time.perf_counter()
-    text = take_head_bytes(corpus_path, budget)
-    half_a, half_b = alternate_blocks(tokenize(text), cfg.block_lines)
-    v1, enc1, C1 = _build_side(half_a, cfg)
-    v2, enc2, C2 = _build_side(half_b, cfg)
+    return _identity_score(_split_sides(corpus_path, budget, cfg), budget, cfg, t0, preds_out)
+
+
+def _identity_score(sides: _Sides, budget: int, cfg: BenchConfig, t0, preds_out=None) -> RunReport:
+    v1, v2 = sides.v1, sides.v2
     acfg = _align_cfg(cfg)
-    run = execute_preset(get_preset(cfg.preset), acfg, C1, C2)
+    run = execute_preset(get_preset(cfg.preset), acfg, sides.C1, sides.C2)
     preds = translate(run.X, run.Z, run.state, acfg, v1.tokens, v2.tokens, run.family)
     if preds_out is not None:
         identity = Dictionary({tok: frozenset([tok]) for tok in v1.tokens if tok in v2})
@@ -146,11 +188,7 @@ def split_identity_bench(corpus_path, budget: int, cfg: BenchConfig, preds_out=N
     predicted = preds.as_dict()
     correct = sum(predicted[tok] == tok for tok in shared)
     acc = correct / len(shared) if shared else 0.0
-    return _report(
-        "identity", cfg, budget, run, acc, len(shared), correct, not shared,
-        t0, (v1.size, v2.size), (int(enc1.ids.size), int(enc2.ids.size)),
-        len(text.encode("utf-8")),
-    )
+    return _report("identity", cfg, budget, run, acc, len(shared), correct, not shared, t0, sides)
 
 
 def cipher_labels(V: int) -> tuple[str, ...]:
@@ -163,16 +201,20 @@ def cipher_bench(
     """Identity benchmark with one side's vocabulary scrambled by a seeded
     permutation (or an explicit one); scored against the permutation."""
     t0 = time.perf_counter()
-    text = take_head_bytes(corpus_path, budget)
-    half_a, half_b = alternate_blocks(tokenize(text), cfg.block_lines)
-    v1, enc1, C1 = _build_side(half_a, cfg)
-    v2, enc2, C2 = _build_side(half_b, cfg)
+    sides = _split_sides(corpus_path, budget, cfg)
+    return _cipher_score(sides, budget, seed, cfg, t0, preds_out, pi)
+
+
+def _cipher_score(
+    sides: _Sides, budget: int, seed: int, cfg: BenchConfig, t0, preds_out=None, pi=None
+) -> RunReport:
+    v1, v2 = sides.v1, sides.v2
     if pi is None:
         pi = np.random.default_rng(seed).permutation(v2.size)
-    C2p = permute_cooc(C2, pi)
+    C2p = permute_cooc(sides.C2, pi)
     labels = cipher_labels(v2.size)
     acfg = _align_cfg(cfg)
-    run = execute_preset(get_preset(cfg.preset), acfg, C1, C2p)
+    run = execute_preset(get_preset(cfg.preset), acfg, sides.C1, C2p)
     preds = translate(run.X, run.Z, run.state, acfg, v1.tokens, labels, run.family)
     if preds_out is not None:
         truth = Dictionary(
@@ -184,9 +226,7 @@ def cipher_bench(
     correct = sum(predicted[tok] == labels[pi[v2.id_of(tok)]] for tok in shared)
     acc = correct / len(shared) if shared else 0.0
     return _report(
-        "cipher", cfg, budget, run, acc, len(shared), correct, not shared,
-        t0, (v1.size, v2.size), (int(enc1.ids.size), int(enc2.ids.size)),
-        len(text.encode("utf-8")), seed=seed,
+        "cipher", cfg, budget, run, acc, len(shared), correct, not shared, t0, sides, seed=seed
     )
 
 
@@ -201,18 +241,22 @@ def crosslingual_run(
 ) -> RunReport:
     """Two-corpus run scored with precision@1 against a reference dictionary."""
     t0 = time.perf_counter()
-    text1 = take_head_bytes(source_path, budget)
-    text2 = take_head_bytes(target_path, budget)
-    lines1, lines2 = tokenize(text1), tokenize(text2)
-    v1, enc1, C1 = _build_side(lines1, cfg)
-    v2, enc2, C2 = _build_side(lines2, cfg)
+    sides = _corpus_pair_sides(source_path, target_path, budget, cfg)
+    return _crosslingual_score(sides, budget, cfg, t0, dictionary, seed_mode, preds_out)
+
+
+def _crosslingual_score(
+    sides: _Sides, budget: int, cfg: BenchConfig, t0,
+    dictionary: Dictionary | None, seed_mode: str, preds_out=None,
+) -> RunReport:
+    v1, v2 = sides.v1, sides.v2
     acfg = _align_cfg(cfg)
     seed_state = None
     if seed_mode == "dict-init":
         if dictionary is None:
             raise ValidationError("dict-init seeding needs a dictionary")
         seed_state = seed_from_dictionary(dictionary, v1, v2)
-    run = execute_preset(get_preset(cfg.preset), acfg, C1, C2, seed=seed_state)
+    run = execute_preset(get_preset(cfg.preset), acfg, sides.C1, sides.C2, seed=seed_state)
     preds = translate(run.X, run.Z, run.state, acfg, v1.tokens, v2.tokens, run.family)
     if preds_out is not None:
         write_predictions(preds, preds_out, dictionary)
@@ -221,9 +265,7 @@ def crosslingual_run(
     else:
         acc, evaluated, correct, no_overlap = 0.0, 0, 0, True
     return _report(
-        "crosslingual", cfg, budget, run, acc, evaluated, correct, no_overlap,
-        t0, (v1.size, v2.size), (int(enc1.ids.size), int(enc2.ids.size)),
-        len(text1.encode("utf-8")) + len(text2.encode("utf-8")),
+        "crosslingual", cfg, budget, run, acc, evaluated, correct, no_overlap, t0, sides
     )
 
 
@@ -288,44 +330,72 @@ class SweepSpec:
         return cls(**kwargs)
 
 
-def _sweep_point(spec: SweepSpec, budget: int, preset: str, dim: int | None, rep: int) -> RunReport:
-    cfg = BenchConfig(
-        preset=preset,
+# Failures a sweep records as error rows: bad input and numeric failure, the
+# classes the CLI maps to exits 2 and 3. Anything else is a programming error
+# and propagates.
+_RECORDED_ERRORS = (ValidationError, NumericError, OSError, UnicodeDecodeError)
+
+
+def _error_row(spec: SweepSpec, budget: int, preset: str, dim: int | None, e) -> RunReport:
+    cfg = BenchConfig(preset=preset, dim=dim)
+    return RunReport(
+        mode=spec.mode, preset=preset, budget_bytes=budget, dimension=dim,
+        accuracy=0.0, evaluated=0, correct=0, no_overlap=True, seconds=0.0,
+        vocab_sizes=(0, 0), token_counts=(0, 0), data_bytes=0, traces=[],
+        config=asdict(cfg), seed=None, error=f"{type(e).__name__}: {e}",
+    )
+
+
+def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
+    """Every (preset, dim, rep) point of one budget, in spec order, on one
+    ingest of that budget. The first point's `seconds` includes the ingest."""
+    t0 = time.perf_counter()
+    base = BenchConfig(
         vocab_size=spec.vocab_size,
         window=spec.window,
-        dim=dim,
         csls_k=spec.csls_k,
         max_iters=spec.max_iters,
         tol=spec.tol,
         top_eval=spec.top_eval,
         block_lines=spec.block_lines,
     )
-    if spec.mode == "identity":
-        return split_identity_bench(spec.source, budget, cfg)
-    if spec.mode == "cipher":
-        return cipher_bench(spec.source, budget, spec.cipher_seed + rep, cfg)
-    dictionary = load_dictionary(spec.dict_path) if spec.dict_path else None
-    return crosslingual_run(
-        spec.source, spec.target, budget, cfg, dictionary, spec.seed_mode
-    )
-
-
-def _safe_point(args) -> RunReport:
-    spec, budget, preset, dim, rep = args
+    points = [
+        (preset, dim, rep)
+        for preset in spec.presets
+        for dim in (spec.dims or (None,))
+        for rep in range(spec.repetitions)
+    ]
     try:
-        return _sweep_point(spec, budget, preset, dim, rep)
-    except Exception as e:  # keep sweeping; the row records the failure
-        cfg = BenchConfig(preset=preset, dim=dim)
-        return RunReport(
-            mode=spec.mode, preset=preset, budget_bytes=budget, dimension=dim,
-            accuracy=0.0, evaluated=0, correct=0, no_overlap=True, seconds=0.0,
-            vocab_sizes=(0, 0), token_counts=(0, 0), data_bytes=0, traces=[],
-            config=asdict(cfg), seed=None, error=f"{type(e).__name__}: {e}",
-        )
+        if spec.mode == "crosslingual":
+            dictionary = load_dictionary(spec.dict_path) if spec.dict_path else None
+            sides = _corpus_pair_sides(spec.source, spec.target, budget, base)
+        else:
+            dictionary, sides = None, _split_sides(spec.source, budget, base)
+    except _RECORDED_ERRORS as e:
+        return [_error_row(spec, budget, preset, dim, e) for preset, dim, _ in points]
+    reports = []
+    for preset, dim, rep in points:
+        cfg = replace(base, preset=preset, dim=dim)
+        try:
+            if spec.mode == "identity":
+                report = _identity_score(sides, budget, cfg, t0)
+            elif spec.mode == "cipher":
+                report = _cipher_score(sides, budget, spec.cipher_seed + rep, cfg, t0)
+            else:
+                report = _crosslingual_score(sides, budget, cfg, t0, dictionary, spec.seed_mode)
+        except _RECORDED_ERRORS as e:
+            report = _error_row(spec, budget, preset, dim, e)
+        reports.append(report)
+        t0 = time.perf_counter()
+    return reports
 
 
 def sweep_csv(reports: list[RunReport]) -> str:
-    """Fixed-header CSV; `seconds` is volatile, everything else deterministic."""
+    """Fixed-header CSV; `seconds` is volatile, everything else deterministic.
+
+    A budget's first row's `seconds` includes that budget's ingest (see
+    RunReport); error rows record 0.
+    """
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_HEADER)
@@ -361,18 +431,13 @@ def sweep_summary(reports: list[RunReport]) -> dict[str, dict]:
 
 def run_sweep(spec: SweepSpec, workers: int = 1):
     """Cartesian product of budgets x presets x dims x repetitions, executed
-    in spec order; failures become error rows. Returns (reports, csv text)."""
-    dims: tuple = spec.dims if spec.dims else (None,)
-    points = [
-        (spec, budget, preset, dim, rep)
-        for budget in spec.budgets
-        for preset in spec.presets
-        for dim in dims
-        for rep in range(spec.repetitions)
-    ]
+    in spec order; input and numeric failures become error rows. Each budget
+    is read and counted once and its counts are shared by all of its points;
+    with workers > 1, budgets run in parallel. Returns (reports, csv text)."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_safe_point, points))
+            per_budget = list(pool.map(_budget_points, repeat(spec), spec.budgets))
     else:
-        reports = [_safe_point(p) for p in points]
+        per_budget = [_budget_points(spec, budget) for budget in spec.budgets]
+    reports = [r for rows in per_budget for r in rows]
     return reports, sweep_csv(reports)

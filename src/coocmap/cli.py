@@ -274,7 +274,7 @@ def _build_parser():
     t = defaults["sweep"] = {}
     flag(p, "--spec", str, "sweep spec file (key = value lines)", t)
     flag(p, "--out-csv", str, "output CSV path", t)
-    flag(p, "--workers", int, "parallel workers (default 1)", t)
+    flag(p, "--workers", int, "parallel workers, run across budgets (default 1)", t)
     flag(p, "--out-reports", str, "directory for per-run report JSON", t)
     _add_config_flag(p)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import EncodedCorpus, Vocabulary
-from .errors import IntegrityError, ValidationError
+from .errors import IntegrityError, NumericError, ValidationError
 
 MAGIC = b"COOCMAT1"
 
@@ -91,7 +91,8 @@ def _read_exact(f, n: int, path, what: str) -> bytes:
 
 
 def load_cooc(path, vocab: Vocabulary | None = None) -> CoocMatrix:
-    """Read a counts file; if a vocabulary is given, verify its digest."""
+    """Read a counts file; if a vocabulary is given, verify its digest.
+    NaN or infinite counts raise NumericError naming the first one."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != MAGIC:
@@ -103,6 +104,10 @@ def load_cooc(path, vocab: Vocabulary | None = None) -> CoocMatrix:
         data = np.frombuffer(payload, dtype="<f8").reshape(V, V)
     if vocab is not None and vocab.digest != header["vocab_digest"]:
         raise IntegrityError(f"{path}: vocabulary digest mismatch")
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        row, col = divmod(int(bad[0]), V)
+        raise NumericError(f"{path}: non-finite count {data[row, col]} at ({row}, {col})")
     return CoocMatrix(
         counts=data.astype(np.float64),
         window=header["m"],

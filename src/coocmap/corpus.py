@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -14,6 +15,13 @@ from .errors import ValidationError
 UNK_TOKEN = "[UNK]"
 UNK_ID = 0
 DEFAULT_VOCAB_SIZE = 5000
+
+
+class _TokenIndex(dict):
+    """token -> id; a missing token maps to the unk id."""
+
+    def __missing__(self, token):
+        return UNK_ID
 
 
 @dataclass(frozen=True)
@@ -26,7 +34,7 @@ class Vocabulary:
     def __post_init__(self):
         if len(self.tokens) < 1 or self.tokens[0] != UNK_TOKEN:
             raise ValidationError("vocabulary must start with %r at id 0" % UNK_TOKEN)
-        index = {tok: i for i, tok in enumerate(self.tokens)}
+        index = _TokenIndex((tok, i) for i, tok in enumerate(self.tokens))
         if len(index) != len(self.tokens):
             raise ValidationError("vocabulary tokens must be unique")
         object.__setattr__(self, "_index", index)
@@ -40,7 +48,7 @@ class Vocabulary:
         return UNK_ID
 
     def id_of(self, token: str) -> int:
-        return self._index.get(token, UNK_ID)
+        return self._index[token]
 
     def __contains__(self, token: str) -> bool:
         return token in self._index
@@ -113,26 +121,14 @@ def build_vocab(tokens: Iterable[str], v_max: int = DEFAULT_VOCAB_SIZE) -> Vocab
 
 def encode(lines: list[list[str]], vocab: Vocabulary) -> EncodedCorpus:
     """Map tokens to ids (OOV -> unk) and record line end positions."""
-    ids: list[int] = []
-    breaks: list[int] = []
-    for line in lines:
-        ids.extend(vocab.id_of(tok) for tok in line)
-        if line:
-            breaks.append(len(ids))
+    lengths = np.fromiter(map(len, lines), np.int64, len(lines))
+    ids = np.fromiter(
+        map(vocab._index.__getitem__, chain.from_iterable(lines)),
+        np.int32,
+        int(lengths.sum()),
+    )
     return EncodedCorpus(
-        ids=np.asarray(ids, dtype=np.int32),
-        line_breaks=np.asarray(breaks, dtype=np.int64),
+        ids=ids,
+        line_breaks=np.cumsum(lengths)[lengths > 0],
         vocab=vocab,
     )
-
-
-def read_corpus(path, n_bytes: int, v_max: int = DEFAULT_VOCAB_SIZE):
-    """Slice, tokenize, build the vocabulary, and encode in one pass.
-
-    Returns (EncodedCorpus, token count before truncation to vocab).
-    """
-    lines = tokenize(take_head_bytes(path, n_bytes))
-    flat = (tok for line in lines for tok in line)
-    vocab = build_vocab(flat, v_max)
-    enc = encode(lines, vocab)
-    return enc, int(enc.ids.size)

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from coocmap import bench
 from coocmap.bench import (
     BenchConfig,
     RunReport,
@@ -243,3 +245,117 @@ class TestSweep:
         )
         text = sweep_csv([report])
         assert '"boom, with commas"' in text
+
+
+def _point_reports(spec: SweepSpec) -> list[RunReport]:
+    """One public bench call per sweep point, each ingesting on its own."""
+    dictionary = load_dictionary(spec.dict_path) if spec.dict_path else None
+    out = []
+    for budget in spec.budgets:
+        for preset in spec.presets:
+            for dim in spec.dims or (None,):
+                for rep in range(spec.repetitions):
+                    cfg = BenchConfig(
+                        preset=preset, vocab_size=spec.vocab_size, window=spec.window,
+                        dim=dim, csls_k=spec.csls_k, max_iters=spec.max_iters,
+                        tol=spec.tol, top_eval=spec.top_eval, block_lines=spec.block_lines,
+                    )
+                    if spec.mode == "identity":
+                        out.append(split_identity_bench(spec.source, budget, cfg))
+                    elif spec.mode == "cipher":
+                        out.append(cipher_bench(spec.source, budget, spec.cipher_seed + rep, cfg))
+                    else:
+                        out.append(crosslingual_run(
+                            spec.source, spec.target, budget, cfg, dictionary, spec.seed_mode
+                        ))
+    return out
+
+
+def _without_seconds(reports):
+    return [replace(r, seconds=0.0) for r in reports]
+
+
+class TestSweepSharesIngest:
+    BUDGETS = (300_000, 600_000)
+
+    def _spec(self, source, **overrides):
+        fields = dict(
+            source=source, budgets=self.BUDGETS, presets=("coocmap", "ppmi"),
+            vocab_size=300, top_eval=200, max_iters=40,
+        )
+        fields.update(overrides)
+        return SweepSpec(**fields)
+
+    def _crosslingual_spec(self, small_corpus, tmp_path):
+        lines = take_head_bytes(small_corpus, 900_000).splitlines()
+        a, b = alternate_blocks(lines, 100)
+        src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
+        src.write_text("\n".join(a) + "\n")
+        tgt.write_text("\n".join(b) + "\n")
+        va = build_vocab((t for line in a for t in line.split()), 300)
+        dict_path = tmp_path / "dict.txt"
+        dict_path.write_text("".join(f"{t} {t}\n" for t in va.tokens[1:]))
+        return self._spec(
+            str(src), target=str(tgt), mode="crosslingual", dict_path=str(dict_path),
+            presets=("coocmap",),
+        )
+
+    @pytest.mark.parametrize("mode", ["identity", "cipher", "crosslingual"])
+    def test_same_rows_as_one_call_per_point(self, small_corpus, tmp_path, mode):
+        if mode == "identity":
+            spec = self._spec(small_corpus)
+        elif mode == "cipher":
+            spec = self._spec(
+                small_corpus, mode="cipher", presets=("coocmap",), repetitions=2, cipher_seed=4
+            )
+        else:
+            spec = self._crosslingual_spec(small_corpus, tmp_path)
+        reports, csv_text = run_sweep(spec)
+        expected = _point_reports(spec)
+        assert mask_seconds(csv_text) == mask_seconds(sweep_csv(expected))
+        assert _without_seconds(reports) == _without_seconds(expected)
+        assert all(r.error is None for r in reports)
+
+    def test_counts_once_per_side_and_budget(self, small_corpus, monkeypatch):
+        calls = []
+        real = bench.count_cooc
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "count_cooc", counting)
+        reports, _ = run_sweep(self._spec(small_corpus, repetitions=2))
+        assert len(reports) == 2 * 2 * len(self.BUDGETS)
+        assert len(calls) == 2 * len(self.BUDGETS)
+
+    def test_parallel_budgets_same_csv(self, small_corpus):
+        spec = self._spec(small_corpus)
+        _, serial = run_sweep(spec, workers=1)
+        _, parallel = run_sweep(spec, workers=2)
+        assert mask_seconds(parallel) == mask_seconds(serial)
+
+    def test_shared_counts_are_read_only(self, small_corpus, monkeypatch):
+        def scribble(preset, acfg, C1, C2, seed=None):
+            C1.counts[0, 0] += 1.0
+
+        monkeypatch.setattr(bench, "execute_preset", scribble)
+        with pytest.raises(ValueError, match="read-only"):
+            run_sweep(self._spec(small_corpus))
+
+    def test_missing_source_one_error_row_per_point(self, tmp_path):
+        spec = self._spec(str(tmp_path / "missing.txt"), repetitions=2)
+        reports, csv_text = run_sweep(spec)
+        assert [(r.budget_bytes, r.preset) for r in reports] == [
+            (b, p) for b in self.BUDGETS for p in spec.presets for _ in range(2)
+        ]
+        assert all(r.error.startswith("FileNotFoundError") for r in reports)
+        assert csv_text.count("FileNotFoundError") == len(reports)
+
+    def test_programming_error_propagates(self, small_corpus, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a recorded failure")
+
+        monkeypatch.setattr(bench, "execute_preset", broken)
+        with pytest.raises(TypeError, match="not a recorded failure"):
+            run_sweep(self._spec(small_corpus))

@@ -230,7 +230,7 @@ def test_threads_env_propagates(tmp_path, monkeypatch):
 
 
 def test_exit_code_numeric_failure(tmp_path):
-    # counts with NaN entries force the stage-2 SVD to fail
+    # counts with NaN entries are rejected when the counts file is loaded
     V = 8
     bad = np.full((V, V), np.nan)
     vocab = build_vocab([f"w{i}" for i in range(1, V)] * 2, V)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from coocmap.cooc import CoocMatrix, count_cooc, load_cooc, permute_cooc, save_cooc
 from coocmap.corpus import UNK_TOKEN, Vocabulary, build_vocab, encode
-from coocmap.errors import IntegrityError, ValidationError
+from coocmap.errors import IntegrityError, NumericError, ValidationError
 
 
 def brute_cooc(lines, V, m):
@@ -140,6 +140,18 @@ class TestSerialization:
         (tmp_path / "c.bin").write_bytes(raw[:20])
         with pytest.raises(IntegrityError, match="truncated"):
             load_cooc(tmp_path / "c.bin")
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_count_named_at_load(self, tmp_path, bad):
+        vocab = build_vocab(["a", "b", "a", "c"], 4)
+        counts = np.arange(16, dtype=np.float64).reshape(4, 4)
+        counts[2, 1] = bad
+        counts[3, 0] = np.nan  # later in row-major order: not the one named
+        save_cooc(CoocMatrix(counts, 2, vocab.digest, 4), tmp_path / "c.bin")
+        with pytest.raises(NumericError) as e:
+            load_cooc(tmp_path / "c.bin", vocab)
+        assert "c.bin" in str(e.value)
+        assert "(2, 1)" in str(e.value)
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "bad.bin").write_bytes(b"NOTMAGIC" + b"\x00" * 16)

@@ -1,7 +1,9 @@
 import random
+from itertools import chain
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coocmap.corpus import (
@@ -136,6 +138,60 @@ class TestEncode:
         vocab = build_vocab(flat, 10)
         enc = encode(lines, vocab)
         assert vocab.decode(enc.ids) == flat  # every token is in-vocab here
+
+
+def _encode_oracle(lines, vocab):
+    """The per-token loop the vectorised encode replaced, with its own
+    token -> id lookup."""
+    index = {tok: i for i, tok in enumerate(vocab.tokens)}
+    ids: list[int] = []
+    breaks: list[int] = []
+    for line in lines:
+        ids.extend(index.get(tok, 0) for tok in line)
+        if line:
+            breaks.append(len(ids))
+    return np.asarray(ids, dtype=np.int32), np.asarray(breaks, dtype=np.int64)
+
+
+def _vocab_oracle(lines, v_max):
+    """[UNK] plus the most frequent tokens, ties by first occurrence."""
+    counts: dict[str, int] = {}
+    for line in lines:
+        for tok in line:
+            if tok != UNK_TOKEN:
+                counts[tok] = counts.get(tok, 0) + 1
+    ranked = sorted(counts, key=lambda tok: -counts[tok])  # stable
+    return (UNK_TOKEN, *ranked[: v_max - 1])
+
+
+# non-ASCII letters, a literal [UNK], and Unicode whitespace that split() cuts on
+_PIECES = ["a", "b", "é", "ß", "日", UNK_TOKEN, " ", "\u00a0", "\u2003", "\u3000", "\t", "\n"]
+# tokens handed straight to encode may hold whitespace themselves
+_RAW_TOKEN = st.text(alphabet="ab\u00e9\u2003\u00a0 ", max_size=3) | st.just(UNK_TOKEN)
+
+
+class TestEncodeEquivalence:
+    def _check(self, lines, v_max):
+        vocab = build_vocab(chain.from_iterable(lines), v_max)
+        assert vocab.tokens == _vocab_oracle(lines, v_max)
+        enc = encode(lines, vocab)
+        ids, breaks = _encode_oracle(lines, vocab)
+        assert enc.ids.dtype == ids.dtype == np.int32
+        assert enc.line_breaks.dtype == breaks.dtype == np.int64
+        assert np.array_equal(enc.ids, ids)
+        assert np.array_equal(enc.line_breaks, breaks)
+
+    @given(st.lists(st.sampled_from(_PIECES), max_size=40), st.integers(1, 6))
+    @example([], 3)
+    @example(["\n", "\n", "a", "\n", "\n"], 2)
+    def test_tokenized_text(self, pieces, v_max):
+        self._check(tokenize("".join(pieces)), v_max)
+
+    @given(st.lists(st.lists(_RAW_TOKEN, max_size=5), max_size=8), st.integers(1, 6))
+    @example([], 1)
+    @example([[], ["a"], [], [UNK_TOKEN, "zz"], []], 2)
+    def test_token_lists(self, lines, v_max):
+        self._check(lines, v_max)
 
 
 class TestVocabulary:
