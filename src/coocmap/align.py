@@ -178,19 +178,25 @@ class PipelineRun:
     family: str = "cooc"
 
 
+def _trunc_steps(cfg: AlignConfig) -> list[str]:
+    """The rank truncation both stages start from, if `dim` is set."""
+    return [] if cfg.dim is None else [assoc.render_step("trunc", cfg.dim)]
+
+
+def _stage_tail(cfg: AlignConfig, stage2: bool) -> list[str]:
+    """A stage's steps after the truncation: clip, or head-drop plus clip."""
+    if not stage2:
+        return [] if cfg.clip is None else [assoc.render_step("clip", *cfg.clip)]
+    assert cfg.stage2 is not None
+    steps = [assoc.render_step("drop", drop_schedule(cfg.stage2.drop_r, cfg.dim))]
+    if cfg.stage2.clip is not None:
+        steps.append(assoc.render_step("clip", *cfg.stage2.clip))
+    return steps
+
+
 def stage_steps(cfg: AlignConfig, stage2: bool) -> list[str]:
     """Pipeline steps appended to the association constructor for a stage."""
-    steps: list[str] = []
-    if cfg.dim is not None:
-        steps.append(assoc.render_step("trunc", cfg.dim))
-    if stage2:
-        assert cfg.stage2 is not None
-        steps.append(assoc.render_step("drop", drop_schedule(cfg.stage2.drop_r, cfg.dim)))
-        if cfg.stage2.clip is not None:
-            steps.append(assoc.render_step("clip", *cfg.stage2.clip))
-    elif cfg.clip is not None:
-        steps.append(assoc.render_step("clip", *cfg.clip))
-    return steps
+    return _trunc_steps(cfg) + _stage_tail(cfg, stage2)
 
 
 def run_staged(
@@ -201,15 +207,21 @@ def run_staged(
 ) -> PipelineRun:
     """Stage 1: self-learn on the (optionally clipped) association matrices,
     starting from the sorted-row initializer or a supplied seed. Stage 2, if
-    configured: rebuild with head-drop plus clip and re-learn from stage 1."""
-    X = assoc.apply_pipeline(A1, stage_steps(cfg, stage2=False))
-    Z = assoc.apply_pipeline(A2, stage_steps(cfg, stage2=False))
+    configured: rebuild with head-drop plus clip and re-learn from stage 1.
+
+    Each side is truncated once; both stages apply their own steps to that
+    matrix, so every stage's data and chain equal
+    `assoc.apply_pipeline(A, stage_steps(cfg, stage2))`."""
+    A1 = assoc.apply_pipeline(A1, _trunc_steps(cfg))
+    A2 = assoc.apply_pipeline(A2, _trunc_steps(cfg))
+    X = assoc.apply_pipeline(A1, _stage_tail(cfg, stage2=False))
+    Z = assoc.apply_pipeline(A2, _stage_tail(cfg, stage2=False))
     init = seed if seed is not None else unsupervised_init(X, Z, cfg)
     state, trace1 = coocmap_selflearn(X, Z, init, cfg)
     traces = [trace1]
     if cfg.stage2 is not None:
-        X = assoc.apply_pipeline(A1, stage_steps(cfg, stage2=True))
-        Z = assoc.apply_pipeline(A2, stage_steps(cfg, stage2=True))
+        X = assoc.apply_pipeline(A1, _stage_tail(cfg, stage2=True))
+        Z = assoc.apply_pipeline(A2, _stage_tail(cfg, stage2=True))
         state, trace2 = coocmap_selflearn(X, Z, state, cfg)
         traces.append(trace2)
     return PipelineRun(state=state, traces=traces, X=X.data, Z=Z.data, family="cooc")

@@ -9,6 +9,7 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from copy import deepcopy
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, repeat
 
@@ -53,8 +54,11 @@ class RunReport:
 
     `seconds` runs from reading the corpus to scoring. In a sweep, the
     points of one budget share a single ingest: the budget's first point
-    carries it and the others cover their own align and score, so a
-    budget's rows still sum to the time that budget took.
+    carries it and the others cover their own align and score. Only cipher
+    mode depends on the repetition (its permutation seed); in the other
+    modes each (preset, dim) is aligned once and its later repetitions are
+    copies with `seconds` 0.0. A budget's rows still sum to the time that
+    budget took.
     """
 
     mode: str
@@ -348,7 +352,9 @@ def _error_row(spec: SweepSpec, budget: int, preset: str, dim: int | None, e) ->
 
 def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
     """Every (preset, dim, rep) point of one budget, in spec order, on one
-    ingest of that budget. The first point's `seconds` includes the ingest."""
+    ingest of that budget. The first point's `seconds` includes the ingest.
+    Outside cipher mode a repetition would rerun the same computation, so it
+    copies the previous row with `seconds` 0.0."""
     t0 = time.perf_counter()
     base = BenchConfig(
         vocab_size=spec.vocab_size,
@@ -375,6 +381,9 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
         return [_error_row(spec, budget, preset, dim, e) for preset, dim, _ in points]
     reports = []
     for preset, dim, rep in points:
+        if rep > 0 and spec.mode != "cipher":
+            reports.append(replace(deepcopy(reports[-1]), seconds=0.0))
+            continue
         cfg = replace(base, preset=preset, dim=dim)
         try:
             if spec.mode == "identity":
@@ -393,7 +402,8 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
 def sweep_csv(reports: list[RunReport]) -> str:
     """Fixed-header CSV; `seconds` is volatile, everything else deterministic.
 
-    A budget's first row's `seconds` includes that budget's ingest (see
+    A budget's first row's `seconds` includes that budget's ingest, and
+    repeated identity/crosslingual rows are copies that record 0 (see
     RunReport); error rows record 0.
     """
     buf = io.StringIO()

@@ -321,11 +321,7 @@ def _dispatch(argv) -> int:
 
 
 def main(argv=None) -> int:
-    # honor the thread cap before any BLAS-backed import happens
-    threads = os.environ.get("COOCMAP_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+    # COOCMAP_THREADS is applied by the package's __init__, before numpy loads
     try:
         return _dispatch(argv)
     except SystemExit as e:

@@ -123,6 +123,16 @@ def execute_preset(
             raise ValidationError(f"preset {preset.name} needs vectors on both sides")
     elif C1 is None or C2 is None:
         raise ValidationError(f"preset {preset.name} needs co-occurrence counts")
+    if preset.vectors == "import":
+        v1, v2 = vectors1.data.shape[0], vectors2.data.shape[0]
+    else:
+        v1, v2 = C1.counts.shape[0], C2.counts.shape[0]
+    if cfg.csls_k > min(v1, v2):
+        # every similarity matrix is V1 x V2: fail before building anything
+        raise ValidationError(
+            f"csls_k={cfg.csls_k} exceeds the smaller vocabulary "
+            f"(source {v1}, target {v2} words)"
+        )
 
     if preset.family == "vec":
         if preset.vectors == "svd":

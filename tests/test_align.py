@@ -23,6 +23,7 @@ from coocmap.assoc import coocmap_assoc
 from coocmap.cooc import CoocMatrix, count_cooc, permute_cooc
 from coocmap.corpus import build_vocab, encode, tokenize
 from coocmap.errors import NumericError, ValidationError
+from coocmap.presets import align_config, get_preset
 from coocmap.synth import generate_corpus
 
 finite = st.floats(-5, 5, allow_nan=False, width=64)
@@ -316,6 +317,36 @@ class TestPipelines:
         )
         run = run_coocmap(C1, C2, cfg)
         assert len(run.traces) == 2
+
+    def test_truncates_once_per_side(self, monkeypatch):
+        from coocmap import align, assoc
+
+        C1, C2 = self._counts(22, V=14), self._counts(23, V=14)
+        cfg = align_config(get_preset("coocmap-drop"), csls_k=3, max_iters=5, dim=6)
+        A1, A2 = coocmap_assoc(C1), coocmap_assoc(C2)
+        expected = [
+            assoc.apply_pipeline(A, stage_steps(cfg, stage2))
+            for stage2 in (False, True) for A in (A1, A2)
+        ]
+        trunc_calls, seen = [], []
+        real_trunc, real_selflearn = assoc._STEPS["trunc"], align.coocmap_selflearn
+
+        def counting_trunc(X, r):
+            trunc_calls.append(r)
+            return real_trunc(X, r)
+
+        def recording_selflearn(X, Z, init, cfg):
+            seen.extend([X, Z])
+            return real_selflearn(X, Z, init, cfg)
+
+        monkeypatch.setitem(assoc._STEPS, "trunc", counting_trunc)
+        monkeypatch.setattr(align, "coocmap_selflearn", recording_selflearn)
+        run = align.run_staged(A1, A2, cfg)
+        assert trunc_calls == [6.0, 6.0]
+        assert len(seen) == 4 and len(run.traces) == 2
+        for got, want in zip(seen, expected):
+            assert got.chain == want.chain
+            assert got.data.tobytes() == want.data.tobytes()
 
     def test_dict_seed_fixed_point_on_identical_counts(self):
         C = self._counts(20)

@@ -106,6 +106,21 @@ class TestCipherBench:
         assert abs(c.accuracy - ident.accuracy) <= 0.02
         assert c.seed == 3
 
+    def test_drop_predictions_equal_full_svd_truncation(self, small_corpus, tmp_path, monkeypatch):
+        from coocmap import kernels
+
+        cfg = replace(FAST, preset="coocmap-drop")
+        cipher_bench(small_corpus, 600_000, 2, cfg, preds_out=tmp_path / "gram.tsv")
+
+        def full_svd_trunc(X, r):
+            f = kernels.svd(X)
+            r = min(r, f.S.size)
+            return (f.U[:, :r] * f.S[:r]) @ f.Vt[:r]
+
+        monkeypatch.setattr(kernels, "trunc", full_svd_trunc)
+        cipher_bench(small_corpus, 600_000, 2, cfg, preds_out=tmp_path / "svd.tsv")
+        assert (tmp_path / "gram.tsv").read_bytes() == (tmp_path / "svd.tsv").read_bytes()
+
     def test_report_json_round_trip(self, small_corpus):
         report = cipher_bench(small_corpus, 400_000, 1, FAST)
         again = RunReport.from_json(report.to_json())
@@ -328,6 +343,23 @@ class TestSweepSharesIngest:
         reports, _ = run_sweep(self._spec(small_corpus, repetitions=2))
         assert len(reports) == 2 * 2 * len(self.BUDGETS)
         assert len(calls) == 2 * len(self.BUDGETS)
+
+    def test_identity_repetitions_align_once(self, small_corpus, monkeypatch):
+        calls = []
+        real = bench.execute_preset
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].name)
+            return real(*args, **kwargs)
+
+        spec = self._spec(small_corpus, repetitions=2, dims=(4, 8))
+        monkeypatch.setattr(bench, "execute_preset", counting)
+        reports, csv_text = run_sweep(spec)
+        assert len(calls) == len(spec.presets) * len(spec.dims) * len(self.BUDGETS)
+        assert len(reports) == 2 * len(calls)
+        assert all(r.seconds == 0.0 for r in reports[1::2])
+        monkeypatch.setattr(bench, "execute_preset", real)
+        assert mask_seconds(csv_text) == mask_seconds(sweep_csv(_point_reports(spec)))
 
     def test_parallel_budgets_same_csv(self, small_corpus):
         spec = self._spec(small_corpus)

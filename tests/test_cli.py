@@ -218,15 +218,52 @@ def test_vecmap_vectors_preset_via_files(counted, tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["accuracy"] == 1.0
 
 
-def test_threads_env_propagates(tmp_path, monkeypatch):
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setenv("COOCMAP_THREADS", "1")
-    (tmp_path / "tiny.txt").write_text("a b a\n")
+def test_threads_env_propagates(tmp_path):
+    """COOCMAP_THREADS reaches the BLAS variables before numpy loads, so a
+    process that only imports the CLI runs with the thread cap."""
     import os
+    import subprocess
+    import sys
 
-    rc = main(["count", "--input", str(tmp_path / "tiny.txt"), "--out", str(tmp_path / "t")])
-    assert rc == 0
-    assert os.environ["OMP_NUM_THREADS"] == "1"
+    import coocmap
+
+    script = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "from coocmap.cli import main\n"
+        "rc = main(['count', '--input', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(rc, seen[0], os.environ['OMP_NUM_THREADS'])\n"
+    )
+    (tmp_path / "tiny.txt").write_text("a b a\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["COOCMAP_THREADS"] = "1"
+    src = os.path.dirname(os.path.dirname(coocmap.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "tiny.txt"), str(tmp_path / "t")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.splitlines()[-1].split() == ["0", "1", "1"]
+
+
+def test_csls_k_beyond_vocabulary_exits_2(counted, tmp_path, capsys):
+    tmp, out = counted
+    rc = main([
+        "induce",
+        "--cooc1", f"{out}.cooc.bin", "--cooc2", f"{out}.cooc.bin",
+        "--vocab1", f"{out}.vocab.txt", "--vocab2", f"{out}.vocab.txt",
+        "--preset", "coocmap-drop", "--csls-k", "100000",
+        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
+    ])
+    assert rc == 2
+    assert "csls_k=100000" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_exit_code_numeric_failure(tmp_path):

@@ -262,6 +262,98 @@ class TestSvdOps:
         np.testing.assert_allclose(R @ R, Xv @ Xv.T, atol=1e-6)
 
 
+def svd_trunc(X, r):
+    """Reference rank-r truncation from the full SVD."""
+    f = svd(X)
+    r = min(r, f.S.size)
+    return (f.U[:, :r] * f.S[:r]) @ f.Vt[:r]
+
+
+def split_resolved(s, r):
+    """Whether the rank-r truncation is determined to working precision: the
+    singular values separate at r (gap > 1e-3 sigma_1), or r covers the rank
+    and the rank itself separates from a tail at rounding level."""
+    if s.size == 0 or s[0] == 0.0 or r == 0 or r >= s.size:
+        return True
+    gap = 1e-3 * s[0]
+    if s[r - 1] - s[r] > gap:
+        return True
+    return any(s[k - 1] - s[k] > gap and s[k] <= 1e-13 * s[0] for k in range(1, r + 1))
+
+
+@st.composite
+def trunc_problems(draw):
+    """Tall, wide and square matrices, dense or a product of thinner factors
+    (rank-deficient), and ranks from 0 to past min(shape)."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    inner = draw(st.integers(0, min(m, n)))
+    if inner == min(m, n):
+        X = draw(arrays(np.float64, (m, n), elements=finite))
+    else:
+        A = draw(arrays(np.float64, (m, inner), elements=finite))
+        B = draw(arrays(np.float64, (inner, n), elements=finite))
+        X = A @ B
+    return X, draw(st.integers(0, min(m, n) + 2))
+
+
+class TestTruncByGram:
+    @given(problem=trunc_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_full_svd_truncation(self, problem):
+        X, r = problem
+        s = np.linalg.svd(X, compute_uv=False)
+        got, ref = trunc(X, r), svd_trunc(X, r)
+        assert got.shape == X.shape
+        np.testing.assert_array_equal(drop_head(X, r), X - got)
+        if split_resolved(s, r):
+            # subnormal entries are spaced 5e-324 apart: an absolute floor
+            tol = 1e-10 * (s[0] if s.size else 0.0) + 1e-300
+            assert np.abs(got - ref).max(initial=0.0) <= tol
+
+    @pytest.mark.parametrize("shape", [(30, 30), (40, 12), (12, 40)])
+    def test_random_spectra(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        k = min(shape)
+        for _ in range(100):
+            rank = int(rng.integers(1, k + 1))
+            U = np.linalg.qr(rng.standard_normal((shape[0], rank)))[0]
+            V = np.linalg.qr(rng.standard_normal((shape[1], rank)))[0]
+            sv = np.sort(rng.uniform(0.01, 1.0, rank))[::-1] * 10.0 ** rng.integers(-5, 6)
+            X = (U * sv) @ V.T
+            s = np.linalg.svd(X, compute_uv=False)
+            for r in (0, 1, rank // 2, rank, k, k + 3):
+                if split_resolved(s, r):
+                    diff = np.abs(trunc(X, r) - svd_trunc(X, r)).max()
+                    assert diff <= 1e-10 * s[0]
+
+    def test_zero_rank_and_zero_matrix(self):
+        X = np.random.default_rng(13).random((3, 5))
+        np.testing.assert_array_equal(trunc(X, 0), np.zeros((3, 5)))
+        np.testing.assert_array_equal(trunc(np.zeros((4, 2)), 1), np.zeros((4, 2)))
+
+    def test_negative_rank_rejected(self):
+        for f in (trunc, drop_head):
+            with pytest.raises(ValidationError):
+                f(np.eye(2), -1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("f", [trunc, drop_head])
+    @pytest.mark.parametrize("r", [0, 1, 5])
+    def test_non_finite_raises(self, bad, f, r):
+        X = np.random.default_rng(14).random((4, 3))
+        X[2, 1] = bad
+        with pytest.raises(NumericError):
+            f(X, r)
+
+    def test_extreme_magnitudes(self):
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((6, 4))
+        for scale in (1e-200, 1e200):
+            np.testing.assert_allclose(
+                trunc(X * scale, 2), svd_trunc(X, 2) * scale, rtol=0, atol=1e-12 * scale
+            )
+
+
 class TestSimMatrix:
     def test_identical_rows_cosine_one(self):
         X = np.array([[1.0, 2.0]])

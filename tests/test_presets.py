@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coocmap.align import Stage2Config
-from coocmap.assoc import svd_vectors
+from coocmap.assoc import WordVectors, svd_vectors
 from coocmap.cooc import CoocMatrix
 from coocmap.errors import ValidationError
 from coocmap.presets import PRESETS, align_config, execute_preset, get_preset
@@ -85,3 +85,25 @@ def test_execute_missing_inputs_rejected():
         execute_preset(get_preset("vecmap-vectors"), align_config(get_preset("vecmap-vectors")), C, C)
     with pytest.raises(ValidationError):
         execute_preset(get_preset("coocmap"), align_config(get_preset("coocmap")))
+
+
+@pytest.mark.parametrize("name", ["coocmap-drop", "vecmap-raw", "coocmap-vectors"])
+def test_csls_k_beyond_vocabulary_fails_before_any_work(name, monkeypatch):
+    import coocmap.presets as presets
+    from coocmap import assoc
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the csls_k check")
+
+    monkeypatch.setattr(assoc, "build", no_work)
+    for attr in ("svd_vectors", "assoc_from_vectors", "run_staged", "run_vecmap", "run_coocmap"):
+        monkeypatch.setattr(presets, attr, no_work)
+    preset = get_preset(name)
+    C1, C2 = counts(4, V=12), counts(5, V=9)
+    v1 = WordVectors(np.ones((12, 3)), "t")
+    v2 = WordVectors(np.ones((9, 3)), "t")
+    with pytest.raises(ValidationError, match=r"csls_k=10 .*source 12, target 9"):
+        execute_preset(preset, align_config(preset, csls_k=10), C1, C2, v1, v2)
+    # at the smaller size the check passes and the work starts
+    with pytest.raises(AssertionError, match="work started"):
+        execute_preset(preset, align_config(preset, csls_k=9), C1, C2, v1, v2)
