@@ -10,8 +10,9 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain, repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -41,9 +42,9 @@ class BenchConfig:
     vocab_size: int = 5000
     window: int = 5
     dim: int | None = None
-    csls_k: int = 10
-    max_iters: int = 100
-    tol: float = 1e-6
+    csls_k: int = AlignConfig.csls_k
+    max_iters: int = AlignConfig.max_iters
+    tol: float = AlignConfig.tol
     top_eval: int = 1000
     block_lines: int = 1000
 
@@ -51,6 +52,12 @@ class BenchConfig:
 @dataclass
 class RunReport:
     """One experiment, serializable; `seconds` is the only volatile field.
+
+    Seeding comes from the preset alone: `dict-init` seeds from a supplied
+    dictionary (crosslingual, `induce --dict`) and is a ValidationError
+    without one, never seeded from an identity or cipher answer key.
+    `top_eval` bounds identity and cipher scoring only; crosslingual and
+    induce runs score every evaluable dictionary entry.
 
     `seconds` runs from reading the corpus to scoring. In a sweep, the
     points of one budget share a single ingest: the budget's first point
@@ -99,8 +106,8 @@ def alternate_blocks(lines: list, block: int) -> tuple[list, list]:
 
 
 @dataclass(frozen=True)
-class _Sides:
-    """The two sides of one budget, reduced to what aligning and scoring
+class Sides:
+    """The two sides of an experiment, reduced to what aligning and scoring
     need: no text or token lists are kept, so several points can share it."""
 
     v1: Vocabulary
@@ -117,7 +124,7 @@ def _build_side(lines, cfg: BenchConfig):
     return vocab, C
 
 
-def _split_sides(corpus_path, budget: int, cfg: BenchConfig) -> _Sides:
+def _split_sides(corpus_path, budget: int, cfg: BenchConfig) -> Sides:
     """Both halves of one corpus, dealt in alternate blocks of lines."""
     text = take_head_bytes(corpus_path, budget)
     data_bytes = len(text.encode("utf-8"))
@@ -125,51 +132,123 @@ def _split_sides(corpus_path, budget: int, cfg: BenchConfig) -> _Sides:
     del text
     v1, C1 = _build_side(half_a, cfg)
     v2, C2 = _build_side(half_b, cfg)
-    return _Sides(v1, v2, C1, C2, data_bytes)
+    return Sides(v1, v2, C1, C2, data_bytes)
 
 
-def _corpus_pair_sides(source_path, target_path, budget: int, cfg: BenchConfig) -> _Sides:
+def _corpus_pair_sides(source_path, target_path, budget: int, cfg: BenchConfig) -> Sides:
     """One side per corpus, each cut to the same byte budget."""
     text1 = take_head_bytes(source_path, budget)
     text2 = take_head_bytes(target_path, budget)
     data_bytes = len(text1.encode("utf-8")) + len(text2.encode("utf-8"))
     v1, C1 = _build_side(tokenize(text1), cfg)
     v2, C2 = _build_side(tokenize(text2), cfg)
-    return _Sides(v1, v2, C1, C2, data_bytes)
+    return Sides(v1, v2, C1, C2, data_bytes)
 
 
-def _align_cfg(cfg: BenchConfig) -> AlignConfig:
-    return align_config(
-        get_preset(cfg.preset),
-        csls_k=cfg.csls_k,
-        max_iters=cfg.max_iters,
-        tol=cfg.tol,
-        dim=cfg.dim,
+def align_and_score(
+    mode: str,
+    sides: Sides,
+    labels: Sequence[str],
+    config: dict,
+    acfg: AlignConfig,
+    t0: float,
+    *,
+    answer: Dictionary | None = None,
+    dictionary: Dictionary | None = None,
+    top_eval: int | None = None,
+    vectors: tuple = (),
+    budget: int = 0,
+    seed: int | None = None,
+    preds_out=None,
+) -> RunReport:
+    """The experiment step every entry point shares: align the two sides with
+    the preset that `config` names, translate each source word into `labels`
+    (the target side's word names), write the optional predictions dump and
+    score it.
+
+    A dictionary-seeded preset seeds from the supplied `dictionary` and
+    raises ValidationError without one. Predictions are scored against the
+    `answer` key (none: nothing is scored): at most `top_eval` entries whose
+    target is one of `labels`, in the key's order. `vectors` are the
+    imported (source, target) vectors of a preset that takes them. `config`
+    is recorded as given; its "preset" and "dim" name the report's preset
+    and dimension.
+    """
+    preset = get_preset(config["preset"])
+    v1, v2 = sides.v1, sides.v2
+    seed_state = None
+    if preset.seed_mode == "dictionary":
+        if dictionary is None:
+            raise ValidationError(
+                f"preset {preset.name} seeds from a supplied dictionary (induce --dict, "
+                "or a crosslingual run's dictionary); none was given"
+            )
+        seed_state = seed_from_dictionary(dictionary, v1, v2)
+    run = execute_preset(preset, acfg, sides.C1, sides.C2, *vectors, seed=seed_state)
+    preds = translate(run.X, run.Z, run.state, acfg, v1.tokens, labels, run.family)
+    if answer is None:
+        answer = Dictionary({})
+    if preds_out is not None:
+        write_predictions(preds, preds_out, answer)
+    acc, evaluated, correct, no_overlap = precision_at_1(
+        preds, answer, v1, frozenset(labels), top_eval
     )
-
-
-def _shared_top(v1: Vocabulary, v2: Vocabulary, top_eval: int) -> list[str]:
-    return [tok for tok in v1.tokens if tok in v2][:top_eval]
-
-
-def _report(mode, cfg: BenchConfig, budget, run, acc, evaluated, correct,
-            no_overlap, t0, sides: _Sides, seed=None) -> RunReport:
     return RunReport(
         mode=mode,
-        preset=cfg.preset,
+        preset=preset.name,
         budget_bytes=budget,
-        dimension=cfg.dim,
+        dimension=config["dim"],
         accuracy=acc,
         evaluated=evaluated,
         correct=correct,
         no_overlap=no_overlap,
         seconds=time.perf_counter() - t0,
-        vocab_sizes=(sides.v1.size, sides.v2.size),
+        vocab_sizes=(v1.size, v2.size),
         token_counts=(sides.C1.token_count, sides.C2.token_count),
         data_bytes=sides.data_bytes,
-        traces=run.traces if run is not None else [],
-        config=asdict(cfg),
+        traces=run.traces,
+        config=config,
         seed=seed,
+    )
+
+
+def cipher_labels(V: int) -> tuple[str, ...]:
+    return tuple("w%04d" % j for j in range(V))
+
+
+def _shared_key(sides: Sides, target_names: Sequence[str]) -> Dictionary:
+    """Answer key of a split corpus: each token both halves share maps to
+    the name of its own target id, in source-rank order."""
+    v2 = sides.v2
+    return Dictionary(
+        {tok: frozenset([target_names[v2.id_of(tok)]]) for tok in sides.v1.tokens if tok in v2}
+    )
+
+
+def _bench_point(
+    mode: str, sides: Sides, cfg: BenchConfig, budget: int, t0, seed=None, pi=None,
+    dictionary: Dictionary | None = None, preds_out=None,
+) -> RunReport:
+    """One benchmark point on built sides. The mode decides the target
+    labels and the answer key: identity scores each shared token against
+    itself, cipher first permutes the target side (by `pi`, or a permutation
+    drawn from `seed`) and scores against the permutation, and crosslingual
+    scores against the supplied dictionary."""
+    labels, answer = sides.v2.tokens, dictionary
+    if mode == "cipher":
+        if pi is None:
+            pi = np.random.default_rng(seed).permutation(sides.v2.size)
+        sides = replace(sides, C2=permute_cooc(sides.C2, pi))
+        labels = cipher_labels(sides.v2.size)
+        answer = _shared_key(sides, [labels[j] for j in pi])
+    elif mode == "identity":
+        answer = _shared_key(sides, labels)
+    acfg = align_config(get_preset(cfg.preset), cfg.csls_k, cfg.max_iters, cfg.tol, cfg.dim)
+    return align_and_score(
+        mode, sides, labels, asdict(cfg), acfg, t0,
+        answer=answer, dictionary=dictionary,
+        top_eval=None if mode == "crosslingual" else cfg.top_eval,
+        budget=budget, seed=seed, preds_out=preds_out,
     )
 
 
@@ -177,26 +256,8 @@ def split_identity_bench(corpus_path, budget: int, cfg: BenchConfig, preds_out=N
     """Self-translation: align two disjoint halves of one corpus and score
     how many of the top shared tokens map to themselves."""
     t0 = time.perf_counter()
-    return _identity_score(_split_sides(corpus_path, budget, cfg), budget, cfg, t0, preds_out)
-
-
-def _identity_score(sides: _Sides, budget: int, cfg: BenchConfig, t0, preds_out=None) -> RunReport:
-    v1, v2 = sides.v1, sides.v2
-    acfg = _align_cfg(cfg)
-    run = execute_preset(get_preset(cfg.preset), acfg, sides.C1, sides.C2)
-    preds = translate(run.X, run.Z, run.state, acfg, v1.tokens, v2.tokens, run.family)
-    if preds_out is not None:
-        identity = Dictionary({tok: frozenset([tok]) for tok in v1.tokens if tok in v2})
-        write_predictions(preds, preds_out, identity)
-    shared = _shared_top(v1, v2, cfg.top_eval)
-    predicted = preds.as_dict()
-    correct = sum(predicted[tok] == tok for tok in shared)
-    acc = correct / len(shared) if shared else 0.0
-    return _report("identity", cfg, budget, run, acc, len(shared), correct, not shared, t0, sides)
-
-
-def cipher_labels(V: int) -> tuple[str, ...]:
-    return tuple("w%04d" % j for j in range(V))
+    sides = _split_sides(corpus_path, budget, cfg)
+    return _bench_point("identity", sides, cfg, budget, t0, preds_out=preds_out)
 
 
 def cipher_bench(
@@ -206,32 +267,7 @@ def cipher_bench(
     permutation (or an explicit one); scored against the permutation."""
     t0 = time.perf_counter()
     sides = _split_sides(corpus_path, budget, cfg)
-    return _cipher_score(sides, budget, seed, cfg, t0, preds_out, pi)
-
-
-def _cipher_score(
-    sides: _Sides, budget: int, seed: int, cfg: BenchConfig, t0, preds_out=None, pi=None
-) -> RunReport:
-    v1, v2 = sides.v1, sides.v2
-    if pi is None:
-        pi = np.random.default_rng(seed).permutation(v2.size)
-    C2p = permute_cooc(sides.C2, pi)
-    labels = cipher_labels(v2.size)
-    acfg = _align_cfg(cfg)
-    run = execute_preset(get_preset(cfg.preset), acfg, sides.C1, C2p)
-    preds = translate(run.X, run.Z, run.state, acfg, v1.tokens, labels, run.family)
-    if preds_out is not None:
-        truth = Dictionary(
-            {tok: frozenset([labels[pi[v2.id_of(tok)]]]) for tok in v1.tokens if tok in v2}
-        )
-        write_predictions(preds, preds_out, truth)
-    shared = _shared_top(v1, v2, cfg.top_eval)
-    predicted = preds.as_dict()
-    correct = sum(predicted[tok] == labels[pi[v2.id_of(tok)]] for tok in shared)
-    acc = correct / len(shared) if shared else 0.0
-    return _report(
-        "cipher", cfg, budget, run, acc, len(shared), correct, not shared, t0, sides, seed=seed
-    )
+    return _bench_point("cipher", sides, cfg, budget, t0, seed, pi, preds_out=preds_out)
 
 
 def crosslingual_run(
@@ -240,57 +276,44 @@ def crosslingual_run(
     budget: int,
     cfg: BenchConfig,
     dictionary: Dictionary | None = None,
-    seed_mode: str = "unsupervised",
     preds_out=None,
 ) -> RunReport:
-    """Two-corpus run scored with precision@1 against a reference dictionary."""
+    """Two-corpus run scored with precision@1 against a reference dictionary,
+    over every evaluable entry (`top_eval` does not apply). The preset decides
+    seeding: `dict-init` seeds from `dictionary` and needs one."""
     t0 = time.perf_counter()
     sides = _corpus_pair_sides(source_path, target_path, budget, cfg)
-    return _crosslingual_score(sides, budget, cfg, t0, dictionary, seed_mode, preds_out)
-
-
-def _crosslingual_score(
-    sides: _Sides, budget: int, cfg: BenchConfig, t0,
-    dictionary: Dictionary | None, seed_mode: str, preds_out=None,
-) -> RunReport:
-    v1, v2 = sides.v1, sides.v2
-    acfg = _align_cfg(cfg)
-    seed_state = None
-    if seed_mode == "dict-init":
-        if dictionary is None:
-            raise ValidationError("dict-init seeding needs a dictionary")
-        seed_state = seed_from_dictionary(dictionary, v1, v2)
-    run = execute_preset(get_preset(cfg.preset), acfg, sides.C1, sides.C2, seed=seed_state)
-    preds = translate(run.X, run.Z, run.state, acfg, v1.tokens, v2.tokens, run.family)
-    if preds_out is not None:
-        write_predictions(preds, preds_out, dictionary)
-    if dictionary is not None:
-        acc, evaluated, correct, no_overlap = precision_at_1(preds, dictionary, v1, v2)
-    else:
-        acc, evaluated, correct, no_overlap = 0.0, 0, 0, True
-    return _report(
-        "crosslingual", cfg, budget, run, acc, evaluated, correct, no_overlap, t0, sides
+    return _bench_point(
+        "crosslingual", sides, cfg, budget, t0, dictionary=dictionary, preds_out=preds_out
     )
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A grid of benchmark points: budgets x presets x dims x repetitions.
+
+    The tuning fields default to BenchConfig's. Each point's preset decides
+    its seeding: `dict-init` needs `dict_path` (crosslingual mode) and is an
+    error row in identity and cipher modes. `top_eval` bounds identity and
+    cipher scoring only; crosslingual points score every evaluable entry of
+    the dictionary.
+    """
+
     source: str
     target: str | None = None
     mode: str = "identity"
     budgets: tuple[int, ...] = ()
     presets: tuple[str, ...] = ("coocmap",)
     dims: tuple[int, ...] = ()
-    seed_mode: str = "unsupervised"
     dict_path: str | None = None
     repetitions: int = 1
-    vocab_size: int = 5000
-    window: int = 5
-    csls_k: int = 10
-    max_iters: int = 100
-    tol: float = 1e-6
-    top_eval: int = 1000
-    block_lines: int = 1000
+    vocab_size: int = BenchConfig.vocab_size
+    window: int = BenchConfig.window
+    csls_k: int = BenchConfig.csls_k
+    max_iters: int = BenchConfig.max_iters
+    tol: float = BenchConfig.tol
+    top_eval: int = BenchConfig.top_eval
+    block_lines: int = BenchConfig.block_lines
     cipher_seed: int = 0
 
     def __post_init__(self):
@@ -311,7 +334,7 @@ class SweepSpec:
     def from_file(cls, path) -> "SweepSpec":
         kv = parse_kv_file(path)
         known = {
-            "source": str, "target": str, "mode": str, "seed_mode": str,
+            "source": str, "target": str, "mode": str,
             "dict": str, "budgets": "ints", "presets": "strs", "dims": "ints",
             "repetitions": int, "vocab_size": int, "window": int,
             "csls_k": int, "max_iters": int, "tol": float, "top_eval": int,
@@ -340,10 +363,9 @@ class SweepSpec:
 _RECORDED_ERRORS = (ValidationError, NumericError, OSError, UnicodeDecodeError)
 
 
-def _error_row(spec: SweepSpec, budget: int, preset: str, dim: int | None, e) -> RunReport:
-    cfg = BenchConfig(preset=preset, dim=dim)
+def _error_row(mode: str, budget: int, cfg: BenchConfig, e) -> RunReport:
     return RunReport(
-        mode=spec.mode, preset=preset, budget_bytes=budget, dimension=dim,
+        mode=mode, preset=cfg.preset, budget_bytes=budget, dimension=cfg.dim,
         accuracy=0.0, evaluated=0, correct=0, no_overlap=True, seconds=0.0,
         vocab_sizes=(0, 0), token_counts=(0, 0), data_bytes=0, traces=[],
         config=asdict(cfg), seed=None, error=f"{type(e).__name__}: {e}",
@@ -356,17 +378,11 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
     Outside cipher mode a repetition would rerun the same computation, so it
     copies the previous row with `seconds` 0.0."""
     t0 = time.perf_counter()
-    base = BenchConfig(
-        vocab_size=spec.vocab_size,
-        window=spec.window,
-        csls_k=spec.csls_k,
-        max_iters=spec.max_iters,
-        tol=spec.tol,
-        top_eval=spec.top_eval,
-        block_lines=spec.block_lines,
-    )
+    # every BenchConfig field but preset and dim is the spec's, for all points
+    tuning = [f.name for f in fields(BenchConfig) if f.name not in ("preset", "dim")]
+    base = BenchConfig(**{name: getattr(spec, name) for name in tuning})
     points = [
-        (preset, dim, rep)
+        (replace(base, preset=preset, dim=dim), rep)
         for preset in spec.presets
         for dim in (spec.dims or (None,))
         for rep in range(spec.repetitions)
@@ -378,22 +394,17 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
         else:
             dictionary, sides = None, _split_sides(spec.source, budget, base)
     except _RECORDED_ERRORS as e:
-        return [_error_row(spec, budget, preset, dim, e) for preset, dim, _ in points]
+        return [_error_row(spec.mode, budget, cfg, e) for cfg, _ in points]
     reports = []
-    for preset, dim, rep in points:
+    for cfg, rep in points:
         if rep > 0 and spec.mode != "cipher":
             reports.append(replace(deepcopy(reports[-1]), seconds=0.0))
             continue
-        cfg = replace(base, preset=preset, dim=dim)
+        seed = spec.cipher_seed + rep if spec.mode == "cipher" else None
         try:
-            if spec.mode == "identity":
-                report = _identity_score(sides, budget, cfg, t0)
-            elif spec.mode == "cipher":
-                report = _cipher_score(sides, budget, spec.cipher_seed + rep, cfg, t0)
-            else:
-                report = _crosslingual_score(sides, budget, cfg, t0, dictionary, spec.seed_mode)
+            report = _bench_point(spec.mode, sides, cfg, budget, t0, seed, dictionary=dictionary)
         except _RECORDED_ERRORS as e:
-            report = _error_row(spec, budget, preset, dim, e)
+            report = _error_row(spec.mode, budget, cfg, e)
         reports.append(report)
         t0 = time.perf_counter()
     return reports

@@ -48,16 +48,24 @@ def _resolve(ns, **fallbacks):
             setattr(ns, key, value)
 
 
+def _given(ns, *names) -> dict:
+    """The named flags that were set, so unset ones take the defaults of the
+    config they are passed to."""
+    return {name: getattr(ns, name) for name in names if getattr(ns, name) is not None}
+
+
 def cmd_count(ns) -> int:
+    from .bench import BenchConfig
     from .cooc import count_cooc, save_cooc
     from .corpus import build_vocab, encode, take_head_bytes, tokenize
 
+    cfg = BenchConfig(**_given(ns, "vocab_size", "window"))
     n = ns.bytes if ns.bytes is not None else os.path.getsize(ns.input)
     lines = tokenize(take_head_bytes(ns.input, n))
     flat = [tok for line in lines for tok in line]
-    vocab = build_vocab(flat, ns.vocab_size)
+    vocab = build_vocab(flat, cfg.vocab_size)
     enc = encode(lines, vocab)
-    C = count_cooc(enc, ns.window)
+    C = count_cooc(enc, cfg.window)
     vocab.save(ns.out + ".vocab.txt")
     save_cooc(C, ns.out + ".cooc.bin")
     print(f"tokens={len(flat)} types={len(set(flat))} vocab={vocab.size}")
@@ -65,23 +73,16 @@ def cmd_count(ns) -> int:
 
 
 def cmd_induce(ns) -> int:
+    import time
     from dataclasses import asdict
 
     from .assoc import load_vectors
-    from .bench import RunReport
+    from .bench import Sides, align_and_score
     from .cooc import load_cooc
     from .corpus import Vocabulary
     from .errors import ValidationError
-    from .evaluation import (
-        load_dictionary,
-        precision_at_1,
-        seed_from_dictionary,
-        translate,
-        write_predictions,
-    )
-    from .presets import align_config, execute_preset, get_preset
-
-    import time
+    from .evaluation import load_dictionary
+    from .presets import align_config, get_preset
 
     t0 = time.perf_counter()
     preset = get_preset(ns.preset)
@@ -89,7 +90,7 @@ def cmd_induce(ns) -> int:
     v2 = Vocabulary.load(ns.vocab2)
     C1 = load_cooc(ns.cooc1, v1)
     C2 = load_cooc(ns.cooc2, v2)
-    vectors1 = vectors2 = None
+    vectors = ()
     if preset.vectors == "import":
         if not ns.vectors1 or not ns.vectors2:
             raise ValidationError(f"preset {preset.name} needs --vectors1/--vectors2")
@@ -98,48 +99,20 @@ def cmd_induce(ns) -> int:
         for side, missing in (("source", missing1), ("target", missing2)):
             if missing:
                 print(f"note: {len(missing)} {side} words missing from vectors", file=sys.stderr)
+        vectors = (vectors1, vectors2)
     acfg = align_config(
         preset,
-        csls_k=ns.csls_k,
-        max_iters=ns.max_iters,
-        tol=ns.tol,
-        dim=ns.dim,
-        clip_lo=ns.clip_lo,
-        clip_hi=ns.clip_hi,
-        drop_r=ns.drop_r,
+        **_given(ns, "csls_k", "max_iters", "tol", "dim", "clip_lo", "clip_hi", "drop_r"),
     )
     dictionary = load_dictionary(ns.dict) if ns.dict else None
-    seed_state = None
-    if preset.seed_mode == "dictionary":
-        if dictionary is None:
-            raise ValidationError("preset dict-init needs --dict")
-        seed_state = seed_from_dictionary(dictionary, v1, v2)
-    run = execute_preset(preset, acfg, C1, C2, vectors1, vectors2, seed_state)
-    preds = translate(run.X, run.Z, run.state, acfg, v1.tokens, v2.tokens, run.family)
-    write_predictions(preds, ns.out_preds, dictionary)
-    if dictionary is not None:
-        acc, evaluated, correct, no_overlap = precision_at_1(preds, dictionary, v1, v2)
-    else:
-        acc, evaluated, correct, no_overlap = 0.0, 0, 0, True
-    report = RunReport(
-        mode="induce",
-        preset=preset.name,
-        budget_bytes=0,
-        dimension=acfg.dim,
-        accuracy=acc,
-        evaluated=evaluated,
-        correct=correct,
-        no_overlap=no_overlap,
-        seconds=time.perf_counter() - t0,
-        vocab_sizes=(v1.size, v2.size),
-        token_counts=(C1.token_count, C2.token_count),
-        data_bytes=0,
-        traces=run.traces,
-        config={"preset": preset.name, **asdict(acfg)},
+    report = align_and_score(
+        "induce", Sides(v1, v2, C1, C2, data_bytes=0), v2.tokens,
+        {"preset": preset.name, **asdict(acfg)}, acfg, t0,
+        answer=dictionary, dictionary=dictionary, vectors=vectors, preds_out=ns.out_preds,
     )
     with open(ns.out_report, "w", encoding="utf-8") as f:
         f.write(report.to_json() + "\n")
-    print(f"accuracy={acc:.4f} evaluated={evaluated} correct={correct}")
+    print(f"accuracy={report.accuracy:.4f} evaluated={report.evaluated} correct={report.correct}")
     return 0
 
 
@@ -159,16 +132,10 @@ def cmd_eval(ns) -> int:
 def cmd_bench(ns) -> int:
     from .bench import BenchConfig, cipher_bench, split_identity_bench
 
-    cfg = BenchConfig(
-        preset=ns.preset,
-        vocab_size=ns.vocab_size,
-        window=ns.window,
-        dim=ns.dim,
-        csls_k=ns.csls_k,
-        max_iters=ns.max_iters,
-        top_eval=ns.top_eval,
-        block_lines=ns.block_lines,
-    )
+    cfg = BenchConfig(**_given(
+        ns, "preset", "vocab_size", "window", "dim", "csls_k", "max_iters", "top_eval",
+        "block_lines",
+    ))
     if ns.mode == "identity":
         report = split_identity_bench(ns.corpus, ns.budget, cfg, preds_out=ns.out_preds)
     else:
@@ -204,6 +171,9 @@ def cmd_sweep(ns) -> int:
 
 
 def _build_parser():
+    from .align import AlignConfig
+    from .bench import BenchConfig
+
     parser = _Parser(prog="coocmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # every flag defaults to None so config-file values can fill the gaps;
@@ -218,8 +188,8 @@ def _build_parser():
     t = defaults["count"] = {}
     flag(p, "--input", str, "plain-text corpus, one fragment per line", t)
     flag(p, "--bytes", int, "byte budget from the head (default: whole file)", t)
-    flag(p, "--vocab-size", int, "max vocabulary size (default 5000)", t)
-    flag(p, "--window", int, "co-occurrence window per side (default 5)", t)
+    flag(p, "--vocab-size", int, f"max vocabulary size (default {BenchConfig.vocab_size})", t)
+    flag(p, "--window", int, f"co-occurrence window per side (default {BenchConfig.window})", t)
     flag(p, "--out", str, "output prefix (.vocab.txt, .cooc.bin)", t)
     _add_config_flag(p)
 
@@ -230,13 +200,15 @@ def _build_parser():
     flag(p, "--vocab1", str, "source vocabulary", t)
     flag(p, "--vocab2", str, "target vocabulary", t)
     flag(p, "--preset", str, "pipeline preset name", t)
-    flag(p, "--dict", str, "reference dictionary (eval and dict-init)", t)
+    flag(p, "--dict", str, "reference dictionary: scores every evaluable entry; "
+         "a dictionary-seeded preset (dict-init) seeds from it and needs it", t)
     flag(p, "--vectors1", str, "imported source vectors", t)
     flag(p, "--vectors2", str, "imported target vectors", t)
     flag(p, "--dim", int, "rank truncation / vector dimension", t)
-    flag(p, "--csls-k", int, "csls neighborhood size (default 10)", t)
-    flag(p, "--max-iters", int, "self-learning iteration cap (default 100)", t)
-    flag(p, "--tol", float, "minimum objective improvement (default 1e-6)", t)
+    flag(p, "--csls-k", int, f"csls neighborhood size (default {AlignConfig.csls_k})", t)
+    flag(p, "--max-iters", int,
+         f"self-learning iteration cap (default {AlignConfig.max_iters})", t)
+    flag(p, "--tol", float, f"minimum objective improvement (default {AlignConfig.tol})", t)
     flag(p, "--clip-lo", float, "override lower clip percentile", t)
     flag(p, "--clip-hi", float, "override upper clip percentile", t)
     flag(p, "--drop-r", int, "override stage-2 head-drop rank", t)
@@ -258,14 +230,14 @@ def _build_parser():
     flag(p, "--budget", int, "byte budget from the head", t)
     flag(p, "--mode", str, "identity or cipher (default identity)", t)
     flag(p, "--seed", int, "cipher permutation seed (default 0)", t)
-    flag(p, "--preset", str, "pipeline preset (default coocmap)", t)
-    flag(p, "--vocab-size", int, "max vocabulary size (default 5000)", t)
-    flag(p, "--window", int, "window size (default 5)", t)
+    flag(p, "--preset", str, f"pipeline preset (default {BenchConfig.preset})", t)
+    flag(p, "--vocab-size", int, f"max vocabulary size (default {BenchConfig.vocab_size})", t)
+    flag(p, "--window", int, f"window size (default {BenchConfig.window})", t)
     flag(p, "--dim", int, "rank truncation", t)
-    flag(p, "--csls-k", int, "csls neighborhood size (default 10)", t)
-    flag(p, "--max-iters", int, "iteration cap (default 100)", t)
-    flag(p, "--top-eval", int, "shared tokens scored (default 1000)", t)
-    flag(p, "--block-lines", int, "split block size (default 1000)", t)
+    flag(p, "--csls-k", int, f"csls neighborhood size (default {BenchConfig.csls_k})", t)
+    flag(p, "--max-iters", int, f"iteration cap (default {BenchConfig.max_iters})", t)
+    flag(p, "--top-eval", int, f"shared tokens scored (default {BenchConfig.top_eval})", t)
+    flag(p, "--block-lines", int, f"split block size (default {BenchConfig.block_lines})", t)
     flag(p, "--out-report", str, "write the run report JSON here", t)
     flag(p, "--out-preds", str, "write the predictions dump here", t)
     _add_config_flag(p)
@@ -295,21 +267,16 @@ def _dispatch(argv) -> int:
 
     if ns.command == "count":
         require("input", "out")
-        _resolve(ns, vocab_size=5000, window=5)
         return cmd_count(ns)
     if ns.command == "induce":
         require("cooc1", "cooc2", "vocab1", "vocab2", "preset", "out_report", "out_preds")
-        _resolve(ns, csls_k=10, max_iters=100, tol=1e-6)
         return cmd_induce(ns)
     if ns.command == "eval":
         require("preds", "dict", "vocab1", "vocab2")
         return cmd_eval(ns)
     if ns.command == "bench":
         require("corpus", "budget")
-        _resolve(
-            ns, mode="identity", seed=0, preset="coocmap", vocab_size=5000,
-            window=5, csls_k=10, max_iters=100, top_eval=1000, block_lines=1000,
-        )
+        _resolve(ns, mode="identity", seed=0)
         if ns.mode not in ("identity", "cipher"):
             raise ValidationError(f"--mode must be identity or cipher, got {ns.mode!r}")
         return cmd_bench(ns)

@@ -14,7 +14,6 @@ from .errors import ValidationError
 
 UNK_TOKEN = "[UNK]"
 UNK_ID = 0
-DEFAULT_VOCAB_SIZE = 5000
 
 
 class _TokenIndex(dict):
@@ -107,7 +106,7 @@ def tokenize(text: str) -> list[list[str]]:
     return [line.lower().split() for line in lines]
 
 
-def build_vocab(tokens: Iterable[str], v_max: int = DEFAULT_VOCAB_SIZE) -> Vocabulary:
+def build_vocab(tokens: Iterable[str], v_max: int) -> Vocabulary:
     """[UNK] plus the v_max - 1 most frequent tokens, ties by first occurrence."""
     if v_max < 1:
         raise ValidationError(f"v_max must be >= 1, got {v_max}")

@@ -4,7 +4,7 @@ clipped-pair diagnostic comparing full-rank against reduced matrices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Container, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,13 +86,21 @@ class EvalResult(NamedTuple):
 
 
 def precision_at_1(
-    preds: Predictions, dictionary: Dictionary, v1: Vocabulary, v2: Vocabulary
+    preds: Predictions,
+    dictionary: Dictionary,
+    v1: Vocabulary,
+    v2: Container[str],
+    limit: int | None = None,
 ) -> EvalResult:
-    """Score only entries whose source is in v1 and whose target set meets v2;
-    zero evaluable entries report accuracy 0 with the no-overlap flag set."""
+    """Score only entries whose source is in v1 and whose target set meets v2
+    (the target vocabulary, or any set of target labels), at most `limit` of
+    them in dictionary order; zero evaluable entries report accuracy 0 with
+    the no-overlap flag set."""
     predicted = preds.as_dict()
     evaluated = correct = 0
     for src, targets in dictionary.entries.items():
+        if evaluated == limit:
+            break
         if src not in v1 or src not in predicted:
             continue
         in_vocab = {t for t in targets if t in v2}

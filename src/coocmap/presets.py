@@ -75,9 +75,9 @@ def get_preset(name: str) -> Preset:
 
 def align_config(
     preset: Preset,
-    csls_k: int = 10,
-    max_iters: int = 100,
-    tol: float = 1e-6,
+    csls_k: int = AlignConfig.csls_k,
+    max_iters: int = AlignConfig.max_iters,
+    tol: float = AlignConfig.tol,
     dim: int | None = None,
     clip_lo: float | None = None,
     clip_hi: float | None = None,

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -127,17 +127,24 @@ class TestCipherBench:
         assert again == report
 
 
+def _corpus_pair(small_corpus, tmp_path, dict_size: int):
+    """The two halves of the small corpus written to separate files (a
+    supplied corpus pair) and an identity dictionary of the source half's
+    top `dict_size - 1` words."""
+    lines = take_head_bytes(small_corpus, 900_000).splitlines()
+    a, b = alternate_blocks(lines, 100)
+    src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
+    src.write_text("\n".join(a) + "\n")
+    tgt.write_text("\n".join(b) + "\n")
+    va = build_vocab((t for line in a for t in line.split()), dict_size)
+    dict_path = tmp_path / "dict.txt"
+    dict_path.write_text("".join(f"{t} {t}\n" for t in va.tokens[1:]))
+    return src, tgt, dict_path
+
+
 class TestCrosslingual:
     def test_split_files_with_identity_dictionary(self, small_corpus, tmp_path):
-        # write the two halves to separate files: a supplied corpus pair
-        lines = take_head_bytes(small_corpus, 900_000).splitlines()
-        a, b = alternate_blocks(lines, 100)
-        src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
-        src.write_text("\n".join(a) + "\n")
-        tgt.write_text("\n".join(b) + "\n")
-        va = build_vocab((t for line in a for t in line.split()), 200)
-        dict_path = tmp_path / "dict.txt"
-        dict_path.write_text("".join(f"{t} {t}\n" for t in va.tokens[1:]))
+        src, tgt, dict_path = _corpus_pair(small_corpus, tmp_path, 200)
         dictionary = load_dictionary(dict_path)
         cfg = BenchConfig(preset="coocmap", vocab_size=200, top_eval=200)
         report = crosslingual_run(src, tgt, 10**9, cfg, dictionary)
@@ -147,7 +154,90 @@ class TestCrosslingual:
 
     def test_dict_init_requires_dictionary(self, small_corpus):
         with pytest.raises(ValidationError):
-            crosslingual_run(small_corpus, small_corpus, 10**5, FAST, None, "dict-init")
+            crosslingual_run(
+                small_corpus, small_corpus, 10**5, replace(FAST, preset="dict-init"), None
+            )
+
+    def test_dict_init_seeds_from_the_supplied_dictionary(self, small_corpus, tmp_path,
+                                                          monkeypatch):
+        src, tgt, dict_path = _corpus_pair(small_corpus, tmp_path, 300)
+        dictionary = load_dictionary(dict_path)
+        calls = []
+        real = bench.seed_from_dictionary
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(bench, "seed_from_dictionary", counting)
+        report = crosslingual_run(src, tgt, 10**9, replace(FAST, preset="dict-init"), dictionary)
+        assert calls == [dictionary]
+        assert report.preset == "dict-init"
+        crosslingual_run(src, tgt, 10**9, FAST, dictionary)
+        assert len(calls) == 1  # an unsupervised preset never seeds from it
+
+    def test_same_outputs_as_count_and_induce(self, small_corpus, tmp_path):
+        """The library run and `coocmap count` + `coocmap induce` on the same
+        files and dictionary agree byte for byte."""
+        from coocmap.cli import main
+
+        src, tgt, dict_path = _corpus_pair(small_corpus, tmp_path, 300)
+        report = crosslingual_run(
+            src, tgt, 10**9, FAST, load_dictionary(dict_path), preds_out=tmp_path / "lib.tsv"
+        )
+        for name, path in (("s", src), ("t", tgt)):
+            assert main([
+                "count", "--input", str(path), "--out", str(tmp_path / name),
+                "--vocab-size", str(FAST.vocab_size), "--window", str(FAST.window),
+            ]) == 0
+        assert main([
+            "induce", "--cooc1", str(tmp_path / "s.cooc.bin"), "--cooc2", str(tmp_path / "t.cooc.bin"),
+            "--vocab1", str(tmp_path / "s.vocab.txt"), "--vocab2", str(tmp_path / "t.vocab.txt"),
+            "--preset", "coocmap", "--dict", str(dict_path),
+            "--csls-k", str(FAST.csls_k), "--max-iters", str(FAST.max_iters),
+            "--tol", repr(FAST.tol),
+            "--out-report", str(tmp_path / "cli.json"), "--out-preds", str(tmp_path / "cli.tsv"),
+        ]) == 0
+        assert (tmp_path / "cli.tsv").read_bytes() == (tmp_path / "lib.tsv").read_bytes()
+        induced = RunReport.from_json((tmp_path / "cli.json").read_text())
+        assert induced.evaluated > 100
+        assert (induced.accuracy, induced.evaluated, induced.correct, induced.traces) == (
+            report.accuracy, report.evaluated, report.correct, report.traces
+        )
+
+
+class TestSeedingByPreset:
+    """Seeding is the preset's: dict-init needs a supplied dictionary and is
+    never seeded from an identity or cipher answer key."""
+
+    def test_identity_and_cipher_reject_dict_init(self, small_corpus):
+        cfg = replace(FAST, preset="dict-init")
+        with pytest.raises(ValidationError, match="dict-init"):
+            split_identity_bench(small_corpus, 300_000, cfg)
+        with pytest.raises(ValidationError, match="dict-init"):
+            cipher_bench(small_corpus, 300_000, 1, cfg)
+
+    @pytest.mark.parametrize("mode", ["identity", "cipher", "crosslingual"])
+    def test_sweep_error_row_per_point(self, small_corpus, mode):
+        spec = SweepSpec(
+            source=small_corpus, target=small_corpus if mode == "crosslingual" else None,
+            mode=mode, budgets=(200_000, 300_000), presets=("dict-init", "coocmap"),
+            repetitions=2, vocab_size=300, top_eval=200, max_iters=40,
+        )
+        reports, _ = run_sweep(spec)
+        assert [r.preset for r in reports] == ["dict-init"] * 2 + ["coocmap"] * 2 + \
+            ["dict-init"] * 2 + ["coocmap"] * 2
+        for r in reports:
+            if r.preset == "dict-init":
+                assert r.error.startswith("ValidationError") and "dict-init" in r.error
+            else:
+                assert r.error is None
+
+    def test_spec_file_seed_mode_key_is_unknown(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        path.write_text("source = x\nbudgets = 10\nseed_mode = dict-init\n")
+        with pytest.raises(ValidationError, match="unknown sweep key 'seed_mode'"):
+            SweepSpec.from_file(path)
 
 
 class TestSweep:
@@ -281,7 +371,7 @@ def _point_reports(spec: SweepSpec) -> list[RunReport]:
                         out.append(cipher_bench(spec.source, budget, spec.cipher_seed + rep, cfg))
                     else:
                         out.append(crosslingual_run(
-                            spec.source, spec.target, budget, cfg, dictionary, spec.seed_mode
+                            spec.source, spec.target, budget, cfg, dictionary
                         ))
     return out
 
@@ -302,17 +392,10 @@ class TestSweepSharesIngest:
         return SweepSpec(**fields)
 
     def _crosslingual_spec(self, small_corpus, tmp_path):
-        lines = take_head_bytes(small_corpus, 900_000).splitlines()
-        a, b = alternate_blocks(lines, 100)
-        src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
-        src.write_text("\n".join(a) + "\n")
-        tgt.write_text("\n".join(b) + "\n")
-        va = build_vocab((t for line in a for t in line.split()), 300)
-        dict_path = tmp_path / "dict.txt"
-        dict_path.write_text("".join(f"{t} {t}\n" for t in va.tokens[1:]))
+        src, tgt, dict_path = _corpus_pair(small_corpus, tmp_path, 300)
         return self._spec(
             str(src), target=str(tgt), mode="crosslingual", dict_path=str(dict_path),
-            presets=("coocmap",),
+            presets=("coocmap", "dict-init"),
         )
 
     @pytest.mark.parametrize("mode", ["identity", "cipher", "crosslingual"])
@@ -383,6 +466,19 @@ class TestSweepSharesIngest:
         ]
         assert all(r.error.startswith("FileNotFoundError") for r in reports)
         assert csv_text.count("FileNotFoundError") == len(reports)
+
+    def test_error_rows_record_the_spec_config(self, small_corpus, tmp_path):
+        # budget 300 holds a single block of lines, so the target half is
+        # empty and csls_k fails the point; budget 300000 succeeds
+        spec = self._spec(small_corpus, budgets=(300, 300_000), presets=("coocmap",))
+        reports, _ = run_sweep(spec)
+        assert reports[0].error.startswith("ValidationError") and reports[1].error is None
+        expected = asdict(BenchConfig(
+            preset="coocmap", vocab_size=300, top_eval=200, max_iters=40,
+        ))
+        assert reports[0].config == reports[1].config == expected
+        missing, _ = run_sweep(self._spec(str(tmp_path / "missing.txt"), presets=("coocmap",)))
+        assert [r.config for r in missing] == [expected] * len(self.BUDGETS)
 
     def test_programming_error_propagates(self, small_corpus, monkeypatch):
         def broken(*args, **kwargs):

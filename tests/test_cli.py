@@ -136,6 +136,34 @@ def test_bench_subcommand(counted, tmp_path, capsys):
     assert json.loads((tmp_path / "bench.json").read_text())["mode"] == "cipher"
 
 
+def test_bench_defaults_come_from_bench_config(counted, tmp_path):
+    from dataclasses import asdict
+
+    from coocmap.bench import BenchConfig
+
+    tmp, _ = counted
+    rc = main([
+        "bench", "--corpus", str(tmp / "corpus.txt"), "--budget", "1000000000",
+        "--mode", "identity", "--out-report", str(tmp_path / "bench.json"),
+    ])
+    assert rc == 0
+    report = json.loads((tmp_path / "bench.json").read_text())
+    assert report["error"] is None
+    assert report["config"] == asdict(BenchConfig())
+
+
+def test_bench_dict_init_exits_2(counted, tmp_path, capsys):
+    tmp, _ = counted
+    rc = main([
+        "bench", "--corpus", str(tmp / "corpus.txt"), "--budget", "200000",
+        "--vocab-size", "60", "--top-eval", "40", "--block-lines", "20",
+        "--preset", "dict-init", "--out-report", str(tmp_path / "bench.json"),
+    ])
+    assert rc == 2
+    assert "dict-init" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()
+
+
 def test_sweep_subcommand_with_workers(counted, tmp_path, capsys):
     tmp, _ = counted
     spec = tmp_path / "spec.txt"
