@@ -25,16 +25,11 @@ from .align import (  # noqa: E402
 )
 from .assoc import (  # noqa: E402
     AssocMatrix,
+    Step,
     WordVectors,
     apply_pipeline,
     assoc_from_vectors,
-    coocmap_assoc,
-    fung_assoc,
-    glove_assoc,
     load_vectors,
-    log1p_assoc,
-    ppmi_assoc,
-    rapp_assoc,
     replay_chain,
     save_vectors,
     svd_vectors,

@@ -4,11 +4,13 @@ and the staged clip/drop pipeline driver."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import assoc
+from .assoc import Step
 from .cooc import CoocMatrix
 from .errors import ValidationError
 from .kernels import (
@@ -62,14 +64,15 @@ class MatchState:
 
 def match_bidirectional(S: np.ndarray) -> MatchState:
     """Forward argmax per row plus backward argmax per column; always emits
-    rows + cols pairs, ties resolved to the lowest index."""
+    rows + cols pairs, ties resolved to the lowest index. The objective is
+    left to the caller, which scores the raw similarities, not these."""
     S = np.asarray(S)
     n, m = S.shape
     fwd = S.argmax(axis=1)
     bwd = S.argmax(axis=0)
     s = np.concatenate([np.arange(n), bwd])
     t = np.concatenate([fwd, np.arange(m)])
-    return MatchState(s=s, t=t, objective=objective(S))
+    return MatchState(s=s, t=t)
 
 
 @dataclass(frozen=True)
@@ -135,29 +138,40 @@ def _selflearn(measure, init: MatchState, cfg: AlignConfig):
     return best, trace
 
 
-def coocmap_selflearn(X, Z, init: MatchState, cfg: AlignConfig):
-    """Self-learning on association columns: similarity of X[:, s] vs Z[:, t]."""
+Measure = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def cooc_measure(X, Z, metric: str) -> Measure:
+    """Similarity of association columns under pairs (s, t): X[:, s] vs Z[:, t]."""
     Xd, Zd = _matrix_data(X), _matrix_data(Z)
-
-    def measure(s, t):
-        return pair_sim_matrix(Xd, Zd, s, t, cfg.metric)
-
-    return _selflearn(measure, init, cfg)
+    return lambda s, t: pair_sim_matrix(Xd, Zd, s, t, metric)
 
 
-def vecmap_selflearn(Xv, Zv, init: MatchState, cfg: AlignConfig):
-    """Self-learning in vector space: solve an orthogonal map on the matched
-    pairs, then re-match by cosine similarity of the mapped vectors."""
+def vec_measure(Xv, Zv) -> Measure:
+    """Solve an orthogonal map on the pairs (s, t) of unit vectors, then take
+    the cosine similarity of the mapped source vectors to the targets."""
     Xn = normalize(_matrix_data(Xv))
     Zn = normalize(_matrix_data(Zv))
-    if init.s.max() >= Xn.shape[0] or init.t.max() >= Zn.shape[0]:
-        raise ValidationError("initial match indices out of range")
 
     def measure(s, t):
         W = procrustes(Xn[s], Zn[t])
         return sim_matrix(Xn @ W, Zn, "cosine")
 
-    return _selflearn(measure, init, cfg)
+    return measure
+
+
+def coocmap_selflearn(X, Z, init: MatchState, cfg: AlignConfig):
+    """Self-learning on association columns (`cooc_measure`)."""
+    return _selflearn(cooc_measure(X, Z, cfg.metric), init, cfg)
+
+
+def vecmap_selflearn(Xv, Zv, init: MatchState, cfg: AlignConfig):
+    """Self-learning in vector space (`vec_measure`): re-match by cosine
+    similarity of the vectors mapped under the current pairs."""
+    Xd, Zd = _matrix_data(Xv), _matrix_data(Zv)
+    if init.s.max() >= Xd.shape[0] or init.t.max() >= Zd.shape[0]:
+        raise ValidationError("initial match indices out of range")
+    return _selflearn(vec_measure(Xd, Zd), init, cfg)
 
 
 def drop_schedule(drop_r: int, dim: int | None) -> int:
@@ -167,34 +181,34 @@ def drop_schedule(drop_r: int, dim: int | None) -> int:
     return min(drop_r, math.ceil(drop_r * dim / 400))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineRun:
-    """Final state plus everything needed to extract translations."""
+    """The final correspondence, each stage's objective trace, and the last
+    stage's self-learning measure: `measure(s, t)` is the V1 x V2 similarity
+    under the pairs (s, t), the measurement translation ranks."""
 
     state: MatchState
-    traces: list[list[float]] = field(default_factory=list)
-    X: np.ndarray | None = None
-    Z: np.ndarray | None = None
-    family: str = "cooc"
+    traces: list[list[float]]
+    measure: Measure
 
 
-def _trunc_steps(cfg: AlignConfig) -> list[str]:
+def _trunc_steps(cfg: AlignConfig) -> list[Step]:
     """The rank truncation both stages start from, if `dim` is set."""
-    return [] if cfg.dim is None else [assoc.render_step("trunc", cfg.dim)]
+    return [] if cfg.dim is None else [Step("trunc", (cfg.dim,))]
 
 
-def _stage_tail(cfg: AlignConfig, stage2: bool) -> list[str]:
+def _stage_tail(cfg: AlignConfig, stage2: bool) -> list[Step]:
     """A stage's steps after the truncation: clip, or head-drop plus clip."""
     if not stage2:
-        return [] if cfg.clip is None else [assoc.render_step("clip", *cfg.clip)]
+        return [] if cfg.clip is None else [Step("clip", cfg.clip)]
     assert cfg.stage2 is not None
-    steps = [assoc.render_step("drop", drop_schedule(cfg.stage2.drop_r, cfg.dim))]
+    steps = [Step("drop", (drop_schedule(cfg.stage2.drop_r, cfg.dim),))]
     if cfg.stage2.clip is not None:
-        steps.append(assoc.render_step("clip", *cfg.stage2.clip))
+        steps.append(Step("clip", cfg.stage2.clip))
     return steps
 
 
-def stage_steps(cfg: AlignConfig, stage2: bool) -> list[str]:
+def stage_steps(cfg: AlignConfig, stage2: bool) -> list[Step]:
     """Pipeline steps appended to the association constructor for a stage."""
     return _trunc_steps(cfg) + _stage_tail(cfg, stage2)
 
@@ -224,7 +238,7 @@ def run_staged(
         Z = assoc.apply_pipeline(A2, _stage_tail(cfg, stage2=True))
         state, trace2 = coocmap_selflearn(X, Z, state, cfg)
         traces.append(trace2)
-    return PipelineRun(state=state, traces=traces, X=X.data, Z=Z.data, family="cooc")
+    return PipelineRun(state, traces, cooc_measure(X, Z, cfg.metric))
 
 
 def run_coocmap(
@@ -239,14 +253,9 @@ def run_coocmap(
 
 
 def run_vecmap(Xv, Zv, cfg: AlignConfig, seed: MatchState | None = None) -> PipelineRun:
-    """Vector-space pipeline: gram-sqrt initializer, then Procrustes loop.
-
-    The returned X is already mapped into the target space.
-    """
+    """Vector-space pipeline: gram-sqrt initializer, then Procrustes loop."""
     Xd, Zd = _matrix_data(Xv), _matrix_data(Zv)
     if seed is None:
         seed = unsupervised_init(psd_sqrt_gram(Xd), psd_sqrt_gram(Zd), cfg)
     state, trace = vecmap_selflearn(Xd, Zd, seed, cfg)
-    Xn, Zn = normalize(Xd), normalize(Zd)
-    W = procrustes(Xn[state.s], Zn[state.t])
-    return PipelineRun(state=state, traces=[trace], X=Xn @ W, Z=Zn, family="vec")
+    return PipelineRun(state, [trace], vec_measure(Xd, Zd))

@@ -2,14 +2,14 @@
 alternatives (marginal ratio, weighted PMI, positive PMI, centered log),
 vector import/export, and replayable transform chains.
 
-Every matrix records the chain of steps that produced it; replaying the
-chain on the same counts reproduces the data bitwise.
+Every matrix records the Steps that produced it; replaying them on the
+same counts reproduces the data bitwise.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,10 +19,21 @@ from .corpus import Vocabulary
 from .errors import ValidationError
 
 
+class Step(NamedTuple):
+    """One pipeline step: a name from the step table and its arguments,
+    passed to the step exactly as given."""
+
+    name: str
+    args: tuple = ()
+
+
 @dataclass(frozen=True)
 class AssocMatrix:
+    """Association data plus the Steps that produced it from the counts (or
+    vectors), in order: `replay_chain(source, chain)` equals `data` bitwise."""
+
     data: np.ndarray  # V x V or V x d
-    chain: tuple[str, ...]
+    chain: tuple[Step, ...]
     vocab_digest: str
 
 
@@ -76,67 +87,44 @@ def _centered_log(counts: np.ndarray) -> np.ndarray:
     return G - G.mean(axis=0, keepdims=True)
 
 
-_STEP_RE = re.compile(r"^([a-z0-9_]+)(?:\(([^)]*)\))?$")
-
 _STEPS = {
-    "epow": lambda X, a: kernels.epow(X, a),
+    "epow": kernels.epow,
     "log1p": lambda X: np.log1p(np.asarray(X, dtype=np.float64)),
-    "ratio": lambda X: _ratio(X),
-    "wpmi": lambda X: _weighted_pmi(X),
-    "ppmi": lambda X, k: _ppmi(X, k),
-    "centered_log": lambda X: _centered_log(X),
-    "gram_sqrt": lambda X: kernels.psd_sqrt_gram(X),
-    "normalize": lambda X: kernels.normalize(X),
-    "unit_l1": lambda X: kernels.unitr_l1(X),
-    "unit_l2": lambda X: kernels.unitr(X),
-    "clip": lambda X, lo, hi: kernels.clip(X, lo, hi),
-    "drop": lambda X, r: kernels.drop_head(X, int(r)),
-    "trunc": lambda X, r: kernels.trunc(X, int(r)),
+    "ratio": _ratio,
+    "wpmi": _weighted_pmi,
+    "ppmi": _ppmi,
+    "centered_log": _centered_log,
+    "gram_sqrt": kernels.psd_sqrt_gram,
+    "normalize": kernels.normalize,
+    "unit_l1": kernels.unitr_l1,
+    "unit_l2": kernels.unitr,
+    "clip": kernels.clip,
+    "drop": kernels.drop_head,
+    "trunc": kernels.trunc,
 }
 
 
-def parse_step(step: str):
-    m = _STEP_RE.match(step.strip())
-    if not m or m.group(1) not in _STEPS:
-        raise ValidationError(f"unknown pipeline step {step!r}")
-    name = m.group(1)
-    args = tuple(float(a) for a in m.group(2).split(",")) if m.group(2) else ()
-    return name, args
-
-
-def _render_number(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(x)
-    short = "%g" % x
-    return short if float(short) == x else repr(float(x))
-
-
-def render_step(name: str, *args) -> str:
-    """Inverse of parse_step: every number parses back to exactly the value
-    given. %g is kept where it is exact, so ppmi(1) and clip(1,99) render as
-    they always have; other floats get their shortest round-trip repr."""
-    if not args:
-        return name
-    return f"{name}({','.join(_render_number(a) for a in args)})"
+def _run_steps(data: np.ndarray, steps) -> np.ndarray:
+    for step in steps:
+        if step.name not in _STEPS:
+            raise ValidationError(f"unknown pipeline step {step.name!r}")
+        data = _STEPS[step.name](data, *step.args)
+    return data
 
 
 def replay_chain(source: np.ndarray, chain) -> np.ndarray:
-    """Run a recorded chain of steps against raw counts (or raw vectors)."""
-    data = np.asarray(source, dtype=np.float64)
-    for step in chain:
-        name, args = parse_step(step)
-        data = _STEPS[name](data, *args)
-    return data
+    """Run a recorded chain of Steps against raw counts (or raw vectors)."""
+    return _run_steps(np.asarray(source, dtype=np.float64), chain)
 
 
 # canonical constructor chains, keyed by the preset-facing name
 CONSTRUCTOR_CHAINS = {
-    "coocmap": ("epow(0.5)", "normalize"),
-    "log1p": ("log1p", "normalize"),
-    "rapp": ("ratio", "unit_l1"),
-    "fung": ("wpmi", "unit_l1"),
-    "ppmi": ("ppmi(1)", "unit_l2"),
-    "glove": ("centered_log", "unit_l2"),
+    "coocmap": (Step("epow", (0.5,)), Step("normalize")),
+    "log1p": (Step("log1p"), Step("normalize")),
+    "rapp": (Step("ratio"), Step("unit_l1")),
+    "fung": (Step("wpmi"), Step("unit_l1")),
+    "ppmi": (Step("ppmi", (1.0,)), Step("unit_l2")),
+    "glove": (Step("centered_log"), Step("unit_l2")),
 }
 
 
@@ -152,37 +140,9 @@ def build(name: str, C: CoocMatrix) -> AssocMatrix:
     )
 
 
-def coocmap_assoc(C: CoocMatrix) -> AssocMatrix:
-    """normalize(sqrt(counts)): the default association matrix."""
-    return build("coocmap", C)
-
-
-def log1p_assoc(C: CoocMatrix) -> AssocMatrix:
-    return build("log1p", C)
-
-
-def rapp_assoc(C: CoocMatrix) -> AssocMatrix:
-    return build("rapp", C)
-
-
-def fung_assoc(C: CoocMatrix) -> AssocMatrix:
-    return build("fung", C)
-
-
-def ppmi_assoc(C: CoocMatrix, k: float = 1.0) -> AssocMatrix:
-    chain = (render_step("ppmi", k), "unit_l2")
-    return AssocMatrix(
-        data=replay_chain(C.counts, chain), chain=chain, vocab_digest=C.vocab_digest
-    )
-
-
-def glove_assoc(C: CoocMatrix) -> AssocMatrix:
-    return build("glove", C)
-
-
 def assoc_from_vectors(Xv: WordVectors) -> AssocMatrix:
     """normalize((Xv Xv^T)^(1/2)): word vectors lifted to association space."""
-    chain = ("gram_sqrt", "normalize")
+    chain = (Step("gram_sqrt"), Step("normalize"))
     return AssocMatrix(
         data=replay_chain(Xv.data, chain), chain=chain, vocab_digest=Xv.vocab_digest
     )
@@ -198,15 +158,10 @@ def svd_vectors(C: CoocMatrix, r: int = 300) -> WordVectors:
 
 
 def apply_pipeline(A: AssocMatrix, steps) -> AssocMatrix:
-    """Apply steps left to right, extending the recorded chain."""
-    data = A.data
-    applied = []
-    for step in steps:
-        name, args = parse_step(step)
-        data = _STEPS[name](data, *args)
-        applied.append(step)
+    """Apply Steps left to right, extending the recorded chain."""
+    steps = tuple(steps)
     return AssocMatrix(
-        data=data, chain=A.chain + tuple(applied), vocab_digest=A.vocab_digest
+        data=_run_steps(A.data, steps), chain=A.chain + steps, vocab_digest=A.vocab_digest
     )
 
 

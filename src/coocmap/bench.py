@@ -29,7 +29,7 @@ from .evaluation import (
     translate,
     write_predictions,
 )
-from .presets import align_config, execute_preset, get_preset
+from .presets import Preset, align_config, execute_preset, get_preset
 
 CSV_HEADER = ["budget_bytes", "preset", "dimension", "accuracy", "evaluated", "seconds", "error"]
 
@@ -117,7 +117,8 @@ class Sides:
     data_bytes: int
 
 
-def _build_side(lines, cfg: BenchConfig):
+def build_side(lines, cfg: BenchConfig):
+    """Vocabulary and window counts of one side's tokenized lines."""
     vocab = build_vocab(chain.from_iterable(lines), cfg.vocab_size)
     C = count_cooc(encode(lines, vocab), cfg.window)
     C.counts.flags.writeable = False  # shared by every point of a sweep budget
@@ -130,8 +131,8 @@ def _split_sides(corpus_path, budget: int, cfg: BenchConfig) -> Sides:
     data_bytes = len(text.encode("utf-8"))
     half_a, half_b = alternate_blocks(tokenize(text), cfg.block_lines)
     del text
-    v1, C1 = _build_side(half_a, cfg)
-    v2, C2 = _build_side(half_b, cfg)
+    v1, C1 = build_side(half_a, cfg)
+    v2, C2 = build_side(half_b, cfg)
     return Sides(v1, v2, C1, C2, data_bytes)
 
 
@@ -140,9 +141,23 @@ def _corpus_pair_sides(source_path, target_path, budget: int, cfg: BenchConfig) 
     text1 = take_head_bytes(source_path, budget)
     text2 = take_head_bytes(target_path, budget)
     data_bytes = len(text1.encode("utf-8")) + len(text2.encode("utf-8"))
-    v1, C1 = _build_side(tokenize(text1), cfg)
-    v2, C2 = _build_side(tokenize(text2), cfg)
+    v1, C1 = build_side(tokenize(text1), cfg)
+    v2, C2 = build_side(tokenize(text2), cfg)
     return Sides(v1, v2, C1, C2, data_bytes)
+
+
+def seeded_preset(name: str, dictionary: Dictionary | None) -> Preset:
+    """The named preset, once its seeding can be met: a dictionary-seeded
+    preset (dict-init) without a dictionary raises ValidationError. Entry
+    points call it before reading any corpus or counts file, so the error
+    costs no ingest; `align_and_score` calls it for the sweep's points."""
+    preset = get_preset(name)
+    if preset.seed_mode == "dictionary" and dictionary is None:
+        raise ValidationError(
+            f"preset {preset.name} seeds from a supplied dictionary (induce --dict, "
+            "or a crosslingual run's dictionary); none was given"
+        )
+    return preset
 
 
 def align_and_score(
@@ -174,18 +189,13 @@ def align_and_score(
     is recorded as given; its "preset" and "dim" name the report's preset
     and dimension.
     """
-    preset = get_preset(config["preset"])
+    preset = seeded_preset(config["preset"], dictionary)
     v1, v2 = sides.v1, sides.v2
     seed_state = None
     if preset.seed_mode == "dictionary":
-        if dictionary is None:
-            raise ValidationError(
-                f"preset {preset.name} seeds from a supplied dictionary (induce --dict, "
-                "or a crosslingual run's dictionary); none was given"
-            )
         seed_state = seed_from_dictionary(dictionary, v1, v2)
     run = execute_preset(preset, acfg, sides.C1, sides.C2, *vectors, seed=seed_state)
-    preds = translate(run.X, run.Z, run.state, acfg, v1.tokens, labels, run.family)
+    preds = translate(run, acfg, v1.tokens, labels)
     if answer is None:
         answer = Dictionary({})
     if preds_out is not None:
@@ -256,6 +266,7 @@ def split_identity_bench(corpus_path, budget: int, cfg: BenchConfig, preds_out=N
     """Self-translation: align two disjoint halves of one corpus and score
     how many of the top shared tokens map to themselves."""
     t0 = time.perf_counter()
+    seeded_preset(cfg.preset, None)
     sides = _split_sides(corpus_path, budget, cfg)
     return _bench_point("identity", sides, cfg, budget, t0, preds_out=preds_out)
 
@@ -266,6 +277,7 @@ def cipher_bench(
     """Identity benchmark with one side's vocabulary scrambled by a seeded
     permutation (or an explicit one); scored against the permutation."""
     t0 = time.perf_counter()
+    seeded_preset(cfg.preset, None)
     sides = _split_sides(corpus_path, budget, cfg)
     return _bench_point("cipher", sides, cfg, budget, t0, seed, pi, preds_out=preds_out)
 
@@ -282,6 +294,7 @@ def crosslingual_run(
     over every evaluable entry (`top_eval` does not apply). The preset decides
     seeding: `dict-init` seeds from `dictionary` and needs one."""
     t0 = time.perf_counter()
+    seeded_preset(cfg.preset, dictionary)
     sides = _corpus_pair_sides(source_path, target_path, budget, cfg)
     return _bench_point(
         "crosslingual", sides, cfg, budget, t0, dictionary=dictionary, preds_out=preds_out

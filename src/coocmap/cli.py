@@ -55,20 +55,20 @@ def _given(ns, *names) -> dict:
 
 
 def cmd_count(ns) -> int:
-    from .bench import BenchConfig
-    from .cooc import count_cooc, save_cooc
-    from .corpus import build_vocab, encode, take_head_bytes, tokenize
+    from itertools import chain
+
+    from .bench import BenchConfig, build_side
+    from .cooc import save_cooc
+    from .corpus import take_head_bytes, tokenize
 
     cfg = BenchConfig(**_given(ns, "vocab_size", "window"))
     n = ns.bytes if ns.bytes is not None else os.path.getsize(ns.input)
     lines = tokenize(take_head_bytes(ns.input, n))
-    flat = [tok for line in lines for tok in line]
-    vocab = build_vocab(flat, cfg.vocab_size)
-    enc = encode(lines, vocab)
-    C = count_cooc(enc, cfg.window)
+    vocab, C = build_side(lines, cfg)
     vocab.save(ns.out + ".vocab.txt")
     save_cooc(C, ns.out + ".cooc.bin")
-    print(f"tokens={len(flat)} types={len(set(flat))} vocab={vocab.size}")
+    types = len(set(chain.from_iterable(lines)))
+    print(f"tokens={C.token_count} types={types} vocab={vocab.size}")
     return 0
 
 
@@ -77,15 +77,16 @@ def cmd_induce(ns) -> int:
     from dataclasses import asdict
 
     from .assoc import load_vectors
-    from .bench import Sides, align_and_score
+    from .bench import Sides, align_and_score, seeded_preset
     from .cooc import load_cooc
     from .corpus import Vocabulary
     from .errors import ValidationError
     from .evaluation import load_dictionary
-    from .presets import align_config, get_preset
+    from .presets import align_config
 
     t0 = time.perf_counter()
-    preset = get_preset(ns.preset)
+    dictionary = load_dictionary(ns.dict) if ns.dict else None
+    preset = seeded_preset(ns.preset, dictionary)
     v1 = Vocabulary.load(ns.vocab1)
     v2 = Vocabulary.load(ns.vocab2)
     C1 = load_cooc(ns.cooc1, v1)
@@ -104,7 +105,6 @@ def cmd_induce(ns) -> int:
         preset,
         **_given(ns, "csls_k", "max_iters", "tol", "dim", "clip_lo", "clip_hi", "drop_r"),
     )
-    dictionary = load_dictionary(ns.dict) if ns.dict else None
     report = align_and_score(
         "induce", Sides(v1, v2, C1, C2, data_bytes=0), v2.tokens,
         {"preset": preset.name, **asdict(acfg)}, acfg, t0,

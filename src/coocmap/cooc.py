@@ -90,15 +90,42 @@ def _read_exact(f, n: int, path, what: str) -> bytes:
     return data
 
 
+# header integer keys and their least valid value
+_HEADER_INTS = {"V": 1, "m": 1, "token_count": 0}
+
+
+def _parse_header(raw: bytes, path) -> dict:
+    """The JSON header, checked key by key: IntegrityError names the bad key."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as e:  # includes UnicodeDecodeError
+        raise IntegrityError(f"{path}: header is not JSON: {e}") from None
+    if not isinstance(header, dict):
+        raise IntegrityError(f"{path}: header is a JSON {type(header).__name__}, not an object")
+    for key, least in _HEADER_INTS.items():
+        value = header.get(key)
+        if type(value) is not int or value < least:  # bool is not an int here
+            raise IntegrityError(
+                f"{path}: header key {key!r} must be an integer >= {least}, got {value!r}"
+            )
+    if not isinstance(header.get("vocab_digest"), str):
+        raise IntegrityError(
+            f"{path}: header key 'vocab_digest' must be a string, "
+            f"got {header.get('vocab_digest')!r}"
+        )
+    return header
+
+
 def load_cooc(path, vocab: Vocabulary | None = None) -> CoocMatrix:
     """Read a counts file; if a vocabulary is given, verify its digest.
-    NaN or infinite counts raise NumericError naming the first one."""
+    A malformed header raises IntegrityError naming the key; NaN or infinite
+    counts raise NumericError naming the first one."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != MAGIC:
             raise IntegrityError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
         (hlen,) = struct.unpack("<I", _read_exact(f, 4, path, "header length"))
-        header = json.loads(_read_exact(f, hlen, path, "header").decode("utf-8"))
+        header = _parse_header(_read_exact(f, hlen, path, "header"), path)
         V = header["V"]
         payload = _read_exact(f, V * V * 8, path, f"counts for V={V}")
         data = np.frombuffer(payload, dtype="<f8").reshape(V, V)

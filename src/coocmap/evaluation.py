@@ -8,10 +8,11 @@ from typing import Container, NamedTuple, Sequence
 
 import numpy as np
 
-from .align import AlignConfig, MatchState, csls
+# perfbench/spans.py rebinds csls and sim_matrix as globals of this module
+from .align import AlignConfig, MatchState, PipelineRun, csls
 from .corpus import Vocabulary
 from .errors import ValidationError
-from .kernels import check_finite, pair_sim_matrix, sim_matrix
+from .kernels import check_finite, sim_matrix  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -54,23 +55,16 @@ class Predictions:
 
 
 def translate(
-    X,
-    Z,
-    final: MatchState,
+    run: PipelineRun,
     cfg: AlignConfig,
     source_tokens: Sequence[str],
     target_tokens: Sequence[str],
-    family: str = "cooc",
 ) -> Predictions:
-    """One last hubness-adjusted measurement under the final correspondence;
-    every source word predicts its best-similarity target word."""
-    Xd = np.asarray(getattr(X, "data", X), dtype=np.float64)
-    Zd = np.asarray(getattr(Z, "data", Z), dtype=np.float64)
-    if family == "cooc":
-        S = pair_sim_matrix(Xd, Zd, final.s, final.t, cfg.metric)
-    else:  # vectors, already mapped into the target space
-        S = sim_matrix(Xd, Zd, "cosine")
-    best = csls(check_finite(S, "translation"), cfg.csls_k).argmax(axis=1)
+    """One last measurement under the final correspondence, with the run's
+    own self-learning measure, then CSLS with `cfg.csls_k`; every source
+    word predicts its best-scoring target word."""
+    S = check_finite(run.measure(run.state.s, run.state.t), "translation")
+    best = csls(S, cfg.csls_k).argmax(axis=1)
     rows = [
         Prediction(source=tok, predicted=target_tokens[best[i]], rank=i)
         for i, tok in enumerate(source_tokens)

@@ -123,6 +123,8 @@ def execute_preset(
             raise ValidationError(f"preset {preset.name} needs vectors on both sides")
     elif C1 is None or C2 is None:
         raise ValidationError(f"preset {preset.name} needs co-occurrence counts")
+    if preset.vectors == "svd" and cfg.dim is None:
+        raise ValidationError(f"preset {preset.name} needs dim, its SVD vector dimension")
     if preset.vectors == "import":
         v1, v2 = vectors1.data.shape[0], vectors2.data.shape[0]
     else:
@@ -136,9 +138,8 @@ def execute_preset(
 
     if preset.family == "vec":
         if preset.vectors == "svd":
-            r = cfg.dim if cfg.dim is not None else 300
-            vectors1 = svd_vectors(C1, r)
-            vectors2 = svd_vectors(C2, r)
+            vectors1 = svd_vectors(C1, cfg.dim)
+            vectors2 = svd_vectors(C2, cfg.dim)
         return run_vecmap(vectors1, vectors2, cfg, seed)
     if preset.vectors == "import":
         return run_staged(

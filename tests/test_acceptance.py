@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from coocmap.align import csls, match_bidirectional
-from coocmap.assoc import fung_assoc, glove_assoc, ppmi_assoc, rapp_assoc
+from coocmap.assoc import build
 from coocmap.bench import (
     BenchConfig,
     SweepSpec,
@@ -224,12 +224,12 @@ def test_criterion_8_association_ordering(sweep_reports):
     # property fallback first: degenerate-case checks always run
     r = np.random.default_rng(104).permutation([1.0, 1.0, 2.0, 4.0, 8.0])
     C = CoocMatrix(np.outer(r, r), 1, "t", 256)
-    flat = rapp_assoc(C).data
+    flat = build("rapp", C).data
     assert np.abs(flat - 1.0 / C.size).max() <= 1e-10
-    assert np.abs(fung_assoc(C).data).max() <= 1e-10
-    assert np.abs(ppmi_assoc(C, 1.0).data).max() <= 1e-10
+    assert np.abs(build("fung", C).data).max() <= 1e-10
+    assert np.abs(build("ppmi", C).data).max() <= 1e-10
     const = CoocMatrix(np.full((4, 4), 9.0), 1, "t", 144)
-    assert np.abs(glove_assoc(const).data).max() <= 1e-10
+    assert np.abs(build("glove", const).data).max() <= 1e-10
 
     with criterion(8) as c:
         def working_budget(preset):

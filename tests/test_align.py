@@ -17,9 +17,10 @@ from coocmap.align import (
     run_vecmap,
     stage_steps,
     unsupervised_init,
+    vec_measure,
     vecmap_selflearn,
 )
-from coocmap.assoc import coocmap_assoc
+from coocmap.assoc import Step, build
 from coocmap.cooc import CoocMatrix, count_cooc, permute_cooc
 from coocmap.corpus import build_vocab, encode, tokenize
 from coocmap.errors import NumericError, ValidationError
@@ -113,7 +114,7 @@ def toy_assoc(seed=0, V=8):
     rng = np.random.default_rng(seed)
     M = rng.random((V, V)) + np.eye(V) * 0.5
     C = CoocMatrix((M + M.T) * 10, 1, "t", 100)
-    return coocmap_assoc(C).data
+    return build("coocmap", C).data
 
 
 class TestUnsupervisedInit:
@@ -199,8 +200,8 @@ class TestCipherOracle:
         rng = np.random.default_rng(11)
         pi = rng.permutation(vocab.size)
         Cp = permute_cooc(C, pi)
-        X = coocmap_assoc(Cp).data  # source: ciphered
-        Z = coocmap_assoc(C).data  # target: plain
+        X = build("coocmap", Cp).data  # source: ciphered
+        Z = build("coocmap", C).data  # target: plain
         cfg = AlignConfig(csls_k=10, max_iters=50)
         init = unsupervised_init(X, Z, cfg)
         state, _ = coocmap_selflearn(X, Z, init, cfg)
@@ -287,10 +288,11 @@ class TestPipelines:
 
     def test_stage_steps_keep_parameters_exactly(self):
         plain = AlignConfig(clip=(1.0, 99.0), stage2=Stage2Config(20, (1.5, 98.5)), dim=300)
-        assert stage_steps(plain, False) == ["trunc(300)", "clip(1,99)"]
-        assert stage_steps(plain, True) == ["trunc(300)", "drop(15)", "clip(1.5,98.5)"]
+        trunc, clip = Step("trunc", (300,)), Step("clip", (1.0, 99.0))
+        assert stage_steps(plain, False) == [trunc, clip]
+        assert stage_steps(plain, True) == [trunc, Step("drop", (15,)), Step("clip", (1.5, 98.5))]
         odd = AlignConfig(clip=(1.2345678, 98.7654321))
-        assert stage_steps(odd, False) == ["clip(1.2345678,98.7654321)"]
+        assert stage_steps(odd, False) == [Step("clip", (1.2345678, 98.7654321))]
 
     def _counts(self, seed, V=10):
         rng = np.random.default_rng(seed)
@@ -302,8 +304,8 @@ class TestPipelines:
         cfg = AlignConfig(csls_k=3, max_iters=5)
         run = run_coocmap(C1, C2, cfg)
         assert len(run.traces) == 1
-        X = coocmap_assoc(C1).data
-        Z = coocmap_assoc(C2).data
+        X = build("coocmap", C1).data
+        Z = build("coocmap", C2).data
         init = unsupervised_init(X, Z, cfg)
         state, trace = coocmap_selflearn(X, Z, init, cfg)
         assert run.traces[0] == trace
@@ -323,7 +325,7 @@ class TestPipelines:
 
         C1, C2 = self._counts(22, V=14), self._counts(23, V=14)
         cfg = align_config(get_preset("coocmap-drop"), csls_k=3, max_iters=5, dim=6)
-        A1, A2 = coocmap_assoc(C1), coocmap_assoc(C2)
+        A1, A2 = build("coocmap", C1), build("coocmap", C2)
         expected = [
             assoc.apply_pipeline(A, stage_steps(cfg, stage2))
             for stage2 in (False, True) for A in (A1, A2)
@@ -362,7 +364,8 @@ class TestPipelines:
 
         Xv = svd_vectors(C, 5)
         run = run_vecmap(Xv, Xv, AlignConfig(csls_k=3, max_iters=5))
-        assert run.family == "vec"
+        s, t = run.state.s, run.state.t
+        assert run.measure(s, t).tobytes() == vec_measure(Xv.data, Xv.data)(s, t).tobytes()
         n = C.size
         forward = dict(zip(run.state.s.tolist()[:n], run.state.t.tolist()[:n]))
         assert all(forward[i] == i for i in range(n))

@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 
 from coocmap.assoc import (
+    AssocMatrix,
+    Step,
     WordVectors,
     apply_pipeline,
     assoc_from_vectors,
-    coocmap_assoc,
-    fung_assoc,
-    glove_assoc,
+    build,
     load_vectors,
-    log1p_assoc,
-    parse_step,
-    ppmi_assoc,
-    rapp_assoc,
-    render_step,
     replay_chain,
     svd_vectors,
 )
@@ -22,9 +17,7 @@ from coocmap.corpus import build_vocab, encode
 from coocmap.errors import ValidationError
 from coocmap.kernels import clip, drop_head, normalize, unitr, unitr_l1
 
-CONSTRUCTORS = [
-    coocmap_assoc, log1p_assoc, rapp_assoc, fung_assoc, ppmi_assoc, glove_assoc,
-]
+CONSTRUCTORS = ["coocmap", "log1p", "rapp", "fung", "ppmi", "glove"]
 
 
 def cmat(counts):
@@ -49,49 +42,49 @@ def independent_counts(rng, V=5):
 
 class TestCoocmapAssoc:
     def test_zero_counts_give_zero(self):
-        assert not coocmap_assoc(cmat(np.zeros((3, 3)))).data.any()
+        assert not build("coocmap", cmat(np.zeros((3, 3)))).data.any()
 
     def test_hand_computation_2x2(self):
-        A = coocmap_assoc(cmat([[0.0, 4.0], [4.0, 0.0]]))
+        A = build("coocmap", cmat([[0.0, 4.0], [4.0, 0.0]]))
         r = np.sqrt(0.5)
         np.testing.assert_allclose(A.data, [[-r, r], [r, -r]], atol=1e-12)
 
     def test_chain_contents(self):
-        A = coocmap_assoc(cmat(np.eye(2)))
-        assert A.chain == ("epow(0.5)", "normalize")
+        A = build("coocmap", cmat(np.eye(2)))
+        assert A.chain == (Step("epow", (0.5,)), Step("normalize"))
 
     def test_chain_replay_bitwise(self):
         C = random_counts(np.random.default_rng(0))
-        A = coocmap_assoc(C)
+        A = build("coocmap", C)
         assert replay_chain(C.counts, A.chain).tobytes() == A.data.tobytes()
 
 
 class TestLog1p:
     def test_log_of_em1_is_one_before_normalize(self):
         np.testing.assert_allclose(
-            replay_chain(np.array([[np.e - 1.0]]), ("log1p",)), [[1.0]]
+            replay_chain(np.array([[np.e - 1.0]]), (Step("log1p"),)), [[1.0]]
         )
 
     def test_direct_recomputation(self):
         C = random_counts(np.random.default_rng(1))
         np.testing.assert_array_equal(
-            log1p_assoc(C).data, normalize(np.log1p(C.counts))
+            build("log1p", C).data, normalize(np.log1p(C.counts))
         )
 
 
 class TestRapp:
     def test_independent_counts_flat_rows(self):
         C = independent_counts(np.random.default_rng(2))
-        A = rapp_assoc(C).data
+        A = build("rapp", C).data
         np.testing.assert_allclose(A, np.full_like(A, 1.0 / A.shape[1]), atol=1e-10)
 
     def test_diagonal_dominance_by_hand(self):
         # joint [[.5,0],[0,.5]], marginals (.5,.5): ratio diag 2, off-diag 0
-        A = rapp_assoc(cmat([[2.0, 0.0], [0.0, 2.0]]))
+        A = build("rapp", cmat([[2.0, 0.0], [0.0, 2.0]]))
         np.testing.assert_allclose(A.data, np.eye(2), atol=1e-12)
 
     def test_zero_row_stays_zero(self):
-        A = rapp_assoc(cmat([[0.0, 0.0], [0.0, 2.0]]))
+        A = build("rapp", cmat([[0.0, 0.0], [0.0, 2.0]]))
         assert not A.data[0].any()
 
     def test_direct_recomputation(self):
@@ -99,16 +92,16 @@ class TestRapp:
         P = C.counts / C.counts.sum()
         expect = P / np.outer(P.sum(1), P.sum(0))
         expect[~np.isfinite(expect)] = 0.0
-        np.testing.assert_allclose(rapp_assoc(C).data, unitr_l1(expect), atol=1e-12)
+        np.testing.assert_allclose(build("rapp", C).data, unitr_l1(expect), atol=1e-12)
 
 
 class TestFung:
     def test_independence_gives_zero(self):
         C = independent_counts(np.random.default_rng(4))
-        np.testing.assert_allclose(fung_assoc(C).data, 0.0, atol=1e-10)
+        np.testing.assert_allclose(build("fung", C).data, 0.0, atol=1e-10)
 
     def test_zero_entries_contribute_zero(self):
-        A = fung_assoc(cmat([[0.0, 3.0], [3.0, 0.0]]))
+        A = build("fung", cmat([[0.0, 3.0], [3.0, 0.0]]))
         assert np.isfinite(A.data).all()
         assert A.data[0, 0] == 0.0
 
@@ -119,17 +112,26 @@ class TestFung:
         expect = np.zeros_like(P)
         m = (P > 0) & (denom > 0)
         expect[m] = P[m] * np.log(P[m] / denom[m])
-        np.testing.assert_allclose(fung_assoc(C).data, unitr_l1(expect), atol=1e-12)
+        np.testing.assert_allclose(build("fung", C).data, unitr_l1(expect), atol=1e-12)
+
+
+def ppmi_steps(k):
+    return (Step("ppmi", (k,)), Step("unit_l2"))
+
+
+def ppmi(C, k):
+    """The ppmi association with shift k."""
+    return replay_chain(C.counts, ppmi_steps(k))
 
 
 class TestPpmi:
     def test_independence_k1_gives_zero(self):
         C = independent_counts(np.random.default_rng(6))
-        np.testing.assert_allclose(ppmi_assoc(C, 1.0).data, 0.0, atol=1e-10)
+        np.testing.assert_allclose(build("ppmi", C).data, 0.0, atol=1e-10)
 
     def test_huge_shift_gives_zero(self):
         C = random_counts(np.random.default_rng(7))
-        assert not ppmi_assoc(C, 1e12).data.any()
+        assert not ppmi(C, 1e12).any()
 
     @staticmethod
     def oracle(C, k):
@@ -142,33 +144,33 @@ class TestPpmi:
 
     def test_direct_recomputation(self):
         C = random_counts(np.random.default_rng(8))
-        np.testing.assert_allclose(ppmi_assoc(C, 2.0).data, self.oracle(C, 2.0), atol=1e-12)
+        np.testing.assert_allclose(ppmi(C, 2.0), self.oracle(C, 2.0), atol=1e-12)
 
     def test_bad_shift(self):
         with pytest.raises(ValidationError):
-            ppmi_assoc(cmat(np.eye(2)), 0.0)
+            ppmi(cmat(np.eye(2)), 0.0)
 
     def test_chain_keeps_shift_exactly(self):
         C = random_counts(np.random.default_rng(9))
-        A = ppmi_assoc(C, 1.2345678)
-        assert A.chain[0] == "ppmi(1.2345678)"
+        A = apply_pipeline(AssocMatrix(C.counts, (), "t"), ppmi_steps(1.2345678))
+        assert A.chain[0] == Step("ppmi", (1.2345678,))
         assert replay_chain(C.counts, A.chain).tobytes() == A.data.tobytes()
         np.testing.assert_allclose(A.data, self.oracle(C, 1.2345678), atol=1e-12)
 
 
 class TestGlove:
     def test_constant_counts_give_zero(self):
-        np.testing.assert_allclose(glove_assoc(cmat(np.full((3, 3), 4.0))).data, 0.0)
+        np.testing.assert_allclose(build("glove", cmat(np.full((3, 3), 4.0))).data, 0.0)
 
     def test_single_cell_gives_zero(self):
-        np.testing.assert_allclose(glove_assoc(cmat([[7.0]])).data, 0.0)
+        np.testing.assert_allclose(build("glove", cmat([[7.0]])).data, 0.0)
 
     def test_direct_recomputation(self):
         C = random_counts(np.random.default_rng(9))
         L = np.log1p(C.counts)
         G = L - L.mean(axis=1, keepdims=True)
         G = G - G.mean(axis=0, keepdims=True)
-        np.testing.assert_allclose(glove_assoc(C).data, unitr(G), atol=1e-12)
+        np.testing.assert_allclose(build("glove", C).data, unitr(G), atol=1e-12)
 
 
 class TestDeterminism:
@@ -177,7 +179,7 @@ class TestDeterminism:
         C = random_counts(rng)
         C2 = cmat(C.counts.copy())
         for make in CONSTRUCTORS:
-            assert make(C).data.tobytes() == make(C2).data.tobytes()
+            assert build(make, C).data.tobytes() == build(make, C2).data.tobytes()
 
 
 class TestVectors:
@@ -210,7 +212,7 @@ class TestVectors:
         B = B @ B.T  # PSD with nonnegative entries
         C = cmat(B * B)
         A = assoc_from_vectors(svd_vectors(C, C.size))
-        np.testing.assert_allclose(A.data, coocmap_assoc(C).data, atol=1e-6)
+        np.testing.assert_allclose(A.data, build("coocmap", C).data, atol=1e-6)
 
     def test_gram_sqrt_matches_symmetric_factor(self):
         C = random_counts(np.random.default_rng(14))
@@ -258,43 +260,43 @@ class TestVectorIO:
 
 class TestApplyPipeline:
     def test_empty_steps_identity(self):
-        A = coocmap_assoc(cmat(np.eye(3) * 4))
+        A = build("coocmap", cmat(np.eye(3) * 4))
         B = apply_pipeline(A, [])
         assert B.chain == A.chain
         np.testing.assert_array_equal(B.data, A.data)
 
     def test_matches_composed_kernels(self):
         C = random_counts(np.random.default_rng(16), V=8)
-        A = coocmap_assoc(C)
-        B = apply_pipeline(A, ["clip(1,99)", "drop(2)"])
+        A = build("coocmap", C)
+        steps = (Step("clip", (1, 99)), Step("drop", (2,)))
+        B = apply_pipeline(A, steps)
         np.testing.assert_array_equal(B.data, drop_head(clip(A.data, 1, 99), 2))
-        assert B.chain == A.chain + ("clip(1,99)", "drop(2)")
+        assert B.chain == A.chain + steps
 
     def test_step_by_step_oracle(self):
         C = random_counts(np.random.default_rng(17), V=8)
-        A = coocmap_assoc(C)
-        B = apply_pipeline(A, ["drop(3)", "clip(1,99)"])
+        A = build("coocmap", C)
+        B = apply_pipeline(A, [Step("drop", (3,)), Step("clip", (1, 99))])
         np.testing.assert_array_equal(B.data, clip(drop_head(A.data, 3), 1, 99))
 
     def test_replay_full_chain(self):
         tokens = "the cat sat on the mat and the dog sat".split()
         vocab = build_vocab(tokens, 8)
         C = count_cooc(encode([tokens], vocab), 2)
-        A = apply_pipeline(coocmap_assoc(C), ["trunc(3)", "clip(5,95)"])
+        A = apply_pipeline(build("coocmap", C), [Step("trunc", (3,)), Step("clip", (5, 95))])
         assert replay_chain(C.counts, A.chain).tobytes() == A.data.tobytes()
 
-    def test_recorded_renders_unchanged(self):
-        assert ppmi_assoc(cmat(np.eye(2))).chain[0] == "ppmi(1)"
-        assert render_step("clip", 1.0, 99.0) == "clip(1,99)"
-        assert render_step("clip", 1.5, 98.5) == "clip(1.5,98.5)"
-        assert render_step("trunc", 300) == "trunc(300)"
-        assert render_step("normalize") == "normalize"
+    def test_step_args_used_exactly(self, monkeypatch):
+        from coocmap import assoc
 
-    @pytest.mark.parametrize("args", [(1.2345678, 98.7654321), (0.1, 99.9), (1e-7, 100.0),
-                                      (1 / 3, 2 / 3), (12345678.5, 1e22)])
-    def test_render_parse_round_trip(self, args):
-        assert parse_step(render_step("clip", *args)) == ("clip", args)
+        seen = []
+        monkeypatch.setitem(assoc._STEPS, "clip", lambda X, lo, hi: seen.append((lo, hi)) or X)
+        monkeypatch.setitem(assoc._STEPS, "drop", lambda X, r: seen.append(r) or X)
+        A = build("coocmap", cmat(np.eye(2)))
+        apply_pipeline(A, [Step("clip", (1.2345678, 98.7654321)), Step("drop", (3,))])
+        assert seen == [(1.2345678, 98.7654321), 3]
+        assert type(seen[1]) is int
 
     def test_unknown_step(self):
         with pytest.raises(ValidationError):
-            apply_pipeline(coocmap_assoc(cmat(np.eye(2))), ["sparsify(3)"])
+            apply_pipeline(build("coocmap", cmat(np.eye(2))), [Step("sparsify", (3,))])

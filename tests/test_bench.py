@@ -217,6 +217,21 @@ class TestSeedingByPreset:
         with pytest.raises(ValidationError, match="dict-init"):
             cipher_bench(small_corpus, 300_000, 1, cfg)
 
+    def test_dict_init_fails_before_ingest(self, small_corpus, monkeypatch):
+        reads = []
+        real = bench.take_head_bytes
+        monkeypatch.setattr(bench, "take_head_bytes", lambda *a: reads.append(a) or real(*a))
+        cfg = replace(FAST, preset="dict-init")
+        entry_points = [
+            lambda: split_identity_bench(small_corpus, 300_000, cfg),
+            lambda: cipher_bench(small_corpus, 300_000, 1, cfg),
+            lambda: crosslingual_run(small_corpus, small_corpus, 300_000, cfg),
+        ]
+        for run in entry_points:
+            with pytest.raises(ValidationError, match="dict-init"):
+                run()
+        assert reads == []
+
     @pytest.mark.parametrize("mode", ["identity", "cipher", "crosslingual"])
     def test_sweep_error_row_per_point(self, small_corpus, mode):
         spec = SweepSpec(

@@ -310,3 +310,42 @@ def test_exit_code_numeric_failure(tmp_path):
         "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
     ])
     assert rc == 3
+
+
+def test_malformed_cooc_header_exits_2(tmp_path, capsys):
+    raw = json.dumps({"m": 1, "token_count": 3, "vocab_digest": "t"}).encode("utf-8")
+    (tmp_path / "c.bin").write_bytes(b"COOCMAT1" + len(raw).to_bytes(4, "little") + raw)
+    (tmp_path / "v.txt").write_text("[UNK]\na\n")
+    rc = main([
+        "induce", "--cooc1", str(tmp_path / "c.bin"), "--cooc2", str(tmp_path / "c.bin"),
+        "--vocab1", str(tmp_path / "v.txt"), "--vocab2", str(tmp_path / "v.txt"),
+        "--preset", "coocmap",
+        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
+    ])
+    assert rc == 2
+    assert "c.bin: header key 'V'" in capsys.readouterr().err
+
+
+def test_induce_dict_init_fails_before_reading_counts(tmp_path, capsys):
+    rc = main([
+        "induce", "--cooc1", str(tmp_path / "no1.bin"), "--cooc2", str(tmp_path / "no2.bin"),
+        "--vocab1", str(tmp_path / "no1.txt"), "--vocab2", str(tmp_path / "no2.txt"),
+        "--preset", "dict-init",
+        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
+    ])
+    assert rc == 2
+    assert "preset dict-init seeds from a supplied dictionary" in capsys.readouterr().err
+
+
+def test_bench_dict_init_reads_no_corpus(tmp_path, capsys, monkeypatch):
+    from coocmap import bench
+
+    reads = []
+    monkeypatch.setattr(bench, "take_head_bytes", lambda *args: reads.append(args))
+    rc = main([
+        "bench", "--corpus", str(tmp_path / "missing.txt"), "--budget", "200000",
+        "--preset", "dict-init",
+    ])
+    assert rc == 2
+    assert "preset dict-init seeds from a supplied dictionary" in capsys.readouterr().err
+    assert reads == []

@@ -1,9 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coocmap.cooc import CoocMatrix, count_cooc, load_cooc, permute_cooc, save_cooc
+from coocmap.cooc import MAGIC, CoocMatrix, count_cooc, load_cooc, permute_cooc, save_cooc
 from coocmap.corpus import UNK_TOKEN, Vocabulary, build_vocab, encode
 from coocmap.errors import IntegrityError, NumericError, ValidationError
 
@@ -157,3 +160,42 @@ class TestSerialization:
         (tmp_path / "bad.bin").write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(IntegrityError):
             load_cooc(tmp_path / "bad.bin")
+
+
+GOOD_HEADER = {"V": 2, "m": 1, "token_count": 3, "vocab_digest": "t"}
+
+
+def write_with_header(path, header):
+    """A counts file with the given JSON header and a 2 x 2 zero payload."""
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + np.zeros(4).tobytes())
+
+
+class TestMalformedHeader:
+    def test_good_header_loads(self, tmp_path):
+        write_with_header(tmp_path / "c.bin", GOOD_HEADER)
+        assert load_cooc(tmp_path / "c.bin").counts.shape == (2, 2)
+
+    @pytest.mark.parametrize("header, key", [
+        ({k: v for k, v in GOOD_HEADER.items() if k != "V"}, "V"),
+        ([2, 1, 3, "t"], None),
+        ({**GOOD_HEADER, "V": "2"}, "V"),
+        ({**GOOD_HEADER, "V": -2}, "V"),
+        ({**GOOD_HEADER, "V": True}, "V"),
+        ({**GOOD_HEADER, "V": 2.0}, "V"),
+        ({**GOOD_HEADER, "m": 0}, "m"),
+        ({**GOOD_HEADER, "token_count": -1}, "token_count"),
+        ({**GOOD_HEADER, "vocab_digest": 7}, "vocab_digest"),
+    ])
+    def test_rejected_naming_file_and_key(self, tmp_path, header, key):
+        write_with_header(tmp_path / "c.bin", header)
+        with pytest.raises(IntegrityError) as e:
+            load_cooc(tmp_path / "c.bin")
+        assert "c.bin" in str(e.value)
+        assert (repr(key) if key else "not an object") in str(e.value)
+
+    def test_header_not_json(self, tmp_path):
+        raw = b"{not json"
+        (tmp_path / "c.bin").write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw)
+        with pytest.raises(IntegrityError, match="c.bin: header is not JSON"):
+            load_cooc(tmp_path / "c.bin")

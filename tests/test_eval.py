@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from coocmap.align import AlignConfig, MatchState
+from coocmap.align import (
+    AlignConfig,
+    MatchState,
+    PipelineRun,
+    cooc_measure,
+    csls,
+    stage_steps,
+    vec_measure,
+)
+from coocmap.assoc import apply_pipeline, assoc_from_vectors, build, svd_vectors
+from coocmap.cooc import CoocMatrix
 from coocmap.corpus import build_vocab
 from coocmap.errors import NumericError, ValidationError
 from coocmap.evaluation import (
@@ -17,7 +27,8 @@ from coocmap.evaluation import (
     translate,
     write_predictions,
 )
-from coocmap.kernels import clip_thresholds
+from coocmap.kernels import clip_thresholds, normalize, pair_sim_matrix, procrustes, sim_matrix
+from coocmap.presets import align_config, execute_preset, get_preset
 
 
 class TestLoadDictionary:
@@ -58,13 +69,18 @@ def _toy_pair(seed=0, V=6):
     return X
 
 
+def _cooc_run(X, Z, state, cfg):
+    return PipelineRun(state, [], cooc_measure(X, Z, cfg.metric))
+
+
 class TestTranslate:
     def test_identical_sides_predict_self(self):
         X = _toy_pair()
         n = X.shape[0]
         toks = tuple(f"w{i}" for i in range(n))
         state = MatchState(np.arange(n), np.arange(n))
-        preds = translate(X, X, state, AlignConfig(csls_k=2), toks, toks)
+        cfg = AlignConfig(csls_k=2)
+        preds = translate(_cooc_run(X, X, state, cfg), cfg, toks, toks)
         assert [r.predicted for r in preds.rows] == list(toks)
         assert [r.rank for r in preds.rows] == list(range(n))
 
@@ -73,7 +89,8 @@ class TestTranslate:
         n = X.shape[0]
         toks = tuple(f"w{i}" for i in range(n))
         state = MatchState(np.arange(n), np.arange(n))
-        preds = translate(X, X, state, AlignConfig(csls_k=2), toks, toks)
+        cfg = AlignConfig(csls_k=2)
+        preds = translate(_cooc_run(X, X, state, cfg), cfg, toks, toks)
         assert len(preds.rows) == n
         assert len({r.source for r in preds.rows}) == n
 
@@ -83,8 +100,8 @@ class TestTranslate:
         toks = tuple(f"w{i}" for i in range(n))
         state = MatchState(np.arange(n), np.arange(n))
         cfg = AlignConfig(csls_k=2)
-        a = translate(X, Z, state, cfg, toks, toks)
-        b = translate(X, Z, state, cfg, toks, toks)
+        a = translate(_cooc_run(X, Z, state, cfg), cfg, toks, toks)
+        b = translate(_cooc_run(X, Z, state, cfg), cfg, toks, toks)
         assert a.rows == b.rows
 
     @pytest.mark.parametrize("family", ["cooc", "vec"])
@@ -93,9 +110,15 @@ class TestTranslate:
         X[1, 1] = np.inf
         n = X.shape[0]
         toks = tuple(f"w{i}" for i in range(n))
-        state = MatchState(np.arange(n), np.arange(n))
+        cfg = AlignConfig(csls_k=2)
+        if family == "cooc":
+            state = MatchState(np.arange(n), np.arange(n))
+            run = _cooc_run(X, _toy_pair(5), state, cfg)
+        else:  # the map is fitted on finite rows; the inf row is only measured
+            state = MatchState([0, 2, 3, 4, 5], [0, 2, 3, 4, 5])
+            run = PipelineRun(state, [], vec_measure(X, _toy_pair(5)))
         with pytest.raises(NumericError):
-            translate(X, _toy_pair(5), state, AlignConfig(csls_k=2), toks, toks, family)
+            translate(run, cfg, toks, toks)
 
 
 class TestPrecisionAt1:
@@ -223,3 +246,57 @@ class TestClipDiffReport:
         full = clip_diff_report(Xf, Xr, (0.3, 0.7), self._vocab(5))
         top = clip_diff_report(Xf, Xr, (0.3, 0.7), self._vocab(5), top_n=3)
         assert top == full[:3]
+
+
+def _unrelated_counts(V=30):
+    """Two independent random count matrices: with no true translation to
+    find, the predictions depend on every detail of the measure."""
+    rng = np.random.default_rng(31)
+    M1, M2 = rng.integers(0, 40, size=(2, V, V)).astype(float)
+    return CoocMatrix(M1 + M1.T, 2, "s", 1000), CoocMatrix(M2 + M2.T, 2, "t", 1000)
+
+
+class TestTranslateRanksTheRunsMeasure:
+    """translate measures with the run's own last-stage measure. The
+    per-family formulas it used to repeat are the oracles: predictions must
+    equal their CSLS argmax exactly."""
+
+    def _predicted(self, run, cfg, V):
+        toks = tuple(f"w{i}" for i in range(V))
+        return np.array([int(r.predicted[1:]) for r in translate(run, cfg, toks, toks).rows])
+
+    @pytest.mark.parametrize("name, dim", [
+        ("coocmap", None), ("coocmap-drop", 12), ("rapp", None), ("ppmi", 20),
+        ("coocmap-vectors", None),
+    ])
+    def test_cooc_oracle(self, name, dim):
+        C1, C2 = _unrelated_counts()
+        preset = get_preset(name)
+        cfg = align_config(preset, csls_k=3, max_iters=8, dim=dim)
+        if preset.vectors == "import":
+            vectors = (svd_vectors(C1, 10), svd_vectors(C2, 10))
+            run = execute_preset(preset, cfg, vectors1=vectors[0], vectors2=vectors[1])
+            A1, A2 = (assoc_from_vectors(v) for v in vectors)
+        else:
+            run = execute_preset(preset, cfg, C1, C2)
+            A1, A2 = build(preset.assoc, C1), build(preset.assoc, C2)
+        steps = stage_steps(cfg, stage2=cfg.stage2 is not None)
+        X, Z = apply_pipeline(A1, steps).data, apply_pipeline(A2, steps).data
+        S = pair_sim_matrix(X, Z, run.state.s, run.state.t, cfg.metric)
+        want = csls(S, cfg.csls_k).argmax(axis=1)
+        np.testing.assert_array_equal(self._predicted(run, cfg, C1.size), want)
+
+    @pytest.mark.parametrize("name", ["vecmap-raw", "vecmap-vectors"])
+    def test_vec_oracle(self, name):
+        C1, C2 = _unrelated_counts()
+        preset = get_preset(name)
+        cfg = align_config(preset, csls_k=3, max_iters=8, dim=10)
+        Xv, Zv = svd_vectors(C1, 10), svd_vectors(C2, 10)
+        if preset.vectors == "import":
+            run = execute_preset(preset, cfg, vectors1=Xv, vectors2=Zv)
+        else:
+            run = execute_preset(preset, cfg, C1, C2)
+        Xn, Zn = normalize(Xv.data), normalize(Zv.data)
+        W = procrustes(Xn[run.state.s], Zn[run.state.t])
+        want = csls(sim_matrix(Xn @ W, Zn), cfg.csls_k).argmax(axis=1)
+        np.testing.assert_array_equal(self._predicted(run, cfg, C1.size), want)

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from coocmap.align import Stage2Config
+from coocmap.align import Stage2Config, vec_measure
 from coocmap.assoc import WordVectors, svd_vectors
 from coocmap.cooc import CoocMatrix
 from coocmap.errors import ValidationError
@@ -59,7 +61,9 @@ def test_execute_vecmap_raw_identity():
     C = counts(1)
     preset = get_preset("vecmap-raw")
     run = execute_preset(preset, align_config(preset, csls_k=3, max_iters=5, dim=6), C, C)
-    assert run.family == "vec"
+    Xv = svd_vectors(C, 6).data
+    s, t = run.state.s, run.state.t
+    assert run.measure(s, t).tobytes() == vec_measure(Xv, Xv)(s, t).tobytes()
     n = C.size
     forward = dict(zip(run.state.s.tolist()[:n], run.state.t.tolist()[:n]))
     assert all(forward[i] == i for i in range(n))
@@ -107,3 +111,11 @@ def test_csls_k_beyond_vocabulary_fails_before_any_work(name, monkeypatch):
     # at the smaller size the check passes and the work starts
     with pytest.raises(AssertionError, match="work started"):
         execute_preset(preset, align_config(preset, csls_k=9), C1, C2, v1, v2)
+
+
+def test_vecmap_raw_without_dim_names_dim():
+    C = counts(6)
+    preset = get_preset("vecmap-raw")
+    cfg = replace(align_config(preset, csls_k=3), dim=None)
+    with pytest.raises(ValidationError, match="needs dim"):
+        execute_preset(preset, cfg, C, C)

@@ -1,0 +1,51 @@
+"""The per-layer tracer in perfbench/spans.py rebinds package functions by
+name in the modules that call them. A rename that breaks it fails here, in
+the tier-1 run, instead of only in the benchmark's own smoke test."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from coocmap.align import AlignConfig
+from coocmap.cooc import CoocMatrix
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bound_names(targets) -> dict:
+    """(caller module, function name) -> the object bound there now."""
+    out = {}
+    for _layer, fname, callers in targets:
+        for caller in callers:
+            out[caller, fname] = getattr(importlib.import_module(f"coocmap.{caller}"), fname)
+    return out
+
+
+def test_recorder_rebinds_every_target_and_restores_it():
+    spans = load_spans()
+    before = bound_names(spans.TARGETS)
+    recorder = spans.Recorder()
+    rng = np.random.default_rng(0)
+    M = rng.integers(0, 30, size=(10, 10)).astype(float)
+    C = CoocMatrix(M + M.T, 1, "t", 500)
+    with recorder.installed():
+        inside = bound_names(spans.TARGETS)
+        from coocmap import align
+
+        align.run_coocmap(C, C, AlignConfig(csls_k=3, max_iters=5))
+    assert all(inside[key] is not fn for key, fn in before.items())
+    after = bound_names(spans.TARGETS)
+    assert all(after[key] is fn for key, fn in before.items())
+    names = [s["name"] for s in recorder.spans]
+    assert "assoc.build" in names and "align.unsupervised_init" in names
+    learned = [s for s in recorder.spans if s["name"] == "align.coocmap_selflearn"]
+    assert len(learned) == 1 and learned[0]["attrs"]["iterations"] >= 1
