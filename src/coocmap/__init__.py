@@ -12,7 +12,6 @@ from .align import (  # noqa: E402
     AlignConfig,
     MatchState,
     PipelineRun,
-    Stage2Config,
     csls,
     match_bidirectional,
     objective,
@@ -69,7 +68,6 @@ from .kernels import (  # noqa: E402
     epow,
     normalize,
     pair_sim_matrix,
-    percentile,
     procrustes,
     psd_sqrt_gram,
     sim_matrix,
@@ -77,4 +75,4 @@ from .kernels import (  # noqa: E402
     trunc,
     unitr,
 )
-from .presets import PRESETS, Preset, align_config, execute_preset, get_preset  # noqa: E402
+from .presets import PRESETS, align_config, execute_preset, get_preset  # noqa: E402

@@ -76,22 +76,33 @@ def match_bidirectional(S: np.ndarray) -> MatchState:
 
 
 @dataclass(frozen=True)
-class Stage2Config:
-    """Second self-learning stage on a head-dropped, re-clipped matrix."""
-
-    drop_r: int = 20
-    clip: tuple[float, float] | None = (1.0, 99.0)
-
-
-@dataclass(frozen=True)
 class AlignConfig:
+    """One run's resolved method and tuning; `presets.PRESETS` holds one per
+    named method. `family` "cooc" matches association columns (`run_staged`)
+    and "vec" rotates vectors (`run_vecmap`). Both read `preset` (the name
+    in reports and errors), `vectors` (None: counts are the input; "import":
+    given vectors; "svd": `dim`-dimensional SVD vectors of the counts),
+    `seed_mode` ("unsupervised" or "dictionary"), `metric` (initializer and
+    cooc measure), `csls_k`, `max_iters` and `tol`. Only cooc reads `assoc`
+    (the `assoc.build` constructor of the counts), `clip` (lo, hi
+    percentiles) and `drop_r` (None: no stage 2). `dim` truncates the cooc
+    association's rank; vec reads it only with "svd" vectors. Stage 2
+    rebuilds each side as the truncation, a drop of
+    `drop_schedule(drop_r, dim)` head directions and `clip` again.
+    """
+
+    preset: str = "coocmap"
+    family: str = "cooc"
+    assoc: str = "coocmap"
+    vectors: str | None = None
+    seed_mode: str = "unsupervised"
+    metric: str = "cosine"
+    clip: tuple[float, float] | None = None
+    drop_r: int | None = None
+    dim: int | None = None
     csls_k: int = 10
     max_iters: int = 100
     tol: float = 1e-6
-    metric: str = "cosine"
-    clip: tuple[float, float] | None = None  # stage-1 clip percentiles
-    stage2: Stage2Config | None = None
-    dim: int | None = None  # optional rank truncation of the association
 
     def __post_init__(self):
         if self.csls_k < 1 or self.max_iters < 1 or self.tol < 0:
@@ -198,13 +209,10 @@ def _trunc_steps(cfg: AlignConfig) -> list[Step]:
 
 
 def _stage_tail(cfg: AlignConfig, stage2: bool) -> list[Step]:
-    """A stage's steps after the truncation: clip, or head-drop plus clip."""
-    if not stage2:
-        return [] if cfg.clip is None else [Step("clip", cfg.clip)]
-    assert cfg.stage2 is not None
-    steps = [Step("drop", (drop_schedule(cfg.stage2.drop_r, cfg.dim),))]
-    if cfg.stage2.clip is not None:
-        steps.append(Step("clip", cfg.stage2.clip))
+    """A stage's steps after the truncation: clip, after a head-drop in stage 2."""
+    steps = [Step("drop", (drop_schedule(cfg.drop_r, cfg.dim),))] if stage2 else []
+    if cfg.clip is not None:
+        steps.append(Step("clip", cfg.clip))
     return steps
 
 
@@ -221,7 +229,7 @@ def run_staged(
 ) -> PipelineRun:
     """Stage 1: self-learn on the (optionally clipped) association matrices,
     starting from the sorted-row initializer or a supplied seed. Stage 2, if
-    configured: rebuild with head-drop plus clip and re-learn from stage 1.
+    `drop_r` is set: rebuild with head-drop plus clip, re-learn from stage 1.
 
     Each side is truncated once; both stages apply their own steps to that
     matrix, so every stage's data and chain equal
@@ -233,7 +241,7 @@ def run_staged(
     init = seed if seed is not None else unsupervised_init(X, Z, cfg)
     state, trace1 = coocmap_selflearn(X, Z, init, cfg)
     traces = [trace1]
-    if cfg.stage2 is not None:
+    if cfg.drop_r is not None:
         X = assoc.apply_pipeline(A1, _stage_tail(cfg, stage2=True))
         Z = assoc.apply_pipeline(A2, _stage_tail(cfg, stage2=True))
         state, trace2 = coocmap_selflearn(X, Z, state, cfg)
@@ -246,10 +254,9 @@ def run_coocmap(
     C2: CoocMatrix,
     cfg: AlignConfig,
     seed: MatchState | None = None,
-    assoc_name: str = "coocmap",
 ) -> PipelineRun:
-    """Full pipeline from raw counts via the named association constructor."""
-    return run_staged(assoc.build(assoc_name, C1), assoc.build(assoc_name, C2), cfg, seed)
+    """Full pipeline from raw counts via the config's association constructor."""
+    return run_staged(assoc.build(cfg.assoc, C1), assoc.build(cfg.assoc, C2), cfg, seed)
 
 
 def run_vecmap(Xv, Zv, cfg: AlignConfig, seed: MatchState | None = None) -> PipelineRun:

@@ -29,7 +29,7 @@ from .evaluation import (
     translate,
     write_predictions,
 )
-from .presets import Preset, align_config, execute_preset, get_preset
+from .presets import align_config, execute_preset, get_preset
 
 CSV_HEADER = ["budget_bytes", "preset", "dimension", "accuracy", "evaluated", "seconds", "error"]
 
@@ -59,13 +59,15 @@ class RunReport:
     `top_eval` bounds identity and cipher scoring only; crosslingual and
     induce runs score every evaluable dictionary entry.
 
+    `config` is a bench or sweep point's BenchConfig, and the resolved
+    AlignConfig (the preset with its flags applied) of an `induce` run.
+
     `seconds` runs from reading the corpus to scoring. In a sweep, the
     points of one budget share a single ingest: the budget's first point
-    carries it and the others cover their own align and score. Only cipher
-    mode depends on the repetition (its permutation seed); in the other
-    modes each (preset, dim) is aligned once and its later repetitions are
-    copies with `seconds` 0.0. A budget's rows still sum to the time that
-    budget took.
+    that is not an error row carries it, and the others cover their own
+    align and score. Only cipher mode depends on the repetition (its
+    permutation seed); in the other modes each (preset, dim) is aligned
+    once and its later repetitions are copies with `seconds` 0.0.
     """
 
     mode: str
@@ -146,26 +148,31 @@ def _corpus_pair_sides(source_path, target_path, budget: int, cfg: BenchConfig) 
     return Sides(v1, v2, C1, C2, data_bytes)
 
 
-def seeded_preset(name: str, dictionary: Dictionary | None) -> Preset:
-    """The named preset, once its seeding can be met: a dictionary-seeded
-    preset (dict-init) without a dictionary raises ValidationError. Entry
-    points call it before reading any corpus or counts file, so the error
-    costs no ingest; `align_and_score` calls it for the sweep's points."""
-    preset = get_preset(name)
-    if preset.seed_mode == "dictionary" and dictionary is None:
+def check_seeding(cfg: AlignConfig, dictionary: Dictionary | None) -> None:
+    """Reject a dictionary-seeded preset (dict-init) without a dictionary.
+    Entry points call it before reading any corpus or counts file, so the
+    error costs no ingest."""
+    if cfg.seed_mode == "dictionary" and dictionary is None:
         raise ValidationError(
-            f"preset {preset.name} seeds from a supplied dictionary (induce --dict, "
+            f"preset {cfg.preset} seeds from a supplied dictionary (induce --dict, "
             "or a crosslingual run's dictionary); none was given"
         )
-    return preset
+
+
+def _point_config(cfg: BenchConfig, dictionary: Dictionary | None = None) -> AlignConfig:
+    """The resolved config of one bench point, once its seeding is checked."""
+    acfg = align_config(get_preset(cfg.preset), csls_k=cfg.csls_k, max_iters=cfg.max_iters,
+                        tol=cfg.tol, dim=cfg.dim)
+    check_seeding(acfg, dictionary)
+    return acfg
 
 
 def align_and_score(
     mode: str,
     sides: Sides,
     labels: Sequence[str],
-    config: dict,
-    acfg: AlignConfig,
+    cfg: AlignConfig,
+    record: dict,
     t0: float,
     *,
     answer: Dictionary | None = None,
@@ -176,26 +183,24 @@ def align_and_score(
     seed: int | None = None,
     preds_out=None,
 ) -> RunReport:
-    """The experiment step every entry point shares: align the two sides with
-    the preset that `config` names, translate each source word into `labels`
-    (the target side's word names), write the optional predictions dump and
-    score it.
+    """The experiment step every entry point shares: align the two sides
+    under `cfg`, translate each source word into `labels` (the target side's
+    word names), write the optional predictions dump and score it.
 
-    A dictionary-seeded preset seeds from the supplied `dictionary` and
-    raises ValidationError without one. Predictions are scored against the
-    `answer` key (none: nothing is scored): at most `top_eval` entries whose
-    target is one of `labels`, in the key's order. `vectors` are the
-    imported (source, target) vectors of a preset that takes them. `config`
-    is recorded as given; its "preset" and "dim" name the report's preset
-    and dimension.
+    A dictionary-seeded preset seeds from the supplied `dictionary`, which
+    the caller has checked with `check_seeding`. Predictions are scored
+    against the `answer` key (none: nothing is scored): at most `top_eval`
+    entries whose target is one of `labels`, in the key's order. `vectors`
+    are the imported (source, target) vectors of a preset that takes them.
+    `record` is the report's `config`, recorded as given; its "dim" is the
+    report's dimension.
     """
-    preset = seeded_preset(config["preset"], dictionary)
     v1, v2 = sides.v1, sides.v2
     seed_state = None
-    if preset.seed_mode == "dictionary":
+    if cfg.seed_mode == "dictionary":
         seed_state = seed_from_dictionary(dictionary, v1, v2)
-    run = execute_preset(preset, acfg, sides.C1, sides.C2, *vectors, seed=seed_state)
-    preds = translate(run, acfg, v1.tokens, labels)
+    run = execute_preset(cfg, sides.C1, sides.C2, *vectors, seed=seed_state)
+    preds = translate(run, cfg, v1.tokens, labels)
     if answer is None:
         answer = Dictionary({})
     if preds_out is not None:
@@ -205,9 +210,9 @@ def align_and_score(
     )
     return RunReport(
         mode=mode,
-        preset=preset.name,
+        preset=cfg.preset,
         budget_bytes=budget,
-        dimension=config["dim"],
+        dimension=record["dim"],
         accuracy=acc,
         evaluated=evaluated,
         correct=correct,
@@ -217,7 +222,7 @@ def align_and_score(
         token_counts=(sides.C1.token_count, sides.C2.token_count),
         data_bytes=sides.data_bytes,
         traces=run.traces,
-        config=config,
+        config=record,
         seed=seed,
     )
 
@@ -236,14 +241,15 @@ def _shared_key(sides: Sides, target_names: Sequence[str]) -> Dictionary:
 
 
 def _bench_point(
-    mode: str, sides: Sides, cfg: BenchConfig, budget: int, t0, seed=None, pi=None,
-    dictionary: Dictionary | None = None, preds_out=None,
+    mode: str, sides: Sides, cfg: BenchConfig, acfg: AlignConfig, budget: int, t0,
+    seed=None, pi=None, dictionary: Dictionary | None = None, preds_out=None,
 ) -> RunReport:
-    """One benchmark point on built sides. The mode decides the target
-    labels and the answer key: identity scores each shared token against
-    itself, cipher first permutes the target side (by `pi`, or a permutation
-    drawn from `seed`) and scores against the permutation, and crosslingual
-    scores against the supplied dictionary."""
+    """One benchmark point on built sides, aligned under `acfg`, the
+    `_point_config` of `cfg`. The mode decides the target labels and the
+    answer key: identity scores each shared token against itself, cipher
+    first permutes the target side (by `pi`, or a permutation drawn from
+    `seed`) and scores against the permutation, and crosslingual scores
+    against the supplied dictionary."""
     labels, answer = sides.v2.tokens, dictionary
     if mode == "cipher":
         if pi is None:
@@ -253,9 +259,8 @@ def _bench_point(
         answer = _shared_key(sides, [labels[j] for j in pi])
     elif mode == "identity":
         answer = _shared_key(sides, labels)
-    acfg = align_config(get_preset(cfg.preset), cfg.csls_k, cfg.max_iters, cfg.tol, cfg.dim)
     return align_and_score(
-        mode, sides, labels, asdict(cfg), acfg, t0,
+        mode, sides, labels, acfg, asdict(cfg), t0,
         answer=answer, dictionary=dictionary,
         top_eval=None if mode == "crosslingual" else cfg.top_eval,
         budget=budget, seed=seed, preds_out=preds_out,
@@ -266,9 +271,9 @@ def split_identity_bench(corpus_path, budget: int, cfg: BenchConfig, preds_out=N
     """Self-translation: align two disjoint halves of one corpus and score
     how many of the top shared tokens map to themselves."""
     t0 = time.perf_counter()
-    seeded_preset(cfg.preset, None)
+    acfg = _point_config(cfg)
     sides = _split_sides(corpus_path, budget, cfg)
-    return _bench_point("identity", sides, cfg, budget, t0, preds_out=preds_out)
+    return _bench_point("identity", sides, cfg, acfg, budget, t0, preds_out=preds_out)
 
 
 def cipher_bench(
@@ -277,9 +282,9 @@ def cipher_bench(
     """Identity benchmark with one side's vocabulary scrambled by a seeded
     permutation (or an explicit one); scored against the permutation."""
     t0 = time.perf_counter()
-    seeded_preset(cfg.preset, None)
+    acfg = _point_config(cfg)
     sides = _split_sides(corpus_path, budget, cfg)
-    return _bench_point("cipher", sides, cfg, budget, t0, seed, pi, preds_out=preds_out)
+    return _bench_point("cipher", sides, cfg, acfg, budget, t0, seed, pi, preds_out=preds_out)
 
 
 def crosslingual_run(
@@ -294,10 +299,10 @@ def crosslingual_run(
     over every evaluable entry (`top_eval` does not apply). The preset decides
     seeding: `dict-init` seeds from `dictionary` and needs one."""
     t0 = time.perf_counter()
-    seeded_preset(cfg.preset, dictionary)
+    acfg = _point_config(cfg, dictionary)
     sides = _corpus_pair_sides(source_path, target_path, budget, cfg)
     return _bench_point(
-        "crosslingual", sides, cfg, budget, t0, dictionary=dictionary, preds_out=preds_out
+        "crosslingual", sides, cfg, acfg, budget, t0, dictionary=dictionary, preds_out=preds_out
     )
 
 
@@ -387,9 +392,11 @@ def _error_row(mode: str, budget: int, cfg: BenchConfig, e) -> RunReport:
 
 def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
     """Every (preset, dim, rep) point of one budget, in spec order, on one
-    ingest of that budget. The first point's `seconds` includes the ingest.
-    Outside cipher mode a repetition would rerun the same computation, so it
-    copies the previous row with `seconds` 0.0."""
+    ingest of that budget. Each point's config and seeding are checked
+    before the ingest, and a point that fails them is an error row; a budget
+    with no point left reads no corpus. The first point that is not an error
+    row carries the ingest's time. Outside cipher mode a repetition would rerun
+    the same computation, so it copies the previous row with `seconds` 0.0."""
     t0 = time.perf_counter()
     # every BenchConfig field but preset and dim is the spec's, for all points
     tuning = [f.name for f in fields(BenchConfig) if f.name not in ("preset", "dim")]
@@ -401,25 +408,41 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
         for rep in range(spec.repetitions)
     ]
     try:
+        dictionary = None
+        if spec.mode == "crosslingual" and spec.dict_path:
+            dictionary = load_dictionary(spec.dict_path)
+        # per point: its resolved config, or the error row that replaces it
+        resolved: list[AlignConfig | RunReport] = []
+        for cfg, _ in points:
+            try:
+                resolved.append(_point_config(cfg, dictionary))
+            except ValidationError as e:
+                resolved.append(_error_row(spec.mode, budget, cfg, e))
+        if all(isinstance(r, RunReport) for r in resolved):
+            return resolved
         if spec.mode == "crosslingual":
-            dictionary = load_dictionary(spec.dict_path) if spec.dict_path else None
             sides = _corpus_pair_sides(spec.source, spec.target, budget, base)
         else:
-            dictionary, sides = None, _split_sides(spec.source, budget, base)
+            sides = _split_sides(spec.source, budget, base)
     except _RECORDED_ERRORS as e:
         return [_error_row(spec.mode, budget, cfg, e) for cfg, _ in points]
     reports = []
-    for cfg, rep in points:
+    for acfg, (cfg, rep) in zip(resolved, points):
+        if isinstance(acfg, RunReport):
+            reports.append(acfg)
+            continue
         if rep > 0 and spec.mode != "cipher":
             reports.append(replace(deepcopy(reports[-1]), seconds=0.0))
             continue
         seed = spec.cipher_seed + rep if spec.mode == "cipher" else None
         try:
-            report = _bench_point(spec.mode, sides, cfg, budget, t0, seed, dictionary=dictionary)
+            report = _bench_point(
+                spec.mode, sides, cfg, acfg, budget, t0, seed, dictionary=dictionary
+            )
+            t0 = time.perf_counter()
         except _RECORDED_ERRORS as e:
             report = _error_row(spec.mode, budget, cfg, e)
         reports.append(report)
-        t0 = time.perf_counter()
     return reports
 
 

@@ -77,37 +77,36 @@ def cmd_induce(ns) -> int:
     from dataclasses import asdict
 
     from .assoc import load_vectors
-    from .bench import Sides, align_and_score, seeded_preset
+    from .bench import Sides, align_and_score, check_seeding
     from .cooc import load_cooc
     from .corpus import Vocabulary
     from .errors import ValidationError
     from .evaluation import load_dictionary
-    from .presets import align_config
+    from .presets import align_config, get_preset
 
     t0 = time.perf_counter()
+    cfg = align_config(
+        get_preset(ns.preset),
+        **_given(ns, "csls_k", "max_iters", "tol", "dim", "clip_lo", "clip_hi", "drop_r"),
+    )
     dictionary = load_dictionary(ns.dict) if ns.dict else None
-    preset = seeded_preset(ns.preset, dictionary)
+    check_seeding(cfg, dictionary)
     v1 = Vocabulary.load(ns.vocab1)
     v2 = Vocabulary.load(ns.vocab2)
     C1 = load_cooc(ns.cooc1, v1)
     C2 = load_cooc(ns.cooc2, v2)
     vectors = ()
-    if preset.vectors == "import":
+    if cfg.vectors == "import":
         if not ns.vectors1 or not ns.vectors2:
-            raise ValidationError(f"preset {preset.name} needs --vectors1/--vectors2")
+            raise ValidationError(f"preset {cfg.preset} needs --vectors1/--vectors2")
         vectors1, missing1 = load_vectors(ns.vectors1, v1)
         vectors2, missing2 = load_vectors(ns.vectors2, v2)
         for side, missing in (("source", missing1), ("target", missing2)):
             if missing:
                 print(f"note: {len(missing)} {side} words missing from vectors", file=sys.stderr)
         vectors = (vectors1, vectors2)
-    acfg = align_config(
-        preset,
-        **_given(ns, "csls_k", "max_iters", "tol", "dim", "clip_lo", "clip_hi", "drop_r"),
-    )
     report = align_and_score(
-        "induce", Sides(v1, v2, C1, C2, data_bytes=0), v2.tokens,
-        {"preset": preset.name, **asdict(acfg)}, acfg, t0,
+        "induce", Sides(v1, v2, C1, C2, data_bytes=0), v2.tokens, cfg, asdict(cfg), t0,
         answer=dictionary, dictionary=dictionary, vectors=vectors, preds_out=ns.out_preds,
     )
     with open(ns.out_report, "w", encoding="utf-8") as f:
@@ -174,6 +173,9 @@ def _build_parser():
     from .align import AlignConfig
     from .bench import BenchConfig
 
+    dim_help = ("rank truncation of the association (cooc presets) or SVD vector "
+                "dimension (vecmap-raw, default 300); vecmap-vectors rejects it")
+
     parser = _Parser(prog="coocmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # every flag defaults to None so config-file values can fill the gaps;
@@ -204,14 +206,16 @@ def _build_parser():
          "a dictionary-seeded preset (dict-init) seeds from it and needs it", t)
     flag(p, "--vectors1", str, "imported source vectors", t)
     flag(p, "--vectors2", str, "imported target vectors", t)
-    flag(p, "--dim", int, "rank truncation / vector dimension", t)
+    flag(p, "--dim", int, dim_help, t)
     flag(p, "--csls-k", int, f"csls neighborhood size (default {AlignConfig.csls_k})", t)
     flag(p, "--max-iters", int,
          f"self-learning iteration cap (default {AlignConfig.max_iters})", t)
     flag(p, "--tol", float, f"minimum objective improvement (default {AlignConfig.tol})", t)
-    flag(p, "--clip-lo", float, "override lower clip percentile", t)
-    flag(p, "--clip-hi", float, "override upper clip percentile", t)
-    flag(p, "--drop-r", int, "override stage-2 head-drop rank", t)
+    flag(p, "--clip-lo", float, "lower clip percentile; read by the cooc presets, where a "
+         "preset without clipping clips from (1.0, 99.0); vecmap-* rejects it", t)
+    flag(p, "--clip-hi", float, "upper clip percentile; read as --clip-lo is", t)
+    flag(p, "--drop-r", int, "stage-2 head-drop rank; read by coocmap-drop and "
+         "coocmap-drop-1.5 only, every other preset rejects it", t)
     flag(p, "--out-report", str, "where to write the run report JSON", t)
     flag(p, "--out-preds", str, "where to write the predictions dump", t)
     _add_config_flag(p)
@@ -233,7 +237,7 @@ def _build_parser():
     flag(p, "--preset", str, f"pipeline preset (default {BenchConfig.preset})", t)
     flag(p, "--vocab-size", int, f"max vocabulary size (default {BenchConfig.vocab_size})", t)
     flag(p, "--window", int, f"window size (default {BenchConfig.window})", t)
-    flag(p, "--dim", int, "rank truncation", t)
+    flag(p, "--dim", int, dim_help, t)
     flag(p, "--csls-k", int, f"csls neighborhood size (default {BenchConfig.csls_k})", t)
     flag(p, "--max-iters", int, f"iteration cap (default {BenchConfig.max_iters})", t)
     flag(p, "--top-eval", int, f"shared tokens scored (default {BenchConfig.top_eval})", t)

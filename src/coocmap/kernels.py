@@ -55,11 +55,6 @@ def normalize(X: np.ndarray) -> np.ndarray:
     return unitr(centerc(unitr(X)))
 
 
-def percentile(values, p: float) -> float:
-    """Linear-interpolation percentile with inclusive endpoints."""
-    return float(np.percentile(np.asarray(values, dtype=np.float64), p))
-
-
 def clip_thresholds(X: np.ndarray, p_lo: float = 1.0, p_hi: float = 99.0):
     """Two-stage percentile thresholds: per-row percentiles, then the same
     percentile over the row statistics, so no single row dominates."""

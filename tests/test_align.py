@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from coocmap.align import (
     AlignConfig,
     MatchState,
-    Stage2Config,
     coocmap_selflearn,
     csls,
     drop_schedule,
@@ -287,10 +286,10 @@ class TestPipelines:
         assert drop_schedule(20, 10) == 1
 
     def test_stage_steps_keep_parameters_exactly(self):
-        plain = AlignConfig(clip=(1.0, 99.0), stage2=Stage2Config(20, (1.5, 98.5)), dim=300)
+        plain = AlignConfig(clip=(1.0, 99.0), drop_r=20, dim=300)
         trunc, clip = Step("trunc", (300,)), Step("clip", (1.0, 99.0))
         assert stage_steps(plain, False) == [trunc, clip]
-        assert stage_steps(plain, True) == [trunc, Step("drop", (15,)), Step("clip", (1.5, 98.5))]
+        assert stage_steps(plain, True) == [trunc, Step("drop", (15,)), clip]
         odd = AlignConfig(clip=(1.2345678, 98.7654321))
         assert stage_steps(odd, False) == [Step("clip", (1.2345678, 98.7654321))]
 
@@ -314,8 +313,7 @@ class TestPipelines:
     def test_stage2_reruns_from_stage1(self):
         C1, C2 = self._counts(18), self._counts(19)
         cfg = AlignConfig(
-            csls_k=3, max_iters=5, clip=(1.0, 99.0),
-            stage2=Stage2Config(drop_r=2, clip=(1.0, 99.0)),
+            csls_k=3, max_iters=5, clip=(1.0, 99.0), drop_r=2,
         )
         run = run_coocmap(C1, C2, cfg)
         assert len(run.traces) == 2

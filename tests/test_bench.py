@@ -248,6 +248,32 @@ class TestSeedingByPreset:
             else:
                 assert r.error is None
 
+    def test_sweep_without_runnable_point_reads_nothing(self, small_corpus, monkeypatch):
+        reads = []
+        monkeypatch.setattr(bench, "take_head_bytes", lambda *args: reads.append(args))
+        spec = SweepSpec(source=small_corpus, presets=("dict-init",), budgets=(200_000, 300_000))
+        reports, _ = run_sweep(spec)
+        assert reads == []
+        assert [r.error.startswith("ValidationError") for r in reports] == [True, True]
+
+    def test_ingest_seconds_go_to_first_point_that_runs(self, small_corpus, monkeypatch):
+        import time
+
+        real = bench.take_head_bytes
+
+        def slow_read(*args):
+            time.sleep(1.0)
+            return real(*args)
+
+        monkeypatch.setattr(bench, "take_head_bytes", slow_read)
+        spec = SweepSpec(
+            source=small_corpus, budgets=(200_000,), presets=("dict-init", "coocmap"),
+            vocab_size=300, top_eval=200, max_iters=40,
+        )
+        reports, _ = run_sweep(spec)
+        assert reports[0].seconds == 0.0
+        assert reports[1].error is None and reports[1].seconds >= 1.0
+
     def test_spec_file_seed_mode_key_is_unknown(self, tmp_path):
         path = tmp_path / "spec.txt"
         path.write_text("source = x\nbudgets = 10\nseed_mode = dict-init\n")
@@ -447,7 +473,7 @@ class TestSweepSharesIngest:
         real = bench.execute_preset
 
         def counting(*args, **kwargs):
-            calls.append(args[0].name)
+            calls.append(args[0].preset)
             return real(*args, **kwargs)
 
         spec = self._spec(small_corpus, repetitions=2, dims=(4, 8))
@@ -466,7 +492,7 @@ class TestSweepSharesIngest:
         assert mask_seconds(parallel) == mask_seconds(serial)
 
     def test_shared_counts_are_read_only(self, small_corpus, monkeypatch):
-        def scribble(preset, acfg, C1, C2, seed=None):
+        def scribble(cfg, C1, C2, seed=None):
             C1.counts[0, 0] += 1.0
 
         monkeypatch.setattr(bench, "execute_preset", scribble)

@@ -349,3 +349,22 @@ def test_bench_dict_init_reads_no_corpus(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert "preset dict-init seeds from a supplied dictionary" in capsys.readouterr().err
     assert reads == []
+
+
+@pytest.mark.parametrize("preset, flags, unread", [
+    ("coocmap", ["--drop-r", "5"], "drop_r"),
+    ("vecmap-raw", ["--clip-lo", "2"], "clip_lo"),
+    ("vecmap-vectors", ["--dim", "50"], "dim"),
+])
+def test_induce_unread_override_exits_2(counted, tmp_path, capsys, preset, flags, unread):
+    tmp, out = counted
+    rc = main([
+        "induce",
+        "--cooc1", f"{out}.cooc.bin", "--cooc2", f"{out}.cooc.bin",
+        "--vocab1", f"{out}.vocab.txt", "--vocab2", f"{out}.vocab.txt",
+        "--preset", preset, *flags,
+        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
+    ])
+    assert rc == 2
+    assert f"preset {preset} does not read {unread}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()

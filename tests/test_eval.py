@@ -271,16 +271,15 @@ class TestTranslateRanksTheRunsMeasure:
     ])
     def test_cooc_oracle(self, name, dim):
         C1, C2 = _unrelated_counts()
-        preset = get_preset(name)
-        cfg = align_config(preset, csls_k=3, max_iters=8, dim=dim)
-        if preset.vectors == "import":
+        cfg = align_config(get_preset(name), csls_k=3, max_iters=8, dim=dim)
+        if cfg.vectors == "import":
             vectors = (svd_vectors(C1, 10), svd_vectors(C2, 10))
-            run = execute_preset(preset, cfg, vectors1=vectors[0], vectors2=vectors[1])
+            run = execute_preset(cfg, vectors1=vectors[0], vectors2=vectors[1])
             A1, A2 = (assoc_from_vectors(v) for v in vectors)
         else:
-            run = execute_preset(preset, cfg, C1, C2)
-            A1, A2 = build(preset.assoc, C1), build(preset.assoc, C2)
-        steps = stage_steps(cfg, stage2=cfg.stage2 is not None)
+            run = execute_preset(cfg, C1, C2)
+            A1, A2 = build(cfg.assoc, C1), build(cfg.assoc, C2)
+        steps = stage_steps(cfg, stage2=cfg.drop_r is not None)
         X, Z = apply_pipeline(A1, steps).data, apply_pipeline(A2, steps).data
         S = pair_sim_matrix(X, Z, run.state.s, run.state.t, cfg.metric)
         want = csls(S, cfg.csls_k).argmax(axis=1)
@@ -289,13 +288,13 @@ class TestTranslateRanksTheRunsMeasure:
     @pytest.mark.parametrize("name", ["vecmap-raw", "vecmap-vectors"])
     def test_vec_oracle(self, name):
         C1, C2 = _unrelated_counts()
-        preset = get_preset(name)
-        cfg = align_config(preset, csls_k=3, max_iters=8, dim=10)
+        dim = None if name == "vecmap-vectors" else 10
+        cfg = align_config(get_preset(name), csls_k=3, max_iters=8, dim=dim)
         Xv, Zv = svd_vectors(C1, 10), svd_vectors(C2, 10)
-        if preset.vectors == "import":
-            run = execute_preset(preset, cfg, vectors1=Xv, vectors2=Zv)
+        if cfg.vectors == "import":
+            run = execute_preset(cfg, vectors1=Xv, vectors2=Zv)
         else:
-            run = execute_preset(preset, cfg, C1, C2)
+            run = execute_preset(cfg, C1, C2)
         Xn, Zn = normalize(Xv.data), normalize(Zv.data)
         W = procrustes(Xn[run.state.s], Zn[run.state.t])
         want = csls(sim_matrix(Xn @ W, Zn), cfg.csls_k).argmax(axis=1)

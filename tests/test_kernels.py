@@ -16,7 +16,6 @@ from coocmap.kernels import (
     epow,
     normalize,
     pair_sim_matrix,
-    percentile,
     procrustes,
     psd_sqrt_gram,
     sim_matrix,
@@ -116,22 +115,6 @@ class TestNormalize:
 
 
 class TestPercentileAndClip:
-    def test_midpoint_interpolation(self):
-        assert percentile([1, 2, 3, 4], 50) == 2.5
-
-    def test_single_value(self):
-        for p in (0, 37.5, 100):
-            assert percentile([7], p) == 7
-
-    def test_inclusive_top(self):
-        assert percentile([1, 2, 3, 4, 5], 100) == 5
-
-    def test_matches_reference(self):
-        rng = np.random.default_rng(2)
-        xs = rng.random(17)
-        for p in (0, 1, 37.2, 50, 99, 100):
-            assert percentile(xs, p) == pytest.approx(ref_percentile(xs, p), abs=1e-12)
-
     def test_constant_matrix_unchanged(self):
         X = np.full((3, 4), 2.5)
         np.testing.assert_array_equal(clip(X, 1, 99), X)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coocmap.align import Stage2Config, vec_measure
+from coocmap.align import MatchState, vec_measure
 from coocmap.assoc import WordVectors, svd_vectors
 from coocmap.cooc import CoocMatrix
 from coocmap.errors import ValidationError
@@ -37,7 +37,7 @@ def test_align_config_defaults_per_preset():
     assert align_config(get_preset("coocmap-clip")).clip == (1.0, 99.0)
     assert align_config(get_preset("coocmap-clip-1.5")).clip == (1.5, 98.5)
     drop = align_config(get_preset("coocmap-drop"))
-    assert drop.stage2 == Stage2Config(drop_r=20, clip=(1.0, 99.0))
+    assert (drop.drop_r, drop.clip) == (20, (1.0, 99.0))
     assert align_config(get_preset("vecmap-raw")).dim == 300
     assert align_config(get_preset("rapp")).metric == "neg_l1"
     assert align_config(get_preset("ppmi")).metric == "cosine"
@@ -46,8 +46,7 @@ def test_align_config_defaults_per_preset():
 def test_flag_overrides_win():
     cfg = align_config(get_preset("coocmap-drop"), clip_hi=98.0, drop_r=7, csls_k=4)
     assert cfg.clip == (1.0, 98.0)
-    assert cfg.stage2.drop_r == 7
-    assert cfg.stage2.clip == (1.0, 98.0)
+    assert cfg.drop_r == 7
     assert cfg.csls_k == 4
     # clip override on a preset without clip turns it on
     assert align_config(get_preset("coocmap"), clip_lo=2.0).clip == (2.0, 99.0)
@@ -59,8 +58,7 @@ def test_vec_dim_flag_overrides_default():
 
 def test_execute_vecmap_raw_identity():
     C = counts(1)
-    preset = get_preset("vecmap-raw")
-    run = execute_preset(preset, align_config(preset, csls_k=3, max_iters=5, dim=6), C, C)
+    run = execute_preset(align_config(get_preset("vecmap-raw"), csls_k=3, max_iters=5, dim=6), C, C)
     Xv = svd_vectors(C, 6).data
     s, t = run.state.s, run.state.t
     assert run.measure(s, t).tobytes() == vec_measure(Xv, Xv)(s, t).tobytes()
@@ -74,10 +72,8 @@ def test_execute_import_vector_presets_identity():
     Xv = svd_vectors(C, 6)
     n = C.size
     for name in ("vecmap-vectors", "coocmap-vectors"):
-        preset = get_preset(name)
         run = execute_preset(
-            preset, align_config(preset, csls_k=3, max_iters=5),
-            vectors1=Xv, vectors2=Xv,
+            align_config(get_preset(name), csls_k=3, max_iters=5), vectors1=Xv, vectors2=Xv
         )
         forward = dict(zip(run.state.s.tolist()[:n], run.state.t.tolist()[:n]))
         assert all(forward[i] == i for i in range(n)), name
@@ -86,9 +82,9 @@ def test_execute_import_vector_presets_identity():
 def test_execute_missing_inputs_rejected():
     C = counts(3)
     with pytest.raises(ValidationError):
-        execute_preset(get_preset("vecmap-vectors"), align_config(get_preset("vecmap-vectors")), C, C)
+        execute_preset(get_preset("vecmap-vectors"), C, C)
     with pytest.raises(ValidationError):
-        execute_preset(get_preset("coocmap"), align_config(get_preset("coocmap")))
+        execute_preset(get_preset("coocmap"))
 
 
 @pytest.mark.parametrize("name", ["coocmap-drop", "vecmap-raw", "coocmap-vectors"])
@@ -107,15 +103,52 @@ def test_csls_k_beyond_vocabulary_fails_before_any_work(name, monkeypatch):
     v1 = WordVectors(np.ones((12, 3)), "t")
     v2 = WordVectors(np.ones((9, 3)), "t")
     with pytest.raises(ValidationError, match=r"csls_k=10 .*source 12, target 9"):
-        execute_preset(preset, align_config(preset, csls_k=10), C1, C2, v1, v2)
+        execute_preset(align_config(preset, csls_k=10), C1, C2, v1, v2)
     # at the smaller size the check passes and the work starts
     with pytest.raises(AssertionError, match="work started"):
-        execute_preset(preset, align_config(preset, csls_k=9), C1, C2, v1, v2)
+        execute_preset(align_config(preset, csls_k=9), C1, C2, v1, v2)
 
 
 def test_vecmap_raw_without_dim_names_dim():
     C = counts(6)
-    preset = get_preset("vecmap-raw")
-    cfg = replace(align_config(preset, csls_k=3), dim=None)
+    cfg = replace(align_config(get_preset("vecmap-raw"), csls_k=3), dim=None)
     with pytest.raises(ValidationError, match="needs dim"):
-        execute_preset(preset, cfg, C, C)
+        execute_preset(cfg, C, C)
+
+
+@pytest.mark.parametrize("name, flag, value", [
+    ("coocmap", "drop_r", 5),
+    ("coocmap-clip", "drop_r", 5),
+    ("vecmap-raw", "clip_lo", 2.0),
+    ("vecmap-raw", "clip_hi", 98.0),
+    ("vecmap-raw", "drop_r", 5),
+    ("vecmap-vectors", "clip_lo", 2.0),
+    ("vecmap-vectors", "dim", 50),
+])
+def test_unread_override_rejected(name, flag, value):
+    with pytest.raises(ValidationError, match=f"preset {name} does not read {flag}"):
+        align_config(get_preset(name), **{flag: value})
+
+
+def test_read_overrides_accepted():
+    assert align_config(get_preset("coocmap-drop-1.5"), drop_r=5).drop_r == 5
+    assert align_config(get_preset("coocmap-vectors"), dim=4, clip_hi=97.0).clip == (1.0, 97.0)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_executes(name):
+    cfg = align_config(get_preset(name), csls_k=3, max_iters=5)
+    if cfg.vectors == "svd":
+        cfg = replace(cfg, dim=6)  # the shipped 300 exceeds both vocabularies
+    C1, C2 = counts(7, V=12), counts(8, V=10)
+    inputs = {"C1": C1, "C2": C2}
+    if cfg.vectors == "import":
+        inputs = {"vectors1": svd_vectors(C1, 6), "vectors2": svd_vectors(C2, 6)}
+    seed = None
+    if cfg.seed_mode == "dictionary":
+        seed = MatchState(np.arange(10), np.arange(10))
+    run = execute_preset(cfg, **inputs, seed=seed)
+    assert len(run.traces) == (1 if cfg.drop_r is None else 2)
+    assert all(trace and np.isfinite(trace).all() for trace in run.traces)
+    assert set(run.state.s.tolist()) == set(range(12))
+    assert set(run.state.t.tolist()) == set(range(10))
