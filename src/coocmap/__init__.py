@@ -23,13 +23,10 @@ from .align import (  # noqa: E402
     vecmap_selflearn,
 )
 from .assoc import (  # noqa: E402
-    AssocMatrix,
     Step,
-    WordVectors,
     apply_pipeline,
     assoc_from_vectors,
     load_vectors,
-    replay_chain,
     save_vectors,
     svd_vectors,
 )

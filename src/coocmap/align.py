@@ -86,7 +86,8 @@ class AlignConfig:
     cooc measure), `csls_k`, `max_iters` and `tol`. Only cooc reads `assoc`
     (the `assoc.build` constructor of the counts), `clip` (lo, hi
     percentiles) and `drop_r` (None: no stage 2). `dim` truncates the cooc
-    association's rank; vec reads it only with "svd" vectors. Stage 2
+    association's rank; vec reads it only with "svd" vectors. It may not
+    exceed the smaller vocabulary (`execute_preset` checks). Stage 2
     rebuilds each side as the truncation, a drop of
     `drop_schedule(drop_r, dim)` head directions and `clip` again.
     """
@@ -109,17 +110,12 @@ class AlignConfig:
             raise ValidationError("csls_k and max_iters must be >= 1, tol >= 0")
 
 
-def _matrix_data(X) -> np.ndarray:
-    return np.asarray(getattr(X, "data", X), dtype=np.float64)
-
-
-def unsupervised_init(X, Z, cfg: AlignConfig) -> MatchState:
+def unsupervised_init(X: np.ndarray, Z: np.ndarray, cfg: AlignConfig) -> MatchState:
     """Seed correspondence from per-row sorted association profiles."""
-    Xd, Zd = _matrix_data(X), _matrix_data(Z)
-    width = min(Xd.shape[1], Zd.shape[1])
+    width = min(X.shape[1], Z.shape[1])
     # unequal widths: keep the low/middle quantiles of the sorted rows
-    Rx = np.sort(Xd, axis=1)[:, :width]
-    Rz = np.sort(Zd, axis=1)[:, :width]
+    Rx = np.sort(X, axis=1)[:, :width]
+    Rz = np.sort(Z, axis=1)[:, :width]
     S = check_finite(sim_matrix(normalize(Rx), normalize(Rz), cfg.metric), "initial")
     state = match_bidirectional(csls(S, cfg.csls_k))
     state.objective = objective(S)
@@ -152,17 +148,16 @@ def _selflearn(measure, init: MatchState, cfg: AlignConfig):
 Measure = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def cooc_measure(X, Z, metric: str) -> Measure:
+def cooc_measure(X: np.ndarray, Z: np.ndarray, metric: str) -> Measure:
     """Similarity of association columns under pairs (s, t): X[:, s] vs Z[:, t]."""
-    Xd, Zd = _matrix_data(X), _matrix_data(Z)
-    return lambda s, t: pair_sim_matrix(Xd, Zd, s, t, metric)
+    return lambda s, t: pair_sim_matrix(X, Z, s, t, metric)
 
 
-def vec_measure(Xv, Zv) -> Measure:
+def vec_measure(Xv: np.ndarray, Zv: np.ndarray) -> Measure:
     """Solve an orthogonal map on the pairs (s, t) of unit vectors, then take
     the cosine similarity of the mapped source vectors to the targets."""
-    Xn = normalize(_matrix_data(Xv))
-    Zn = normalize(_matrix_data(Zv))
+    Xn = normalize(Xv)
+    Zn = normalize(Zv)
 
     def measure(s, t):
         W = procrustes(Xn[s], Zn[t])
@@ -171,18 +166,18 @@ def vec_measure(Xv, Zv) -> Measure:
     return measure
 
 
-def coocmap_selflearn(X, Z, init: MatchState, cfg: AlignConfig):
+def coocmap_selflearn(X: np.ndarray, Z: np.ndarray, init: MatchState, cfg: AlignConfig):
     """Self-learning on association columns (`cooc_measure`)."""
     return _selflearn(cooc_measure(X, Z, cfg.metric), init, cfg)
 
 
-def vecmap_selflearn(Xv, Zv, init: MatchState, cfg: AlignConfig):
+def vecmap_selflearn(Xv: np.ndarray, Zv: np.ndarray, init: MatchState, cfg: AlignConfig):
     """Self-learning in vector space (`vec_measure`): re-match by cosine
     similarity of the vectors mapped under the current pairs."""
-    Xd, Zd = _matrix_data(Xv), _matrix_data(Zv)
-    if init.s.max() >= Xd.shape[0] or init.t.max() >= Zd.shape[0]:
+    s, t = init.s, init.t
+    if min(s.min(), t.min()) < 0 or s.max() >= Xv.shape[0] or t.max() >= Zv.shape[0]:
         raise ValidationError("initial match indices out of range")
-    return _selflearn(vec_measure(Xd, Zd), init, cfg)
+    return _selflearn(vec_measure(Xv, Zv), init, cfg)
 
 
 def drop_schedule(drop_r: int, dim: int | None) -> int:
@@ -222,8 +217,8 @@ def stage_steps(cfg: AlignConfig, stage2: bool) -> list[Step]:
 
 
 def run_staged(
-    A1: "assoc.AssocMatrix",
-    A2: "assoc.AssocMatrix",
+    A1: np.ndarray,
+    A2: np.ndarray,
     cfg: AlignConfig,
     seed: MatchState | None = None,
 ) -> PipelineRun:
@@ -232,7 +227,7 @@ def run_staged(
     `drop_r` is set: rebuild with head-drop plus clip, re-learn from stage 1.
 
     Each side is truncated once; both stages apply their own steps to that
-    matrix, so every stage's data and chain equal
+    matrix, so every stage's data equals
     `assoc.apply_pipeline(A, stage_steps(cfg, stage2))`."""
     A1 = assoc.apply_pipeline(A1, _trunc_steps(cfg))
     A2 = assoc.apply_pipeline(A2, _trunc_steps(cfg))
@@ -259,10 +254,11 @@ def run_coocmap(
     return run_staged(assoc.build(cfg.assoc, C1), assoc.build(cfg.assoc, C2), cfg, seed)
 
 
-def run_vecmap(Xv, Zv, cfg: AlignConfig, seed: MatchState | None = None) -> PipelineRun:
+def run_vecmap(
+    Xv: np.ndarray, Zv: np.ndarray, cfg: AlignConfig, seed: MatchState | None = None
+) -> PipelineRun:
     """Vector-space pipeline: gram-sqrt initializer, then Procrustes loop."""
-    Xd, Zd = _matrix_data(Xv), _matrix_data(Zv)
     if seed is None:
-        seed = unsupervised_init(psd_sqrt_gram(Xd), psd_sqrt_gram(Zd), cfg)
-    state, trace = vecmap_selflearn(Xd, Zd, seed, cfg)
-    return PipelineRun(state, [trace], vec_measure(Xd, Zd))
+        seed = unsupervised_init(psd_sqrt_gram(Xv), psd_sqrt_gram(Zv), cfg)
+    state, trace = vecmap_selflearn(Xv, Zv, seed, cfg)
+    return PipelineRun(state, [trace], vec_measure(Xv, Zv))

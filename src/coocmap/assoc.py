@@ -1,14 +1,16 @@
 """Association matrices: the sqrt-and-normalize default, the classic
 alternatives (marginal ratio, weighted PMI, positive PMI, centered log),
-vector import/export, and replayable transform chains.
+vector import/export, and typed pipeline steps.
 
-Every matrix records the Steps that produced it; replaying them on the
-same counts reproduces the data bitwise.
+Associations and word vectors are plain float64 arrays: V x V for an
+association, V x d for vectors. A run's association is its counts through
+`CONSTRUCTOR_CHAINS[cfg.assoc]`, then `align.stage_steps(cfg, stage2)` for
+each stage, so the resolved config a report records is the provenance:
+`apply_pipeline` on the raw counts replays any chain bitwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,22 +27,6 @@ class Step(NamedTuple):
 
     name: str
     args: tuple = ()
-
-
-@dataclass(frozen=True)
-class AssocMatrix:
-    """Association data plus the Steps that produced it from the counts (or
-    vectors), in order: `replay_chain(source, chain)` equals `data` bitwise."""
-
-    data: np.ndarray  # V x V or V x d
-    chain: tuple[Step, ...]
-    vocab_digest: str
-
-
-@dataclass(frozen=True)
-class WordVectors:
-    data: np.ndarray  # V x d
-    vocab_digest: str
 
 
 def _marginals(counts: np.ndarray):
@@ -94,7 +80,6 @@ _STEPS = {
     "wpmi": _weighted_pmi,
     "ppmi": _ppmi,
     "centered_log": _centered_log,
-    "gram_sqrt": kernels.psd_sqrt_gram,
     "normalize": kernels.normalize,
     "unit_l1": kernels.unitr_l1,
     "unit_l2": kernels.unitr,
@@ -104,17 +89,13 @@ _STEPS = {
 }
 
 
-def _run_steps(data: np.ndarray, steps) -> np.ndarray:
+def _run_steps(data, steps) -> np.ndarray:
+    data = np.asarray(data, dtype=np.float64)
     for step in steps:
         if step.name not in _STEPS:
             raise ValidationError(f"unknown pipeline step {step.name!r}")
         data = _STEPS[step.name](data, *step.args)
     return data
-
-
-def replay_chain(source: np.ndarray, chain) -> np.ndarray:
-    """Run a recorded chain of Steps against raw counts (or raw vectors)."""
-    return _run_steps(np.asarray(source, dtype=np.float64), chain)
 
 
 # canonical constructor chains, keyed by the preset-facing name
@@ -128,51 +109,42 @@ CONSTRUCTOR_CHAINS = {
 }
 
 
-def build(name: str, C: CoocMatrix) -> AssocMatrix:
+def build(name: str, C: CoocMatrix) -> np.ndarray:
     """Construct the named association matrix from co-occurrence counts."""
     if name not in CONSTRUCTOR_CHAINS:
         raise ValidationError(
             f"unknown association {name!r}, expected one of {sorted(CONSTRUCTOR_CHAINS)}"
         )
-    chain = CONSTRUCTOR_CHAINS[name]
-    return AssocMatrix(
-        data=replay_chain(C.counts, chain), chain=chain, vocab_digest=C.vocab_digest
-    )
+    return _run_steps(C.counts, CONSTRUCTOR_CHAINS[name])
 
 
-def assoc_from_vectors(Xv: WordVectors) -> AssocMatrix:
+def assoc_from_vectors(Xv: np.ndarray) -> np.ndarray:
     """normalize((Xv Xv^T)^(1/2)): word vectors lifted to association space."""
-    chain = (Step("gram_sqrt"), Step("normalize"))
-    return AssocMatrix(
-        data=replay_chain(Xv.data, chain), chain=chain, vocab_digest=Xv.vocab_digest
-    )
+    return kernels.normalize(kernels.psd_sqrt_gram(Xv))
 
 
-def svd_vectors(C: CoocMatrix, r: int = 300) -> WordVectors:
+def svd_vectors(C: CoocMatrix, r: int = 300) -> np.ndarray:
     """Left singular vectors of sqrt(counts) scaled by the top-r values."""
     if r < 1:
         raise ValidationError(f"vector dimension must be >= 1, got {r}")
     f = kernels.svd(kernels.epow(C.counts, 0.5))
     r = min(r, f.S.size)
-    return WordVectors(data=f.U[:, :r] * f.S[:r], vocab_digest=C.vocab_digest)
+    return f.U[:, :r] * f.S[:r]
 
 
-def apply_pipeline(A: AssocMatrix, steps) -> AssocMatrix:
-    """Apply Steps left to right, extending the recorded chain."""
-    steps = tuple(steps)
-    return AssocMatrix(
-        data=_run_steps(A.data, steps), chain=A.chain + steps, vocab_digest=A.vocab_digest
-    )
+def apply_pipeline(A: np.ndarray, steps) -> np.ndarray:
+    """Apply Steps left to right to an association (or raw counts)."""
+    return _run_steps(A, steps)
 
 
-def save_vectors(Xv: WordVectors, vocab: Vocabulary, path) -> None:
+def save_vectors(Xv: np.ndarray, vocab: Vocabulary, path) -> None:
     """Text format: header "V d", then one "token v1 ... vd" line per word."""
-    V, d = Xv.data.shape
+    V, d = Xv.shape
     if V != vocab.size:
         raise ValidationError(f"vectors have {V} rows but vocabulary has {vocab.size}")
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{V} {d}\n")
-        for tok, row in zip(vocab.tokens, Xv.data):
+        for tok, row in zip(vocab.tokens, Xv):
             f.write(tok + " " + " ".join(repr(float(x)) for x in row) + "\n")
 
 
@@ -199,4 +171,4 @@ def load_vectors(path, vocab: Vocabulary):
             data[wid] = [float(x) for x in parts[1:]]
             seen[wid] = True
     missing = [tok for tok, s in zip(vocab.tokens, seen) if not s]
-    return WordVectors(data=data, vocab_digest=vocab.digest), missing
+    return data, missing

@@ -192,8 +192,8 @@ def align_and_score(
     against the `answer` key (none: nothing is scored): at most `top_eval`
     entries whose target is one of `labels`, in the key's order. `vectors`
     are the imported (source, target) vectors of a preset that takes them.
-    `record` is the report's `config`, recorded as given; its "dim" is the
-    report's dimension.
+    `record` is the report's `config`, recorded as given; the report's
+    dimension is the `cfg.dim` that ran.
     """
     v1, v2 = sides.v1, sides.v2
     seed_state = None
@@ -212,7 +212,7 @@ def align_and_score(
         mode=mode,
         preset=cfg.preset,
         budget_bytes=budget,
-        dimension=record["dim"],
+        dimension=cfg.dim,
         accuracy=acc,
         evaluated=evaluated,
         correct=correct,

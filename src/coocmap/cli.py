@@ -174,7 +174,8 @@ def _build_parser():
     from .bench import BenchConfig
 
     dim_help = ("rank truncation of the association (cooc presets) or SVD vector "
-                "dimension (vecmap-raw, default 300); vecmap-vectors rejects it")
+                "dimension (vecmap-raw, default 300), at most the smaller vocabulary; "
+                "vecmap-vectors rejects it")
 
     parser = _Parser(prog="coocmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -156,8 +156,8 @@ class ClipDiff(NamedTuple):
 
 
 def clip_diff_report(
-    X_full,
-    X_reduced,
+    X_full: np.ndarray,
+    X_reduced: np.ndarray,
     thresholds: tuple[float, float],
     vocab: Vocabulary,
     top_n: int | None = None,
@@ -167,8 +167,8 @@ def clip_diff_report(
     full-rank+ marks pairs the reduced matrix tamed below the thresholds;
     reduced+ marks pairs reduction pushed past them.
     """
-    Xf = np.asarray(getattr(X_full, "data", X_full), dtype=np.float64)
-    Xr = np.asarray(getattr(X_reduced, "data", X_reduced), dtype=np.float64)
+    Xf = np.asarray(X_full, dtype=np.float64)
+    Xr = np.asarray(X_reduced, dtype=np.float64)
     if Xf.shape != Xr.shape:
         raise ValidationError(f"shape mismatch: {Xf.shape} vs {Xr.shape}")
     lo, hi = thresholds

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from .align import (
     AlignConfig,
     MatchState,
@@ -13,7 +15,7 @@ from .align import (
     run_staged,
     run_vecmap,
 )
-from .assoc import WordVectors, assoc_from_vectors, svd_vectors
+from .assoc import assoc_from_vectors, svd_vectors
 from .cooc import CoocMatrix
 from .errors import ValidationError
 
@@ -83,8 +85,8 @@ def execute_preset(
     cfg: AlignConfig,
     C1: CoocMatrix | None = None,
     C2: CoocMatrix | None = None,
-    vectors1: WordVectors | None = None,
-    vectors2: WordVectors | None = None,
+    vectors1: np.ndarray | None = None,
+    vectors2: np.ndarray | None = None,
     seed: MatchState | None = None,
 ) -> PipelineRun:
     """Dispatch a resolved config to its pipeline given counts and/or vectors."""
@@ -96,14 +98,20 @@ def execute_preset(
     if cfg.vectors == "svd" and cfg.dim is None:
         raise ValidationError(f"preset {cfg.preset} needs dim, its SVD vector dimension")
     if cfg.vectors == "import":
-        v1, v2 = vectors1.data.shape[0], vectors2.data.shape[0]
+        v1, v2 = vectors1.shape[0], vectors2.shape[0]
     else:
         v1, v2 = C1.counts.shape[0], C2.counts.shape[0]
+    # every similarity matrix is V1 x V2, and `dim` is a rank or a vector
+    # width of both sides: fail before building anything
+    sizes = f"the smaller vocabulary (source {v1}, target {v2} words)"
     if cfg.csls_k > min(v1, v2):
-        # every similarity matrix is V1 x V2: fail before building anything
+        raise ValidationError(f"csls_k={cfg.csls_k} exceeds {sizes}")
+    if cfg.dim is not None and cfg.dim > min(v1, v2):
+        raise ValidationError(f"dim={cfg.dim} exceeds {sizes}")
+    if cfg.family == "vec" and cfg.vectors == "import" and vectors1.shape[1] != vectors2.shape[1]:
         raise ValidationError(
-            f"csls_k={cfg.csls_k} exceeds the smaller vocabulary "
-            f"(source {v1}, target {v2} words)"
+            f"preset {cfg.preset} needs vectors of one width, got source "
+            f"{vectors1.shape[1]} and target {vectors2.shape[1]}"
         )
 
     if cfg.family == "vec":

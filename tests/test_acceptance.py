@@ -224,12 +224,12 @@ def test_criterion_8_association_ordering(sweep_reports):
     # property fallback first: degenerate-case checks always run
     r = np.random.default_rng(104).permutation([1.0, 1.0, 2.0, 4.0, 8.0])
     C = CoocMatrix(np.outer(r, r), 1, "t", 256)
-    flat = build("rapp", C).data
+    flat = build("rapp", C)
     assert np.abs(flat - 1.0 / C.size).max() <= 1e-10
-    assert np.abs(build("fung", C).data).max() <= 1e-10
-    assert np.abs(build("ppmi", C).data).max() <= 1e-10
+    assert np.abs(build("fung", C)).max() <= 1e-10
+    assert np.abs(build("ppmi", C)).max() <= 1e-10
     const = CoocMatrix(np.full((4, 4), 9.0), 1, "t", 144)
-    assert np.abs(build("glove", const).data).max() <= 1e-10
+    assert np.abs(build("glove", const)).max() <= 1e-10
 
     with criterion(8) as c:
         def working_budget(preset):

@@ -113,7 +113,7 @@ def toy_assoc(seed=0, V=8):
     rng = np.random.default_rng(seed)
     M = rng.random((V, V)) + np.eye(V) * 0.5
     C = CoocMatrix((M + M.T) * 10, 1, "t", 100)
-    return build("coocmap", C).data
+    return build("coocmap", C)
 
 
 class TestUnsupervisedInit:
@@ -199,8 +199,8 @@ class TestCipherOracle:
         rng = np.random.default_rng(11)
         pi = rng.permutation(vocab.size)
         Cp = permute_cooc(C, pi)
-        X = build("coocmap", Cp).data  # source: ciphered
-        Z = build("coocmap", C).data  # target: plain
+        X = build("coocmap", Cp)  # source: ciphered
+        Z = build("coocmap", C)  # target: plain
         cfg = AlignConfig(csls_k=10, max_iters=50)
         init = unsupervised_init(X, Z, cfg)
         state, _ = coocmap_selflearn(X, Z, init, cfg)
@@ -254,6 +254,13 @@ class TestVecmapSelfLearn:
         W = procrustes(Xn[state.s], Xn[state.t])
         assert abs(abs(W[0, 0]) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("s, t", [([-1, 0, 1], [0, 1, 2]), ([0, 1, 2], [0, -1, 2])])
+    def test_negative_seed_indices_rejected(self, s, t):
+        # a negative index would wrap around in Xn[s] instead of failing
+        Xv = np.random.default_rng(15).random((6, 3))
+        with pytest.raises(ValidationError, match="out of range"):
+            run_vecmap(Xv, Xv, AlignConfig(csls_k=2, max_iters=3), seed=MatchState(s, t))
+
 
 class TestWhitenedEquivalence:
     """Gram-column matching and least-squares vector matching coincide for
@@ -303,8 +310,8 @@ class TestPipelines:
         cfg = AlignConfig(csls_k=3, max_iters=5)
         run = run_coocmap(C1, C2, cfg)
         assert len(run.traces) == 1
-        X = build("coocmap", C1).data
-        Z = build("coocmap", C2).data
+        X = build("coocmap", C1)
+        Z = build("coocmap", C2)
         init = unsupervised_init(X, Z, cfg)
         state, trace = coocmap_selflearn(X, Z, init, cfg)
         assert run.traces[0] == trace
@@ -345,8 +352,7 @@ class TestPipelines:
         assert trunc_calls == [6.0, 6.0]
         assert len(seen) == 4 and len(run.traces) == 2
         for got, want in zip(seen, expected):
-            assert got.chain == want.chain
-            assert got.data.tobytes() == want.data.tobytes()
+            assert got.tobytes() == want.tobytes()
 
     def test_dict_seed_fixed_point_on_identical_counts(self):
         C = self._counts(20)
@@ -363,7 +369,7 @@ class TestPipelines:
         Xv = svd_vectors(C, 5)
         run = run_vecmap(Xv, Xv, AlignConfig(csls_k=3, max_iters=5))
         s, t = run.state.s, run.state.t
-        assert run.measure(s, t).tobytes() == vec_measure(Xv.data, Xv.data)(s, t).tobytes()
+        assert run.measure(s, t).tobytes() == vec_measure(Xv, Xv)(s, t).tobytes()
         n = C.size
         forward = dict(zip(run.state.s.tolist()[:n], run.state.t.tolist()[:n]))
         assert all(forward[i] == i for i in range(n))

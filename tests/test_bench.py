@@ -370,6 +370,16 @@ class TestSweep:
         reports, _ = run_sweep(spec)
         assert [r.seed for r in reports] == [5, 6]
 
+    def test_rows_record_the_dimension_that_ran(self, small_corpus):
+        # vecmap-raw reads its shipped dim=300 when the point gives none
+        spec = SweepSpec(source=small_corpus, budgets=(500_000,), presets=("vecmap-raw",),
+                         vocab_size=300, top_eval=200, max_iters=40)
+        reports, csv_text = run_sweep(spec)
+        assert reports[0].vocab_sizes == (300, 300) and reports[0].error is None
+        assert json.loads(reports[0].to_json())["dimension"] == 300
+        assert csv_text.splitlines()[1].split(",")[2] == "300"
+        assert list(sweep_summary(reports)) == ["vecmap-raw@300"]
+
     def test_sweep_summary_thresholds(self):
         def rep(budget, acc):
             return RunReport(

@@ -368,3 +368,42 @@ def test_induce_unread_override_exits_2(counted, tmp_path, capsys, preset, flags
     assert rc == 2
     assert f"preset {preset} does not read {unread}" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("preset, flags", [
+    ("coocmap", ["--dim", "100"]),
+    ("vecmap-raw", []),  # the shipped dim=300 on 50 words
+])
+def test_induce_dim_beyond_vocabulary_exits_2(counted, tmp_path, capsys, preset, flags):
+    tmp, out = counted
+    rc = main([
+        "induce",
+        "--cooc1", f"{out}.cooc.bin", "--cooc2", f"{out}.cooc.bin",
+        "--vocab1", f"{out}.vocab.txt", "--vocab2", f"{out}.vocab.txt",
+        "--preset", preset, *flags, "--csls-k", "5",
+        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
+    ])
+    assert rc == 2
+    assert "exceeds the smaller vocabulary" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_induce_vector_widths_differ_exits_2(counted, tmp_path, capsys):
+    from coocmap.assoc import save_vectors, svd_vectors
+
+    tmp, out = counted
+    vocab = Vocabulary.load(f"{out}.vocab.txt")
+    C = load_cooc(f"{out}.cooc.bin", vocab)
+    for name, width in (("v1.txt", 20), ("v2.txt", 10)):
+        save_vectors(svd_vectors(C, width), vocab, tmp_path / name)
+    rc = main([
+        "induce",
+        "--cooc1", f"{out}.cooc.bin", "--cooc2", f"{out}.cooc.bin",
+        "--vocab1", f"{out}.vocab.txt", "--vocab2", f"{out}.vocab.txt",
+        "--preset", "vecmap-vectors", "--csls-k", "5",
+        "--vectors1", str(tmp_path / "v1.txt"), "--vectors2", str(tmp_path / "v2.txt"),
+        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
+    ])
+    assert rc == 2
+    assert "source 20 and target 10" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()

@@ -280,7 +280,7 @@ class TestTranslateRanksTheRunsMeasure:
             run = execute_preset(cfg, C1, C2)
             A1, A2 = build(cfg.assoc, C1), build(cfg.assoc, C2)
         steps = stage_steps(cfg, stage2=cfg.drop_r is not None)
-        X, Z = apply_pipeline(A1, steps).data, apply_pipeline(A2, steps).data
+        X, Z = apply_pipeline(A1, steps), apply_pipeline(A2, steps)
         S = pair_sim_matrix(X, Z, run.state.s, run.state.t, cfg.metric)
         want = csls(S, cfg.csls_k).argmax(axis=1)
         np.testing.assert_array_equal(self._predicted(run, cfg, C1.size), want)
@@ -295,7 +295,7 @@ class TestTranslateRanksTheRunsMeasure:
             run = execute_preset(cfg, vectors1=Xv, vectors2=Zv)
         else:
             run = execute_preset(cfg, C1, C2)
-        Xn, Zn = normalize(Xv.data), normalize(Zv.data)
+        Xn, Zn = normalize(Xv), normalize(Zv)
         W = procrustes(Xn[run.state.s], Zn[run.state.t])
         want = csls(sim_matrix(Xn @ W, Zn), cfg.csls_k).argmax(axis=1)
         np.testing.assert_array_equal(self._predicted(run, cfg, C1.size), want)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coocmap.align import MatchState, vec_measure
-from coocmap.assoc import WordVectors, svd_vectors
+from coocmap.assoc import svd_vectors
 from coocmap.cooc import CoocMatrix
 from coocmap.errors import ValidationError
 from coocmap.presets import PRESETS, align_config, execute_preset, get_preset
@@ -59,7 +59,7 @@ def test_vec_dim_flag_overrides_default():
 def test_execute_vecmap_raw_identity():
     C = counts(1)
     run = execute_preset(align_config(get_preset("vecmap-raw"), csls_k=3, max_iters=5, dim=6), C, C)
-    Xv = svd_vectors(C, 6).data
+    Xv = svd_vectors(C, 6)
     s, t = run.state.s, run.state.t
     assert run.measure(s, t).tobytes() == vec_measure(Xv, Xv)(s, t).tobytes()
     n = C.size
@@ -87,26 +87,71 @@ def test_execute_missing_inputs_rejected():
         execute_preset(get_preset("coocmap"))
 
 
-@pytest.mark.parametrize("name", ["coocmap-drop", "vecmap-raw", "coocmap-vectors"])
-def test_csls_k_beyond_vocabulary_fails_before_any_work(name, monkeypatch):
+def forbid_work(monkeypatch):
+    """Make every association, SVD and pipeline entry fail when called."""
     import coocmap.presets as presets
     from coocmap import assoc
 
     def no_work(*args, **kwargs):
-        raise AssertionError("work started before the csls_k check")
+        raise AssertionError("work started before the checks")
 
     monkeypatch.setattr(assoc, "build", no_work)
     for attr in ("svd_vectors", "assoc_from_vectors", "run_staged", "run_vecmap", "run_coocmap"):
         monkeypatch.setattr(presets, attr, no_work)
+
+
+@pytest.mark.parametrize("name", ["coocmap-drop", "vecmap-raw", "coocmap-vectors"])
+def test_csls_k_beyond_vocabulary_fails_before_any_work(name, monkeypatch):
+    forbid_work(monkeypatch)
     preset = get_preset(name)
+    if preset.vectors == "svd":
+        preset = replace(preset, dim=6)  # the shipped 300 exceeds both vocabularies
     C1, C2 = counts(4, V=12), counts(5, V=9)
-    v1 = WordVectors(np.ones((12, 3)), "t")
-    v2 = WordVectors(np.ones((9, 3)), "t")
+    v1, v2 = np.ones((12, 3)), np.ones((9, 3))
     with pytest.raises(ValidationError, match=r"csls_k=10 .*source 12, target 9"):
         execute_preset(align_config(preset, csls_k=10), C1, C2, v1, v2)
     # at the smaller size the check passes and the work starts
     with pytest.raises(AssertionError, match="work started"):
         execute_preset(align_config(preset, csls_k=9), C1, C2, v1, v2)
+
+
+@pytest.mark.parametrize("name", ["coocmap", "coocmap-drop", "coocmap-vectors", "vecmap-raw"])
+def test_dim_beyond_vocabulary_fails_before_any_work(name, monkeypatch):
+    forbid_work(monkeypatch)
+    C1, C2 = counts(4, V=12), counts(5, V=9)
+    v1, v2 = np.ones((12, 3)), np.ones((9, 3))
+    with pytest.raises(ValidationError, match=r"dim=10 .*source 12, target 9"):
+        execute_preset(align_config(get_preset(name), csls_k=3, dim=10), C1, C2, v1, v2)
+    # at the smaller size the check passes and the work starts
+    with pytest.raises(AssertionError, match="work started"):
+        execute_preset(align_config(get_preset(name), csls_k=3, dim=9), C1, C2, v1, v2)
+
+
+@pytest.mark.parametrize("name, V1, V2, dim", [
+    ("vecmap-raw", 10, 10, 11),
+    ("vecmap-raw", 12, 10, 11),
+    ("vecmap-raw", 10, 10, 300),  # the shipped dim
+    ("coocmap", 12, 10, 50),
+])
+def test_dim_beyond_vocabulary_rejected(name, V1, V2, dim):
+    cfg = align_config(get_preset(name), csls_k=3, max_iters=5, dim=dim)
+    with pytest.raises(ValidationError, match=f"dim={dim} exceeds the smaller vocabulary"):
+        execute_preset(cfg, counts(9, V=V1), counts(10, V=V2))
+
+
+def test_vec_import_widths_must_match(monkeypatch):
+    cfg = align_config(get_preset("vecmap-vectors"), csls_k=3, max_iters=5)
+    v1, v2 = np.ones((12, 3)), np.ones((10, 4))
+    forbid_work(monkeypatch)
+    with pytest.raises(ValidationError, match="source 3 and target 4"):
+        execute_preset(cfg, vectors1=v1, vectors2=v2)
+
+
+def test_cooc_import_widths_may_differ():
+    C1, C2 = counts(11, V=12), counts(12, V=10)
+    cfg = align_config(get_preset("coocmap-vectors"), csls_k=3, max_iters=5)
+    run = execute_preset(cfg, vectors1=svd_vectors(C1, 6), vectors2=svd_vectors(C2, 4))
+    assert set(run.state.s.tolist()) == set(range(12))
 
 
 def test_vecmap_raw_without_dim_names_dim():
