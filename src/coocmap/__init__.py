@@ -41,9 +41,11 @@ from .bench import (  # noqa: E402
 from .cooc import CoocMatrix, count_cooc, load_cooc, permute_cooc, save_cooc  # noqa: E402
 from .corpus import (  # noqa: E402
     EncodedCorpus,
+    TypeIndex,
     Vocabulary,
     build_vocab,
     encode,
+    line_blocks,
     take_head_bytes,
     tokenize,
 )

@@ -124,25 +124,29 @@ def unsupervised_init(X: np.ndarray, Z: np.ndarray, cfg: AlignConfig) -> MatchSt
 
 def _selflearn(measure, init: MatchState, cfg: AlignConfig):
     """Alternate measuring similarities under (s, t) and re-matching until the
-    objective stops improving; returns the best state seen and the trace."""
-    s, t = init.s, init.t
+    objective stops improving. Returns the best state seen, the trace, and
+    the similarities measured under the best state: None when no iteration
+    measured under it, as when it came from the last one."""
+    state = init
     best: MatchState | None = None
+    best_S = None
     prev = None
     trace: list[float] = []
     for _ in range(cfg.max_iters):
-        S = check_finite(measure(s, t), "self-learning")
+        S = check_finite(measure(state.s, state.t), "self-learning")
+        if state is best:
+            best_S = S
         obj = objective(S)
         state = match_bidirectional(csls(S, cfg.csls_k))
         state.objective = obj
-        s, t = state.s, state.t
         trace.append(obj)
         if best is None or obj > best.objective:
-            best = state
+            best, best_S = state, None
         if prev is not None and obj - prev < cfg.tol:
             break
         prev = obj
     assert best is not None
-    return best, trace
+    return best, trace, best_S
 
 
 Measure = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -189,13 +193,18 @@ def drop_schedule(drop_r: int, dim: int | None) -> int:
 
 @dataclass(frozen=True)
 class PipelineRun:
-    """The final correspondence, each stage's objective trace, and the last
-    stage's self-learning measure: `measure(s, t)` is the V1 x V2 similarity
-    under the pairs (s, t), the measurement translation ranks."""
+    """The final correspondence, each stage's objective trace, and `sims`:
+    the V1 x V2 similarities under the final pairs by the last stage's
+    self-learning measure, the matrix translation ranks."""
 
     state: MatchState
     traces: list[list[float]]
-    measure: Measure
+    sims: np.ndarray
+
+
+def _final_sims(measure: Measure, state: MatchState, S: np.ndarray | None) -> np.ndarray:
+    """`S` from the loop, or the one measurement under `state` it never made."""
+    return measure(state.s, state.t) if S is None else S
 
 
 def _trunc_steps(cfg: AlignConfig) -> list[Step]:
@@ -234,14 +243,15 @@ def run_staged(
     X = assoc.apply_pipeline(A1, _stage_tail(cfg, stage2=False))
     Z = assoc.apply_pipeline(A2, _stage_tail(cfg, stage2=False))
     init = seed if seed is not None else unsupervised_init(X, Z, cfg)
-    state, trace1 = coocmap_selflearn(X, Z, init, cfg)
+    state, trace1, S = coocmap_selflearn(X, Z, init, cfg)
     traces = [trace1]
     if cfg.drop_r is not None:
+        S = None  # stage 1's similarities are not ranked: free them first
         X = assoc.apply_pipeline(A1, _stage_tail(cfg, stage2=True))
         Z = assoc.apply_pipeline(A2, _stage_tail(cfg, stage2=True))
-        state, trace2 = coocmap_selflearn(X, Z, state, cfg)
+        state, trace2, S = coocmap_selflearn(X, Z, state, cfg)
         traces.append(trace2)
-    return PipelineRun(state, traces, cooc_measure(X, Z, cfg.metric))
+    return PipelineRun(state, traces, _final_sims(cooc_measure(X, Z, cfg.metric), state, S))
 
 
 def run_coocmap(
@@ -260,5 +270,5 @@ def run_vecmap(
     """Vector-space pipeline: gram-sqrt initializer, then Procrustes loop."""
     if seed is None:
         seed = unsupervised_init(psd_sqrt_gram(Xv), psd_sqrt_gram(Zv), cfg)
-    state, trace = vecmap_selflearn(Xv, Zv, seed, cfg)
-    return PipelineRun(state, [trace], vec_measure(Xv, Zv))
+    state, trace, S = vecmap_selflearn(Xv, Zv, seed, cfg)
+    return PipelineRun(state, [trace], _final_sims(vec_measure(Xv, Zv), state, S))

@@ -11,15 +11,23 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import chain, repeat
-from typing import Sequence
+from itertools import repeat, zip_longest
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .align import AlignConfig
 from .config import parse_kv_file
 from .cooc import CoocMatrix, count_cooc, permute_cooc
-from .corpus import Vocabulary, build_vocab, encode, take_head_bytes, tokenize
+from .corpus import (
+    TypeIndex,
+    Vocabulary,
+    build_vocab,
+    encode,
+    line_blocks,
+    take_head_bytes,
+    tokenize,
+)
 from .errors import NumericError, ValidationError
 from .evaluation import (
     Dictionary,
@@ -99,7 +107,8 @@ class RunReport:
 
 
 def alternate_blocks(lines: list, block: int) -> tuple[list, list]:
-    """Deal consecutive blocks of lines to the two halves alternately."""
+    """Deal consecutive blocks of lines to the two halves alternately: the
+    split `_split_sides` streams, as lists."""
     a: list = []
     b: list = []
     for i in range(0, len(lines), block):
@@ -119,33 +128,60 @@ class Sides:
     data_bytes: int
 
 
-def build_side(lines, cfg: BenchConfig):
-    """Vocabulary and window counts of one side's tokenized lines."""
-    vocab = build_vocab(chain.from_iterable(lines), cfg.vocab_size)
-    C = count_cooc(encode(lines, vocab), cfg.window)
+def build_side(text: str, blocks: Iterable[slice], cfg: BenchConfig):
+    """Vocabulary, window counts and number of distinct tokens of one side:
+    the `blocks` of `text` (consecutive blocks of lines, `line_blocks`).
+    Equal to counting `encode(tokenize(side), build_vocab(...))` of the
+    side's whole text.
+
+    Memory, over the text: token strings live for one block at a time,
+    about 80 B per token of the largest block (T_block). The side's T tokens
+    take 4 B each as type ids and 8 B more while relabelled; `count_cooc`
+    then takes about 45 B per token next to three V x V float64 buffers.
+    The type index takes about 100 B per distinct token. The side needs at
+    most about 48 B * T + 80 B * T_block + 24 B * V^2 of it."""
+    types = TypeIndex()
+    parts = [encode(tokenize(text[b]), types) for b in blocks]
+    vocab = build_vocab(types.counts(parts), cfg.vocab_size)
+    corpus = types.relabel(parts, vocab)
+    del parts  # the type ids, not needed while counting
+    C = count_cooc(corpus, cfg.window)
     C.counts.flags.writeable = False  # shared by every point of a sweep budget
-    return vocab, C
+    return vocab, C, len(types) - 1  # less the [UNK] entry
 
 
 def _split_sides(corpus_path, budget: int, cfg: BenchConfig) -> Sides:
-    """Both halves of one corpus, dealt in alternate blocks of lines."""
-    text = take_head_bytes(corpus_path, budget)
-    data_bytes = len(text.encode("utf-8"))
-    half_a, half_b = alternate_blocks(tokenize(text), cfg.block_lines)
-    del text
-    v1, C1 = build_side(half_a, cfg)
-    v2, C2 = build_side(half_b, cfg)
+    """Both halves of one corpus, dealt in alternate blocks of `block_lines`
+    lines and ingested one after the other.
+
+    Memory: reading holds the raw bytes and the decoded text at once, 2 B
+    per budget byte of ASCII text (a wider character takes up to 4 B in the
+    text); the text is then held through both sides. With T tokens in the
+    larger side, T_block in the largest block and V words per side, the
+    ingest peaks under about 2 B * budget + 48 B * T + 80 B * T_block +
+    32 B * V^2, the first side's counts included, plus 100 B per distinct
+    token: it grows with the larger side, not with the budget's tokens."""
+    text, data_bytes = take_head_bytes(corpus_path, budget)
+    blocks = line_blocks(text, cfg.block_lines)
+    v1, C1, _ = build_side(text, blocks[0::2], cfg)
+    v2, C2, _ = build_side(text, blocks[1::2], cfg)
     return Sides(v1, v2, C1, C2, data_bytes)
+
+
+def _file_side(path, budget: int, cfg: BenchConfig) -> tuple[Vocabulary, CoocMatrix, int]:
+    """One side from the first `budget` bytes of a corpus; with the bytes read."""
+    text, data_bytes = take_head_bytes(path, budget)
+    vocab, C, _ = build_side(text, line_blocks(text, cfg.block_lines), cfg)
+    return vocab, C, data_bytes
 
 
 def _corpus_pair_sides(source_path, target_path, budget: int, cfg: BenchConfig) -> Sides:
-    """One side per corpus, each cut to the same byte budget."""
-    text1 = take_head_bytes(source_path, budget)
-    text2 = take_head_bytes(target_path, budget)
-    data_bytes = len(text1.encode("utf-8")) + len(text2.encode("utf-8"))
-    v1, C1 = build_side(tokenize(text1), cfg)
-    v2, C2 = build_side(tokenize(text2), cfg)
-    return Sides(v1, v2, C1, C2, data_bytes)
+    """One side per corpus, each cut to the same byte budget. The target is
+    read once the source side is built, so the peak memory is that of
+    `_split_sides`, with T the tokens of the larger side."""
+    v1, C1, bytes1 = _file_side(source_path, budget, cfg)
+    v2, C2, bytes2 = _file_side(target_path, budget, cfg)
+    return Sides(v1, v2, C1, C2, bytes1 + bytes2)
 
 
 def check_seeding(cfg: AlignConfig, dictionary: Dictionary | None) -> None:
@@ -381,9 +417,12 @@ class SweepSpec:
 _RECORDED_ERRORS = (ValidationError, NumericError, OSError, UnicodeDecodeError)
 
 
-def _error_row(mode: str, budget: int, cfg: BenchConfig, e) -> RunReport:
+def _error_row(mode: str, budget: int, cfg: BenchConfig, e, acfg: AlignConfig | None = None):
+    """The row of a point that failed; its dimension is the resolved `acfg`'s
+    (as on the rows that ran), or the point's own if it did not resolve."""
     return RunReport(
-        mode=mode, preset=cfg.preset, budget_bytes=budget, dimension=cfg.dim,
+        mode=mode, preset=cfg.preset, budget_bytes=budget,
+        dimension=cfg.dim if acfg is None else acfg.dim,
         accuracy=0.0, evaluated=0, correct=0, no_overlap=True, seconds=0.0,
         vocab_sizes=(0, 0), token_counts=(0, 0), data_bytes=0, traces=[],
         config=asdict(cfg), seed=None, error=f"{type(e).__name__}: {e}",
@@ -407,12 +446,12 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
         for dim in (spec.dims or (None,))
         for rep in range(spec.repetitions)
     ]
+    dictionary = None
+    # per point: its resolved config, or the error row that replaces it
+    resolved: list[AlignConfig | RunReport] = []
     try:
-        dictionary = None
         if spec.mode == "crosslingual" and spec.dict_path:
             dictionary = load_dictionary(spec.dict_path)
-        # per point: its resolved config, or the error row that replaces it
-        resolved: list[AlignConfig | RunReport] = []
         for cfg, _ in points:
             try:
                 resolved.append(_point_config(cfg, dictionary))
@@ -425,7 +464,10 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
         else:
             sides = _split_sides(spec.source, budget, base)
     except _RECORDED_ERRORS as e:
-        return [_error_row(spec.mode, budget, cfg, e) for cfg, _ in points]
+        return [
+            _error_row(spec.mode, budget, cfg, e, acfg if isinstance(acfg, AlignConfig) else None)
+            for (cfg, _), acfg in zip_longest(points, resolved)
+        ]
     reports = []
     for acfg, (cfg, rep) in zip(resolved, points):
         if isinstance(acfg, RunReport):
@@ -441,7 +483,7 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
             )
             t0 = time.perf_counter()
         except _RECORDED_ERRORS as e:
-            report = _error_row(spec.mode, budget, cfg, e)
+            report = _error_row(spec.mode, budget, cfg, e, acfg)
         reports.append(report)
     return reports
 

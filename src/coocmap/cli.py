@@ -55,19 +55,16 @@ def _given(ns, *names) -> dict:
 
 
 def cmd_count(ns) -> int:
-    from itertools import chain
-
     from .bench import BenchConfig, build_side
     from .cooc import save_cooc
-    from .corpus import take_head_bytes, tokenize
+    from .corpus import line_blocks, take_head_bytes
 
     cfg = BenchConfig(**_given(ns, "vocab_size", "window"))
     n = ns.bytes if ns.bytes is not None else os.path.getsize(ns.input)
-    lines = tokenize(take_head_bytes(ns.input, n))
-    vocab, C = build_side(lines, cfg)
+    text, _ = take_head_bytes(ns.input, n)
+    vocab, C, types = build_side(text, line_blocks(text, cfg.block_lines), cfg)
     vocab.save(ns.out + ".vocab.txt")
     save_cooc(C, ns.out + ".cooc.bin")
-    types = len(set(chain.from_iterable(lines)))
     print(f"tokens={C.token_count} types={types} vocab={vocab.size}")
     return 0
 

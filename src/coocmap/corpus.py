@@ -1,4 +1,10 @@
-"""Corpus ingestion: byte slicing, tokenization, vocabularies, id encoding."""
+"""Corpus ingestion: byte slicing, tokenization, vocabularies, id encoding.
+
+Text is ingested in blocks of lines (`line_blocks`): each block is tokenized
+and encoded against a growing `TypeIndex`, so only one block's token strings
+are alive at a time. The side's vocabulary is then ranked from the type
+counts and the type ids are relabelled to vocabulary ids in one array
+lookup; the result equals `encode(tokenize(text), build_vocab(...))`."""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -74,24 +80,82 @@ class Vocabulary:
         return cls(tuple(tokens))
 
 
+class TypeIndex(dict):
+    """token -> type id in order of first occurrence, for encoding text whose
+    vocabulary is not known yet: looking up a new token gives it the next
+    id. Id 0 is [UNK], as in a Vocabulary, so a literal [UNK] token encodes
+    to the unk id either way."""
+
+    def __init__(self):
+        super().__init__({UNK_TOKEN: UNK_ID})
+
+    def __missing__(self, token):
+        self[token] = n = len(self)
+        return n
+
+    def counts(self, parts: Sequence["EncodedCorpus"]) -> dict[str, int]:
+        """token -> occurrences in `parts` (encoded against this index), in
+        first-seen order: what `build_vocab` ranks."""
+        n = np.bincount(_joined([p.ids for p in parts], np.int32), minlength=len(self))
+        return dict(zip(self, n.tolist()))
+
+    def relabel(self, parts: Sequence["EncodedCorpus"], vocab: Vocabulary) -> "EncodedCorpus":
+        """Consecutive `parts` encoded against this index, joined and encoded
+        against `vocab` by one array lookup: a type outside it maps to unk."""
+        lut = np.full(len(self), UNK_ID, dtype=np.int32)
+        lut[[self[tok] for tok in vocab.tokens]] = np.arange(vocab.size, dtype=np.int32)
+        starts = np.cumsum([0] + [p.ids.size for p in parts])
+        return EncodedCorpus(
+            ids=lut[_joined([p.ids for p in parts], np.int32)],
+            line_breaks=_joined([p.line_breaks + s for p, s in zip(parts, starts)], np.int64),
+            vocab=vocab,
+        )
+
+
 @dataclass(frozen=True)
 class EncodedCorpus:
-    """Token ids plus the positions where input lines ended."""
+    """Token ids plus the positions where input lines ended. The ids index
+    `vocab`: a Vocabulary, or the TypeIndex a block was encoded against."""
 
     ids: np.ndarray  # int32
-    line_breaks: np.ndarray  # cumulative end offsets, strictly increasing
-    vocab: Vocabulary
+    line_breaks: np.ndarray  # int64 cumulative end offsets, strictly increasing
+    vocab: Vocabulary | TypeIndex
 
 
-def take_head_bytes(path, n: int) -> str:
-    """First n bytes of the file, truncated back to the last complete line."""
+def _joined(arrays: Iterable[np.ndarray], dtype) -> np.ndarray:
+    """The arrays concatenated; empty of `dtype` when there are none."""
+    return np.concatenate([np.empty(0, dtype), *arrays])
+
+
+def take_head_bytes(path, n: int) -> tuple[str, int]:
+    """First n bytes of the file, truncated back to the last complete line:
+    the decoded text and its length in bytes."""
     if n < 0:
         raise ValidationError(f"byte budget must be >= 0, got {n}")
     with open(path, "rb") as f:
         head = f.read(n)
-    cut = head.rfind(b"\n")
-    head = head[: cut + 1] if cut >= 0 else b""
-    return head.decode("utf-8")
+    size = head.rfind(b"\n") + 1
+    return str(memoryview(head)[:size], "utf-8"), size
+
+
+def line_blocks(text: str, block_lines: int) -> list[slice]:
+    """Slices that cut `text` into consecutive blocks of `block_lines` lines
+    (the last may be shorter). A block keeps its lines' newlines, so
+    tokenizing the blocks in turn gives `tokenize(text)`."""
+    if block_lines < 1:
+        raise ValidationError(f"block_lines must be >= 1, got {block_lines}")
+    blocks = []
+    start, n = 0, len(text)
+    while start < n:
+        end = start
+        for _ in range(block_lines):
+            end = text.find("\n", end) + 1
+            if not end:
+                end = n
+                break
+        blocks.append(slice(start, end))
+        start = end
+    return blocks
 
 
 def tokenize(text: str) -> list[list[str]]:
@@ -106,8 +170,10 @@ def tokenize(text: str) -> list[list[str]]:
     return [line.lower().split() for line in lines]
 
 
-def build_vocab(tokens: Iterable[str], v_max: int) -> Vocabulary:
-    """[UNK] plus the v_max - 1 most frequent tokens, ties by first occurrence."""
+def build_vocab(tokens: Iterable[str] | Mapping[str, int], v_max: int) -> Vocabulary:
+    """[UNK] plus the v_max - 1 most frequent tokens, ties by first occurrence.
+    `tokens` is a token stream, or a token -> count mapping in first-seen
+    order (`TypeIndex.counts`), which ranks the same."""
     if v_max < 1:
         raise ValidationError(f"v_max must be >= 1, got {v_max}")
     counts = Counter(tokens)
@@ -118,11 +184,13 @@ def build_vocab(tokens: Iterable[str], v_max: int) -> Vocabulary:
     return Vocabulary((UNK_TOKEN, *ranked))
 
 
-def encode(lines: list[list[str]], vocab: Vocabulary) -> EncodedCorpus:
-    """Map tokens to ids (OOV -> unk) and record line end positions."""
+def encode(lines: list[list[str]], vocab: Vocabulary | TypeIndex) -> EncodedCorpus:
+    """Map tokens to ids and record line end positions. Against a Vocabulary
+    an OOV token maps to unk; a TypeIndex adds it with the next type id."""
+    index = vocab._index if isinstance(vocab, Vocabulary) else vocab
     lengths = np.fromiter(map(len, lines), np.int64, len(lines))
     ids = np.fromiter(
-        map(vocab._index.__getitem__, chain.from_iterable(lines)),
+        map(index.__getitem__, chain.from_iterable(lines)),
         np.int32,
         int(lengths.sum()),
     )

@@ -60,10 +60,9 @@ def translate(
     source_tokens: Sequence[str],
     target_tokens: Sequence[str],
 ) -> Predictions:
-    """One last measurement under the final correspondence, with the run's
-    own self-learning measure, then CSLS with `cfg.csls_k`; every source
-    word predicts its best-scoring target word."""
-    S = check_finite(run.measure(run.state.s, run.state.t), "translation")
+    """CSLS with `cfg.csls_k` over the run's similarities under its final
+    correspondence; every source word predicts its best-scoring target word."""
+    S = check_finite(run.sims, "translation")
     best = csls(S, cfg.csls_k).argmax(axis=1)
     rows = [
         Prediction(source=tok, predicted=target_tokens[best[i]], rank=i)

@@ -256,7 +256,7 @@ def test_criterion_9_sweep_driver_runs_supplied_corpora(bench_corpus, tmp_path):
     """Full cross-lingual reproduction is out of desk scope; the driver must
     still run unmodified on a supplied corpus pair plus dictionary."""
     with criterion(9) as c:
-        lines = take_head_bytes(bench_corpus, 3_000_000).splitlines()
+        lines = take_head_bytes(bench_corpus, 3_000_000)[0].splitlines()
         a, b = alternate_blocks(lines, 1000)
         src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
         src.write_text("\n".join(a) + "\n")

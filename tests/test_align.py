@@ -8,6 +8,7 @@ from coocmap.align import (
     AlignConfig,
     MatchState,
     coocmap_selflearn,
+    cooc_measure,
     csls,
     drop_schedule,
     match_bidirectional,
@@ -23,6 +24,7 @@ from coocmap.assoc import Step, build
 from coocmap.cooc import CoocMatrix, count_cooc, permute_cooc
 from coocmap.corpus import build_vocab, encode, tokenize
 from coocmap.errors import NumericError, ValidationError
+from coocmap.kernels import pair_sim_matrix
 from coocmap.presets import align_config, get_preset
 from coocmap.synth import generate_corpus
 
@@ -149,7 +151,7 @@ class TestSelfLearn:
         n = X.shape[0]
         init = MatchState(np.arange(n), np.arange(n))
         cfg = AlignConfig(csls_k=2, max_iters=10)
-        state, trace = coocmap_selflearn(X, X, init, cfg)
+        state, trace, _ = coocmap_selflearn(X, X, init, cfg)
         assert state.objective == pytest.approx(1.0, abs=1e-9)
         forward = {(int(s), int(t)) for s, t in zip(state.s[:n], state.t[:n])}
         assert forward == {(i, i) for i in range(n)}
@@ -158,14 +160,14 @@ class TestSelfLearn:
         X = toy_assoc(7)
         n = X.shape[0]
         init = MatchState(np.arange(n), np.arange(n))
-        _, trace = coocmap_selflearn(X, X, init, AlignConfig(csls_k=2, max_iters=1))
+        _, trace, _ = coocmap_selflearn(X, X, init, AlignConfig(csls_k=2, max_iters=1))
         assert len(trace) == 1
 
     def test_terminates_and_reports_best(self):
         X, Z = toy_assoc(8), toy_assoc(9)
         cfg = AlignConfig(csls_k=2, max_iters=30)
         init = unsupervised_init(X, Z, cfg)
-        state, trace = coocmap_selflearn(X, Z, init, cfg)
+        state, trace, _ = coocmap_selflearn(X, Z, init, cfg)
         assert len(trace) <= 30
         assert state.objective == pytest.approx(max(trace))
 
@@ -203,7 +205,7 @@ class TestCipherOracle:
         Z = build("coocmap", C)  # target: plain
         cfg = AlignConfig(csls_k=10, max_iters=50)
         init = unsupervised_init(X, Z, cfg)
-        state, _ = coocmap_selflearn(X, Z, init, cfg)
+        state, _, _ = coocmap_selflearn(X, Z, init, cfg)
         from coocmap.kernels import sim_matrix
 
         S = csls(sim_matrix(X[:, state.s], Z[:, state.t], "cosine"), cfg.csls_k)
@@ -224,7 +226,7 @@ class TestVecmapSelfLearn:
         n = Xv.shape[0]
         init = MatchState(np.arange(n), np.arange(n))
         cfg = AlignConfig(csls_k=3, max_iters=10)
-        state, _ = vecmap_selflearn(Xv, Zv, init, cfg)
+        state, _, _ = vecmap_selflearn(Xv, Zv, init, cfg)
         forward = {(int(s), int(t)) for s, t in zip(state.s[:n], state.t[:n])}
         assert forward == {(i, i) for i in range(n)}
         W = np.linalg.lstsq(normalize(Xv), normalize(Zv), rcond=None)[0]
@@ -238,7 +240,7 @@ class TestVecmapSelfLearn:
 
         n = Xv.shape[0]
         init = MatchState(np.arange(n), np.arange(n))
-        state, _ = vecmap_selflearn(Xv, Xv, init, AlignConfig(csls_k=2, max_iters=5))
+        state, _, _ = vecmap_selflearn(Xv, Xv, init, AlignConfig(csls_k=2, max_iters=5))
         Xn = normalize(Xv)
         W = procrustes(Xn[state.s], Xn[state.t])
         np.testing.assert_allclose(W, np.eye(3), atol=1e-8)
@@ -247,7 +249,7 @@ class TestVecmapSelfLearn:
         rng = np.random.default_rng(14)
         Xv = rng.random((6, 1)) + 0.5
         init = MatchState(np.arange(6), np.arange(6))
-        state, _ = vecmap_selflearn(Xv, Xv, init, AlignConfig(csls_k=2, max_iters=3))
+        state, _, _ = vecmap_selflearn(Xv, Xv, init, AlignConfig(csls_k=2, max_iters=3))
         from coocmap.kernels import normalize, procrustes
 
         Xn = normalize(Xv)
@@ -313,7 +315,7 @@ class TestPipelines:
         X = build("coocmap", C1)
         Z = build("coocmap", C2)
         init = unsupervised_init(X, Z, cfg)
-        state, trace = coocmap_selflearn(X, Z, init, cfg)
+        state, trace, _ = coocmap_selflearn(X, Z, init, cfg)
         assert run.traces[0] == trace
         np.testing.assert_array_equal(run.state.s, state.s)
 
@@ -354,6 +356,28 @@ class TestPipelines:
         for got, want in zip(seen, expected):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("max_iters, measures", [(1, 2), (100, None)])
+    def test_sims_are_the_last_measure_under_the_final_state(self, monkeypatch, max_iters,
+                                                             measures):
+        # a run that stops on no improvement measured under its best state
+        # already and reuses that; at max_iters it measures once more
+        from coocmap import align
+
+        C1, C2 = self._counts(24), self._counts(25)
+        cfg = AlignConfig(csls_k=3, max_iters=max_iters)
+        calls = []
+        monkeypatch.setattr(
+            align, "pair_sim_matrix", lambda *a: calls.append(a) or pair_sim_matrix(*a)
+        )
+        run = run_coocmap(C1, C2, cfg)
+        (trace,) = run.traces
+        if measures is None:
+            assert len(trace) < max_iters and trace[-1] < max(trace)
+            measures = len(trace)
+        assert len(calls) == measures
+        want = cooc_measure(build("coocmap", C1), build("coocmap", C2), cfg.metric)
+        assert run.sims.tobytes() == want(run.state.s, run.state.t).tobytes()
+
     def test_dict_seed_fixed_point_on_identical_counts(self):
         C = self._counts(20)
         n = C.size
@@ -369,7 +393,7 @@ class TestPipelines:
         Xv = svd_vectors(C, 5)
         run = run_vecmap(Xv, Xv, AlignConfig(csls_k=3, max_iters=5))
         s, t = run.state.s, run.state.t
-        assert run.measure(s, t).tobytes() == vec_measure(Xv, Xv)(s, t).tobytes()
+        assert run.sims.tobytes() == vec_measure(Xv, Xv)(s, t).tobytes()
         n = C.size
         forward = dict(zip(run.state.s.tolist()[:n], run.state.t.tolist()[:n]))
         assert all(forward[i] == i for i in range(n))

@@ -1,8 +1,12 @@
 import json
+import tracemalloc
 from dataclasses import asdict, replace
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from coocmap import bench
 from coocmap.bench import (
@@ -19,7 +23,8 @@ from coocmap.bench import (
 )
 from coocmap.errors import ValidationError
 from coocmap.evaluation import load_dictionary, load_predictions, precision_at_1
-from coocmap.corpus import Vocabulary, build_vocab, take_head_bytes, tokenize
+from coocmap.cooc import count_cooc
+from coocmap.corpus import Vocabulary, build_vocab, encode, line_blocks, take_head_bytes, tokenize
 
 FAST = BenchConfig(preset="coocmap", vocab_size=300, top_eval=200, max_iters=40)
 
@@ -46,10 +51,89 @@ class TestAlternateBlocks:
         assert a == [1, 2, 3] and b == []
 
 
+# letters lower() changes or keeps, a literal [UNK] in both cases, and
+# whitespace that split() cuts on but split("\n") does not
+_TEXT_PIECES = ["a", "b", "B", "\u00df", "\u1e9e", "\u00e9", "\u00c9", "[UNK]", "[unk]",
+                " ", "\t", "\r", "\x0c", "\x85", "\u2028", "\u00a0", "\n", "\n", "\n"]
+
+
+def _ingest(text, blocks, cfg):
+    """build_side's vocabulary, the corpus it counts, its counts and types."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "count_cooc", lambda corpus, m: seen.append(corpus) or count_cooc(corpus, m))
+        vocab, C, types = bench.build_side(text, blocks, cfg)
+    return vocab, seen[0], C, types
+
+
+class TestStreamedIngest:
+    """Ingest in blocks of lines equals the whole-text composition
+    `encode(tokenize(text), build_vocab(...))` bit for bit, for a whole text
+    and for the two halves of a split."""
+
+    def _check(self, text, block_lines, v_max, window):
+        cfg = BenchConfig(vocab_size=v_max, window=window, block_lines=block_lines)
+        blocks = line_blocks(text, block_lines)
+        lines = tokenize(text)
+        half_a, half_b = alternate_blocks(lines, block_lines)
+        for side, side_lines in ((blocks, lines), (blocks[0::2], half_a), (blocks[1::2], half_b)):
+            vocab, enc, C, types = _ingest(text, side, cfg)
+            want_vocab = build_vocab(chain.from_iterable(side_lines), v_max)
+            want = encode(side_lines, want_vocab)
+            want_C = count_cooc(want, window)
+            assert vocab.tokens == want_vocab.tokens
+            assert (enc.ids.dtype, enc.line_breaks.dtype) == (want.ids.dtype, want.line_breaks.dtype)
+            assert enc.ids.tobytes() == want.ids.tobytes()
+            assert enc.line_breaks.tobytes() == want.line_breaks.tobytes()
+            assert C.counts.tobytes() == want_C.counts.tobytes()
+            assert (C.token_count, C.vocab_digest) == (want_C.token_count, want_C.vocab_digest)
+            assert types == len(set(chain.from_iterable(side_lines)))
+
+    @given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=60), st.integers(1, 4),
+           st.integers(1, 6), st.integers(1, 3))
+    @example([], 1, 3, 1)
+    @example(["a", "\n", "\n", " ", "\n", "b", "a", "\n", "\u2028", "\n", "b"], 2, 2, 2)
+    @example(["b", " ", "a", "\n", "a", " ", "b", "\n", "[UNK]", "\n", "\u1e9e", "\n"], 1, 3, 1)
+    def test_equals_whole_text_composition(self, pieces, block_lines, v_max, window):
+        self._check("".join(pieces), block_lines, v_max, window)
+
+    def test_corpus_blocks(self, small_corpus):
+        text, _ = take_head_bytes(small_corpus, 300_000)
+        self._check(text, 100, 150, 5)
+
+    def test_block_lines_must_be_positive(self):
+        with pytest.raises(ValidationError, match="block_lines"):
+            line_blocks("a\n", 0)
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_ingest_peak_memory_stays_under_its_model(small_corpus, pair):
+    """The memory model `_split_sides` states (and `_corpus_pair_sides` with
+    one file read at a time): about 2 B per budget byte, 48 B per token of
+    the larger side, 80 B per token of the largest block and 32 B * V^2.
+    Holding the budget as token lists, about 80 B per token of both sides,
+    does not fit it."""
+    budget, cfg = 2_000_000, BenchConfig(vocab_size=300)
+    text, _ = take_head_bytes(small_corpus, budget)
+    block_tokens = max(len(text[b].split()) for b in line_blocks(text, cfg.block_lines))
+    del text
+    tracemalloc.start()
+    try:
+        if pair:
+            sides = bench._corpus_pair_sides(small_corpus, small_corpus, budget, cfg)
+        else:
+            sides = bench._split_sides(small_corpus, budget, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tokens = max(sides.C1.token_count, sides.C2.token_count)
+    assert peak < 2 * budget + 48 * tokens + 80 * block_tokens + 32 * cfg.vocab_size**2
+
+
 class TestIdentityBench:
     def test_identical_halves_give_perfect_accuracy(self, small_corpus, tmp_path):
         # duplicate each block so the two dealt halves are the same text
-        lines = take_head_bytes(small_corpus, 400_000).splitlines()
+        lines = take_head_bytes(small_corpus, 400_000)[0].splitlines()
         block = 50
         doubled = []
         for i in range(0, len(lines), block):
@@ -81,7 +165,7 @@ class TestIdentityBench:
         report = split_identity_bench(small_corpus, 600_000, FAST, preds_out=preds_path)
         preds = load_predictions(preds_path)
         # rebuild the scored set: top shared tokens in rank order
-        lines = tokenize(take_head_bytes(small_corpus, 600_000))
+        lines = tokenize(take_head_bytes(small_corpus, 600_000)[0])
         half_a, half_b = alternate_blocks(lines, FAST.block_lines)
         v1 = build_vocab((t for l in half_a for t in l), FAST.vocab_size)
         v2 = build_vocab((t for l in half_b for t in l), FAST.vocab_size)
@@ -131,7 +215,7 @@ def _corpus_pair(small_corpus, tmp_path, dict_size: int):
     """The two halves of the small corpus written to separate files (a
     supplied corpus pair) and an identity dictionary of the source half's
     top `dict_size - 1` words."""
-    lines = take_head_bytes(small_corpus, 900_000).splitlines()
+    lines = take_head_bytes(small_corpus, 900_000)[0].splitlines()
     a, b = alternate_blocks(lines, 100)
     src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
     src.write_text("\n".join(a) + "\n")
@@ -517,6 +601,20 @@ class TestSweepSharesIngest:
         ]
         assert all(r.error.startswith("FileNotFoundError") for r in reports)
         assert csv_text.count("FileNotFoundError") == len(reports)
+
+    def test_error_rows_record_the_resolved_dimension(self, small_corpus, tmp_path):
+        # a point whose config resolved records the dim it would have run,
+        # as the rows that ran do: vecmap-raw's shipped 300
+        presets = ("coocmap", "vecmap-raw", "dict-init")
+        missing, csv_text = run_sweep(self._spec(str(tmp_path / "missing.txt"), presets=presets))
+        assert all(r.error.startswith("FileNotFoundError") for r in missing)
+        assert [r.dimension for r in missing] == [None, 300, None] * len(self.BUDGETS)
+        assert [row.split(",")[2] for row in csv_text.splitlines()[1:4]] == ["", "300", ""]
+        # 200 words per side: vecmap-raw's dim=300 fails the point after ingest
+        failed, _ = run_sweep(self._spec(small_corpus, budgets=(300_000,), presets=("vecmap-raw",),
+                                         vocab_size=200))
+        assert failed[0].error.startswith("ValidationError: dim=300 exceeds")
+        assert failed[0].dimension == 300
 
     def test_error_rows_record_the_spec_config(self, small_corpus, tmp_path):
         # budget 300 holds a single block of lines, so the target half is

@@ -48,6 +48,37 @@ def test_count_hand_checked_window(tmp_path, capsys):
     assert C.counts[a, b] == 2 and C.counts[b, a] == 2 and C.counts[a, a] == 0
 
 
+def test_count_files_equal_the_whole_text_composition(tmp_path, capsys):
+    """`count` ingests in blocks of lines; its files are byte for byte those
+    of counting `encode(tokenize(text), build_vocab(...))` of the whole text."""
+    from itertools import chain
+
+    from coocmap.cooc import count_cooc
+    from coocmap.corpus import encode, tokenize
+    from coocmap.synth import generate_corpus
+
+    corpus = tmp_path / "corpus.txt"
+    generate_corpus(corpus, 150_000, seed=9, n_types=80, n_companions=6)
+    lines = corpus.read_bytes().decode("utf-8").split("\n")
+    assert len(lines) > 2000  # three blocks of the default 1000 lines
+    lines[3] = "\u1e9etra\u00dfe [UNK] [unk] \u00c9\x85\u00e9\u2028x\u00a0y\rz\x0cw"
+    lines[1500] = "   "
+    lines.insert(1000, "")
+    corpus.write_bytes("\n".join(lines).encode("utf-8"))
+    assert main([
+        "count", "--input", str(corpus), "--out", str(tmp_path / "new"),
+        "--vocab-size", "40", "--window", "3",
+    ]) == 0
+    tokens = tokenize(corpus.read_bytes().decode("utf-8"))
+    vocab = build_vocab(chain.from_iterable(tokens), 40)
+    vocab.save(tmp_path / "old.vocab.txt")
+    save_cooc(count_cooc(encode(tokens, vocab), 3), tmp_path / "old.cooc.bin")
+    for suffix in (".vocab.txt", ".cooc.bin"):
+        assert (tmp_path / f"new{suffix}").read_bytes() == (tmp_path / f"old{suffix}").read_bytes()
+    types = len(set(chain.from_iterable(tokens)))
+    assert f"tokens={sum(map(len, tokens))} types={types} vocab=40" in capsys.readouterr().out
+
+
 def test_induce_identical_sides_reaches_full_accuracy(counted, capsys, tmp_path):
     tmp, out = counted
     vocab = Vocabulary.load(f"{out}.vocab.txt")

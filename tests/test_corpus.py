@@ -25,13 +25,13 @@ def _write(tmp_path, content, name="c.txt"):
 
 class TestTakeHeadBytes:
     def test_partial_line_dropped(self, tmp_path):
-        assert take_head_bytes(_write(tmp_path, "ab\ncd\n"), 4) == "ab\n"
+        assert take_head_bytes(_write(tmp_path, "ab\ncd\n"), 4) == ("ab\n", 3)
 
     def test_exact_length(self, tmp_path):
-        assert take_head_bytes(_write(tmp_path, "ab\ncd\n"), 6) == "ab\ncd\n"
+        assert take_head_bytes(_write(tmp_path, "ab\ncd\n"), 6) == ("ab\ncd\n", 6)
 
     def test_empty_budget(self, tmp_path):
-        assert take_head_bytes(_write(tmp_path, "ab\ncd\n"), 0) == ""
+        assert take_head_bytes(_write(tmp_path, "ab\ncd\n"), 0) == ("", 0)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError) as e:
@@ -58,7 +58,9 @@ class TestTakeHeadBytes:
             f.write(raw)
             f.flush()
             for n in range(0, len(raw) + 2):
-                head = take_head_bytes(f.name, n).encode("utf-8")
+                text, size = take_head_bytes(f.name, n)
+                head = text.encode("utf-8")
+                assert size == len(head)
                 assert raw.startswith(head)
                 assert head == b"" or head.endswith(b"\n")
 

@@ -70,7 +70,7 @@ def _toy_pair(seed=0, V=6):
 
 
 def _cooc_run(X, Z, state, cfg):
-    return PipelineRun(state, [], cooc_measure(X, Z, cfg.metric))
+    return PipelineRun(state, [], cooc_measure(X, Z, cfg.metric)(state.s, state.t))
 
 
 class TestTranslate:
@@ -113,12 +113,12 @@ class TestTranslate:
         cfg = AlignConfig(csls_k=2)
         if family == "cooc":
             state = MatchState(np.arange(n), np.arange(n))
-            run = _cooc_run(X, _toy_pair(5), state, cfg)
+            measure = cooc_measure(X, _toy_pair(5), cfg.metric)
         else:  # the map is fitted on finite rows; the inf row is only measured
             state = MatchState([0, 2, 3, 4, 5], [0, 2, 3, 4, 5])
-            run = PipelineRun(state, [], vec_measure(X, _toy_pair(5)))
+            measure = vec_measure(X, _toy_pair(5))
         with pytest.raises(NumericError):
-            translate(run, cfg, toks, toks)
+            translate(PipelineRun(state, [], measure(state.s, state.t)), cfg, toks, toks)
 
 
 class TestPrecisionAt1:

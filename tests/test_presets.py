@@ -61,7 +61,7 @@ def test_execute_vecmap_raw_identity():
     run = execute_preset(align_config(get_preset("vecmap-raw"), csls_k=3, max_iters=5, dim=6), C, C)
     Xv = svd_vectors(C, 6)
     s, t = run.state.s, run.state.t
-    assert run.measure(s, t).tobytes() == vec_measure(Xv, Xv)(s, t).tobytes()
+    assert run.sims.tobytes() == vec_measure(Xv, Xv)(s, t).tobytes()
     n = C.size
     forward = dict(zip(run.state.s.tolist()[:n], run.state.t.tolist()[:n]))
     assert all(forward[i] == i for i in range(n))
