@@ -137,9 +137,11 @@ def build_side(text: str, blocks: Iterable[slice], cfg: BenchConfig):
     Memory, over the text: token strings live for one block at a time,
     about 80 B per token of the largest block (T_block). The side's T tokens
     take 4 B each as type ids and 8 B more while relabelled; `count_cooc`
-    then takes about 45 B per token next to three V x V float64 buffers.
-    The type index takes about 100 B per distinct token. The side needs at
-    most about 48 B * T + 80 B * T_block + 24 B * V^2 of it."""
+    then adds about 20 B per token to the 4 B ids (a line-start flag,
+    crossing masks and the int64 keys of two window offsets) next to two
+    V x V float64 buffers and an int64 bincount. The type index takes about
+    100 B per distinct token. The side needs at most about 24 B * T +
+    80 B * T_block + 24 B * V^2 of it."""
     types = TypeIndex()
     parts = [encode(tokenize(text[b]), types) for b in blocks]
     vocab = build_vocab(types.counts(parts), cfg.vocab_size)
@@ -158,7 +160,7 @@ def _split_sides(corpus_path, budget: int, cfg: BenchConfig) -> Sides:
     per budget byte of ASCII text (a wider character takes up to 4 B in the
     text); the text is then held through both sides. With T tokens in the
     larger side, T_block in the largest block and V words per side, the
-    ingest peaks under about 2 B * budget + 48 B * T + 80 B * T_block +
+    ingest peaks under about 2 B * budget + 24 B * T + 80 B * T_block +
     32 B * V^2, the first side's counts included, plus 100 B per distinct
     token: it grows with the larger side, not with the budget's tokens."""
     text, data_bytes = take_head_bytes(corpus_path, budget)

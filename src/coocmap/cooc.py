@@ -29,23 +29,29 @@ class CoocMatrix:
 
 
 def count_cooc(corpus: EncodedCorpus, m: int = 5) -> CoocMatrix:
-    """Count pairs within m tokens on either side, never across lines."""
+    """Count pairs within m tokens on either side, never across lines.
+
+    Besides the int32 ids, a call holds about 20 B per token (a 1-byte
+    line-start flag, the 1-byte crossing masks and the int64 keys of two
+    consecutive offsets) next to two V x V float64 buffers and an int64
+    bincount."""
     if m < 1:
         raise ValidationError(f"window size must be >= 1, got {m}")
     V = corpus.vocab.size
-    ids = corpus.ids.astype(np.int64, copy=False)
+    ids = corpus.ids
     n = ids.size
-    # line index of every position, from the cumulative break offsets
-    seg = np.zeros(n, dtype=np.int64)
-    if corpus.line_breaks.size:
-        seg = np.searchsorted(corpus.line_breaks, np.arange(n), side="right")
+    starts = np.zeros(n + 1, dtype=bool)  # True where a new line begins
+    starts[corpus.line_breaks] = True
+    cross = np.zeros(n, dtype=bool)  # pair (i, i + dj) spans a line start
+    dropped = V * V  # the bin crossing pairs go to, cut off the counts
     half = np.zeros(V * V, dtype=np.float64)
     for dj in range(1, m + 1):
         if dj >= n:
             break
-        same_line = seg[:-dj] == seg[dj:]
-        keys = ids[:-dj][same_line] * V + ids[dj:][same_line]
-        half += np.bincount(keys, minlength=V * V)
+        cross = cross[:-1] | starts[dj:n]
+        keys = ids[:-dj].astype(np.int64) * V + ids[dj:]
+        keys[cross] = dropped
+        half += np.bincount(keys, minlength=dropped + 1)[:-1]
     half = half.reshape(V, V)
     counts = half + half.T  # each ordered pair seen from both endpoints
     return CoocMatrix(

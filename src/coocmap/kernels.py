@@ -4,7 +4,9 @@ eigenvectors of the smaller Gram matrix), similarity matrices, and
 orthogonal Procrustes.
 
 Everything here is a pure function of float64 arrays; inputs are never
-mutated.
+mutated. The cdist metrics (neg_l1, neg_l2) take C-contiguous rows: scipy
+walks each row in turn, so a column-major operand costs a strided read per
+entry.
 """
 
 from __future__ import annotations
@@ -156,10 +158,9 @@ def sim_matrix(X: np.ndarray, Z: np.ndarray, metric: str = "cosine") -> np.ndarr
         return unitr(X) @ unitr(Z).T
     if metric == "dot":
         return X @ Z.T
-    if metric == "neg_l2":
-        return -cdist(X, Z, metric="euclidean")
-    if metric == "neg_l1":
-        return -cdist(X, Z, metric="cityblock")
+    if metric in ("neg_l2", "neg_l1"):
+        name = "euclidean" if metric == "neg_l2" else "cityblock"
+        return -cdist(np.ascontiguousarray(X), np.ascontiguousarray(Z), metric=name)
     raise ValidationError(f"unknown metric {metric!r}, expected one of {METRICS}")
 
 
@@ -170,7 +171,8 @@ def pair_sim_matrix(X, Z, s, t, metric: str = "cosine") -> np.ndarray:
     (s[p], t[p]), so only the pair counts matter. cosine/dot use the sparse
     V1 x V2 count matrix M: X[:, s] @ Z[:, t].T = (X M) @ Z.T, and the squared
     row norms of X[:, s] are (X*X) @ bincount(s). neg_l1/neg_l2 measure each
-    distinct pair once, its columns scaled by the count w (l1) or sqrt(w) (l2).
+    distinct pair once, its columns scaled by the count w (l1) or sqrt(w) (l2):
+    for P distinct pairs they cost V1 * V2 * P, on row-major operands.
     """
     X = np.asarray(X, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.float64)
@@ -197,7 +199,11 @@ def pair_sim_matrix(X, Z, s, t, metric: str = "cosine") -> np.ndarray:
     if metric in ("neg_l1", "neg_l2"):
         pairs, w = np.unique(s * v2 + t, return_counts=True)
         scale = w if metric == "neg_l1" else np.sqrt(w)
-        return sim_matrix(X[:, pairs // v2] * scale, Z[:, pairs % v2] * scale, metric)
+        # np.take keeps the rows contiguous; X[:, idx] would return them
+        # column-major
+        Xp = np.take(X, pairs // v2, axis=1) * scale
+        Zp = np.take(Z, pairs % v2, axis=1) * scale
+        return sim_matrix(Xp, Zp, metric)
     raise ValidationError(f"unknown metric {metric!r}, expected one of {METRICS}")
 
 

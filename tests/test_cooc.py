@@ -55,11 +55,28 @@ class TestCountCooc:
         with pytest.raises(ValidationError):
             count_cooc(corpus_from_ids([[1]], 2), 0)
 
+    def test_empty_corpus_all_zero(self):
+        for lines in ([], [[]], [[], []]):
+            C = count_cooc(corpus_from_ids(lines, 3), 5)
+            assert C.token_count == 0 and not C.counts.any()
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_corpus_no_longer_than_the_window(self, m):
+        # n <= m tokens: no pair is dj >= n apart, and the loop stops at n
+        rng = np.random.default_rng(m)
+        for n in range(m + 1):
+            ids = rng.integers(0, 4, size=n).tolist()
+            for lines in ([ids], [ids[: n // 2], ids[n // 2 :]]):
+                C = count_cooc(corpus_from_ids(lines, 4), m)
+                np.testing.assert_array_equal(C.counts, brute_cooc(lines, 4, m))
+
+    # windows up to 8 against lines of up to 40 tokens: some windows outlast
+    # every line, so whole offsets fall into the dropped bin
     @given(
-        st.lists(st.lists(st.integers(0, 5), max_size=30), max_size=8),
-        st.sampled_from([1, 2, 5]),
+        st.lists(st.lists(st.integers(0, 5), max_size=40), max_size=8),
+        st.integers(1, 8),
     )
-    @settings(max_examples=60)
+    @settings(max_examples=100)
     def test_matches_brute_force(self, lines, m):
         enc = corpus_from_ids(lines, 6)
         C = count_cooc(enc, m)

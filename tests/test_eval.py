@@ -106,19 +106,28 @@ class TestTranslate:
 
     @pytest.mark.parametrize("family", ["cooc", "vec"])
     def test_non_finite_similarity_raises(self, family):
-        X = _toy_pair(4)
-        X[1, 1] = np.inf
+        X, Z = _toy_pair(4), _toy_pair(5)
         n = X.shape[0]
         toks = tuple(f"w{i}" for i in range(n))
         cfg = AlignConfig(csls_k=2)
-        if family == "cooc":
-            state = MatchState(np.arange(n), np.arange(n))
-            measure = cooc_measure(X, _toy_pair(5), cfg.metric)
-        else:  # the map is fitted on finite rows; the inf row is only measured
-            state = MatchState([0, 2, 3, 4, 5], [0, 2, 3, 4, 5])
-            measure = vec_measure(X, _toy_pair(5))
-        with pytest.raises(NumericError):
-            translate(PipelineRun(state, [], measure(state.s, state.t)), cfg, toks, toks)
+        state = MatchState(np.arange(n), np.arange(n))
+        measure = cooc_measure(X, Z, cfg.metric) if family == "cooc" else vec_measure(X, Z)
+        for bad in (np.inf, -np.inf, np.nan):
+            sims = measure(state.s, state.t)
+            sims[1, 1] = bad
+            with pytest.raises(NumericError, match="translation similarities"):
+                translate(PipelineRun(state, [], sims), cfg, toks, toks)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    def test_non_finite_input_vector_fails_fitting_the_map(self):
+        # normalize spreads one inf entry to NaN in every row (inf / inf in
+        # unitr, then the column means), so the map's SVD fails before any
+        # similarity exists
+        X = _toy_pair(4)
+        X[1, 1] = np.inf
+        measure = vec_measure(X, _toy_pair(5))
+        with pytest.raises(NumericError, match="SVD failed to converge"):
+            measure(np.array([0, 2, 3, 4, 5]), np.array([0, 2, 3, 4, 5]))
 
 
 class TestPrecisionAt1:

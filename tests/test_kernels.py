@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
+from coocmap import kernels
 from coocmap.align import csls, match_bidirectional
+from coocmap.cooc import CoocMatrix
 from coocmap.errors import NumericError, ValidationError
 from coocmap.kernels import (
     METRICS,
@@ -24,6 +27,7 @@ from coocmap.kernels import (
     unitr,
     unitr_l1,
 )
+from coocmap.presets import align_config, execute_preset, get_preset
 
 finite = st.floats(-10, 10, allow_nan=False, width=64)
 
@@ -432,6 +436,56 @@ class TestPairSimMatrix:
     def test_unknown_metric(self):
         with pytest.raises(ValidationError):
             pair_sim_matrix(np.ones((1, 2)), np.ones((1, 2)), [0], [1], "manhattan")
+
+
+CDIST_METRICS = {"neg_l1": "cityblock", "neg_l2": "euclidean"}
+
+
+@pytest.fixture
+def cdist_calls(monkeypatch):
+    """Records, per call of kernels.cdist, whether both operands are C-contiguous."""
+    calls = []
+
+    def recorder(XA, XB, metric):
+        calls.append((XA.flags.c_contiguous, XB.flags.c_contiguous))
+        return cdist(XA, XB, metric=metric)
+
+    monkeypatch.setattr(kernels, "cdist", recorder)
+    return calls
+
+
+class TestCdistLayout:
+    """cdist walks its operands row by row: a column gather hands it
+    column-major rows and costs about 2.5x on the sweep's 500 x 707 calls."""
+
+    @pytest.mark.parametrize("metric", CDIST_METRICS)
+    def test_pair_operands_are_row_major_and_exact(self, cdist_calls, metric):
+        rng = np.random.default_rng(5)
+        X, Z = rng.random((30, 40)), rng.random((35, 50))
+        state = match_bidirectional(rng.random((40, 50)) ** 8)
+        got = pair_sim_matrix(X, Z, state.s, state.t, metric)
+        pairs, w = np.unique(state.s * 50 + state.t, return_counts=True)
+        w = w if metric == "neg_l1" else np.sqrt(w)
+        ref = -cdist(X[:, pairs // 50] * w, Z[:, pairs % 50] * w, metric=CDIST_METRICS[metric])
+        assert cdist_calls == [(True, True)]
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("metric", CDIST_METRICS)
+    def test_column_major_input_is_made_contiguous(self, cdist_calls, metric):
+        rng = np.random.default_rng(6)
+        X, Z = np.asfortranarray(rng.random((20, 30))), rng.random((25, 60))[:, ::2]
+        got = sim_matrix(X, Z, metric)
+        assert cdist_calls == [(True, True)]
+        assert np.array_equal(got, -cdist(X, Z, metric=CDIST_METRICS[metric]))
+
+    @pytest.mark.parametrize("preset", ["rapp", "fung"])
+    def test_every_call_of_an_l1_run_is_row_major(self, cdist_calls, preset):
+        rng = np.random.default_rng(7)
+        C1, C2 = (CoocMatrix(M + M.T, 1, "t", 1000)
+                  for M in rng.integers(0, 40, size=(2, 30, 30)).astype(float))
+        execute_preset(align_config(get_preset(preset), csls_k=3, max_iters=4), C1, C2)
+        assert len(cdist_calls) > 2  # the init and every iteration's measure
+        assert all(a and b for a, b in cdist_calls)
 
 
 class TestCheckFinite:
