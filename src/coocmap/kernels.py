@@ -21,6 +21,9 @@ from .errors import NumericError, ValidationError
 
 METRICS = ("cosine", "dot", "neg_l2", "neg_l1")
 
+# rows whose l2 norm falls below this are measured at a rescaled copy
+_TINY_NORM = 1e-100
+
 
 def epow(X: np.ndarray, alpha: float) -> np.ndarray:
     """Entrywise power X[i,j] ** alpha."""
@@ -34,6 +37,13 @@ def unitr(X: np.ndarray) -> np.ndarray:
     """Scale every row to unit l2 norm; all-zero rows stay zero."""
     X = np.asarray(X, dtype=np.float64)
     norms = np.linalg.norm(X, axis=1, keepdims=True)
+    # below ~1e-154 the squares go subnormal or to zero and the norm loses
+    # its digits; such rows take it from a copy scaled by their largest entry
+    tiny = norms[:, 0] < _TINY_NORM
+    if tiny.any():
+        peak = np.max(np.abs(X[tiny]), axis=1, keepdims=True, initial=0.0)
+        peak[peak == 0.0] = 1.0
+        norms[tiny] = peak * np.linalg.norm(X[tiny] / peak, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return X / norms
 

@@ -110,6 +110,14 @@ class TestNormalize:
             normalize(np.eye(2)), [[r, -r], [-r, r]], atol=1e-12
         )
 
+    def test_tiny_rows_reach_unit_norm(self):
+        # the centered first column is +-4e-160: its square is subnormal
+        X = np.array([[7.934277e-160, 1.0], [0.0, 1.0]])
+        np.testing.assert_allclose(
+            np.linalg.norm(normalize(X), axis=1), [1.0, 1.0], rtol=1e-12
+        )
+        np.testing.assert_allclose(unitr(np.full((1, 2), 1e-170)), [[0.5**0.5] * 2])
+
     @given(small_matrices(min_side=2))
     @settings(max_examples=80)
     def test_rows_unit_or_zero(self, X):
