@@ -15,6 +15,7 @@ from .cooc import CoocMatrix
 from .errors import ValidationError
 from .kernels import (
     check_finite,
+    check_percentiles,
     normalize,
     pair_sim_matrix,
     procrustes,
@@ -53,7 +54,6 @@ class MatchState:
 
     s: np.ndarray
     t: np.ndarray
-    objective: float = 0.0
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=np.int64)
@@ -64,8 +64,8 @@ class MatchState:
 
 def match_bidirectional(S: np.ndarray) -> MatchState:
     """Forward argmax per row plus backward argmax per column; always emits
-    rows + cols pairs, ties resolved to the lowest index. The objective is
-    left to the caller, which scores the raw similarities, not these."""
+    rows + cols pairs, ties resolved to the lowest index. Matched from CSLS
+    scores, the forward half `t[:rows]` translates each source word."""
     S = np.asarray(S)
     n, m = S.shape
     fwd = S.argmax(axis=1)
@@ -108,6 +108,10 @@ class AlignConfig:
     def __post_init__(self):
         if self.csls_k < 1 or self.max_iters < 1 or self.tol < 0:
             raise ValidationError("csls_k and max_iters must be >= 1, tol >= 0")
+        if (self.dim is not None and self.dim < 1) or (self.drop_r is not None and self.drop_r < 0):
+            raise ValidationError(f"need dim >= 1, drop_r >= 0, got {self.dim}, {self.drop_r}")
+        if self.clip is not None:
+            check_percentiles(*self.clip)
 
 
 def unsupervised_init(X: np.ndarray, Z: np.ndarray, cfg: AlignConfig) -> MatchState:
@@ -117,36 +121,34 @@ def unsupervised_init(X: np.ndarray, Z: np.ndarray, cfg: AlignConfig) -> MatchSt
     Rx = np.sort(X, axis=1)[:, :width]
     Rz = np.sort(Z, axis=1)[:, :width]
     S = check_finite(sim_matrix(normalize(Rx), normalize(Rz), cfg.metric), "initial")
-    state = match_bidirectional(csls(S, cfg.csls_k))
-    state.objective = objective(S)
-    return state
+    return match_bidirectional(csls(S, cfg.csls_k))
 
 
 def _selflearn(measure, init: MatchState, cfg: AlignConfig):
     """Alternate measuring similarities under (s, t) and re-matching until the
     objective stops improving. Returns the best state seen, the trace, and
-    the similarities measured under the best state: None when no iteration
-    measured under it, as when it came from the last one."""
+    the translation: the forward half of the match made from the measurement
+    under the best state, measured once more if no iteration did."""
     state = init
-    best: MatchState | None = None
-    best_S = None
-    prev = None
+    best = targets = None
+    best_obj = -math.inf  # every objective is finite: measures are checked
     trace: list[float] = []
     for _ in range(cfg.max_iters):
         S = check_finite(measure(state.s, state.t), "self-learning")
-        if state is best:
-            best_S = S
         obj = objective(S)
-        state = match_bidirectional(csls(S, cfg.csls_k))
-        state.objective = obj
+        matched = match_bidirectional(csls(S, cfg.csls_k))
+        if state is best:
+            targets = matched.t[: S.shape[0]]
+        state = matched
         trace.append(obj)
-        if best is None or obj > best.objective:
-            best, best_S = state, None
-        if prev is not None and obj - prev < cfg.tol:
+        if obj > best_obj:
+            best, best_obj, targets = state, obj, None
+        if len(trace) > 1 and obj - trace[-2] < cfg.tol:
             break
-        prev = obj
-    assert best is not None
-    return best, trace, best_S
+    if targets is None:
+        S = check_finite(measure(best.s, best.t), "translation")
+        targets = csls(S, cfg.csls_k).argmax(axis=1)
+    return best, trace, targets
 
 
 Measure = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -193,18 +195,13 @@ def drop_schedule(drop_r: int, dim: int | None) -> int:
 
 @dataclass(frozen=True)
 class PipelineRun:
-    """The final correspondence, each stage's objective trace, and `sims`:
-    the V1 x V2 similarities under the final pairs by the last stage's
-    self-learning measure, the matrix translation ranks."""
+    """The final correspondence, each stage's objective trace, and `targets`:
+    the translation, one target id per source word, the CSLS row argmax of
+    the last stage's self-learning measure under the final pairs."""
 
     state: MatchState
     traces: list[list[float]]
-    sims: np.ndarray
-
-
-def _final_sims(measure: Measure, state: MatchState, S: np.ndarray | None) -> np.ndarray:
-    """`S` from the loop, or the one measurement under `state` it never made."""
-    return measure(state.s, state.t) if S is None else S
+    targets: np.ndarray
 
 
 def _trunc_steps(cfg: AlignConfig) -> list[Step]:
@@ -243,15 +240,14 @@ def run_staged(
     X = assoc.apply_pipeline(A1, _stage_tail(cfg, stage2=False))
     Z = assoc.apply_pipeline(A2, _stage_tail(cfg, stage2=False))
     init = seed if seed is not None else unsupervised_init(X, Z, cfg)
-    state, trace1, S = coocmap_selflearn(X, Z, init, cfg)
+    state, trace1, targets = coocmap_selflearn(X, Z, init, cfg)
     traces = [trace1]
     if cfg.drop_r is not None:
-        S = None  # stage 1's similarities are not ranked: free them first
         X = assoc.apply_pipeline(A1, _stage_tail(cfg, stage2=True))
         Z = assoc.apply_pipeline(A2, _stage_tail(cfg, stage2=True))
-        state, trace2, S = coocmap_selflearn(X, Z, state, cfg)
+        state, trace2, targets = coocmap_selflearn(X, Z, state, cfg)
         traces.append(trace2)
-    return PipelineRun(state, traces, _final_sims(cooc_measure(X, Z, cfg.metric), state, S))
+    return PipelineRun(state, traces, targets)
 
 
 def run_coocmap(
@@ -270,5 +266,5 @@ def run_vecmap(
     """Vector-space pipeline: gram-sqrt initializer, then Procrustes loop."""
     if seed is None:
         seed = unsupervised_init(psd_sqrt_gram(Xv), psd_sqrt_gram(Zv), cfg)
-    state, trace, S = vecmap_selflearn(Xv, Zv, seed, cfg)
-    return PipelineRun(state, [trace], _final_sims(vec_measure(Xv, Zv), state, S))
+    state, trace, targets = vecmap_selflearn(Xv, Zv, seed, cfg)
+    return PipelineRun(state, [trace], targets)

@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .cooc import CoocMatrix
 from .corpus import Vocabulary
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 
 class Step(NamedTuple):
@@ -125,10 +125,9 @@ def assoc_from_vectors(Xv: np.ndarray) -> np.ndarray:
 
 def svd_vectors(C: CoocMatrix, r: int = 300) -> np.ndarray:
     """Left singular vectors of sqrt(counts) scaled by the top-r values."""
-    if r < 1:
-        raise ValidationError(f"vector dimension must be >= 1, got {r}")
+    if not 1 <= r <= C.size:
+        raise ValidationError(f"vector dimension must be in [1, V={C.size}], got {r}")
     f = kernels.svd(kernels.epow(C.counts, 0.5))
-    r = min(r, f.S.size)
     return f.U[:, :r] * f.S[:r]
 
 
@@ -152,7 +151,8 @@ def load_vectors(path, vocab: Vocabulary):
     """Read vectors aligned to the given vocabulary.
 
     File words outside the vocabulary are skipped; vocabulary words missing
-    from the file keep zero vectors and are returned for reporting.
+    from the file keep zero vectors and are returned for reporting. A NaN or
+    infinite value raises NumericError naming its line and word.
     """
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
@@ -169,6 +169,8 @@ def load_vectors(path, vocab: Vocabulary):
             if wid == vocab.unk_id and parts[0] != vocab.tokens[vocab.unk_id]:
                 continue  # word not in the current vocabulary
             data[wid] = [float(x) for x in parts[1:]]
+            if not np.isfinite(data[wid]).all():
+                raise NumericError(f"{path}:{lineno}: non-finite vector for {parts[0]!r}")
             seen[wid] = True
     missing = [tok for tok, s in zip(vocab.tokens, seen) if not s]
     return data, missing

@@ -56,6 +56,10 @@ class BenchConfig:
     top_eval: int = 1000
     block_lines: int = 1000
 
+    def __post_init__(self):
+        if self.window < 1 or self.top_eval < 1:
+            raise ValidationError(f"need window, top_eval >= 1, got {self.window}, {self.top_eval}")
+
 
 @dataclass
 class RunReport:
@@ -104,16 +108,6 @@ class RunReport:
         d["vocab_sizes"] = tuple(d["vocab_sizes"])
         d["token_counts"] = tuple(d["token_counts"])
         return cls(**d)
-
-
-def alternate_blocks(lines: list, block: int) -> tuple[list, list]:
-    """Deal consecutive blocks of lines to the two halves alternately: the
-    split `_split_sides` streams, as lists."""
-    a: list = []
-    b: list = []
-    for i in range(0, len(lines), block):
-        (a if (i // block) % 2 == 0 else b).extend(lines[i : i + block])
-    return a, b
 
 
 @dataclass(frozen=True)
@@ -238,7 +232,7 @@ def align_and_score(
     if cfg.seed_mode == "dictionary":
         seed_state = seed_from_dictionary(dictionary, v1, v2)
     run = execute_preset(cfg, sides.C1, sides.C2, *vectors, seed=seed_state)
-    preds = translate(run, cfg, v1.tokens, labels)
+    preds = translate(run, v1.tokens, labels)
     if answer is None:
         answer = Dictionary({})
     if preds_out is not None:
@@ -385,6 +379,12 @@ class SweepSpec:
             raise ValidationError("crosslingual mode needs a target corpus")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be >= 1")
+        self.bench_config()  # checks the tuning fields as BenchConfig does
+
+    def bench_config(self) -> BenchConfig:
+        """The BenchConfig of every point, less its preset and dim."""
+        tuning = [f.name for f in fields(BenchConfig) if f.name not in ("preset", "dim")]
+        return BenchConfig(**{name: getattr(self, name) for name in tuning})
 
     @classmethod
     def from_file(cls, path) -> "SweepSpec":
@@ -439,9 +439,7 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
     row carries the ingest's time. Outside cipher mode a repetition would rerun
     the same computation, so it copies the previous row with `seconds` 0.0."""
     t0 = time.perf_counter()
-    # every BenchConfig field but preset and dim is the spec's, for all points
-    tuning = [f.name for f in fields(BenchConfig) if f.name not in ("preset", "dim")]
-    base = BenchConfig(**{name: getattr(spec, name) for name in tuning})
+    base = spec.bench_config()
     points = [
         (replace(base, preset=preset, dim=dim), rep)
         for preset in spec.presets

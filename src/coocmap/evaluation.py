@@ -9,10 +9,10 @@ from typing import Container, NamedTuple, Sequence
 import numpy as np
 
 # perfbench/spans.py rebinds csls and sim_matrix as globals of this module
-from .align import AlignConfig, MatchState, PipelineRun, csls
+from .align import MatchState, PipelineRun, csls  # noqa: F401
 from .corpus import Vocabulary
 from .errors import ValidationError
-from .kernels import check_finite, sim_matrix  # noqa: F401
+from .kernels import sim_matrix  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -55,20 +55,14 @@ class Predictions:
 
 
 def translate(
-    run: PipelineRun,
-    cfg: AlignConfig,
-    source_tokens: Sequence[str],
-    target_tokens: Sequence[str],
+    run: PipelineRun, source_tokens: Sequence[str], target_tokens: Sequence[str]
 ) -> Predictions:
-    """CSLS with `cfg.csls_k` over the run's similarities under its final
-    correspondence; every source word predicts its best-scoring target word."""
-    S = check_finite(run.sims, "translation")
-    best = csls(S, cfg.csls_k).argmax(axis=1)
-    rows = [
-        Prediction(source=tok, predicted=target_tokens[best[i]], rank=i)
+    """Every source word predicts the target word the run matched it to,
+    `run.targets`: its CSLS best under the run's final correspondence."""
+    return Predictions([
+        Prediction(source=tok, predicted=target_tokens[run.targets[i]], rank=i)
         for i, tok in enumerate(source_tokens)
-    ]
-    return Predictions(rows=rows)
+    ])
 
 
 class EvalResult(NamedTuple):

@@ -67,11 +67,16 @@ def normalize(X: np.ndarray) -> np.ndarray:
     return unitr(centerc(unitr(X)))
 
 
+def check_percentiles(p_lo: float, p_hi: float) -> None:
+    """Reject clip percentiles outside 0 <= p_lo < p_hi <= 100."""
+    if not (0.0 <= p_lo < p_hi <= 100.0):
+        raise ValidationError(f"need 0 <= p_lo < p_hi <= 100, got ({p_lo}, {p_hi})")
+
+
 def clip_thresholds(X: np.ndarray, p_lo: float = 1.0, p_hi: float = 99.0):
     """Two-stage percentile thresholds: per-row percentiles, then the same
     percentile over the row statistics, so no single row dominates."""
-    if not (0.0 <= p_lo < p_hi <= 100.0):
-        raise ValidationError(f"need 0 <= p_lo < p_hi <= 100, got ({p_lo}, {p_hi})")
+    check_percentiles(p_lo, p_hi)
     X = np.asarray(X, dtype=np.float64)
     row_lo, row_hi = np.percentile(X, [p_lo, p_hi], axis=1)
     return float(np.percentile(row_lo, p_lo)), float(np.percentile(row_hi, p_hi))

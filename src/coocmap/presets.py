@@ -17,7 +17,7 @@ from .align import (
 )
 from .assoc import assoc_from_vectors, svd_vectors
 from .cooc import CoocMatrix
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 PRESETS = {
     cfg.preset: cfg
@@ -89,7 +89,8 @@ def execute_preset(
     vectors2: np.ndarray | None = None,
     seed: MatchState | None = None,
 ) -> PipelineRun:
-    """Dispatch a resolved config to its pipeline given counts and/or vectors."""
+    """Dispatch a resolved config to its pipeline given counts and/or vectors,
+    once they are checked; a non-finite imported vector is a NumericError."""
     if cfg.vectors == "import":
         if vectors1 is None or vectors2 is None:
             raise ValidationError(f"preset {cfg.preset} needs vectors on both sides")
@@ -98,6 +99,9 @@ def execute_preset(
     if cfg.vectors == "svd" and cfg.dim is None:
         raise ValidationError(f"preset {cfg.preset} needs dim, its SVD vector dimension")
     if cfg.vectors == "import":
+        for side, bad in (("source", ~np.isfinite(vectors1)), ("target", ~np.isfinite(vectors2))):
+            if bad.any():
+                raise NumericError(f"{side} vector row {bad.any(axis=1).argmax()} is not finite")
         v1, v2 = vectors1.shape[0], vectors2.shape[0]
     else:
         v1, v2 = C1.counts.shape[0], C2.counts.shape[0]

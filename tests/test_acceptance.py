@@ -17,7 +17,6 @@ from coocmap.assoc import build
 from coocmap.bench import (
     BenchConfig,
     SweepSpec,
-    alternate_blocks,
     cipher_bench,
     run_sweep,
 )
@@ -31,6 +30,7 @@ from coocmap.kernels import (
     procrustes,
     trunc,
 )
+from splits import alternate_blocks
 
 BUDGETS = (500_000, 1_000_000, 2_000_000, 5_000_000, 10_000_000, 20_000_000)
 VOCAB_SIZE = 1500

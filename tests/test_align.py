@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,7 +154,7 @@ class TestSelfLearn:
         init = MatchState(np.arange(n), np.arange(n))
         cfg = AlignConfig(csls_k=2, max_iters=10)
         state, trace, _ = coocmap_selflearn(X, X, init, cfg)
-        assert state.objective == pytest.approx(1.0, abs=1e-9)
+        assert max(trace) == pytest.approx(1.0, abs=1e-9)
         forward = {(int(s), int(t)) for s, t in zip(state.s[:n], state.t[:n])}
         assert forward == {(i, i) for i in range(n)}
 
@@ -169,7 +171,12 @@ class TestSelfLearn:
         init = unsupervised_init(X, Z, cfg)
         state, trace, _ = coocmap_selflearn(X, Z, init, cfg)
         assert len(trace) <= 30
-        assert state.objective == pytest.approx(max(trace))
+        # the best state is the match made at max(trace): a run cut right
+        # after that iteration returns it too
+        k = trace.index(max(trace))
+        cut, cut_trace, _ = coocmap_selflearn(X, Z, init, replace(cfg, max_iters=k + 1))
+        assert cut_trace == trace[: k + 1]
+        assert (cut.s.tolist(), cut.t.tolist()) == (state.s.tolist(), state.t.tolist())
 
     def test_out_of_range_init_rejected(self):
         X = toy_assoc(10)
@@ -226,12 +233,12 @@ class TestVecmapSelfLearn:
         n = Xv.shape[0]
         init = MatchState(np.arange(n), np.arange(n))
         cfg = AlignConfig(csls_k=3, max_iters=10)
-        state, _, _ = vecmap_selflearn(Xv, Zv, init, cfg)
+        state, trace, _ = vecmap_selflearn(Xv, Zv, init, cfg)
         forward = {(int(s), int(t)) for s, t in zip(state.s[:n], state.t[:n])}
         assert forward == {(i, i) for i in range(n)}
         W = np.linalg.lstsq(normalize(Xv), normalize(Zv), rcond=None)[0]
         # normalize(Zv) != Xv @ R in general; check the matching held instead
-        assert state.objective > 0.99
+        assert max(trace) > 0.99
 
     def test_identity_vectors_give_identity_map(self):
         rng = np.random.default_rng(13)
@@ -357,8 +364,8 @@ class TestPipelines:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("max_iters, measures", [(1, 2), (100, None)])
-    def test_sims_are_the_last_measure_under_the_final_state(self, monkeypatch, max_iters,
-                                                             measures):
+    def test_targets_are_the_last_measure_under_the_final_state(self, monkeypatch, max_iters,
+                                                                measures):
         # a run that stops on no improvement measured under its best state
         # already and reuses that; at max_iters it measures once more
         from coocmap import align
@@ -375,8 +382,9 @@ class TestPipelines:
             assert len(trace) < max_iters and trace[-1] < max(trace)
             measures = len(trace)
         assert len(calls) == measures
-        want = cooc_measure(build("coocmap", C1), build("coocmap", C2), cfg.metric)
-        assert run.sims.tobytes() == want(run.state.s, run.state.t).tobytes()
+        measure = cooc_measure(build("coocmap", C1), build("coocmap", C2), cfg.metric)
+        want = csls(measure(run.state.s, run.state.t), cfg.csls_k).argmax(axis=1)
+        assert run.targets.tobytes() == want.tobytes()
 
     def test_dict_seed_fixed_point_on_identical_counts(self):
         C = self._counts(20)
@@ -393,7 +401,8 @@ class TestPipelines:
         Xv = svd_vectors(C, 5)
         run = run_vecmap(Xv, Xv, AlignConfig(csls_k=3, max_iters=5))
         s, t = run.state.s, run.state.t
-        assert run.sims.tobytes() == vec_measure(Xv, Xv)(s, t).tobytes()
+        want = csls(vec_measure(Xv, Xv)(s, t), 3).argmax(axis=1)
+        assert run.targets.tobytes() == want.tobytes()
         n = C.size
         forward = dict(zip(run.state.s.tolist()[:n], run.state.t.tolist()[:n]))
         assert all(forward[i] == i for i in range(n))

@@ -12,7 +12,7 @@ from coocmap.assoc import (
 )
 from coocmap.cooc import CoocMatrix
 from coocmap.corpus import build_vocab
-from coocmap.errors import ValidationError
+from coocmap.errors import NumericError, ValidationError
 from coocmap.kernels import clip, drop_head, normalize, unitr, unitr_l1
 
 CONSTRUCTORS = ["coocmap", "log1p", "rapp", "fung", "ppmi", "glove"]
@@ -198,6 +198,11 @@ class TestVectors:
         Xv = svd_vectors(C, 1)
         np.testing.assert_allclose(Xv[:, 0], w * np.linalg.norm(w), atol=1e-10)
 
+    @pytest.mark.parametrize("r", [0, 3])
+    def test_dimension_outside_vocabulary_rejected(self, r):
+        with pytest.raises(ValidationError, match=rf"\[1, V=2\], got {r}"):
+            svd_vectors(cmat(np.diag([16.0, 1.0])), r)
+
     def test_assoc_from_orthonormal_vectors(self):
         Q = np.linalg.qr(np.random.default_rng(12).random((3, 3)))[0]
         A = assoc_from_vectors(Q)
@@ -248,6 +253,12 @@ class TestVectorIO:
         loaded, _ = load_vectors(tmp_path / "v.txt", vocab)
         assert loaded[vocab.id_of("a")] == [1.0]
         assert not loaded[vocab.unk_id].any()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_value_names_line_and_word(self, tmp_path, value):
+        (tmp_path / "v.txt").write_text(f"2 2\na 0.5 0.25\nb 1.0 {value}\n")
+        with pytest.raises(NumericError, match=r"v\.txt:3: non-finite vector for 'b'"):
+            load_vectors(tmp_path / "v.txt", build_vocab(["a", "b"], 3))
 
     def test_malformed_line_reports_number(self, tmp_path):
         (tmp_path / "v.txt").write_text("1 2\na 0.5\n")

@@ -13,7 +13,6 @@ from coocmap.bench import (
     BenchConfig,
     RunReport,
     SweepSpec,
-    alternate_blocks,
     cipher_bench,
     crosslingual_run,
     run_sweep,
@@ -25,6 +24,7 @@ from coocmap.errors import ValidationError
 from coocmap.evaluation import load_dictionary, load_predictions, precision_at_1
 from coocmap.cooc import count_cooc
 from coocmap.corpus import Vocabulary, build_vocab, encode, line_blocks, take_head_bytes, tokenize
+from splits import alternate_blocks
 
 FAST = BenchConfig(preset="coocmap", vocab_size=300, top_eval=200, max_iters=40)
 
@@ -446,6 +446,15 @@ class TestSweep:
         bad.write_text("source = x\nbudgets = 10\nnot_a_key = 3\n")
         with pytest.raises(ValidationError):
             SweepSpec.from_file(bad)
+
+    @pytest.mark.parametrize("field", ["top_eval", "window"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_tuning_below_one_rejected(self, field, value):
+        # top_eval=-1 would score every entry, 0 would score none
+        with pytest.raises(ValidationError, match="need window, top_eval >= 1"):
+            BenchConfig(**{field: value})
+        with pytest.raises(ValidationError, match="need window, top_eval >= 1"):
+            SweepSpec(source="unread.txt", budgets=(1,), **{field: value})
 
     def test_cipher_repetitions_use_distinct_seeds(self, small_corpus, tmp_path):
         spec = SweepSpec.from_file(self._spec_file(

@@ -438,3 +438,49 @@ def test_induce_vector_widths_differ_exits_2(counted, tmp_path, capsys):
     assert rc == 2
     assert "source 20 and target 10" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_induce_non_finite_vector_exits_3(counted, tmp_path, capsys):
+    from coocmap.assoc import save_vectors, svd_vectors
+
+    tmp, out = counted
+    vocab = Vocabulary.load(f"{out}.vocab.txt")
+    C = load_cooc(f"{out}.cooc.bin", vocab)
+    Xv = svd_vectors(C, 10)
+    Xv[3, 2] = np.inf
+    save_vectors(Xv, vocab, tmp_path / "v.txt")
+    rc = main([
+        "induce",
+        "--cooc1", f"{out}.cooc.bin", "--cooc2", f"{out}.cooc.bin",
+        "--vocab1", f"{out}.vocab.txt", "--vocab2", f"{out}.vocab.txt",
+        "--preset", "vecmap-vectors", "--csls-k", "5",
+        "--vectors1", str(tmp_path / "v.txt"), "--vectors2", str(tmp_path / "v.txt"),
+        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
+    ])
+    assert rc == 3
+    # the header is line 1, so vocabulary row 3 is line 5
+    assert f"v.txt:5: non-finite vector for {vocab.tokens[3]!r}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("induce", ["--dim", "0"], "need dim >= 1, drop_r >= 0, got 0, None"),
+    ("induce", ["--preset", "coocmap-drop", "--drop-r", "-1"], "got None, -1"),
+    ("induce", ["--clip-lo", "50", "--clip-hi", "40"], "need 0 <= p_lo < p_hi <= 100"),
+    ("bench", ["--top-eval", "0"], "need window, top_eval >= 1"),
+    ("bench", ["--window", "0"], "need window, top_eval >= 1"),
+    ("count", ["--window", "0"], "need window, top_eval >= 1"),
+])
+def test_bad_parameter_exits_2_before_reading_files(tmp_path, capsys, command, flags, message):
+    missing = str(tmp_path / "missing")
+    inputs = {
+        "induce": ["--cooc1", missing, "--cooc2", missing, "--vocab1", missing,
+                   "--vocab2", missing, "--out-report", missing, "--out-preds", missing],
+        "bench": ["--corpus", missing, "--budget", "1000"],
+        "count": ["--input", missing, "--out", missing],
+    }[command]
+    if command == "induce" and "--preset" not in flags:
+        flags = ["--preset", "coocmap", *flags]
+    assert main([command, *inputs, *flags]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "No such file" not in err

@@ -4,9 +4,9 @@ import pytest
 from coocmap.align import (
     AlignConfig,
     MatchState,
-    PipelineRun,
-    cooc_measure,
     csls,
+    run_staged,
+    run_vecmap,
     stage_steps,
     vec_measure,
 )
@@ -69,8 +69,19 @@ def _toy_pair(seed=0, V=6):
     return X
 
 
-def _cooc_run(X, Z, state, cfg):
-    return PipelineRun(state, [], cooc_measure(X, Z, cfg.metric)(state.s, state.t))
+def _spoil_call(module, name, n, bad, monkeypatch):
+    """Rebind module.name so that its n-th call returns a similarity matrix
+    with one entry replaced by `bad`."""
+    real, calls = getattr(module, name), []
+
+    def spoiled(*args):
+        S = real(*args)
+        calls.append(name)
+        if len(calls) == n:
+            S[1, 1] = bad
+        return S
+
+    monkeypatch.setattr(module, name, spoiled)
 
 
 class TestTranslate:
@@ -79,20 +90,18 @@ class TestTranslate:
         n = X.shape[0]
         toks = tuple(f"w{i}" for i in range(n))
         state = MatchState(np.arange(n), np.arange(n))
-        cfg = AlignConfig(csls_k=2)
-        preds = translate(_cooc_run(X, X, state, cfg), cfg, toks, toks)
+        run = run_staged(X, X, AlignConfig(csls_k=2), seed=state)
+        preds = translate(run, toks, toks)
         assert [r.predicted for r in preds.rows] == list(toks)
         assert [r.rank for r in preds.rows] == list(range(n))
 
     def test_covers_every_source_once(self):
-        X = _toy_pair(1)
-        n = X.shape[0]
-        toks = tuple(f"w{i}" for i in range(n))
-        state = MatchState(np.arange(n), np.arange(n))
-        cfg = AlignConfig(csls_k=2)
-        preds = translate(_cooc_run(X, X, state, cfg), cfg, toks, toks)
-        assert len(preds.rows) == n
-        assert len({r.source for r in preds.rows}) == n
+        X, Z = _toy_pair(1), _toy_pair(2, V=4)
+        src, tgt = tuple(f"s{i}" for i in range(6)), tuple(f"t{j}" for j in range(4))
+        run = run_staged(X, Z, AlignConfig(csls_k=2))
+        preds = translate(run, src, tgt)
+        assert [r.source for r in preds.rows] == list(src)
+        assert [r.predicted for r in preds.rows] == [tgt[j] for j in run.targets]
 
     def test_deterministic(self):
         X, Z = _toy_pair(2), _toy_pair(3)
@@ -100,23 +109,28 @@ class TestTranslate:
         toks = tuple(f"w{i}" for i in range(n))
         state = MatchState(np.arange(n), np.arange(n))
         cfg = AlignConfig(csls_k=2)
-        a = translate(_cooc_run(X, Z, state, cfg), cfg, toks, toks)
-        b = translate(_cooc_run(X, Z, state, cfg), cfg, toks, toks)
+        a = translate(run_staged(X, Z, cfg, seed=state), toks, toks)
+        b = translate(run_staged(X, Z, cfg, seed=state), toks, toks)
         assert a.rows == b.rows
 
     @pytest.mark.parametrize("family", ["cooc", "vec"])
-    def test_non_finite_similarity_raises(self, family):
+    def test_non_finite_similarity_raises(self, family, monkeypatch):
+        # one self-learning round, then the measure under the best state that
+        # translation ranks: its second call
+        from coocmap import align
+
         X, Z = _toy_pair(4), _toy_pair(5)
         n = X.shape[0]
-        toks = tuple(f"w{i}" for i in range(n))
-        cfg = AlignConfig(csls_k=2)
+        cfg = AlignConfig(csls_k=2, max_iters=1)
         state = MatchState(np.arange(n), np.arange(n))
-        measure = cooc_measure(X, Z, cfg.metric) if family == "cooc" else vec_measure(X, Z)
+        measure, pipeline = {
+            "cooc": ("pair_sim_matrix", run_staged), "vec": ("sim_matrix", run_vecmap)
+        }[family]
         for bad in (np.inf, -np.inf, np.nan):
-            sims = measure(state.s, state.t)
-            sims[1, 1] = bad
-            with pytest.raises(NumericError, match="translation similarities"):
-                translate(PipelineRun(state, [], sims), cfg, toks, toks)
+            with monkeypatch.context() as m:
+                _spoil_call(align, measure, 2, bad, m)
+                with pytest.raises(NumericError, match="translation similarities"):
+                    pipeline(X, Z, cfg, seed=state)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
     def test_non_finite_input_vector_fails_fitting_the_map(self):
@@ -266,13 +280,18 @@ def _unrelated_counts(V=30):
 
 
 class TestTranslateRanksTheRunsMeasure:
-    """translate measures with the run's own last-stage measure. The
-    per-family formulas it used to repeat are the oracles: predictions must
-    equal their CSLS argmax exactly."""
+    """Translation is the CSLS argmax of the run's own last-stage measure
+    under its final pairs. The per-family formulas are the oracles:
+    predictions must equal their CSLS argmax exactly. Each oracle runs at
+    max_iters 1, where the loop measures once more under its best state,
+    and at 8, where it reuses a measurement it made (these inputs stop
+    early)."""
 
-    def _predicted(self, run, cfg, V):
+    MAX_ITERS = (1, 8)
+
+    def _predicted(self, run, V):
         toks = tuple(f"w{i}" for i in range(V))
-        return np.array([int(r.predicted[1:]) for r in translate(run, cfg, toks, toks).rows])
+        return np.array([int(r.predicted[1:]) for r in translate(run, toks, toks).rows])
 
     @pytest.mark.parametrize("name, dim", [
         ("coocmap", None), ("coocmap-drop", 12), ("rapp", None), ("ppmi", 20),
@@ -280,31 +299,37 @@ class TestTranslateRanksTheRunsMeasure:
     ])
     def test_cooc_oracle(self, name, dim):
         C1, C2 = _unrelated_counts()
-        cfg = align_config(get_preset(name), csls_k=3, max_iters=8, dim=dim)
-        if cfg.vectors == "import":
-            vectors = (svd_vectors(C1, 10), svd_vectors(C2, 10))
-            run = execute_preset(cfg, vectors1=vectors[0], vectors2=vectors[1])
-            A1, A2 = (assoc_from_vectors(v) for v in vectors)
-        else:
-            run = execute_preset(cfg, C1, C2)
-            A1, A2 = build(cfg.assoc, C1), build(cfg.assoc, C2)
-        steps = stage_steps(cfg, stage2=cfg.drop_r is not None)
-        X, Z = apply_pipeline(A1, steps), apply_pipeline(A2, steps)
-        S = pair_sim_matrix(X, Z, run.state.s, run.state.t, cfg.metric)
-        want = csls(S, cfg.csls_k).argmax(axis=1)
-        np.testing.assert_array_equal(self._predicted(run, cfg, C1.size), want)
+        for max_iters in self.MAX_ITERS:
+            cfg = align_config(get_preset(name), csls_k=3, max_iters=max_iters, dim=dim)
+            if cfg.vectors == "import":
+                vectors = (svd_vectors(C1, 10), svd_vectors(C2, 10))
+                run = execute_preset(cfg, vectors1=vectors[0], vectors2=vectors[1])
+                A1, A2 = (assoc_from_vectors(v) for v in vectors)
+            else:
+                run = execute_preset(cfg, C1, C2)
+                A1, A2 = build(cfg.assoc, C1), build(cfg.assoc, C2)
+            steps = stage_steps(cfg, stage2=cfg.drop_r is not None)
+            X, Z = apply_pipeline(A1, steps), apply_pipeline(A2, steps)
+            S = pair_sim_matrix(X, Z, run.state.s, run.state.t, cfg.metric)
+            want = csls(S, cfg.csls_k).argmax(axis=1)
+            np.testing.assert_array_equal(
+                self._predicted(run, C1.size), want, err_msg=f"max_iters={max_iters}"
+            )
 
     @pytest.mark.parametrize("name", ["vecmap-raw", "vecmap-vectors"])
     def test_vec_oracle(self, name):
         C1, C2 = _unrelated_counts()
         dim = None if name == "vecmap-vectors" else 10
-        cfg = align_config(get_preset(name), csls_k=3, max_iters=8, dim=dim)
         Xv, Zv = svd_vectors(C1, 10), svd_vectors(C2, 10)
-        if cfg.vectors == "import":
-            run = execute_preset(cfg, vectors1=Xv, vectors2=Zv)
-        else:
-            run = execute_preset(cfg, C1, C2)
-        Xn, Zn = normalize(Xv), normalize(Zv)
-        W = procrustes(Xn[run.state.s], Zn[run.state.t])
-        want = csls(sim_matrix(Xn @ W, Zn), cfg.csls_k).argmax(axis=1)
-        np.testing.assert_array_equal(self._predicted(run, cfg, C1.size), want)
+        for max_iters in self.MAX_ITERS:
+            cfg = align_config(get_preset(name), csls_k=3, max_iters=max_iters, dim=dim)
+            if cfg.vectors == "import":
+                run = execute_preset(cfg, vectors1=Xv, vectors2=Zv)
+            else:
+                run = execute_preset(cfg, C1, C2)
+            Xn, Zn = normalize(Xv), normalize(Zv)
+            W = procrustes(Xn[run.state.s], Zn[run.state.t])
+            want = csls(sim_matrix(Xn @ W, Zn), cfg.csls_k).argmax(axis=1)
+            np.testing.assert_array_equal(
+                self._predicted(run, C1.size), want, err_msg=f"max_iters={max_iters}"
+            )

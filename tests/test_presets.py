@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coocmap.align import MatchState, vec_measure
+from coocmap.align import MatchState, csls, vec_measure
 from coocmap.assoc import svd_vectors
 from coocmap.cooc import CoocMatrix
-from coocmap.errors import ValidationError
+from coocmap.errors import NumericError, ValidationError
 from coocmap.presets import PRESETS, align_config, execute_preset, get_preset
 
 # the method names the CLI contract promises
@@ -61,7 +61,7 @@ def test_execute_vecmap_raw_identity():
     run = execute_preset(align_config(get_preset("vecmap-raw"), csls_k=3, max_iters=5, dim=6), C, C)
     Xv = svd_vectors(C, 6)
     s, t = run.state.s, run.state.t
-    assert run.sims.tobytes() == vec_measure(Xv, Xv)(s, t).tobytes()
+    assert run.targets.tobytes() == csls(vec_measure(Xv, Xv)(s, t), 3).argmax(axis=1).tobytes()
     n = C.size
     forward = dict(zip(run.state.s.tolist()[:n], run.state.t.tolist()[:n]))
     assert all(forward[i] == i for i in range(n))
@@ -137,6 +137,30 @@ def test_dim_beyond_vocabulary_rejected(name, V1, V2, dim):
     cfg = align_config(get_preset(name), csls_k=3, max_iters=5, dim=dim)
     with pytest.raises(ValidationError, match=f"dim={dim} exceeds the smaller vocabulary"):
         execute_preset(cfg, counts(9, V=V1), counts(10, V=V2))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", 0, "need dim >= 1, drop_r >= 0, got 0, 20"),
+    ("drop_r", -1, "need dim >= 1, drop_r >= 0, got None, -1"),
+    ("clip", (50.0, 40.0), "need 0 <= p_lo < p_hi <= 100"),
+    ("clip", (-1.0, 99.0), "need 0 <= p_lo < p_hi <= 100"),
+    ("clip", (1.0, 101.0), "need 0 <= p_lo < p_hi <= 100"),
+])
+def test_config_out_of_range_rejected(field, value, message):
+    with pytest.raises(ValidationError, match=message):
+        replace(get_preset("coocmap-drop"), **{field: value})
+
+
+@pytest.mark.parametrize("name", ["coocmap-vectors", "vecmap-vectors"])
+@pytest.mark.parametrize("side", ["source", "target"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_vectors_fail_before_any_work(monkeypatch, name, side, bad):
+    forbid_work(monkeypatch)
+    vectors = {"source": np.ones((12, 3)), "target": np.ones((9, 3))}
+    vectors[side][4, 1] = bad
+    cfg = align_config(get_preset(name), csls_k=3)
+    with pytest.raises(NumericError, match=f"{side} vector row 4 is not finite"):
+        execute_preset(cfg, vectors1=vectors["source"], vectors2=vectors["target"])
 
 
 def test_vec_import_widths_must_match(monkeypatch):
