@@ -59,6 +59,10 @@ class BenchConfig:
     def __post_init__(self):
         if self.window < 1 or self.top_eval < 1:
             raise ValidationError(f"need window, top_eval >= 1, got {self.window}, {self.top_eval}")
+        if self.vocab_size < 1 or self.block_lines < 1:
+            raise ValidationError(
+                f"need vocab_size, block_lines >= 1, got {self.vocab_size}, {self.block_lines}"
+            )
 
 
 @dataclass

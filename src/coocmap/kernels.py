@@ -3,10 +3,13 @@ surgery (rank-r truncation and head-drop by projection onto the top
 eigenvectors of the smaller Gram matrix), similarity matrices, and
 orthogonal Procrustes.
 
-Everything here is a pure function of float64 arrays; inputs are never
-mutated. The cdist metrics (neg_l1, neg_l2) take C-contiguous rows: scipy
-walks each row in turn, so a column-major operand costs a strided read per
-entry.
+Every public function here is a pure function of float64 arrays; inputs
+are never mutated. The normalization chain is built on private in-place
+cores (`_unitr_inplace`, `_centerc_inplace`, `_normalize_inplace`) that
+overwrite and return a float64 buffer their caller owns; the public
+`unitr`, `centerc` and `normalize` run them on one fresh copy. The cdist
+metrics (neg_l1, neg_l2) take C-contiguous rows: scipy walks each row in
+turn, so a column-major operand costs a strided read per entry.
 """
 
 from __future__ import annotations
@@ -33,9 +36,8 @@ def epow(X: np.ndarray, alpha: float) -> np.ndarray:
     return X**alpha
 
 
-def unitr(X: np.ndarray) -> np.ndarray:
-    """Scale every row to unit l2 norm; all-zero rows stay zero."""
-    X = np.asarray(X, dtype=np.float64)
+def _unitr_inplace(X: np.ndarray) -> np.ndarray:
+    """unitr on X's own float64 buffer: overwrites and returns X."""
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     # below ~1e-154 the squares go subnormal or to zero and the norm loses
     # its digits; such rows take it from a copy scaled by their largest entry
@@ -45,7 +47,13 @@ def unitr(X: np.ndarray) -> np.ndarray:
         peak[peak == 0.0] = 1.0
         norms[tiny] = peak * np.linalg.norm(X[tiny] / peak, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return X / norms
+    X /= norms
+    return X
+
+
+def unitr(X: np.ndarray) -> np.ndarray:
+    """Scale every row to unit l2 norm; all-zero rows stay zero."""
+    return _unitr_inplace(np.array(X, dtype=np.float64))
 
 
 def unitr_l1(X: np.ndarray) -> np.ndarray:
@@ -56,15 +64,25 @@ def unitr_l1(X: np.ndarray) -> np.ndarray:
     return X / mass
 
 
+def _centerc_inplace(X: np.ndarray) -> np.ndarray:
+    """centerc on X's own float64 buffer: overwrites and returns X."""
+    X -= X.mean(axis=0, keepdims=True)
+    return X
+
+
 def centerc(X: np.ndarray) -> np.ndarray:
     """Subtract the column means so every column averages to zero."""
-    X = np.asarray(X, dtype=np.float64)
-    return X - X.mean(axis=0, keepdims=True)
+    return _centerc_inplace(np.array(X, dtype=np.float64))
+
+
+def _normalize_inplace(X: np.ndarray) -> np.ndarray:
+    """normalize on X's own float64 buffer: overwrites and returns X."""
+    return _unitr_inplace(_centerc_inplace(_unitr_inplace(X)))
 
 
 def normalize(X: np.ndarray) -> np.ndarray:
-    """unitr(centerc(unitr(X))), in exactly that order."""
-    return unitr(centerc(unitr(X)))
+    """unitr(centerc(unitr(X))), in exactly that order, in one copy of X."""
+    return _normalize_inplace(np.array(X, dtype=np.float64))
 
 
 def check_percentiles(p_lo: float, p_hi: float) -> None:

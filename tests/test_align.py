@@ -38,7 +38,35 @@ def sim_strategy(max_side=7):
     return shapes.flatmap(lambda s: arrays(np.float64, s, elements=finite))
 
 
+def _csls_oracle(S, k):
+    """CSLS as one formula on a copy: S minus half the row and column top-k means."""
+
+    def topk_mean(M):
+        if k == M.shape[1]:
+            return M.mean(axis=1)
+        return np.partition(M, -k, axis=1)[:, -k:].mean(axis=1)
+
+    return S - (topk_mean(S)[:, None] + topk_mean(S.T)[None, :]) / 2.0
+
+
 class TestCsls:
+    @pytest.mark.parametrize("shape", [(1, 1), (255, 256), (256, 257), (256, 256), (600, 300),
+                                       (300, 600)])
+    def test_blocked_equals_the_formula_bitwise(self, shape):
+        # shapes straddle the 256-lane blocks; k = min(shape) is the full
+        # width of one side's lanes (of both sides' on a square)
+        S = np.random.default_rng(sum(shape)).standard_normal(shape)
+        for k in sorted({1, 10, min(shape)} & set(range(1, min(shape) + 1))):
+            want = _csls_oracle(S, k)
+            assert csls(S.copy(), k).tobytes() == want.tobytes(), k
+
+    def test_overwrites_its_argument(self):
+        S = np.random.default_rng(2).random((7, 9))
+        want = _csls_oracle(S, 3)
+        out = csls(S, 3)
+        assert out is S
+        assert S.tobytes() == want.tobytes()
+
     def test_identity_2x2_k1(self):
         np.testing.assert_allclose(
             csls(np.eye(2), 1), [[0.0, -1.0], [-1.0, 0.0]], atol=1e-12
@@ -68,7 +96,7 @@ class TestCsls:
     def test_positive_scaling_keeps_argmax_structure(self):
         rng = np.random.default_rng(1)
         S = rng.random((5, 5))
-        a = csls(S, 2).argmax(axis=1)
+        a = csls(S.copy(), 2).argmax(axis=1)
         b = csls(4.2 * S, 2).argmax(axis=1)
         np.testing.assert_array_equal(a, b)
 
@@ -351,9 +379,9 @@ class TestPipelines:
             trunc_calls.append(r)
             return real_trunc(X, r)
 
-        def recording_selflearn(X, Z, init, cfg):
+        def recording_selflearn(X, Z, init, cfg, **kw):
             seen.extend([X, Z])
-            return real_selflearn(X, Z, init, cfg)
+            return real_selflearn(X, Z, init, cfg, **kw)
 
         monkeypatch.setitem(assoc._STEPS, "trunc", counting_trunc)
         monkeypatch.setattr(align, "coocmap_selflearn", recording_selflearn)

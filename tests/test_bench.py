@@ -22,7 +22,8 @@ from coocmap.bench import (
 )
 from coocmap.errors import ValidationError
 from coocmap.evaluation import load_dictionary, load_predictions, precision_at_1
-from coocmap.cooc import count_cooc
+from coocmap.align import AlignConfig, run_coocmap
+from coocmap.cooc import CoocMatrix, count_cooc
 from coocmap.corpus import Vocabulary, build_vocab, encode, line_blocks, take_head_bytes, tokenize
 from splits import alternate_blocks
 
@@ -129,6 +130,27 @@ def test_ingest_peak_memory_stays_under_its_model(small_corpus, pair):
         tracemalloc.stop()
     tokens = max(sides.C1.token_count, sides.C2.token_count)
     assert peak < 2 * budget + 24 * tokens + 80 * block_tokens + 32 * cfg.vocab_size**2
+
+
+def test_alignment_peak_memory_stays_under_its_model():
+    """The model `align.run_staged` states, for a coocmap run beyond its
+    counts: the two associations, then the initializer's two sorted profiles
+    and its similarity matrix, 5 V x V float64 buffers, plus csls and
+    matching blocks (about 0.6 V^2 at V=400). An initializer that normalizes
+    and measures copies of its profiles (9 V^2 beyond the counts) does not
+    fit 6 V^2."""
+    V = 400
+    rng = np.random.default_rng(5)
+    C1, C2 = (CoocMatrix(M + M.T, 2, name, 1000)
+              for name, M in zip("st", rng.integers(0, 30, size=(2, V, V)).astype(float)))
+    tracemalloc.start()
+    try:
+        run = run_coocmap(C1, C2, AlignConfig(max_iters=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(run.traces[0]) >= 2  # self-learning ran under the same bound
+    assert peak < 6 * V**2 * 8
 
 
 class TestIdentityBench:
@@ -454,6 +476,15 @@ class TestSweep:
         with pytest.raises(ValidationError, match="need window, top_eval >= 1"):
             BenchConfig(**{field: value})
         with pytest.raises(ValidationError, match="need window, top_eval >= 1"):
+            SweepSpec(source="unread.txt", budgets=(1,), **{field: value})
+
+    @pytest.mark.parametrize("field", ["vocab_size", "block_lines"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_ingest_sizes_below_one_rejected(self, field, value):
+        # checked before any file is read, not by build_vocab / line_blocks
+        with pytest.raises(ValidationError, match="need vocab_size, block_lines >= 1"):
+            BenchConfig(**{field: value})
+        with pytest.raises(ValidationError, match="need vocab_size, block_lines >= 1"):
             SweepSpec(source="unread.txt", budgets=(1,), **{field: value})
 
     def test_cipher_repetitions_use_distinct_seeds(self, small_corpus, tmp_path):

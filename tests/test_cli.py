@@ -470,6 +470,8 @@ def test_induce_non_finite_vector_exits_3(counted, tmp_path, capsys):
     ("bench", ["--top-eval", "0"], "need window, top_eval >= 1"),
     ("bench", ["--window", "0"], "need window, top_eval >= 1"),
     ("count", ["--window", "0"], "need window, top_eval >= 1"),
+    ("count", ["--vocab-size", "0"], "need vocab_size, block_lines >= 1, got 0, 1000"),
+    ("bench", ["--block-lines", "0"], "need vocab_size, block_lines >= 1, got 5000, 0"),
 ])
 def test_bad_parameter_exits_2_before_reading_files(tmp_path, capsys, command, flags, message):
     missing = str(tmp_path / "missing")

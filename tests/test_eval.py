@@ -316,6 +316,23 @@ class TestTranslateRanksTheRunsMeasure:
                 self._predicted(run, C1.size), want, err_msg=f"max_iters={max_iters}"
             )
 
+    @pytest.mark.parametrize("name, dim", [("coocmap", None), ("coocmap-drop", 12)])
+    def test_only_the_last_stage_measures_for_translation(self, name, dim, monkeypatch):
+        # at max_iters=1 no stage measured under its best state in the loop;
+        # stage 1 of a drop run hands its state to stage 2 without measuring
+        from coocmap import align
+
+        C1, C2 = _unrelated_counts()
+        cfg = align_config(get_preset(name), csls_k=3, max_iters=1, dim=dim)
+        calls = []
+        monkeypatch.setattr(
+            align, "pair_sim_matrix", lambda *a: calls.append(a) or pair_sim_matrix(*a)
+        )
+        run = execute_preset(cfg, C1, C2)
+        iterations = sum(len(trace) for trace in run.traces)
+        assert iterations == len(run.traces)
+        assert len(calls) == iterations + 1
+
     @pytest.mark.parametrize("name", ["vecmap-raw", "vecmap-vectors"])
     def test_vec_oracle(self, name):
         C1, C2 = _unrelated_counts()
