@@ -14,6 +14,7 @@ from .assoc import Step
 from .cooc import CoocMatrix
 from .errors import ValidationError
 from .kernels import (
+    _blocks,
     _normalize_inplace,
     _unitr_inplace,
     check_finite,
@@ -24,19 +25,6 @@ from .kernels import (
     psd_sqrt_gram,
     sim_matrix,
 )
-
-# csls and match_bidirectional work on blocks of about this many rows (or
-# columns), so their copies and temporaries are a few lanes wide, not a
-# second V1 x V2 matrix
-_BLOCK = 256
-
-
-def _blocks(n: int) -> list[slice]:
-    """ceil(n / _BLOCK) near-equal slices covering range(n). No slice holds a
-    single lane unless n == 1: numpy lays a one-lane partition copy out, and
-    sums it, differently from a wider one."""
-    nb = -(-n // _BLOCK)
-    return [slice(n * b // nb, n * (b + 1) // nb) for b in range(nb)]
 
 
 def _topk_mean(S: np.ndarray, k: int) -> np.ndarray:
@@ -281,11 +269,12 @@ def run_staged(
     Memory, in V x V float64 buffers (V^2 * 8 B) beyond the caller's
     counts: A1 and A2, plus X and Z where a stage's steps make new
     matrices. The initializer adds two sorted profiles and its similarity
-    matrix (3), a cosine or dot measure its product and similarity matrix
-    (2), and csls and matching blocks of about 256 lanes. The initializer
-    sets the peak: about 5 V^2 with no stage-1 steps (tracemalloc on
-    identity runs: 5.17 V^2 at V=1500, 5.13 V^2 at V=5000) and about 7 V^2
-    when stage 1 clips or truncates."""
+    matrix (3), a cosine or dot measure 1.5 with its similarity matrix
+    (`pair_sim_matrix`: float32 operands and product, then the product
+    beside the float64 result), and csls and matching blocks of about 256
+    lanes. The initializer sets the peak: about 5 V^2 with no stage-1
+    steps (tracemalloc on identity runs: 5.17 V^2 at V=1500, 5.13 V^2 at
+    V=5000) and about 7 V^2 when stage 1 clips or truncates."""
     A1 = assoc.apply_pipeline(A1, _trunc_steps(cfg))
     A2 = assoc.apply_pipeline(A2, _trunc_steps(cfg))
     X = assoc.apply_pipeline(A1, _stage_tail(cfg, stage2=False))

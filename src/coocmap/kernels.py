@@ -7,9 +7,18 @@ Every public function here is a pure function of float64 arrays; inputs
 are never mutated. The normalization chain is built on private in-place
 cores (`_unitr_inplace`, `_centerc_inplace`, `_normalize_inplace`) that
 overwrite and return a float64 buffer their caller owns; the public
-`unitr`, `centerc` and `normalize` run them on one fresh copy. The cdist
-metrics (neg_l1, neg_l2) take C-contiguous rows: scipy walks each row in
-turn, so a column-major operand costs a strided read per entry.
+`unitr`, `centerc` and `normalize` run them on one fresh copy. unitr
+takes its row norms one block of rows at a time, so none of these holds a
+V x V temporary of squares. The cdist metrics (neg_l1, neg_l2) take
+C-contiguous rows: scipy walks each row in turn, so a column-major operand
+costs a strided read per entry.
+
+One product runs in float32: the cosine/dot GEMM of `pair_sim_matrix`, the
+self-learning measure. Its operands are scaled to unit rows in float64 and
+rounded to float32 once, and its result comes back as float64; the bound
+this costs is derived in its docstring. Everything else, `sim_matrix` (so
+the initializer and the vector measure) and the cdist metrics included,
+stays float64.
 """
 
 from __future__ import annotations
@@ -27,6 +36,19 @@ METRICS = ("cosine", "dot", "neg_l2", "neg_l1")
 # rows whose l2 norm falls below this are measured at a rescaled copy
 _TINY_NORM = 1e-100
 
+# unitr's row norms, pair_sim_matrix's X M, and csls and match_bidirectional
+# in align work on blocks of about this many rows (or columns), so their
+# copies and temporaries are a few lanes wide, not a second V1 x V2 matrix
+_BLOCK = 256
+
+
+def _blocks(n: int) -> list[slice]:
+    """ceil(n / _BLOCK) near-equal slices covering range(n). No slice holds a
+    single lane unless n == 1: numpy lays a one-lane partition copy out, and
+    sums it, differently from a wider one."""
+    nb = -(-n // _BLOCK)
+    return [slice(n * b // nb, n * (b + 1) // nb) for b in range(nb)]
+
 
 def epow(X: np.ndarray, alpha: float) -> np.ndarray:
     """Entrywise power X[i,j] ** alpha."""
@@ -38,7 +60,12 @@ def epow(X: np.ndarray, alpha: float) -> np.ndarray:
 
 def _unitr_inplace(X: np.ndarray) -> np.ndarray:
     """unitr on X's own float64 buffer: overwrites and returns X."""
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    norms = np.empty((X.shape[0], 1))
+    for b in _blocks(X.shape[0]):
+        # a block of rows at a time, so the squares are never a V x V
+        # temporary; each row is reduced alone, so the norms are bitwise those
+        # of the whole-matrix call
+        norms[b] = np.linalg.norm(X[b], axis=1, keepdims=True)
     # below ~1e-154 the squares go subnormal or to zero and the norm loses
     # its digits; such rows take it from a copy scaled by their largest entry
     tiny = norms[:, 0] < _TINY_NORM
@@ -201,11 +228,32 @@ def pair_sim_matrix(X, Z, s, t, metric: str = "cosine") -> np.ndarray:
     """sim_matrix(X[:, s], Z[:, t], metric) without gathering the paired columns.
 
     Column p of the gathered pair contributes once per occurrence of the pair
-    (s[p], t[p]), so only the pair counts matter. cosine/dot use the sparse
-    V1 x V2 count matrix M: X[:, s] @ Z[:, t].T = (X M) @ Z.T, and the squared
-    row norms of X[:, s] are (X*X) @ bincount(s). neg_l1/neg_l2 measure each
+    (s[p], t[p]), so only the pair counts matter. neg_l1/neg_l2 measure each
     distinct pair once, its columns scaled by the count w (l1) or sqrt(w) (l2):
     for P distinct pairs they cost V1 * V2 * P, on row-major operands.
+
+    cosine/dot use the sparse V1 x V2 count matrix M: X[:, s] @ Z[:, t].T =
+    (X M) @ Z.T. The sparse product X M, the pair-weighted row norms
+    nx = ||X[:, s]|| and nz = ||Z[:, t]|| (squares weighted by bincount(s)
+    and bincount(t)) and the division by them are float64. The unit-row
+    operands a = (X M) / nx and b = Z / nz are rounded to float32 once, and
+    a @ b.T is one float32 GEMM, returned as float64; dot multiplies the
+    norms back in float64.
+
+    Precision (derived, not fitted): by Cauchy-Schwarz over the pairs,
+    sum_j |a_ij b_kj| <= 1, so the two operand roundings and the float32
+    sum of n = Z.shape[1] terms put every cosine entry within
+    (n + 2) * 2**-24 of its exact value to first order, and every dot entry
+    within that times nx_i * nz_k (float32 underflow, on operand entries
+    below 2**-126, adds an absolute error of order 2**-149 per summed term).
+    The bound takes the float64 norms as exact to rounding, which holds
+    while no row's norm is below about 1e-154, where its squares go
+    subnormal; unitr rescales such rows, this measure does not.
+
+    Memory, for V x V operands, in V^2 float64 units (8 B) with the result:
+    at most 1.5 -- a and b beside their float32 product, then that product
+    beside the float64 result. Neither X M nor the squares are ever a whole
+    V x V float64 array.
     """
     X = np.asarray(X, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.float64)
@@ -218,16 +266,25 @@ def pair_sim_matrix(X, Z, s, t, metric: str = "cosine") -> np.ndarray:
         raise ValidationError(f"pair indices out of range for {v1} x {v2} columns")
     if metric in ("cosine", "dot"):
         M = sparse.csr_array((np.ones(s.size), (s, t)), shape=(v1, v2))
-        XM = np.asarray(X @ M)
-        if metric == "dot":
-            return XM @ Z.T
-        nx = np.sqrt((X * X) @ np.bincount(s, minlength=v1))
-        nz = np.sqrt((Z * Z) @ np.bincount(t, minlength=v2))
+        # squared norms summed with the pair counts as weights, no X * X array
+        nx = np.sqrt(np.einsum("ij,ij,j->i", X, X, np.bincount(s, minlength=v1)))
+        nz = np.sqrt(np.einsum("ij,ij,j->i", Z, Z, np.bincount(t, minlength=v2)))
         nx[nx == 0.0] = 1.0  # all-zero rows stay zero, as in unitr
         nz[nz == 0.0] = 1.0
-        XM /= nx[:, None]
-        S = XM @ Z.T
-        S /= nz
+        # the unit rows are divided in float64 and rounded into float32
+        # buffers; X M is formed a block of rows at a time, because scipy
+        # copies its dense operand
+        a = np.empty((X.shape[0], v2), dtype=np.float32)
+        for r in _blocks(X.shape[0]):
+            np.divide(X[r] @ M, nx[r, None], out=a[r])
+        b = np.empty(Z.shape, dtype=np.float32)
+        np.divide(Z, nz[:, None], out=b)
+        S32 = a @ b.T
+        del a, b  # before the float64 copy, so the peak stays 1.5 V^2
+        S = S32.astype(np.float64)
+        if metric == "dot":
+            S *= nx[:, None]
+            S *= nz
         return S
     if metric in ("neg_l1", "neg_l2"):
         pairs, w = np.unique(s * v2 + t, return_counts=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy import sparse
 
 from coocmap import bench
 from coocmap.bench import (
@@ -24,6 +25,7 @@ from coocmap.errors import ValidationError
 from coocmap.evaluation import load_dictionary, load_predictions, precision_at_1
 from coocmap.align import AlignConfig, run_coocmap
 from coocmap.cooc import CoocMatrix, count_cooc
+from coocmap.kernels import pair_sim_matrix
 from coocmap.corpus import Vocabulary, build_vocab, encode, line_blocks, take_head_bytes, tokenize
 from splits import alternate_blocks
 
@@ -232,6 +234,56 @@ class TestCipherBench:
         report = cipher_bench(small_corpus, 400_000, 1, FAST)
         again = RunReport.from_json(report.to_json())
         assert again == report
+
+
+def pair_sim_matrix_f64(X, Z, s, t, metric="cosine"):
+    """The self-learning measure with its cosine/dot product in float64, as
+    `kernels.pair_sim_matrix` computed it before that product ran in
+    float32: the oracle for whole runs."""
+    if metric not in ("cosine", "dot"):
+        return pair_sim_matrix(X, Z, s, t, metric)
+    v1, v2 = X.shape[1], Z.shape[1]
+    M = sparse.csr_array((np.ones(s.size), (s, t)), shape=(v1, v2))
+    XM = np.asarray(X @ M)
+    if metric == "dot":
+        return XM @ Z.T
+    nx = np.sqrt((X * X) @ np.bincount(s, minlength=v1))
+    nz = np.sqrt((Z * Z) @ np.bincount(t, minlength=v2))
+    nx[nx == 0.0] = 1.0
+    nz[nz == 0.0] = 1.0
+    return (XM / nx[:, None]) @ Z.T / nz
+
+
+class TestFloat32Measure:
+    @pytest.mark.parametrize("mode, preset", [("identity", "coocmap"), ("cipher", "coocmap-drop")])
+    def test_same_run_as_the_float64_product(self, small_corpus, tmp_path, monkeypatch, mode,
+                                             preset):
+        from coocmap import align
+
+        cfg = replace(FAST, preset=preset)
+
+        def run(name):
+            path = tmp_path / name
+            if mode == "identity":
+                report = split_identity_bench(small_corpus, 1_500_000, cfg, preds_out=path)
+            else:
+                report = cipher_bench(small_corpus, 1_500_000, 3, cfg, preds_out=path)
+            return report, path.read_bytes()
+
+        f32, f32_dump = run("f32.tsv")
+        calls = []
+        monkeypatch.setattr(
+            align, "pair_sim_matrix", lambda *a: calls.append(a) or pair_sim_matrix_f64(*a)
+        )
+        f64, f64_dump = run("f64.tsv")
+        assert len(calls) == sum(len(trace) for trace in f64.traces)
+        assert f32_dump == f64_dump
+        assert [len(trace) for trace in f32.traces] == [len(trace) for trace in f64.traces]
+        # each objective is a mean of entries within the float32 bound
+        bound = (cfg.vocab_size + 2) * 2.0**-24
+        for got, want in zip(f32.traces, f64.traces):
+            np.testing.assert_allclose(got, want, rtol=0, atol=bound)
+        assert f32.accuracy == f64.accuracy
 
 
 def _corpus_pair(small_corpus, tmp_path, dict_size: int):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,26 @@ class TestNormalize:
             np.linalg.norm(normalize(X), axis=1), [1.0, 1.0], rtol=1e-12
         )
         np.testing.assert_allclose(unitr(np.full((1, 2), 1e-170)), [[0.5**0.5] * 2])
+
+    @pytest.mark.parametrize("shape", [(1500, 1500), (257, 1000), (1000, 513), (600, 300),
+                                       (3, 7)])
+    def test_blocked_norms_equal_the_whole_matrix_norm_bitwise(self, shape):
+        X = np.random.default_rng(shape[0]).random(shape)
+        want = X / np.linalg.norm(X, axis=1, keepdims=True)
+        assert unitr(X).tobytes() == want.tobytes()
+
+    def test_unitr_extra_memory_is_a_block_of_rows(self):
+        # the result, plus squares for about 256 rows at a time; the
+        # whole-matrix norm held a second V x V array of squares (2 V^2)
+        V = 1200
+        X = np.random.default_rng(2).random((V, V))
+        tracemalloc.start()
+        try:
+            unitr(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * V**2 * 8
 
     @given(small_matrices(min_side=2))
     @settings(max_examples=80)
@@ -404,7 +426,25 @@ def pair_problems(draw):
     return X, Z, s, t
 
 
+F32_METRICS = ("cosine", "dot")  # the metrics whose product runs in float32
+
+
+def measure_bound(X, Z, s, t, metric):
+    """pair_sim_matrix's derived float32 error bound, per entry: (n + 2) * 2**-24
+    for n = Z.shape[1] summed terms, times nx_i * nz_k (the gathered row
+    norms) for dot."""
+    eps = (Z.shape[1] + 2) * 2.0**-24
+    if metric == "cosine":
+        return np.full((X.shape[0], Z.shape[0]), eps)
+    return eps * np.outer(np.linalg.norm(X[:, s], axis=1), np.linalg.norm(Z[:, t], axis=1))
+
+
 class TestPairSimMatrix:
+    """The float64 gathered `sim_matrix` is the oracle. cosine/dot run one
+    float32 GEMM: they are held to the docstring's bound, and a CSLS entry
+    then moves by at most twice it (its entry and its mean penalties), so a
+    CSLS pick lies within four times the bound of the oracle's best."""
+
     @pytest.mark.parametrize("metric", METRICS)
     @given(problem=pair_problems())
     @settings(max_examples=60, deadline=None)
@@ -412,15 +452,22 @@ class TestPairSimMatrix:
         X, Z, s, t = problem
         ref = sim_matrix(X[:, s], Z[:, t], metric)
         got = pair_sim_matrix(X, Z, s, t, metric)
-        # a bound on the magnitude of the summed terms sets the rounding scale
+        # a bound on the magnitude of the summed terms sets the oracle's
+        # float64 rounding scale
         scale = 1.0 + s.size * 20.0 * max(1.0, np.abs(X).max(), np.abs(Z).max())
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
+        if metric in F32_METRICS:
+            err = measure_bound(X, Z, s, t, metric)
+            assert np.all(np.abs(got - ref) <= err + 1e-12 * scale)
+            drift = 2 * err.max()
+        else:
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
+            drift = 0.0
         k = min(2, *ref.shape)
         Cr, Cn = csls(ref, k), csls(got, k)
         # equal argmax; where the reference ties (within rounding), the pick
         # must be one of the tied columns
         picked = Cr[np.arange(Cr.shape[0]), Cn.argmax(axis=1)]
-        assert np.all(picked >= Cr.max(axis=1) - 1e-10 * scale)
+        assert np.all(picked >= Cr.max(axis=1) - 2 * drift - 1e-10 * scale)
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_matched_pairs_from_a_real_iteration(self, metric):
@@ -431,8 +478,54 @@ class TestPairSimMatrix:
         assert np.unique(state.s * 50 + state.t).size < state.s.size  # repeated pairs
         ref = sim_matrix(X[:, state.s], Z[:, state.t], metric)
         got = pair_sim_matrix(X, Z, state.s, state.t, metric)
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(csls(got, 5).argmax(axis=1), csls(ref, 5).argmax(axis=1))
+        if metric not in F32_METRICS:
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(csls(got, 5).argmax(axis=1), csls(ref, 5).argmax(axis=1))
+            return
+        err = measure_bound(X, Z, state.s, state.t, metric)
+        assert np.all(np.abs(got - ref) <= err + 1e-12)
+        drift = 2 * err.max()
+        Cr, Cn = csls(ref, 5), csls(got, 5)
+        top2 = np.sort(Cr, axis=1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > 2 * drift
+        assert clear.sum() >= 30  # the check below is not vacuous
+        np.testing.assert_array_equal(Cn.argmax(axis=1)[clear], Cr.argmax(axis=1)[clear])
+        picked = Cr[np.arange(40), Cn.argmax(axis=1)]
+        assert np.all(picked >= Cr.max(axis=1) - 2 * drift)
+
+    @pytest.mark.parametrize("metric", F32_METRICS)
+    def test_bound_holds_on_near_parallel_rows(self, metric):
+        # long positive rows a hair apart: every summed term adds with the
+        # same sign, and the cosines sit within 1e-9 of 1
+        rng = np.random.default_rng(8)
+        n = 3000
+        base = rng.random(n) + 0.5
+        X = base * (1.0 + 1e-5 * rng.standard_normal((20, n)))
+        Z = base * (1.0 + 1e-5 * rng.standard_normal((30, n)))
+        s = np.concatenate([np.arange(n), rng.integers(0, n, 500)])
+        t = np.concatenate([np.arange(n), s[n:]])
+        ref = sim_matrix(X[:, s], Z[:, t], metric)
+        got = pair_sim_matrix(X, Z, s, t, metric)
+        if metric == "cosine":
+            assert ref.min() > 1.0 - 1e-9
+        assert np.all(np.abs(got - ref) <= measure_bound(X, Z, s, t, metric) * (1 + 1e-6))
+
+    def test_extra_memory_within_its_model(self):
+        # 1.5 V^2 with the result: the float32 operands and product, then the
+        # product beside the float64 result; the float64 path held X M beside
+        # a V x V array of squares (2 V^2)
+        V = 1024
+        rng = np.random.default_rng(9)
+        X, Z = rng.random((V, V)), rng.random((V, V))
+        state = match_bidirectional(rng.random((V, V)))
+        for metric in F32_METRICS:
+            tracemalloc.start()
+            try:
+                pair_sim_matrix(X, Z, state.s, state.t, metric)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.6 * V**2 * 8
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("s, t", [([-1], [0]), ([3], [0]), ([0], [4]), ([0], [-1]),
