@@ -14,6 +14,7 @@ from .assoc import Step
 from .cooc import CoocMatrix
 from .errors import ValidationError
 from .kernels import (
+    METRICS,
     _blocks,
     _normalize_inplace,
     _unitr_inplace,
@@ -92,17 +93,17 @@ def match_bidirectional(S: np.ndarray) -> MatchState:
 class AlignConfig:
     """One run's resolved method and tuning; `presets.PRESETS` holds one per
     named method. `family` "cooc" matches association columns (`run_staged`)
-    and "vec" rotates vectors (`run_vecmap`). Both read `preset` (the name
-    in reports and errors), `vectors` (None: counts are the input; "import":
-    given vectors; "svd": `dim`-dimensional SVD vectors of the counts),
+    of the counts (`vectors` None) or of "import"ed vectors; "vec" rotates
+    "import"ed vectors or the counts' `dim`-dimensional "svd" vectors
+    (`run_vecmap`). Both read `preset` (the name in reports and errors),
     `seed_mode` ("unsupervised" or "dictionary"), `metric` (initializer and
-    cooc measure), `csls_k`, `max_iters` and `tol`. Only cooc reads `assoc`
-    (the `assoc.build` constructor of the counts), `clip` (lo, hi
-    percentiles) and `drop_r` (None: no stage 2). `dim` truncates the cooc
-    association's rank; vec reads it only with "svd" vectors. It may not
-    exceed the smaller vocabulary (`execute_preset` checks). Stage 2
-    rebuilds each side as the truncation, a drop of
-    `drop_schedule(drop_r, dim)` head directions and `clip` again.
+    cooc measure: "cosine" or "neg_l1"), `csls_k`, `max_iters` and `tol`.
+    Only cooc reads `assoc` (a `CONSTRUCTOR_CHAINS` key), `clip` (lo, hi
+    percentiles) and `drop_r` (None: no stage 2), and `dim` as a rank
+    truncation. `dim` may not exceed the smaller vocabulary (`execute_preset`
+    checks). Stage 2 rebuilds each side as the truncation, a drop of
+    `drop_schedule(drop_r, dim)` head directions and `clip` again. Any
+    value or (family, vectors) pair not named here is a ValidationError.
     """
 
     preset: str = "coocmap"
@@ -119,6 +120,17 @@ class AlignConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
+        for name, value, valid in (
+            ("metric", self.metric, METRICS),
+            ("(family, vectors)", (self.family, self.vectors),
+             (("cooc", None), ("cooc", "import"), ("vec", "svd"), ("vec", "import"))),
+            ("seed_mode", self.seed_mode, ("unsupervised", "dictionary")),
+            ("assoc", self.assoc, tuple(assoc.CONSTRUCTOR_CHAINS)),
+        ):
+            if value not in valid:
+                raise ValidationError(f"unknown {name} {value!r}, expected one of {valid}")
+        if self.vectors == "svd" and self.dim is None:
+            raise ValidationError(f"preset {self.preset} needs dim, its SVD vector dimension")
         if self.csls_k < 1 or self.max_iters < 1 or self.tol < 0:
             raise ValidationError("csls_k and max_iters must be >= 1, tol >= 0")
         if (self.dim is not None and self.dim < 1) or (self.drop_r is not None and self.drop_r < 0):
@@ -269,7 +281,7 @@ def run_staged(
     Memory, in V x V float64 buffers (V^2 * 8 B) beyond the caller's
     counts: A1 and A2, plus X and Z where a stage's steps make new
     matrices. The initializer adds two sorted profiles and its similarity
-    matrix (3), a cosine or dot measure 1.5 with its similarity matrix
+    matrix (3), a cosine measure 1.5 with its similarity matrix
     (`pair_sim_matrix`: float32 operands and product, then the product
     beside the float64 result), and csls and matching blocks of about 256
     lanes. The initializer sets the peak: about 5 V^2 with no stage-1

@@ -110,11 +110,7 @@ CONSTRUCTOR_CHAINS = {
 
 
 def build(name: str, C: CoocMatrix) -> np.ndarray:
-    """Construct the named association matrix from co-occurrence counts."""
-    if name not in CONSTRUCTOR_CHAINS:
-        raise ValidationError(
-            f"unknown association {name!r}, expected one of {sorted(CONSTRUCTOR_CHAINS)}"
-        )
+    """The association of counts under a `CONSTRUCTOR_CHAINS` key (`AlignConfig` checks it)."""
     return _run_steps(C.counts, CONSTRUCTOR_CHAINS[name])
 
 
@@ -156,8 +152,8 @@ def load_vectors(path, vocab: Vocabulary):
     """
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
-        if len(header) != 2:
-            raise ValidationError(f"{path}:1: expected header 'V d'")
+        if len(header) != 2 or int(header[1]) < 1:
+            raise ValidationError(f"{path}:1: expected header 'V d' with width d >= 1")
         _, d = (int(x) for x in header)
         data = np.zeros((vocab.size, d))
         seen = np.zeros(vocab.size, dtype=bool)

@@ -318,6 +318,8 @@ def cipher_bench(
     """Identity benchmark with one side's vocabulary scrambled by a seeded
     permutation (or an explicit one); scored against the permutation."""
     t0 = time.perf_counter()
+    if pi is None and seed < 0:
+        raise ValidationError(f"cipher seed must be >= 0, got {seed}")
     acfg = _point_config(cfg)
     sides = _split_sides(corpus_path, budget, cfg)
     return _bench_point("cipher", sides, cfg, acfg, budget, t0, seed, pi, preds_out=preds_out)
@@ -383,6 +385,8 @@ class SweepSpec:
             raise ValidationError("crosslingual mode needs a target corpus")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be >= 1")
+        if self.cipher_seed < 0:
+            raise ValidationError(f"cipher_seed must be >= 0, got {self.cipher_seed}")
         self.bench_config()  # checks the tuning fields as BenchConfig does
 
     def bench_config(self) -> BenchConfig:

@@ -9,16 +9,14 @@ cores (`_unitr_inplace`, `_centerc_inplace`, `_normalize_inplace`) that
 overwrite and return a float64 buffer their caller owns; the public
 `unitr`, `centerc` and `normalize` run them on one fresh copy. unitr
 takes its row norms one block of rows at a time, so none of these holds a
-V x V temporary of squares. The cdist metrics (neg_l1, neg_l2) take
-C-contiguous rows: scipy walks each row in turn, so a column-major operand
-costs a strided read per entry.
+V x V temporary of squares. The cdist metric (neg_l1) takes C-contiguous
+rows: scipy walks each row in turn, so a column-major operand costs a
+strided read per entry.
 
-One product runs in float32: the cosine/dot GEMM of `pair_sim_matrix`, the
-self-learning measure. Its operands are scaled to unit rows in float64 and
-rounded to float32 once, and its result comes back as float64; the bound
-this costs is derived in its docstring. Everything else, `sim_matrix` (so
-the initializer and the vector measure) and the cdist metrics included,
-stays float64.
+One product runs in float32: the cosine GEMM of `pair_sim_matrix`, the
+self-learning measure, whose docstring derives the bound this costs.
+Everything else, `sim_matrix` (so the initializer and the vector measure)
+and the cdist metric included, stays float64.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import NumericError, ValidationError
 
-METRICS = ("cosine", "dot", "neg_l2", "neg_l1")
+METRICS = ("cosine", "neg_l1")  # the self-learning measure's, and AlignConfig.metric's
 
 # rows whose l2 norm falls below this are measured at a rescaled copy
 _TINY_NORM = 1e-100
@@ -206,10 +204,8 @@ def psd_sqrt_gram(Xv: np.ndarray) -> np.ndarray:
 
 
 def sim_matrix(X: np.ndarray, Z: np.ndarray, metric: str = "cosine") -> np.ndarray:
-    """Pairwise row similarities, higher = more similar.
-
-    cosine treats all-zero rows as similarity 0 to everything.
-    """
+    """Pairwise row similarities (a metric of METRICS, or "dot"), higher = more
+    similar; cosine treats all-zero rows as similarity 0 to everything."""
     X = np.asarray(X, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.float64)
     if X.shape[1] != Z.shape[1]:
@@ -218,37 +214,35 @@ def sim_matrix(X: np.ndarray, Z: np.ndarray, metric: str = "cosine") -> np.ndarr
         return unitr(X) @ unitr(Z).T
     if metric == "dot":
         return X @ Z.T
-    if metric in ("neg_l2", "neg_l1"):
-        name = "euclidean" if metric == "neg_l2" else "cityblock"
-        return -cdist(np.ascontiguousarray(X), np.ascontiguousarray(Z), metric=name)
-    raise ValidationError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    if metric == "neg_l1":
+        return -cdist(np.ascontiguousarray(X), np.ascontiguousarray(Z), metric="cityblock")
+    raise ValidationError(f"unknown metric {metric!r}, expected one of {(*METRICS, 'dot')}")
 
 
 def pair_sim_matrix(X, Z, s, t, metric: str = "cosine") -> np.ndarray:
     """sim_matrix(X[:, s], Z[:, t], metric) without gathering the paired columns.
 
     Column p of the gathered pair contributes once per occurrence of the pair
-    (s[p], t[p]), so only the pair counts matter. neg_l1/neg_l2 measure each
-    distinct pair once, its columns scaled by the count w (l1) or sqrt(w) (l2):
-    for P distinct pairs they cost V1 * V2 * P, on row-major operands.
+    (s[p], t[p]), so only the pair counts matter. neg_l1 measures each
+    distinct pair once, its columns scaled by the count w: for P distinct
+    pairs it costs V1 * V2 * P, on row-major operands.
 
-    cosine/dot use the sparse V1 x V2 count matrix M: X[:, s] @ Z[:, t].T =
+    cosine uses the sparse V1 x V2 count matrix M: X[:, s] @ Z[:, t].T =
     (X M) @ Z.T. The sparse product X M, the pair-weighted row norms
     nx = ||X[:, s]|| and nz = ||Z[:, t]|| (squares weighted by bincount(s)
     and bincount(t)) and the division by them are float64. The unit-row
     operands a = (X M) / nx and b = Z / nz are rounded to float32 once, and
-    a @ b.T is one float32 GEMM, returned as float64; dot multiplies the
-    norms back in float64.
+    a @ b.T is one float32 GEMM, returned as float64.
 
     Precision (derived, not fitted): by Cauchy-Schwarz over the pairs,
     sum_j |a_ij b_kj| <= 1, so the two operand roundings and the float32
     sum of n = Z.shape[1] terms put every cosine entry within
-    (n + 2) * 2**-24 of its exact value to first order, and every dot entry
-    within that times nx_i * nz_k (float32 underflow, on operand entries
-    below 2**-126, adds an absolute error of order 2**-149 per summed term).
-    The bound takes the float64 norms as exact to rounding, which holds
-    while no row's norm is below about 1e-154, where its squares go
-    subnormal; unitr rescales such rows, this measure does not.
+    (n + 2) * 2**-24 of its exact value to first order (float32 underflow,
+    on operand entries below 2**-126, adds an absolute error of order
+    2**-149 per summed term). The bound takes the float64 norms as exact
+    to rounding, which holds while no row's norm is below about 1e-154,
+    where its squares go subnormal; unitr rescales such rows, this measure
+    does not.
 
     Memory, for V x V operands, in V^2 float64 units (8 B) with the result:
     at most 1.5 -- a and b beside their float32 product, then that product
@@ -264,7 +258,7 @@ def pair_sim_matrix(X, Z, s, t, metric: str = "cosine") -> np.ndarray:
     v1, v2 = X.shape[1], Z.shape[1]
     if s.min() < 0 or s.max() >= v1 or t.min() < 0 or t.max() >= v2:
         raise ValidationError(f"pair indices out of range for {v1} x {v2} columns")
-    if metric in ("cosine", "dot"):
+    if metric == "cosine":
         M = sparse.csr_array((np.ones(s.size), (s, t)), shape=(v1, v2))
         # squared norms summed with the pair counts as weights, no X * X array
         nx = np.sqrt(np.einsum("ij,ij,j->i", X, X, np.bincount(s, minlength=v1)))
@@ -281,18 +275,13 @@ def pair_sim_matrix(X, Z, s, t, metric: str = "cosine") -> np.ndarray:
         np.divide(Z, nz[:, None], out=b)
         S32 = a @ b.T
         del a, b  # before the float64 copy, so the peak stays 1.5 V^2
-        S = S32.astype(np.float64)
-        if metric == "dot":
-            S *= nx[:, None]
-            S *= nz
-        return S
-    if metric in ("neg_l1", "neg_l2"):
+        return S32.astype(np.float64)
+    if metric == "neg_l1":
         pairs, w = np.unique(s * v2 + t, return_counts=True)
-        scale = w if metric == "neg_l1" else np.sqrt(w)
         # np.take keeps the rows contiguous; X[:, idx] would return them
         # column-major
-        Xp = np.take(X, pairs // v2, axis=1) * scale
-        Zp = np.take(Z, pairs % v2, axis=1) * scale
+        Xp = np.take(X, pairs // v2, axis=1) * w
+        Zp = np.take(Z, pairs % v2, axis=1) * w
         return sim_matrix(Xp, Zp, metric)
     raise ValidationError(f"unknown metric {metric!r}, expected one of {METRICS}")
 

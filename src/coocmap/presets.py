@@ -94,16 +94,13 @@ def execute_preset(
     if cfg.vectors == "import":
         if vectors1 is None or vectors2 is None:
             raise ValidationError(f"preset {cfg.preset} needs vectors on both sides")
-    elif C1 is None or C2 is None:
-        raise ValidationError(f"preset {cfg.preset} needs co-occurrence counts")
-    if cfg.vectors == "svd" and cfg.dim is None:
-        raise ValidationError(f"preset {cfg.preset} needs dim, its SVD vector dimension")
-    if cfg.vectors == "import":
         for side, bad in (("source", ~np.isfinite(vectors1)), ("target", ~np.isfinite(vectors2))):
             if bad.any():
                 raise NumericError(f"{side} vector row {bad.any(axis=1).argmax()} is not finite")
         v1, v2 = vectors1.shape[0], vectors2.shape[0]
     else:
+        if C1 is None or C2 is None:
+            raise ValidationError(f"preset {cfg.preset} needs co-occurrence counts")
         v1, v2 = C1.counts.shape[0], C2.counts.shape[0]
     # every similarity matrix is V1 x V2, and `dim` is a rank or a vector
     # width of both sides: fail before building anything

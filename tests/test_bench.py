@@ -237,16 +237,14 @@ class TestCipherBench:
 
 
 def pair_sim_matrix_f64(X, Z, s, t, metric="cosine"):
-    """The self-learning measure with its cosine/dot product in float64, as
+    """The self-learning measure with its cosine product in float64, as
     `kernels.pair_sim_matrix` computed it before that product ran in
     float32: the oracle for whole runs."""
-    if metric not in ("cosine", "dot"):
+    if metric != "cosine":
         return pair_sim_matrix(X, Z, s, t, metric)
     v1, v2 = X.shape[1], Z.shape[1]
     M = sparse.csr_array((np.ones(s.size), (s, t)), shape=(v1, v2))
     XM = np.asarray(X @ M)
-    if metric == "dot":
-        return XM @ Z.T
     nx = np.sqrt((X * X) @ np.bincount(s, minlength=v1))
     nz = np.sqrt((Z * Z) @ np.bincount(t, minlength=v2))
     nx[nx == 0.0] = 1.0
@@ -516,6 +514,8 @@ class TestSweep:
             SweepSpec(source=small_corpus, budgets=(1,), presets=("nope",))
         with pytest.raises(ValidationError):
             SweepSpec(source=small_corpus, budgets=(1,), mode="banana")
+        with pytest.raises(ValidationError, match="cipher_seed must be >= 0, got -1"):
+            SweepSpec(source=small_corpus, budgets=(1,), mode="cipher", cipher_seed=-1)
         bad = tmp_path / "bad.txt"
         bad.write_text("source = x\nbudgets = 10\nnot_a_key = 3\n")
         with pytest.raises(ValidationError):

@@ -463,6 +463,25 @@ def test_induce_non_finite_vector_exits_3(counted, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("preset", ["coocmap-vectors", "vecmap-vectors"])
+def test_induce_zero_width_vectors_exit_2(counted, tmp_path, capsys, preset):
+    tmp, out = counted
+    vocab = Vocabulary.load(f"{out}.vocab.txt")
+    # a "V 0" header makes every line a bare word: all-zero vectors
+    (tmp_path / "v.txt").write_text(f"{vocab.size} 0\n" + "".join(t + "\n" for t in vocab.tokens))
+    rc = main([
+        "induce",
+        "--cooc1", f"{out}.cooc.bin", "--cooc2", f"{out}.cooc.bin",
+        "--vocab1", f"{out}.vocab.txt", "--vocab2", f"{out}.vocab.txt",
+        "--preset", preset, "--csls-k", "5",
+        "--vectors1", str(tmp_path / "v.txt"), "--vectors2", str(tmp_path / "v.txt"),
+        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
+    ])
+    assert rc == 2
+    assert "v.txt:1: expected header 'V d' with width d >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("command, flags, message", [
     ("induce", ["--dim", "0"], "need dim >= 1, drop_r >= 0, got 0, None"),
     ("induce", ["--preset", "coocmap-drop", "--drop-r", "-1"], "got None, -1"),
@@ -472,6 +491,7 @@ def test_induce_non_finite_vector_exits_3(counted, tmp_path, capsys):
     ("count", ["--window", "0"], "need window, top_eval >= 1"),
     ("count", ["--vocab-size", "0"], "need vocab_size, block_lines >= 1, got 0, 1000"),
     ("bench", ["--block-lines", "0"], "need vocab_size, block_lines >= 1, got 5000, 0"),
+    ("bench", ["--mode", "cipher", "--seed", "-1"], "cipher seed must be >= 0, got -1"),
 ])
 def test_bad_parameter_exits_2_before_reading_files(tmp_path, capsys, command, flags, message):
     missing = str(tmp_path / "missing")

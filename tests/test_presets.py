@@ -7,6 +7,7 @@ from coocmap.align import MatchState, csls, vec_measure
 from coocmap.assoc import svd_vectors
 from coocmap.cooc import CoocMatrix
 from coocmap.errors import NumericError, ValidationError
+from coocmap.kernels import METRICS, pair_sim_matrix
 from coocmap.presets import PRESETS, align_config, execute_preset, get_preset
 
 # the method names the CLI contract promises
@@ -145,6 +146,15 @@ def test_dim_beyond_vocabulary_rejected(name, V1, V2, dim):
     ("clip", (50.0, 40.0), "need 0 <= p_lo < p_hi <= 100"),
     ("clip", (-1.0, 99.0), "need 0 <= p_lo < p_hi <= 100"),
     ("clip", (1.0, 101.0), "need 0 <= p_lo < p_hi <= 100"),
+    ("metric", "dot", "unknown metric 'dot', expected one of"),
+    ("metric", "neg_l2", "unknown metric 'neg_l2', expected one of"),
+    ("metric", "bogus", "unknown metric 'bogus', expected one of"),
+    ("family", "vecc", r"unknown \(family, vectors\) \('vecc', None\)"),
+    ("family", "vec", r"unknown \(family, vectors\) \('vec', None\)"),
+    ("vectors", "svd", r"unknown \(family, vectors\) \('cooc', 'svd'\)"),
+    ("vectors", "imported", r"unknown \(family, vectors\) \('cooc', 'imported'\)"),
+    ("seed_mode", "dict", "unknown seed_mode 'dict', expected one of"),
+    ("assoc", "pmi", "unknown assoc 'pmi', expected one of"),
 ])
 def test_config_out_of_range_rejected(field, value, message):
     with pytest.raises(ValidationError, match=message):
@@ -179,10 +189,21 @@ def test_cooc_import_widths_may_differ():
 
 
 def test_vecmap_raw_without_dim_names_dim():
-    C = counts(6)
-    cfg = replace(align_config(get_preset("vecmap-raw"), csls_k=3), dim=None)
-    with pytest.raises(ValidationError, match="needs dim"):
-        execute_preset(cfg, C, C)
+    with pytest.raises(ValidationError, match="preset vecmap-raw needs dim"):
+        replace(align_config(get_preset("vecmap-raw"), csls_k=3), dim=None)
+
+
+def test_measure_serves_exactly_the_preset_metrics():
+    """No metric of the self-learning measure is unreachable from a preset,
+    and none a preset names is missing from it."""
+    served = set()
+    for metric in ("cosine", "dot", "neg_l1", "neg_l2", "euclidean", "cityblock"):
+        try:
+            pair_sim_matrix(np.ones((2, 3)), np.ones((2, 3)), [0, 1], [1, 2], metric)
+            served.add(metric)
+        except ValidationError:
+            pass
+    assert served == {cfg.metric for cfg in PRESETS.values()} == set(METRICS)
 
 
 @pytest.mark.parametrize("name, flag, value", [
