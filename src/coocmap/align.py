@@ -14,7 +14,6 @@ from .assoc import Step
 from .cooc import CoocMatrix
 from .errors import ValidationError
 from .kernels import (
-    METRICS,
     _blocks,
     _normalize_inplace,
     _unitr_inplace,
@@ -89,21 +88,29 @@ def match_bidirectional(S: np.ndarray) -> MatchState:
     return MatchState(s=s, t=t)
 
 
+# the optional AlignConfig fields each (family, vectors) pair reads
+READS = {
+    ("cooc", None): ("assoc", "clip", "drop_r", "dim"),
+    ("cooc", "import"): ("clip", "drop_r", "dim"),
+    ("vec", "svd"): ("dim",),
+    ("vec", "import"): (),
+}
+
+
 @dataclass(frozen=True)
 class AlignConfig:
     """One run's resolved method and tuning; `presets.PRESETS` holds one per
     named method. `family` "cooc" matches association columns (`run_staged`)
     of the counts (`vectors` None) or of "import"ed vectors; "vec" rotates
     "import"ed vectors or the counts' `dim`-dimensional "svd" vectors
-    (`run_vecmap`). Both read `preset` (the name in reports and errors),
-    `seed_mode` ("unsupervised" or "dictionary"), `metric` (initializer and
-    cooc measure: "cosine" or "neg_l1"), `csls_k`, `max_iters` and `tol`.
-    Only cooc reads `assoc` (a `CONSTRUCTOR_CHAINS` key), `clip` (lo, hi
-    percentiles) and `drop_r` (None: no stage 2), and `dim` as a rank
-    truncation. `dim` may not exceed the smaller vocabulary (`execute_preset`
-    checks). Stage 2 rebuilds each side as the truncation, a drop of
-    `drop_schedule(drop_r, dim)` head directions and `clip` again. Any
-    value or (family, vectors) pair not named here is a ValidationError.
+    (`run_vecmap`). Every run reads `preset` (the name in reports and errors),
+    `seed_mode` ("unsupervised" or "dictionary"), `csls_k`, `max_iters` and
+    `tol`. `READS` says which pairs read `assoc` (a `CONSTRUCTOR_CHAINS` key;
+    it sets `metric`), `clip` (lo, hi percentiles), `drop_r` (stage 2's
+    head-drop rank, `drop_schedule`; None: no stage 2) and `dim` (rank
+    truncation or SVD width, at most the smaller vocabulary). A field set off
+    its default where its pair does not read it, or any value not named here,
+    is a ValidationError.
     """
 
     preset: str = "coocmap"
@@ -111,7 +118,6 @@ class AlignConfig:
     assoc: str = "coocmap"
     vectors: str | None = None
     seed_mode: str = "unsupervised"
-    metric: str = "cosine"
     clip: tuple[float, float] | None = None
     drop_r: int | None = None
     dim: int | None = None
@@ -119,16 +125,24 @@ class AlignConfig:
     max_iters: int = 100
     tol: float = 1e-6
 
+    @property
+    def metric(self) -> str:
+        """Follows `assoc`: "neg_l1" after unit-l1 rows (rapp, fung), else "cosine"."""
+        return "neg_l1" if assoc.CONSTRUCTOR_CHAINS[self.assoc][-1].name == "unit_l1" else "cosine"
+
     def __post_init__(self):
         for name, value, valid in (
-            ("metric", self.metric, METRICS),
-            ("(family, vectors)", (self.family, self.vectors),
-             (("cooc", None), ("cooc", "import"), ("vec", "svd"), ("vec", "import"))),
+            ("(family, vectors)", (self.family, self.vectors), tuple(READS)),
             ("seed_mode", self.seed_mode, ("unsupervised", "dictionary")),
             ("assoc", self.assoc, tuple(assoc.CONSTRUCTOR_CHAINS)),
         ):
             if value not in valid:
                 raise ValidationError(f"unknown {name} {value!r}, expected one of {valid}")
+        reads = READS[self.family, self.vectors]
+        for name in READS["cooc", None]:  # counts through a cooc pipeline: all of them
+            value = getattr(self, name)
+            if name not in reads and value != getattr(AlignConfig, name):
+                raise ValidationError(f"preset {self.preset} does not read {name} (given {value})")
         if self.vectors == "svd" and self.dim is None:
             raise ValidationError(f"preset {self.preset} needs dim, its SVD vector dimension")
         if self.csls_k < 1 or self.max_iters < 1 or self.tol < 0:

@@ -148,15 +148,19 @@ def load_vectors(path, vocab: Vocabulary):
 
     File words outside the vocabulary are skipped; vocabulary words missing
     from the file keep zero vectors and are returned for reporting. A NaN or
-    infinite value raises NumericError naming its line and word.
+    infinite value raises NumericError naming its line and word, and a row
+    count other than the header's V a ValidationError.
     """
     with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 2 or int(header[1]) < 1:
+        try:
+            rows, d = (int(x) for x in f.readline().split())
+        except ValueError:  # not two integers
+            d = 0
+        if d < 1:
             raise ValidationError(f"{path}:1: expected header 'V d' with width d >= 1")
-        _, d = (int(x) for x in header)
         data = np.zeros((vocab.size, d))
         seen = np.zeros(vocab.size, dtype=bool)
+        lineno = 1
         for lineno, line in enumerate(f, start=2):
             parts = line.rstrip("\n").split(" ")
             if len(parts) != d + 1:
@@ -168,5 +172,7 @@ def load_vectors(path, vocab: Vocabulary):
             if not np.isfinite(data[wid]).all():
                 raise NumericError(f"{path}:{lineno}: non-finite vector for {parts[0]!r}")
             seen[wid] = True
+    if lineno - 1 != rows:
+        raise ValidationError(f"{path}: header says {rows} rows, the file has {lineno - 1}")
     missing = [tok for tok, s in zip(vocab.tokens, seen) if not s]
     return data, missing

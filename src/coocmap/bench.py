@@ -76,7 +76,8 @@ class RunReport:
     induce runs score every evaluable dictionary entry.
 
     `config` is a bench or sweep point's BenchConfig, and the resolved
-    AlignConfig (the preset with its flags applied) of an `induce` run.
+    AlignConfig (the preset with its flags applied) of an `induce` run: its
+    fields, so not `metric`, which follows the association.
 
     `seconds` runs from reading the corpus to scoring. In a sweep, the
     points of one budget share a single ingest: the budget's first point
@@ -196,9 +197,15 @@ def check_seeding(cfg: AlignConfig, dictionary: Dictionary | None) -> None:
 
 
 def _point_config(cfg: BenchConfig, dictionary: Dictionary | None = None) -> AlignConfig:
-    """The resolved config of one bench point, once its seeding is checked."""
+    """The resolved config of one bench point, once its seeding is checked.
+    A bench point reads no vectors, so a preset that imports them fails here,
+    before any ingest."""
     acfg = align_config(get_preset(cfg.preset), csls_k=cfg.csls_k, max_iters=cfg.max_iters,
                         tol=cfg.tol, dim=cfg.dim)
+    if acfg.vectors == "import":
+        raise ValidationError(
+            f"preset {acfg.preset} aligns imported vectors; induce --vectors1/--vectors2 runs it"
+        )
     check_seeding(acfg, dictionary)
     return acfg
 
@@ -396,29 +403,30 @@ class SweepSpec:
 
     @classmethod
     def from_file(cls, path) -> "SweepSpec":
-        kv = parse_kv_file(path)
-        known = {
-            "source": str, "target": str, "mode": str,
-            "dict": str, "budgets": "ints", "presets": "strs", "dims": "ints",
-            "repetitions": int, "vocab_size": int, "window": int,
-            "csls_k": int, "max_iters": int, "tol": float, "top_eval": int,
-            "block_lines": int, "cipher_seed": int,
-        }
-        kwargs = {}
-        for key, raw in kv.items():
-            if key not in known:
-                raise ValidationError(f"{path}: unknown sweep key {key!r}")
-            conv = known[key]
-            name = "dict_path" if key == "dict" else key
-            if conv == "ints":
-                kwargs[name] = tuple(int(x) for x in raw.split(",") if x.strip())
-            elif conv == "strs":
-                kwargs[name] = tuple(x.strip() for x in raw.split(",") if x.strip())
-            else:
-                kwargs[name] = conv(raw)
+        kwargs = parse_kv_file(path, _SPEC_KEYS, "sweep key")
+        if "dict" in kwargs:
+            kwargs["dict_path"] = kwargs.pop("dict")
         if "source" not in kwargs:
             raise ValidationError(f"{path}: sweep spec needs a source corpus")
         return cls(**kwargs)
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in raw.split(",") if x.strip())
+
+
+def _strs(raw: str) -> tuple[str, ...]:
+    return tuple(x.strip() for x in raw.split(",") if x.strip())
+
+
+# a sweep spec file's keys and how each value is read
+_SPEC_KEYS = {
+    "source": str, "target": str, "mode": str,
+    "dict": str, "budgets": _ints, "presets": _strs, "dims": _ints,
+    "repetitions": int, "vocab_size": int, "window": int,
+    "csls_k": int, "max_iters": int, "tol": float, "top_eval": int,
+    "block_lines": int, "cipher_seed": int,
+}
 
 
 # Failures a sweep records as error rows: bad input and numeric failure, the

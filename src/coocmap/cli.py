@@ -29,17 +29,15 @@ def _add_config_flag(p):
 def _merge_config(ns: argparse.Namespace, parser_defaults: dict):
     """Fill unset flags from the config file; explicit flags keep priority."""
     from .config import parse_kv_file
-    from .errors import ValidationError
 
     if not ns.config:
         return
-    for key, raw in parse_kv_file(ns.config).items():
+    # keys are flag names, with dashes or underscores
+    types = {**parser_defaults, **{k.replace("_", "-"): v for k, v in parser_defaults.items()}}
+    for key, value in parse_kv_file(ns.config, types, "option").items():
         dest = key.replace("-", "_")
-        if dest not in parser_defaults:
-            raise ValidationError(f"{ns.config}: unknown option {key!r}")
         if getattr(ns, dest) is None:  # not given on the command line
-            conv = parser_defaults[dest]
-            setattr(ns, dest, conv(raw) if conv is not None else raw)
+            setattr(ns, dest, value)
 
 
 def _resolve(ns, **fallbacks):

@@ -3,11 +3,15 @@ the sweep spec loader."""
 
 from __future__ import annotations
 
+from typing import Any, Callable, Mapping
+
 from .errors import ValidationError
 
 
-def parse_kv_file(path) -> dict[str, str]:
-    out: dict[str, str] = {}
+def parse_kv_file(path, types: Mapping[str, Callable[[str], Any]], what: str) -> dict[str, Any]:
+    """Each key's value converted by `types[key]`. A key outside `types` is
+    an unknown `what`; a value that does not convert names its line and key."""
+    out: dict[str, Any] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -15,6 +19,11 @@ def parse_kv_file(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in types:
+                raise ValidationError(f"{path}: unknown {what} {key!r}")
+            try:
+                out[key] = types[key](value)
+            except ValueError as e:
+                raise ValidationError(f"{path}:{lineno}: cannot read {key} = {value}: {e}") from e
     return out

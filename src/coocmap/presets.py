@@ -29,8 +29,8 @@ PRESETS = {
         AlignConfig("coocmap-drop-1.5", clip=(1.5, 98.5), drop_r=20),
         AlignConfig("dict-init", seed_mode="dictionary"),
         AlignConfig("log1p", assoc="log1p"),
-        AlignConfig("rapp", assoc="rapp", metric="neg_l1"),
-        AlignConfig("fung", assoc="fung", metric="neg_l1"),
+        AlignConfig("rapp", assoc="rapp"),
+        AlignConfig("fung", assoc="fung"),
         AlignConfig("ppmi", assoc="ppmi"),
         AlignConfig("glove", assoc="glove"),
         AlignConfig("coocmap-vectors", vectors="import"),
@@ -61,18 +61,13 @@ def align_config(
     clip_hi: float | None = None,
     drop_r: int | None = None,
 ) -> AlignConfig:
-    """A preset with per-flag overrides; None keeps the preset's value. A
+    """A preset with per-flag overrides; None keeps the preset's value. Beyond
+    `AlignConfig`'s own check of the fields a run reads, two rules hold: a
     clip bound given to a preset without clipping turns clipping on, the
-    other bound from (1.0, 99.0). A flag the preset's pipeline would not read
-    raises ValidationError: `drop_r` without a stage 2, any clip or drop flag
-    in the vec family, and `dim` with imported vectors in the vec family."""
-    unread = {"drop_r": drop_r} if preset.drop_r is None else {}
-    if preset.family == "vec":
-        unread = {"clip_lo": clip_lo, "clip_hi": clip_hi, "drop_r": drop_r,
-                  "dim": dim if preset.vectors == "import" else None}
-    for flag, value in unread.items():
-        if value is not None:
-            raise ValidationError(f"preset {preset.preset} does not read {flag} (given {value})")
+    other bound from (1.0, 99.0), and `drop_r` given to a preset without a
+    stage 2 raises ValidationError."""
+    if drop_r is not None and preset.drop_r is None:
+        raise ValidationError(f"preset {preset.preset} does not read drop_r (given {drop_r})")
     clip = preset.clip
     if clip_lo is not None or clip_hi is not None:
         lo, hi = clip if clip is not None else (1.0, 99.0)

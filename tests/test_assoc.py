@@ -260,6 +260,18 @@ class TestVectorIO:
         with pytest.raises(NumericError, match=r"v\.txt:3: non-finite vector for 'b'"):
             load_vectors(tmp_path / "v.txt", build_vocab(["a", "b"], 3))
 
+    def test_non_integer_header_names_line_one(self, tmp_path):
+        (tmp_path / "v.txt").write_text("2 abc\na 0.5\n")
+        with pytest.raises(ValidationError, match=r"v\.txt:1: expected header 'V d'"):
+            load_vectors(tmp_path / "v.txt", build_vocab(["a"], 2))
+
+    @pytest.mark.parametrize("header, rows", [(5, 1), (1, 2)])
+    def test_row_count_must_match_header(self, tmp_path, header, rows):
+        (tmp_path / "v.txt").write_text(f"{header} 2\n" + "the 1 2\n" * rows)
+        message = rf"v\.txt: header says {header} rows, the file has {rows}"
+        with pytest.raises(ValidationError, match=message):
+            load_vectors(tmp_path / "v.txt", build_vocab(["the"], 2))
+
     def test_malformed_line_reports_number(self, tmp_path):
         (tmp_path / "v.txt").write_text("1 2\na 0.5\n")
         with pytest.raises(ValidationError) as e:

@@ -408,10 +408,13 @@ class TestSeedingByPreset:
     def test_sweep_without_runnable_point_reads_nothing(self, small_corpus, monkeypatch):
         reads = []
         monkeypatch.setattr(bench, "take_head_bytes", lambda *args: reads.append(args))
-        spec = SweepSpec(source=small_corpus, presets=("dict-init",), budgets=(200_000, 300_000))
+        spec = SweepSpec(source=small_corpus, presets=("dict-init", "vecmap-vectors"),
+                         budgets=(200_000, 300_000))
         reports, _ = run_sweep(spec)
         assert reads == []
-        assert [r.error.startswith("ValidationError") for r in reports] == [True, True]
+        assert [r.error.startswith("ValidationError") for r in reports] == [True] * 4
+        assert all("induce --vectors1/--vectors2" in r.error
+                   for r in reports if r.preset == "vecmap-vectors")
 
     def test_ingest_seconds_go_to_first_point_that_runs(self, small_corpus, monkeypatch):
         import time
@@ -430,6 +433,12 @@ class TestSeedingByPreset:
         reports, _ = run_sweep(spec)
         assert reports[0].seconds == 0.0
         assert reports[1].error is None and reports[1].seconds >= 1.0
+
+    def test_spec_file_value_that_does_not_convert_names_line_and_key(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        path.write_text("source = x\nbudgets = 10\nrepetitions = two\n")
+        with pytest.raises(ValidationError, match=r"spec\.txt:3: cannot read repetitions = two"):
+            SweepSpec.from_file(path)
 
     def test_spec_file_seed_mode_key_is_unknown(self, tmp_path):
         path = tmp_path / "spec.txt"

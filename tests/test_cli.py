@@ -230,6 +230,19 @@ def test_config_file_merge(tmp_path, capsys):
     assert Vocabulary.load(tmp_path / "t.vocab.txt").size == 3
 
 
+def test_config_value_that_does_not_convert_names_line_and_key(tmp_path, capsys):
+    (tmp_path / "tiny.txt").write_text("a b a\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("vocab-size = 2\nwindow = five\n")
+    rc = main([
+        "count", "--input", str(tmp_path / "tiny.txt"), "--out", str(tmp_path / "t"),
+        "--config", str(cfg),
+    ])
+    assert rc == 2
+    assert "cfg.txt:2: cannot read window = five" in capsys.readouterr().err
+    assert not (tmp_path / "t.vocab.txt").exists()
+
+
 def test_exit_code_usage_error():
     assert main(["count", "--no-such-flag"]) == 1
     assert main(["frobnicate"]) == 1
@@ -388,6 +401,7 @@ def test_bench_dict_init_reads_no_corpus(tmp_path, capsys, monkeypatch):
     ("vecmap-vectors", ["--dim", "50"], "dim"),
 ])
 def test_induce_unread_override_exits_2(counted, tmp_path, capsys, preset, flags, unread):
+    field = "clip" if unread.startswith("clip") else unread  # the field a clip flag sets
     tmp, out = counted
     rc = main([
         "induce",
@@ -397,7 +411,7 @@ def test_induce_unread_override_exits_2(counted, tmp_path, capsys, preset, flags
         "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
     ])
     assert rc == 2
-    assert f"preset {preset} does not read {unread}" in capsys.readouterr().err
+    assert f"preset {preset} does not read {field} " in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -492,6 +506,7 @@ def test_induce_zero_width_vectors_exit_2(counted, tmp_path, capsys, preset):
     ("count", ["--vocab-size", "0"], "need vocab_size, block_lines >= 1, got 0, 1000"),
     ("bench", ["--block-lines", "0"], "need vocab_size, block_lines >= 1, got 5000, 0"),
     ("bench", ["--mode", "cipher", "--seed", "-1"], "cipher seed must be >= 0, got -1"),
+    ("bench", ["--preset", "coocmap-vectors"], "induce --vectors1/--vectors2"),
 ])
 def test_bad_parameter_exits_2_before_reading_files(tmp_path, capsys, command, flags, message):
     missing = str(tmp_path / "missing")

@@ -1,10 +1,11 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
-from coocmap.align import MatchState, csls, vec_measure
-from coocmap.assoc import svd_vectors
+from coocmap.align import AlignConfig, MatchState, csls, vec_measure
+from coocmap.assoc import CONSTRUCTOR_CHAINS, svd_vectors
 from coocmap.cooc import CoocMatrix
 from coocmap.errors import NumericError, ValidationError
 from coocmap.kernels import METRICS, pair_sim_matrix
@@ -41,6 +42,7 @@ def test_align_config_defaults_per_preset():
     assert (drop.drop_r, drop.clip) == (20, (1.0, 99.0))
     assert align_config(get_preset("vecmap-raw")).dim == 300
     assert align_config(get_preset("rapp")).metric == "neg_l1"
+    assert align_config(get_preset("fung")).metric == "neg_l1"
     assert align_config(get_preset("ppmi")).metric == "cosine"
 
 
@@ -146,9 +148,6 @@ def test_dim_beyond_vocabulary_rejected(name, V1, V2, dim):
     ("clip", (50.0, 40.0), "need 0 <= p_lo < p_hi <= 100"),
     ("clip", (-1.0, 99.0), "need 0 <= p_lo < p_hi <= 100"),
     ("clip", (1.0, 101.0), "need 0 <= p_lo < p_hi <= 100"),
-    ("metric", "dot", "unknown metric 'dot', expected one of"),
-    ("metric", "neg_l2", "unknown metric 'neg_l2', expected one of"),
-    ("metric", "bogus", "unknown metric 'bogus', expected one of"),
     ("family", "vecc", r"unknown \(family, vectors\) \('vecc', None\)"),
     ("family", "vec", r"unknown \(family, vectors\) \('vec', None\)"),
     ("vectors", "svd", r"unknown \(family, vectors\) \('cooc', 'svd'\)"),
@@ -159,6 +158,40 @@ def test_dim_beyond_vocabulary_rejected(name, V1, V2, dim):
 def test_config_out_of_range_rejected(field, value, message):
     with pytest.raises(ValidationError, match=message):
         replace(get_preset("coocmap-drop"), **{field: value})
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("vecmap-raw", "assoc", "ppmi"),
+    ("vecmap-raw", "clip", (1.0, 99.0)),
+    ("vecmap-raw", "drop_r", 3),
+    ("vecmap-vectors", "dim", 7),
+    ("vecmap-vectors", "clip", (1.0, 99.0)),
+    ("coocmap-vectors", "assoc", "ppmi"),
+])
+def test_unread_field_rejected(name, field, value):
+    with pytest.raises(ValidationError, match=rf"preset {name} does not read {field} \(given "):
+        replace(get_preset(name), **{field: value})
+
+
+def test_vec_config_with_cooc_fields_rejected():
+    with pytest.raises(ValidationError, match="preset v does not read assoc"):
+        AlignConfig("v", "vec", vectors="import", clip=(1.0, 99.0), drop_r=3, dim=7, assoc="ppmi")
+
+
+def test_buildable_methods_are_the_presets():
+    """Every (family, vectors, assoc, metric) a config can hold is one a
+    preset names: no setting exists that no shipped method runs."""
+    built = set()
+    pairs = product(("cooc", "vec"), (None, "import", "svd"))
+    for (family, vectors), name in product(pairs, CONSTRUCTOR_CHAINS):
+        try:
+            cfg = AlignConfig(family=family, vectors=vectors, assoc=name,
+                              dim=300 if vectors == "svd" else None)
+        except ValidationError:
+            continue
+        built.add((cfg.family, cfg.vectors, cfg.assoc, cfg.metric))
+    assert built == {(c.family, c.vectors, c.assoc, c.metric) for c in PRESETS.values()}
+    assert len(built) == 9
 
 
 @pytest.mark.parametrize("name", ["coocmap-vectors", "vecmap-vectors"])
@@ -216,7 +249,9 @@ def test_measure_serves_exactly_the_preset_metrics():
     ("vecmap-vectors", "dim", 50),
 ])
 def test_unread_override_rejected(name, flag, value):
-    with pytest.raises(ValidationError, match=f"preset {name} does not read {flag}"):
+    # a clip flag sets the clip field, which the config names
+    field = "clip" if flag.startswith("clip") else flag
+    with pytest.raises(ValidationError, match=f"preset {name} does not read {field} "):
         align_config(get_preset(name), **{flag: value})
 
 
