@@ -16,7 +16,7 @@ from .errors import ValidationError
 from .kernels import (
     _blocks,
     _normalize_inplace,
-    _unitr_inplace,
+    _real,
     check_finite,
     check_percentiles,
     normalize,
@@ -28,12 +28,13 @@ from .kernels import (
 
 
 def _topk_mean(S: np.ndarray, k: int) -> np.ndarray:
-    """Mean of the k largest entries per row, partitioning a block at a time."""
+    """Mean of the k largest entries per row, in float64, partitioning a
+    block at a time."""
     if k == S.shape[1]:
-        return S.mean(axis=1)
+        return S.mean(axis=1, dtype=np.float64)
     out = np.empty(S.shape[0])
     for b in _blocks(S.shape[0]):
-        out[b] = np.partition(S[b], -k, axis=1)[:, -k:].mean(axis=1)
+        out[b] = np.partition(S[b], -k, axis=1)[:, -k:].mean(axis=1, dtype=np.float64)
     return out
 
 
@@ -41,10 +42,11 @@ def csls(S: np.ndarray, k: int) -> np.ndarray:
     """Penalize each similarity by the mean of its row's and column's k best
     values, so matches must stand out from their neighborhoods.
 
-    Overwrites S (when it is a float64 array) and returns it: the penalties
-    are subtracted one block of rows at a time, so the extra memory is
-    O((V1 + V2) * block), not a second matrix."""
-    S = np.asarray(S, dtype=np.float64)
+    Overwrites S (when it is a float32 or float64 array) and returns it: the
+    float64 penalty means are subtracted one block of rows at a time in
+    float64, each entry rounded back to S's precision, so the extra memory
+    is O((V1 + V2) * block), not a second matrix."""
+    S = _real(S)
     if k < 1 or k > min(S.shape):
         raise ValidationError(f"csls k={k} out of range for {S.shape} matrix")
     row_pen = _topk_mean(S, k)
@@ -55,8 +57,8 @@ def csls(S: np.ndarray, k: int) -> np.ndarray:
 
 
 def objective(S: np.ndarray) -> float:
-    """Mean over rows of the best similarity in each row."""
-    return float(np.mean(np.max(S, axis=1)))
+    """Mean over rows of the best similarity in each row, taken in float64."""
+    return float(np.mean(np.max(S, axis=1), dtype=np.float64))
 
 
 @dataclass
@@ -154,8 +156,9 @@ class AlignConfig:
 
 
 def _profile(A: np.ndarray, width: int) -> np.ndarray:
-    """A's rows sorted ascending, cut to `width`, normalized in that buffer."""
-    R = np.sort(np.asarray(A, dtype=np.float64), axis=1)
+    """A's rows sorted ascending, cut to `width`, normalized in that buffer:
+    float32 for a float32 A, float64 otherwise."""
+    R = np.sort(_real(A), axis=1)
     return _normalize_inplace(np.ascontiguousarray(R[:, :width]))
 
 
@@ -163,15 +166,24 @@ def unsupervised_init(X: np.ndarray, Z: np.ndarray, cfg: AlignConfig) -> MatchSt
     """Seed correspondence from per-row sorted association profiles.
 
     The profiles are normalized in their own sort buffers, so the extra
-    memory is the two profiles and one V1 x V2 similarity matrix."""
+    memory is the two profiles and one V1 x V2 similarity matrix: for float32
+    associations, all three are float32.
+
+    The sorted profiles are alike, and their CSLS scores can tie to within
+    1e-7 (at V=5000 a third of the rows are within 1.2e-3, a float32 GEMM's
+    error bound), so the cosines are float64 products rounded once into
+    float32 (`sim_matrix`). Precision (derived as in
+    `kernels.pair_sim_matrix`): the unit profile rows of width w put each
+    stored cosine within d = 2**-24 + (w + 2) * 2**-53 of its exact value;
+    each top-k mean moves by at most d, and rounding a CSLS score (|score|
+    <= 2) into float32 adds at most 2**-23, so each score lies within
+    e = 2 d + 2**-23 of the float64 one. Every match whose float64 score
+    clears the next best by more than 2 e is the float64 product's."""
     # unequal widths: keep the low/middle quantiles of the sorted rows
     width = min(X.shape[1], Z.shape[1])
     Rx, Rz = _profile(X, width), _profile(Z, width)
-    if cfg.metric == "cosine":
-        # sim_matrix's cosine on the same buffers: unit rows once more, one GEMM
-        S = sim_matrix(_unitr_inplace(Rx), _unitr_inplace(Rz), "dot")
-    else:
-        S = sim_matrix(Rx, Rz, cfg.metric)
+    # normalize leaves unit rows, so their dot products are the cosines
+    S = sim_matrix(Rx, Rz, "dot" if cfg.metric == "cosine" else cfg.metric)
     return match_bidirectional(csls(check_finite(S, "initial"), cfg.csls_k))
 
 
@@ -289,18 +301,26 @@ def run_staged(
     `drop_r` is set: rebuild with head-drop plus clip, re-learn from stage 1.
 
     Each side is truncated once; both stages apply their own steps to that
-    matrix, so every stage's data equals
-    `assoc.apply_pipeline(A, stage_steps(cfg, stage2))`.
+    matrix, so with steps = `stage_steps(cfg, stage2)` every stage's data
+    equals `assoc.apply_pipeline(assoc.apply_pipeline(A, steps[:1]), steps[1:])`
+    when `dim` is set (the truncation is rounded to float32 on its own), and
+    `assoc.apply_pipeline(A, steps)` when it is not.
 
-    Memory, in V x V float64 buffers (V^2 * 8 B) beyond the caller's
-    counts: A1 and A2, plus X and Z where a stage's steps make new
-    matrices. The initializer adds two sorted profiles and its similarity
-    matrix (3), a cosine measure 1.5 with its similarity matrix
-    (`pair_sim_matrix`: float32 operands and product, then the product
-    beside the float64 result), and csls and matching blocks of about 256
-    lanes. The initializer sets the peak: about 5 V^2 with no stage-1
-    steps (tracemalloc on identity runs: 5.17 V^2 at V=1500, 5.13 V^2 at
-    V=5000) and about 7 V^2 when stage 1 clips or truncates."""
+    Memory, in V^2 float64 units (8 B) beyond the caller's counts, for
+    float32 counts and associations: A1 and A2 (0.5 each), and X and Z
+    (0.5 each) where a stage's steps make new matrices. Each
+    `assoc.apply_pipeline` call adds its float64 working copy beside each
+    step's float64 result (2). The initializer adds two float32 sorted
+    profiles and their float32 similarity matrix (1.5), a cosine measure
+    1.5 with its float32 product (`pair_sim_matrix`), and csls, matching,
+    normalization and product blocks of about 256 lanes. With no stage-1
+    steps the initializer sets the peak, 2.5 V^2 plus its product's float64
+    blocks (tracemalloc: 2.86 V^2 at V=1500 and 3.06 V^2 at V=1000, against
+    5.17 V^2 and 5.27 V^2 with float64 matrices); building A2 beside A1
+    reaches 2.5 plus two blocks, and the measure 2.5. A stage-1 clip or
+    truncation runs beside A1 and A2 and keeps X and Z beside them, about
+    5 V^2 (clip's percentiles copy its float64 input).
+    """
     A1 = assoc.apply_pipeline(A1, _trunc_steps(cfg))
     A2 = assoc.apply_pipeline(A2, _trunc_steps(cfg))
     X = assoc.apply_pipeline(A1, _stage_tail(cfg, stage2=False))

@@ -2,11 +2,14 @@
 alternatives (marginal ratio, weighted PMI, positive PMI, centered log),
 vector import/export, and typed pipeline steps.
 
-Associations and word vectors are plain float64 arrays: V x V for an
-association, V x d for vectors. A run's association is its counts through
-`CONSTRUCTOR_CHAINS[cfg.assoc]`, then `align.stage_steps(cfg, stage2)` for
-each stage, so the resolved config a report records is the provenance:
-`apply_pipeline` on the raw counts replays any chain bitwise.
+An association is a V x V float32 array; word vectors are V x d float64.
+Each `apply_pipeline` call runs its steps on a float64 working copy and
+rounds the result to float32 once. A run's association is its counts
+through `CONSTRUCTOR_CHAINS[cfg.assoc]` (`build`, one call); `align.run_staged`
+then truncates it (one call, if `dim` is set) and applies each stage's
+remaining steps (one call per stage), so the resolved config a report
+records is the provenance: the same calls on the raw counts replay any
+run's matrices bitwise.
 """
 
 from __future__ import annotations
@@ -90,12 +93,18 @@ _STEPS = {
 
 
 def _run_steps(data, steps) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
+    """data through the steps in float64, rounded to float32 once; with no
+    steps, data as float32 (not copied if it is float32 already)."""
+    steps = tuple(steps)
     for step in steps:
         if step.name not in _STEPS:
             raise ValidationError(f"unknown pipeline step {step.name!r}")
+    if not steps:
+        return np.asarray(data, dtype=np.float32)
+    data = np.asarray(data, dtype=np.float64)
+    for step in steps:
         data = _STEPS[step.name](data, *step.args)
-    return data
+    return data.astype(np.float32)
 
 
 # canonical constructor chains, keyed by the preset-facing name
@@ -110,13 +119,19 @@ CONSTRUCTOR_CHAINS = {
 
 
 def build(name: str, C: CoocMatrix) -> np.ndarray:
-    """The association of counts under a `CONSTRUCTOR_CHAINS` key (`AlignConfig` checks it)."""
+    """The float32 association of counts under a `CONSTRUCTOR_CHAINS` key
+    (`AlignConfig` checks it).
+
+    Memory, in V^2 float64 units (8 B) beyond the counts: the float64
+    working copy beside each step's float64 result (2), then the working
+    copy beside the float32 result (1.5)."""
     return _run_steps(C.counts, CONSTRUCTOR_CHAINS[name])
 
 
 def assoc_from_vectors(Xv: np.ndarray) -> np.ndarray:
-    """normalize((Xv Xv^T)^(1/2)): word vectors lifted to association space."""
-    return kernels.normalize(kernels.psd_sqrt_gram(Xv))
+    """normalize((Xv Xv^T)^(1/2)): word vectors lifted to association space,
+    rounded to float32 once."""
+    return _run_steps(kernels.psd_sqrt_gram(Xv), (Step("normalize"),))
 
 
 def svd_vectors(C: CoocMatrix, r: int = 300) -> np.ndarray:
@@ -128,7 +143,8 @@ def svd_vectors(C: CoocMatrix, r: int = 300) -> np.ndarray:
 
 
 def apply_pipeline(A: np.ndarray, steps) -> np.ndarray:
-    """Apply Steps left to right to an association (or raw counts)."""
+    """Apply Steps left to right to an association (or raw counts) in
+    float64; the result is float32, rounded once."""
     return _run_steps(A, steps)
 
 
@@ -148,8 +164,9 @@ def load_vectors(path, vocab: Vocabulary):
 
     File words outside the vocabulary are skipped; vocabulary words missing
     from the file keep zero vectors and are returned for reporting. A NaN or
-    infinite value raises NumericError naming its line and word, and a row
-    count other than the header's V a ValidationError.
+    infinite value raises NumericError naming its line and word; a word
+    listed twice, or a row count other than the header's V, a
+    ValidationError.
     """
     with open(path, encoding="utf-8") as f:
         try:
@@ -160,11 +177,16 @@ def load_vectors(path, vocab: Vocabulary):
             raise ValidationError(f"{path}:1: expected header 'V d' with width d >= 1")
         data = np.zeros((vocab.size, d))
         seen = np.zeros(vocab.size, dtype=bool)
+        first_line: dict[str, int] = {}  # every word read, vocabulary or not
+        twice = None  # the first repeat, reported once the row count is checked
         lineno = 1
         for lineno, line in enumerate(f, start=2):
             parts = line.rstrip("\n").split(" ")
             if len(parts) != d + 1:
                 raise ValidationError(f"{path}:{lineno}: expected 1 token + {d} values")
+            first = first_line.setdefault(parts[0], lineno)
+            if first != lineno and twice is None:
+                twice = f"{path}:{lineno}: word {parts[0]!r} listed twice (first on line {first})"
             wid = vocab.id_of(parts[0])
             if wid == vocab.unk_id and parts[0] != vocab.tokens[vocab.unk_id]:
                 continue  # word not in the current vocabulary
@@ -174,5 +196,7 @@ def load_vectors(path, vocab: Vocabulary):
             seen[wid] = True
     if lineno - 1 != rows:
         raise ValidationError(f"{path}: header says {rows} rows, the file has {lineno - 1}")
+    if twice is not None:
+        raise ValidationError(twice)
     missing = [tok for tok, s in zip(vocab.tokens, seen) if not s]
     return data, missing

@@ -137,10 +137,11 @@ def build_side(text: str, blocks: Iterable[slice], cfg: BenchConfig):
     about 80 B per token of the largest block (T_block). The side's T tokens
     take 4 B each as type ids and 8 B more while relabelled; `count_cooc`
     then adds about 20 B per token to the 4 B ids (a line-start flag,
-    crossing masks and the int64 keys of two window offsets) next to two
-    V x V float64 buffers and an int64 bincount. The type index takes about
-    100 B per distinct token. The side needs at most about 24 B * T +
-    80 B * T_block + 24 B * V^2 of it."""
+    crossing masks and the int64 keys of two window offsets) next to a
+    float32 V x V sum and an int64 bincount (12 B * V^2); the side keeps
+    its float32 counts (4 B * V^2). The type index takes about 100 B per
+    distinct token. The side needs at most about 24 B * T + 80 B * T_block
+    + 12 B * V^2 of it."""
     types = TypeIndex()
     parts = [encode(tokenize(text[b]), types) for b in blocks]
     vocab = build_vocab(types.counts(parts), cfg.vocab_size)
@@ -160,8 +161,9 @@ def _split_sides(corpus_path, budget: int, cfg: BenchConfig) -> Sides:
     text); the text is then held through both sides. With T tokens in the
     larger side, T_block in the largest block and V words per side, the
     ingest peaks under about 2 B * budget + 24 B * T + 80 B * T_block +
-    32 B * V^2, the first side's counts included, plus 100 B per distinct
-    token: it grows with the larger side, not with the budget's tokens."""
+    16 B * V^2, the first side's float32 counts included, plus 100 B per
+    distinct token: it grows with the larger side, not with the budget's
+    tokens."""
     text, data_bytes = take_head_bytes(corpus_path, budget)
     blocks = line_blocks(text, cfg.block_lines)
     v1, C1, _ = build_side(text, blocks[0::2], cfg)

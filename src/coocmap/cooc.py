@@ -13,12 +13,17 @@ from .errors import IntegrityError, NumericError, ValidationError
 
 MAGIC = b"COOCMAT1"
 
+# float32 holds every integer below 2**24 exactly; counts must stay below it
+EXACT_COUNTS = 2**24
+
 
 @dataclass(frozen=True)
 class CoocMatrix:
-    """Symmetric V x V window co-occurrence counts for one vocabulary."""
+    """Symmetric V x V window co-occurrence counts for one vocabulary:
+    float32 as counted or loaded, integers below `EXACT_COUNTS`. Every
+    consumer also accepts counts of any other real dtype."""
 
-    counts: np.ndarray  # float64, V x V
+    counts: np.ndarray  # V x V
     window: int
     vocab_digest: str
     token_count: int
@@ -31,10 +36,13 @@ class CoocMatrix:
 def count_cooc(corpus: EncodedCorpus, m: int = 5) -> CoocMatrix:
     """Count pairs within m tokens on either side, never across lines.
 
+    The counts are float32, exact while every count stays below
+    `EXACT_COUNTS`: a larger count raises NumericError naming its cell.
+
     Besides the int32 ids, a call holds about 20 B per token (a 1-byte
     line-start flag, the 1-byte crossing masks and the int64 keys of two
-    consecutive offsets) next to two V x V float64 buffers and an int64
-    bincount."""
+    consecutive offsets) next to a V x V float32 sum of the offsets' int64
+    bincount (12 B * V^2), then that sum beside the counts (8 B * V^2)."""
     if m < 1:
         raise ValidationError(f"window size must be >= 1, got {m}")
     V = corpus.vocab.size
@@ -44,16 +52,24 @@ def count_cooc(corpus: EncodedCorpus, m: int = 5) -> CoocMatrix:
     starts[corpus.line_breaks] = True
     cross = np.zeros(n, dtype=bool)  # pair (i, i + dj) spans a line start
     dropped = V * V  # the bin crossing pairs go to, cut off the counts
-    half = np.zeros(V * V, dtype=np.float64)
+    half = np.zeros(V * V, dtype=np.float32)
     for dj in range(1, m + 1):
         if dj >= n:
             break
         cross = cross[:-1] | starts[dj:n]
         keys = ids[:-dj].astype(np.int64) * V + ids[dj:]
         keys[cross] = dropped
+        # exact while the sums stay below EXACT_COUNTS, checked on the total
         half += np.bincount(keys, minlength=dropped + 1)[:-1]
     half = half.reshape(V, V)
     counts = half + half.T  # each ordered pair seen from both endpoints
+    peak = int(counts.argmax())
+    if counts.flat[peak] >= EXACT_COUNTS:
+        row, col = divmod(peak, V)
+        raise NumericError(
+            f"count at ({row}, {col}) reaches {counts.flat[peak]:.0f} >= 2**24, "
+            "past the counts float32 holds exactly"
+        )
     return CoocMatrix(
         counts=counts,
         window=m,
@@ -74,6 +90,8 @@ def permute_cooc(C: CoocMatrix, pi: np.ndarray) -> CoocMatrix:
 
 
 def save_cooc(C: CoocMatrix, path) -> None:
+    """Header, then the counts as little-endian float64 in row-major order,
+    converted one row at a time."""
     header = json.dumps(
         {
             "V": C.size,
@@ -86,7 +104,8 @@ def save_cooc(C: CoocMatrix, path) -> None:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(header)))
         f.write(header)
-        f.write(np.ascontiguousarray(C.counts, dtype="<f8").tobytes())
+        for row in C.counts:
+            f.write(np.ascontiguousarray(row, dtype="<f8"))
 
 
 def _read_exact(f, n: int, path, what: str) -> bytes:
@@ -123,9 +142,11 @@ def _parse_header(raw: bytes, path) -> dict:
 
 
 def load_cooc(path, vocab: Vocabulary | None = None) -> CoocMatrix:
-    """Read a counts file; if a vocabulary is given, verify its digest.
-    A malformed header raises IntegrityError naming the key; NaN or infinite
-    counts raise NumericError naming the first one."""
+    """Read a counts file into float32 counts, one row at a time; if a
+    vocabulary is given, verify its digest. A malformed header or a short
+    payload raises IntegrityError naming the key or the shortfall; a value
+    that is not an exact count below `EXACT_COUNTS` (NaN, infinite, negative,
+    fractional or too large) raises NumericError naming the first one."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != MAGIC:
@@ -133,16 +154,33 @@ def load_cooc(path, vocab: Vocabulary | None = None) -> CoocMatrix:
         (hlen,) = struct.unpack("<I", _read_exact(f, 4, path, "header length"))
         header = _parse_header(_read_exact(f, hlen, path, "header"), path)
         V = header["V"]
-        payload = _read_exact(f, V * V * 8, path, f"counts for V={V}")
-        data = np.frombuffer(payload, dtype="<f8").reshape(V, V)
+        counts = np.empty((V, V), dtype=np.float32)
+        row = np.empty(V, dtype="<f8")
+        first_bad = None
+        for i in range(V):
+            got = f.readinto(row)
+            if got != row.nbytes:
+                raise IntegrityError(
+                    f"{path}: truncated counts for V={V}: expected {V * row.nbytes} bytes, "
+                    f"read {i * row.nbytes + got}"
+                )
+            if first_bad is None:
+                # NaN fails every comparison, so it is caught as not exact
+                exact = (row >= 0) & (row < EXACT_COUNTS) & (np.floor(row) == row)
+                if not exact.all():
+                    col = int(np.argmin(exact))
+                    first_bad = (i, col, row[col])
+            counts[i] = row
     if vocab is not None and vocab.digest != header["vocab_digest"]:
         raise IntegrityError(f"{path}: vocabulary digest mismatch")
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        row, col = divmod(int(bad[0]), V)
-        raise NumericError(f"{path}: non-finite count {data[row, col]} at ({row}, {col})")
+    if first_bad is not None:
+        i, col, value = first_bad
+        what = "non-finite count" if not np.isfinite(value) else "count"
+        raise NumericError(
+            f"{path}: {what} {value} at ({i}, {col}) is not an exact count below 2**24"
+        )
     return CoocMatrix(
-        counts=data.astype(np.float64),
+        counts=counts,
         window=header["m"],
         vocab_digest=header["vocab_digest"],
         token_count=header["token_count"],

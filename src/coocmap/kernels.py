@@ -3,20 +3,23 @@ surgery (rank-r truncation and head-drop by projection onto the top
 eigenvectors of the smaller Gram matrix), similarity matrices, and
 orthogonal Procrustes.
 
-Every public function here is a pure function of float64 arrays; inputs
-are never mutated. The normalization chain is built on private in-place
-cores (`_unitr_inplace`, `_centerc_inplace`, `_normalize_inplace`) that
-overwrite and return a float64 buffer their caller owns; the public
-`unitr`, `centerc` and `normalize` run them on one fresh copy. unitr
-takes its row norms one block of rows at a time, so none of these holds a
-V x V temporary of squares. The cdist metric (neg_l1) takes C-contiguous
-rows: scipy walks each row in turn, so a column-major operand costs a
-strided read per entry.
+Every public function here is a pure function of real arrays: inputs are
+never mutated. The normalization chain, clipping and rank surgery compute
+and return float64. The normalization chain is built on private in-place
+cores (`_unitr_inplace`, `_normalize_inplace`) that overwrite and return a
+buffer their caller owns; the public `unitr`, `centerc` and `normalize`
+run them on one fresh float64 copy. Both cores work one block of rows at a
+time, so none of them holds a V x V temporary, and `_normalize_inplace`
+also normalizes a float32 buffer in float64, rounding it once. The cdist
+metric (neg_l1) takes C-contiguous rows: scipy walks each row in turn, so
+a column-major operand costs a strided read per entry.
 
-One product runs in float32: the cosine GEMM of `pair_sim_matrix`, the
-self-learning measure, whose docstring derives the bound this costs.
-Everything else, `sim_matrix` (so the initializer and the vector measure)
-and the cdist metric included, stays float64.
+A coocmap run stores its V x V matrices in float32 (`assoc`), and the
+similarity kernels keep that storage: `sim_matrix`'s dot and cosine of
+float32 operands are float64 products rounded once into float32, formed a
+block at a time. One product runs in float32 arithmetic: the cosine GEMM of
+`pair_sim_matrix`, the self-learning measure, whose docstring derives the
+bound this costs. The cdist metric reads float64 operands.
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ def epow(X: np.ndarray, alpha: float) -> np.ndarray:
     return X**alpha
 
 
+def _real(X) -> np.ndarray:
+    """X as an array of float32 or float64, copied only if it is neither."""
+    X = np.asarray(X)
+    return X if X.dtype in (np.float32, np.float64) else X.astype(np.float64)
+
+
 def _unitr_inplace(X: np.ndarray) -> np.ndarray:
     """unitr on X's own float64 buffer: overwrites and returns X."""
     norms = np.empty((X.shape[0], 1))
@@ -89,20 +98,32 @@ def unitr_l1(X: np.ndarray) -> np.ndarray:
     return X / mass
 
 
-def _centerc_inplace(X: np.ndarray) -> np.ndarray:
-    """centerc on X's own float64 buffer: overwrites and returns X."""
+def centerc(X: np.ndarray) -> np.ndarray:
+    """Subtract the column means so every column averages to zero."""
+    X = np.array(X, dtype=np.float64)
     X -= X.mean(axis=0, keepdims=True)
     return X
 
 
-def centerc(X: np.ndarray) -> np.ndarray:
-    """Subtract the column means so every column averages to zero."""
-    return _centerc_inplace(np.array(X, dtype=np.float64))
-
-
 def _normalize_inplace(X: np.ndarray) -> np.ndarray:
-    """normalize on X's own float64 buffer: overwrites and returns X."""
-    return _unitr_inplace(_centerc_inplace(_unitr_inplace(X)))
+    """normalize on X's own float32 or float64 buffer: overwrites and returns X.
+
+    Each block of rows is worked on as a float64 copy and written back once,
+    so a float32 buffer is rounded once. The unit rows' column sums run row
+    by row, in the order X.mean(axis=0) adds them, so a float64 result is
+    bitwise that of the whole-matrix chain."""
+    total = np.zeros(X.shape[1])
+    for b in _blocks(X.shape[0]):
+        for row in _unitr_inplace(X[b].astype(np.float64)):
+            total += row
+        del row  # its block, before the next block's copy
+    mean = total / X.shape[0]
+    for b in _blocks(X.shape[0]):
+        Y = _unitr_inplace(X[b].astype(np.float64))
+        Y -= mean
+        X[b] = _unitr_inplace(Y)
+        del Y
+    return X
 
 
 def normalize(X: np.ndarray) -> np.ndarray:
@@ -203,19 +224,38 @@ def psd_sqrt_gram(Xv: np.ndarray) -> np.ndarray:
     return (f.U * f.S) @ f.U.T
 
 
+def _product(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """X @ Z.T in float64 arithmetic. Two float32 operands give a float32
+    result, formed a block at a time from float64 copies of the operands'
+    blocks, so each entry is rounded once and no V x V float64 array exists;
+    anything else is one float64 GEMM."""
+    if X.dtype != np.float32 or Z.dtype != np.float32:
+        return X.astype(np.float64, copy=False) @ Z.astype(np.float64, copy=False).T
+    out = np.empty((X.shape[0], Z.shape[0]), dtype=np.float32)
+    for b in _blocks(Z.shape[0]):
+        Zb = Z[b].astype(np.float64)
+        for a in _blocks(X.shape[0]):
+            out[a, b] = X[a].astype(np.float64) @ Zb.T
+    return out
+
+
 def sim_matrix(X: np.ndarray, Z: np.ndarray, metric: str = "cosine") -> np.ndarray:
     """Pairwise row similarities (a metric of METRICS, or "dot"), higher = more
-    similar; cosine treats all-zero rows as similarity 0 to everything."""
-    X = np.asarray(X, dtype=np.float64)
-    Z = np.asarray(Z, dtype=np.float64)
+    similar; cosine treats all-zero rows as similarity 0 to everything.
+
+    Every metric computes in float64. dot and cosine of two float32 operands
+    return float32, each entry rounded once; anything else returns float64.
+    neg_l1 is scipy's cdist on float64 copies of the rows."""
+    X, Z = _real(X), _real(Z)
     if X.shape[1] != Z.shape[1]:
         raise ValidationError(f"row width mismatch: {X.shape} vs {Z.shape}")
     if metric == "cosine":
-        return unitr(X) @ unitr(Z).T
+        return (unitr(X) @ unitr(Z).T).astype(np.result_type(X, Z), copy=False)
     if metric == "dot":
-        return X @ Z.T
+        return _product(X, Z)
     if metric == "neg_l1":
-        return -cdist(np.ascontiguousarray(X), np.ascontiguousarray(Z), metric="cityblock")
+        return -cdist(np.ascontiguousarray(X, dtype=np.float64),
+                      np.ascontiguousarray(Z, dtype=np.float64), metric="cityblock")
     raise ValidationError(f"unknown metric {metric!r}, expected one of {(*METRICS, 'dot')}")
 
 
@@ -225,32 +265,36 @@ def pair_sim_matrix(X, Z, s, t, metric: str = "cosine") -> np.ndarray:
     Column p of the gathered pair contributes once per occurrence of the pair
     (s[p], t[p]), so only the pair counts matter. neg_l1 measures each
     distinct pair once, its columns scaled by the count w: for P distinct
-    pairs it costs V1 * V2 * P, on row-major operands.
+    pairs it costs V1 * V2 * P, on row-major operands, and only those
+    gathered V x P columns are made float64.
 
     cosine uses the sparse V1 x V2 count matrix M: X[:, s] @ Z[:, t].T =
-    (X M) @ Z.T. The sparse product X M, the pair-weighted row norms
-    nx = ||X[:, s]|| and nz = ||Z[:, t]|| (squares weighted by bincount(s)
-    and bincount(t)) and the division by them are float64. The unit-row
-    operands a = (X M) / nx and b = Z / nz are rounded to float32 once, and
-    a @ b.T is one float32 GEMM, returned as float64.
+    (X M) @ Z.T. X and Z are read as they are, float32 or float64. The
+    sparse product X M, the pair-weighted row norms nx = ||X[:, s]|| and
+    nz = ||Z[:, t]|| (squares weighted by bincount(s) and bincount(t)) and
+    the division by them are float64. The unit-row operands a = (X M) / nx
+    and b = Z / nz are rounded to float32 once, and a @ b.T is one float32
+    GEMM, returned as it is.
 
     Precision (derived, not fitted): by Cauchy-Schwarz over the pairs,
     sum_j |a_ij b_kj| <= 1, so the two operand roundings and the float32
     sum of n = Z.shape[1] terms put every cosine entry within
-    (n + 2) * 2**-24 of its exact value to first order (float32 underflow,
-    on operand entries below 2**-126, adds an absolute error of order
-    2**-149 per summed term). The bound takes the float64 norms as exact
-    to rounding, which holds while no row's norm is below about 1e-154,
-    where its squares go subnormal; unitr rescales such rows, this measure
-    does not.
+    (n + 2) * 2**-24 of the exact cosine of the given X and Z, to first
+    order. Precondition: the operand entries lie in float32's normal range
+    (|x| >= 2**-126, about 1.2e-38) or are zero. Their squares are then
+    normal in float64, and the float64 norms exact to rounding. The
+    package's associations meet what this asks: they are float32, and the
+    squares of any float32 entry, down to 2**-149, are normal in float64. A
+    float64 row whose entries all lie below about 1e-154 does not: its
+    squares go subnormal, and its cosines may leave [-1, 1] (unitr rescales
+    such rows; this measure does not). Float32 underflow in a, b or their
+    products adds an absolute error of order 2**-149 per summed term.
 
-    Memory, for V x V operands, in V^2 float64 units (8 B) with the result:
-    at most 1.5 -- a and b beside their float32 product, then that product
-    beside the float64 result. Neither X M nor the squares are ever a whole
-    V x V float64 array.
+    Memory, for V x V operands, in V^2 float64 units (8 B): at most 1.5 --
+    a and b beside their float32 product, which is the result (0.5). Neither
+    X M nor the squares are ever a whole V x V float64 array.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Z = np.asarray(Z, dtype=np.float64)
+    X, Z = _real(X), _real(Z)
     s = np.asarray(s, dtype=np.int64)
     t = np.asarray(t, dtype=np.int64)
     if s.ndim != 1 or s.shape != t.shape or s.size < 1:
@@ -260,9 +304,12 @@ def pair_sim_matrix(X, Z, s, t, metric: str = "cosine") -> np.ndarray:
         raise ValidationError(f"pair indices out of range for {v1} x {v2} columns")
     if metric == "cosine":
         M = sparse.csr_array((np.ones(s.size), (s, t)), shape=(v1, v2))
-        # squared norms summed with the pair counts as weights, no X * X array
-        nx = np.sqrt(np.einsum("ij,ij,j->i", X, X, np.bincount(s, minlength=v1)))
-        nz = np.sqrt(np.einsum("ij,ij,j->i", Z, Z, np.bincount(t, minlength=v2)))
+        # squared norms summed in float64 with the pair counts as weights,
+        # no X * X array
+        nx = np.sqrt(np.einsum("ij,ij,j->i", X, X, np.bincount(s, minlength=v1),
+                               dtype=np.float64))
+        nz = np.sqrt(np.einsum("ij,ij,j->i", Z, Z, np.bincount(t, minlength=v2),
+                               dtype=np.float64))
         nx[nx == 0.0] = 1.0  # all-zero rows stay zero, as in unitr
         nz[nz == 0.0] = 1.0
         # the unit rows are divided in float64 and rounded into float32
@@ -273,13 +320,11 @@ def pair_sim_matrix(X, Z, s, t, metric: str = "cosine") -> np.ndarray:
             np.divide(X[r] @ M, nx[r, None], out=a[r])
         b = np.empty(Z.shape, dtype=np.float32)
         np.divide(Z, nz[:, None], out=b)
-        S32 = a @ b.T
-        del a, b  # before the float64 copy, so the peak stays 1.5 V^2
-        return S32.astype(np.float64)
+        return a @ b.T
     if metric == "neg_l1":
         pairs, w = np.unique(s * v2 + t, return_counts=True)
         # np.take keeps the rows contiguous; X[:, idx] would return them
-        # column-major
+        # column-major. The count w makes the gathered columns float64.
         Xp = np.take(X, pairs // v2, axis=1) * w
         Zp = np.take(Z, pairs % v2, axis=1) * w
         return sim_matrix(Xp, Zp, metric)

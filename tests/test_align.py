@@ -168,6 +168,31 @@ class TestUnsupervisedInit:
         state = unsupervised_init(X, Z, AlignConfig(csls_k=2))
         np.testing.assert_array_equal(state.t[:5], pi[state.s[:5]])
 
+    def test_float32_init_is_the_float64_products_match_outside_its_bound(self):
+        # clusters of near-duplicate rows: many CSLS scores tie to within
+        # about 1e-9, far below float32's resolution, and the rest do not
+        from coocmap import align
+
+        rng = np.random.default_rng(0)
+        n, w, k = 120, 400, 5
+        base = np.repeat(rng.random((12, w)) ** 3, 10, axis=0)
+        X, Z = ((base * (1 + 1e-4 * rng.standard_normal((n, w)))).astype(np.float32)
+                for _ in range(2))
+        Rx, Rz = align._profile(X, w), align._profile(Z, w)
+        assert Rx.dtype == np.float32
+        ref = csls(Rx.astype(np.float64) @ Rz.astype(np.float64).T, k)
+        state = unsupervised_init(X, Z, AlignConfig(csls_k=k))
+        # the docstring's bound: each float32 score within e of the float64 one
+        d = 2.0**-24 + (w + 2) * 2.0**-53
+        e = 2 * d + 2.0**-23
+        for scores, picks in ((ref, state.t[:n]), (ref.T, state.s[n:])):
+            top2 = np.sort(scores, axis=1)[:, -2:]
+            clear = top2[:, 1] - top2[:, 0] > 2 * e
+            assert 20 <= clear.sum() < n  # both kinds of rows occur
+            np.testing.assert_array_equal(picks[clear], scores.argmax(axis=1)[clear])
+            picked = scores[np.arange(n), picks]
+            assert np.all(picked >= scores.max(axis=1) - 2 * e)
+
     def test_unequal_widths_truncate_to_small_quantiles(self):
         X = np.array([[0.1, 0.5, 9.0, 11.0]])
         Z = np.array([[0.1, 0.5]])
@@ -369,9 +394,10 @@ class TestPipelines:
         C1, C2 = self._counts(22, V=14), self._counts(23, V=14)
         cfg = align_config(get_preset("coocmap-drop"), csls_k=3, max_iters=5, dim=6)
         A1, A2 = build("coocmap", C1), build("coocmap", C2)
+        # one rounding after the truncation, one after each stage's tail
         expected = [
-            assoc.apply_pipeline(A, stage_steps(cfg, stage2))
-            for stage2 in (False, True) for A in (A1, A2)
+            assoc.apply_pipeline(assoc.apply_pipeline(A, steps[:1]), steps[1:])
+            for steps in (stage_steps(cfg, False), stage_steps(cfg, True)) for A in (A1, A2)
         ]
         trunc_calls, seen = [], []
         real_trunc, real_selflearn = assoc._STEPS["trunc"], align.coocmap_selflearn

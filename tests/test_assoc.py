@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coocmap.assoc import (
+    _STEPS,
     CONSTRUCTOR_CHAINS,
     Step,
     apply_pipeline,
@@ -56,9 +57,10 @@ class TestLog1p:
         )
 
     def test_direct_recomputation(self):
+        # the chain runs in float64 and its result is rounded to float32 once
         C = random_counts(np.random.default_rng(1))
         np.testing.assert_array_equal(
-            build("log1p", C), normalize(np.log1p(C.counts))
+            build("log1p", C), normalize(np.log1p(C.counts)).astype(np.float32)
         )
 
 
@@ -161,6 +163,33 @@ class TestGlove:
         np.testing.assert_allclose(build("glove", C), unitr(G), atol=1e-12)
 
 
+class TestFloat32Storage:
+    @pytest.mark.parametrize("name", CONSTRUCTORS)
+    def test_build_rounds_the_float64_chain_once(self, name):
+        C = random_counts(np.random.default_rng(21), V=7)
+        data = C.counts
+        for step in CONSTRUCTOR_CHAINS[name]:
+            data = _STEPS[step.name](data, *step.args)
+        assert data.dtype == np.float64
+        got = build(name, C)
+        assert got.dtype == np.float32
+        assert got.tobytes() == data.astype(np.float32).tobytes()
+
+    def test_float32_and_float64_counts_build_one_association(self):
+        C = random_counts(np.random.default_rng(22), V=7)
+        C32 = cmat(C.counts.astype(np.float32))
+        for name in CONSTRUCTORS:
+            assert build(name, C32).tobytes() == build(name, C).tobytes()
+
+    def test_vectors_lift_to_float32(self):
+        Xv = np.random.default_rng(23).random((5, 3))
+        A = assoc_from_vectors(Xv)
+        from coocmap.kernels import psd_sqrt_gram
+
+        assert A.dtype == np.float32
+        assert A.tobytes() == normalize(psd_sqrt_gram(Xv)).astype(np.float32).tobytes()
+
+
 class TestDeterminism:
     def test_identical_counts_identical_bytes(self):
         rng = np.random.default_rng(10)
@@ -172,11 +201,14 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", CONSTRUCTORS)
     def test_counts_replay_constructor_and_stage_steps(self, name):
-        # the config names every step, so the raw counts replay a run's matrix
+        # the config names every step and each call rounds once, so the raw
+        # counts, float32 as counted, replay a run's matrix call for call
         C = random_counts(np.random.default_rng(18), V=8)
         steps = (Step("trunc", (3,)), Step("clip", (5, 95)))
         A = apply_pipeline(build(name, C), steps)
-        replayed = apply_pipeline(C.counts, CONSTRUCTOR_CHAINS[name] + steps)
+        counts32 = C.counts.astype(np.float32)
+        replayed = apply_pipeline(apply_pipeline(counts32, CONSTRUCTOR_CHAINS[name]), steps)
+        assert replayed.dtype == np.float32
         assert replayed.tobytes() == A.tobytes()
 
 
@@ -272,6 +304,12 @@ class TestVectorIO:
         with pytest.raises(ValidationError, match=message):
             load_vectors(tmp_path / "v.txt", build_vocab(["the"], 2))
 
+    def test_word_listed_twice_names_path_line_and_word(self, tmp_path):
+        (tmp_path / "v.txt").write_text("3 2\na 1 2\nb 5 6\na 3 4\n")
+        with pytest.raises(ValidationError,
+                           match=r"v\.txt:4: word 'a' listed twice \(first on line 2\)"):
+            load_vectors(tmp_path / "v.txt", build_vocab(["a", "b"], 3))
+
     def test_malformed_line_reports_number(self, tmp_path):
         (tmp_path / "v.txt").write_text("1 2\na 0.5\n")
         with pytest.raises(ValidationError) as e:
@@ -290,13 +328,13 @@ class TestApplyPipeline:
         A = build("coocmap", C)
         steps = (Step("clip", (1, 99)), Step("drop", (2,)))
         B = apply_pipeline(A, steps)
-        np.testing.assert_array_equal(B, drop_head(clip(A, 1, 99), 2))
+        np.testing.assert_array_equal(B, drop_head(clip(A, 1, 99), 2).astype(np.float32))
 
     def test_step_by_step_oracle(self):
         C = random_counts(np.random.default_rng(17), V=8)
         A = build("coocmap", C)
         B = apply_pipeline(A, [Step("drop", (3,)), Step("clip", (1, 99))])
-        np.testing.assert_array_equal(B, clip(drop_head(A, 3), 1, 99))
+        np.testing.assert_array_equal(B, clip(drop_head(A, 3), 1, 99).astype(np.float32))
 
     def test_step_args_used_exactly(self, monkeypatch):
         from coocmap import assoc
@@ -308,6 +346,21 @@ class TestApplyPipeline:
         apply_pipeline(A, [Step("clip", (1.2345678, 98.7654321)), Step("drop", (3,))])
         assert seen == [(1.2345678, 98.7654321), 3]
         assert type(seen[1]) is int
+
+    def test_no_steps_return_a_float32_input_itself(self):
+        A = build("coocmap", random_counts(np.random.default_rng(19)))
+        assert apply_pipeline(A, []) is A
+        assert apply_pipeline(A.astype(np.float64), []).dtype == np.float32
+
+    @pytest.mark.parametrize("step", [Step("clip", (5, 95)), Step("drop", (2,)),
+                                      Step("trunc", (3,))])
+    def test_stage_steps_read_float32_as_its_float64_values(self, step):
+        A = build("coocmap", random_counts(np.random.default_rng(20), V=8))
+        assert A.dtype == np.float32
+        want = apply_pipeline(A.astype(np.float64), [step])
+        assert apply_pipeline(A, [step]).tobytes() == want.tobytes()
+        assert _STEPS[step.name](A, *step.args).tobytes() == _STEPS[step.name](
+            A.astype(np.float64), *step.args).tobytes()
 
     def test_unknown_step(self):
         with pytest.raises(ValidationError):

@@ -113,10 +113,11 @@ class TestStreamedIngest:
 def test_ingest_peak_memory_stays_under_its_model(small_corpus, pair):
     """The memory model `_split_sides` states (and `_corpus_pair_sides` with
     one file read at a time): about 2 B per budget byte, 24 B per token of
-    the larger side, 80 B per token of the largest block and 32 B * V^2.
-    Counting with per-token int64 segment ids and compacted keys, about
-    45 B per token, does not fit it on the pair case (16.0 MB against a
-    15.0 MB bound)."""
+    the larger side, 80 B per token of the largest block and 16 B * V^2
+    (the first side's float32 counts beside the second side's float32 sum
+    and int64 bincount). Counting with per-token int64 segment ids and
+    compacted keys, about 45 B per token, does not fit it on the pair case
+    (16.0 MB against a 15.0 MB bound)."""
     budget, cfg = 2_000_000, BenchConfig(vocab_size=300)
     text, _ = take_head_bytes(small_corpus, budget)
     block_tokens = max(len(text[b].split()) for b in line_blocks(text, cfg.block_lines))
@@ -131,20 +132,42 @@ def test_ingest_peak_memory_stays_under_its_model(small_corpus, pair):
     finally:
         tracemalloc.stop()
     tokens = max(sides.C1.token_count, sides.C2.token_count)
-    assert peak < 2 * budget + 24 * tokens + 80 * block_tokens + 32 * cfg.vocab_size**2
+    assert peak < 2 * budget + 24 * tokens + 80 * block_tokens + 16 * cfg.vocab_size**2
+
+
+def test_count_peak_memory_stays_under_its_model():
+    """`count_cooc` on a corpus short beside V^2: a float32 sum beside an
+    int64 bincount, 12 B * V^2, then the sum beside the float32 counts. The
+    bound allows one more byte per cell for numpy's casting buffers and the
+    per-token arrays; a float64 sum (16 B * V^2) does not fit it."""
+    V = 1200
+    rng = np.random.default_rng(4)
+    vocab = Vocabulary(("[UNK]", *[f"w{i}" for i in range(1, V)]))
+    corpus = encode([[vocab.tokens[i] for i in rng.integers(1, V, 2000)]], vocab)
+    tracemalloc.start()
+    try:
+        C = count_cooc(corpus, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert C.counts.dtype == np.float32
+    assert peak < 13 * V**2
 
 
 def test_alignment_peak_memory_stays_under_its_model():
     """The model `align.run_staged` states, for a coocmap run beyond its
-    counts: the two associations, then the initializer's two sorted profiles
-    and its similarity matrix, 5 V x V float64 buffers, plus csls and
-    matching blocks (about 0.6 V^2 at V=400). An initializer that normalizes
-    and measures copies of its profiles (9 V^2 beyond the counts) does not
-    fit 6 V^2."""
-    V = 400
+    float32 counts: 2.5 V^2 float64 plus row blocks of at most 256 lanes.
+    The initializer sets the peak: the two float32 associations, the two
+    float32 profiles and their float32 similarity matrix, beside the
+    float64 blocks its product is formed from (two blocks of rows and their
+    product). Building the second association (its float64 chain beside the
+    first) and the float32 measure stay under it. At V=1000 the model, with
+    three blocks, is 3.27 V^2; float64 matrices (5.27 V^2) or an extra
+    float32 V x V copy (3.56 V^2) do not fit it."""
+    V = 1000
     rng = np.random.default_rng(5)
-    C1, C2 = (CoocMatrix(M + M.T, 2, name, 1000)
-              for name, M in zip("st", rng.integers(0, 30, size=(2, V, V)).astype(float)))
+    C1, C2 = (CoocMatrix((M + M.T).astype(np.float32), 2, name, 1000)
+              for name, M in zip("st", rng.integers(0, 30, size=(2, V, V))))
     tracemalloc.start()
     try:
         run = run_coocmap(C1, C2, AlignConfig(max_iters=3))
@@ -152,7 +175,7 @@ def test_alignment_peak_memory_stays_under_its_model():
     finally:
         tracemalloc.stop()
     assert len(run.traces[0]) >= 2  # self-learning ran under the same bound
-    assert peak < 6 * V**2 * 8
+    assert peak < 2.5 * V**2 * 8 + 3 * 256 * V * 8
 
 
 class TestIdentityBench:
@@ -242,6 +265,7 @@ def pair_sim_matrix_f64(X, Z, s, t, metric="cosine"):
     float32: the oracle for whole runs."""
     if metric != "cosine":
         return pair_sim_matrix(X, Z, s, t, metric)
+    X, Z = np.asarray(X, dtype=np.float64), np.asarray(Z, dtype=np.float64)
     v1, v2 = X.shape[1], Z.shape[1]
     M = sparse.csr_array((np.ones(s.size), (s, t)), shape=(v1, v2))
     XM = np.asarray(X @ M)
@@ -282,6 +306,106 @@ class TestFloat32Measure:
         for got, want in zip(f32.traces, f64.traces):
             np.testing.assert_allclose(got, want, rtol=0, atol=bound)
         assert f32.accuracy == f64.accuracy
+
+
+def _store_float64(monkeypatch):
+    """Make a run store its counts, associations and stage matrices in
+    float64, each step chain running as in a float32 run but never rounded:
+    the oracle for float32 storage. The counts convert exactly, as every
+    count is an integer below 2**24."""
+    from coocmap import assoc
+
+    real_count = bench.count_cooc
+
+    def count64(corpus, m):
+        C = real_count(corpus, m)
+        return replace(C, counts=C.counts.astype(np.float64))
+
+    def steps64(data, steps):
+        data = np.asarray(data, dtype=np.float64)
+        for step in steps:
+            data = assoc._STEPS[step.name](data, *step.args)
+        return data
+
+    monkeypatch.setattr(bench, "count_cooc", count64)
+    monkeypatch.setattr(assoc, "_run_steps", steps64)
+
+
+def _measure_shift(new, old) -> float:
+    """A derived bound on how far one iteration's objective moves between a
+    float32-storage measure call and the float64-storage oracle's call under
+    the same pairs: (X, Z, s, t, metric) each.
+
+    E = X - X0 and F = Z - Z0, with X0, Z0 the oracle's operands; c_s and c_t
+    count each column in s and t, so gathered rows have weighted norms.
+    cosine: a row x + e has |unit(x + e) - unit(x)| <= 2 |e| / |x|, so each
+    cosine moves by at most 2 |e_i|/|x_i| + 2 |f_k|/|z_k| (weighted norms),
+    plus the float32 measure's (n + 2) * 2**-24 in each run. neg_l1: by the
+    triangle inequality each distance moves by at most
+    sum_j c_s[j] |E_ij| + sum_j c_t[j] |F_kj|, plus the float64 rounding of
+    both cdist sums over P distinct pairs, (P + 1) * 2**-53 times their
+    weighted l1 masses. An objective is a mean of row maxima, so it moves by
+    at most the mean over rows of the row bound."""
+    (X, Z, s, t, metric), (X0, Z0, s0, t0, _) = new, old
+    np.testing.assert_array_equal(s, s0)
+    np.testing.assert_array_equal(t, t0)
+    E, F = X.astype(np.float64) - X0, Z.astype(np.float64) - Z0
+    cs, ct = np.bincount(s, minlength=X.shape[1]), np.bincount(t, minlength=Z.shape[1])
+    if metric == "cosine":
+        def rel(E, X, c):
+            err, norm = np.sqrt((E * E) @ c), np.sqrt((X * X) @ c)
+            assert not err[norm == 0].any()
+            return np.divide(err, norm, out=np.zeros_like(err), where=norm > 0)
+
+        gemm = 2 * (Z.shape[1] + 2) * 2.0**-24
+        return float(np.mean(2 * rel(E, X0, cs)) + 2 * rel(F, Z0, ct).max() + gemm)
+    pairs = np.unique(s * Z.shape[1] + t).size
+    mass = sum((np.abs(A) @ c).max() for A, c in ((X, cs), (X0, cs), (Z, ct), (Z0, ct)))
+    rounding = (pairs + 1) * 2.0**-53 * float(mass)
+    return float(np.mean(np.abs(E) @ cs) + (np.abs(F) @ ct).max() + rounding)
+
+
+class TestFloat32Storage:
+    """Runs that store every V x V matrix in float32 make the run that stores
+    them in float64: the same dumps, iterations and matchings, with each
+    objective within `_measure_shift`'s derived bound."""
+
+    @pytest.mark.parametrize("mode, preset", [("identity", "coocmap"),
+                                              ("cipher", "coocmap-drop"),
+                                              ("identity", "rapp")])
+    def test_same_run_as_float64_storage(self, small_corpus, tmp_path, monkeypatch, mode,
+                                         preset):
+        from coocmap import align
+
+        cfg = replace(FAST, preset=preset)
+        real_measure = align.pair_sim_matrix
+
+        def run(name):
+            calls = []
+            monkeypatch.setattr(
+                align, "pair_sim_matrix", lambda *a: calls.append(a) or real_measure(*a)
+            )
+            path = tmp_path / name
+            if mode == "identity":
+                report = split_identity_bench(small_corpus, 1_500_000, cfg, preds_out=path)
+            else:
+                report = cipher_bench(small_corpus, 1_500_000, 3, cfg, preds_out=path)
+            return report, path.read_bytes(), calls
+
+        f32, f32_dump, f32_calls = run("f32.tsv")
+        _store_float64(monkeypatch)
+        f64, f64_dump, f64_calls = run("f64.tsv")
+        assert {c[0].dtype for c in f32_calls} == {np.dtype(np.float32)}
+        assert {c[0].dtype for c in f64_calls} == {np.dtype(np.float64)}
+        assert f32_dump == f64_dump
+        assert [len(trace) for trace in f32.traces] == [len(trace) for trace in f64.traces]
+        assert f32.accuracy == f64.accuracy
+        assert len(f32_calls) == len(f64_calls)
+        # the calls line up with the traces; a last translation measure, if
+        # any, has no objective
+        got, want = list(chain(*f32.traces)), list(chain(*f64.traces))
+        for new, old, a, b in zip(f32_calls, f64_calls, got, want):
+            assert abs(a - b) <= _measure_shift(new, old)
 
 
 def _corpus_pair(small_corpus, tmp_path, dict_size: int):
@@ -438,6 +562,13 @@ class TestSeedingByPreset:
         path = tmp_path / "spec.txt"
         path.write_text("source = x\nbudgets = 10\nrepetitions = two\n")
         with pytest.raises(ValidationError, match=r"spec\.txt:3: cannot read repetitions = two"):
+            SweepSpec.from_file(path)
+
+    def test_spec_file_key_given_twice_names_both_lines(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        path.write_text("source = x\nbudgets = 10\n# a comment\nbudgets = 20\n")
+        with pytest.raises(ValidationError,
+                           match=r"spec\.txt:4: sweep key budgets given twice, first on line 2"):
             SweepSpec.from_file(path)
 
     def test_spec_file_seed_mode_key_is_unknown(self, tmp_path):

@@ -243,6 +243,19 @@ def test_config_value_that_does_not_convert_names_line_and_key(tmp_path, capsys)
     assert not (tmp_path / "t.vocab.txt").exists()
 
 
+def test_config_key_given_twice_names_both_lines(tmp_path, capsys):
+    (tmp_path / "tiny.txt").write_text("a b a\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("window = 1\nvocab-size = 2\nwindow = 2\n")
+    rc = main([
+        "count", "--input", str(tmp_path / "tiny.txt"), "--out", str(tmp_path / "t"),
+        "--config", str(cfg),
+    ])
+    assert rc == 2
+    assert "cfg.txt:3: option window given twice, first on line 1" in capsys.readouterr().err
+    assert not (tmp_path / "t.vocab.txt").exists()
+
+
 def test_exit_code_usage_error():
     assert main(["count", "--no-such-flag"]) == 1
     assert main(["frobnicate"]) == 1

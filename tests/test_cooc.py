@@ -1,12 +1,21 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coocmap.cooc import MAGIC, CoocMatrix, count_cooc, load_cooc, permute_cooc, save_cooc
+from coocmap.cooc import (
+    EXACT_COUNTS,
+    MAGIC,
+    CoocMatrix,
+    count_cooc,
+    load_cooc,
+    permute_cooc,
+    save_cooc,
+)
 from coocmap.corpus import UNK_TOKEN, Vocabulary, build_vocab, encode
 from coocmap.errors import IntegrityError, NumericError, ValidationError
 
@@ -84,6 +93,25 @@ class TestCountCooc:
         assert np.array_equal(C.counts, C.counts.T)
         assert C.counts.sum() <= 2 * m * C.token_count
 
+    def test_counts_are_float32(self):
+        C = count_cooc(corpus_from_ids([[1, 2, 1, 3]], 4), 2)
+        assert C.counts.dtype == np.float32
+        np.testing.assert_array_equal(C.counts, brute_cooc([[1, 2, 1, 3]], 4, 2))
+
+    # one word repeated n times on one line, window 5: its count with itself
+    # is 2 * (5n - 15), pairs dj = 1..5 apart seen from both ends
+    @pytest.mark.parametrize("n, raises", [(1_677_000, False), (1_700_000, True)])
+    def test_a_count_reaching_2_to_the_24_raises_naming_its_cell(self, n, raises):
+        vocab = build_vocab(["a"], 2)
+        enc = encode([["a"] * n], vocab)
+        a = vocab.id_of("a")
+        assert (2 * (5 * n - 15) >= EXACT_COUNTS) == raises
+        if not raises:
+            assert count_cooc(enc, 5).counts[a, a] == 2 * (5 * n - 15)
+            return
+        with pytest.raises(NumericError, match=rf"count at \({a}, {a}\) reaches 16999970"):
+            count_cooc(enc, 5)
+
     def test_shard_merge_equals_single_pass(self):
         rng = np.random.default_rng(0)
         lines = [list(rng.integers(0, 8, size=rng.integers(1, 40))) for _ in range(30)]
@@ -135,6 +163,59 @@ class TestSerialization:
         assert loaded.window == C.window
         assert loaded.token_count == C.token_count
         assert loaded.vocab_digest == C.vocab_digest
+
+    def test_round_trip_of_float64_counts_loads_float32(self, tmp_path):
+        # the payload stays little-endian float64; loading rounds nothing,
+        # because every count below 2**24 is a float32
+        rng = np.random.default_rng(3)
+        counts = rng.integers(0, EXACT_COUNTS, size=(5, 5)).astype(np.float64)
+        counts[0, 0] = EXACT_COUNTS - 1
+        save_cooc(CoocMatrix(counts, 3, "d", 9), tmp_path / "c.bin")
+        raw = (tmp_path / "c.bin").read_bytes()
+        assert raw.endswith(counts.astype("<f8").tobytes())
+        loaded = load_cooc(tmp_path / "c.bin")
+        assert loaded.counts.dtype == np.float32
+        np.testing.assert_array_equal(loaded.counts, counts)
+        save_cooc(loaded, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == raw
+
+    @pytest.mark.parametrize("bad", [2.5, float(EXACT_COUNTS), -1.0])
+    def test_a_value_that_is_not_an_exact_float32_count_is_named(self, tmp_path, bad):
+        counts = np.ones((3, 3))
+        counts[1, 2] = bad
+        counts[2, 0] = 0.5  # later in row-major order: not the one named
+        save_cooc(CoocMatrix(counts, 1, "d", 9), tmp_path / "c.bin")
+        with pytest.raises(NumericError, match=rf"c\.bin: count {bad} at \(1, 2\) is not an exact"):
+            load_cooc(tmp_path / "c.bin")
+
+    def test_truncated_after_a_bad_value_is_an_integrity_error(self, tmp_path):
+        counts = np.ones((3, 3))
+        counts[0, 1] = 0.5
+        save_cooc(CoocMatrix(counts, 1, "d", 9), tmp_path / "c.bin")
+        raw = (tmp_path / "c.bin").read_bytes()
+        (tmp_path / "c.bin").write_bytes(raw[:-12])
+        with pytest.raises(IntegrityError, match="truncated counts for V=3: expected 72 bytes, "
+                                                 "read 60"):
+            load_cooc(tmp_path / "c.bin")
+
+    def test_save_and_load_hold_no_second_copy(self, tmp_path):
+        # a row of float64 at a time beside the float32 counts; a whole
+        # float64 payload, or payload bytes beside a converted copy, would
+        # hold 2 to 4 V^2 float32 units
+        V = 1000
+        C = CoocMatrix(np.ones((V, V), dtype=np.float32), 1, "d", 9)
+        tracemalloc.start()
+        try:
+            save_cooc(C, tmp_path / "c.bin")
+            saved = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = load_cooc(tmp_path / "c.bin")
+            read = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.counts.nbytes == V * V * 4
+        assert saved < 0.1 * V * V * 4
+        assert read < 1.1 * V * V * 4
 
     def test_digest_mismatch(self, tmp_path):
         vocab = build_vocab(["a", "b"], 3)

@@ -127,6 +127,21 @@ class TestNormalize:
         want = X / np.linalg.norm(X, axis=1, keepdims=True)
         assert unitr(X).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shape", [(1500, 1500), (257, 1000), (600, 300), (3, 7)])
+    def test_blocked_normalize_equals_the_whole_matrix_chain_bitwise(self, shape):
+        X = np.random.default_rng(shape[1]).random(shape)
+        Y = X / np.linalg.norm(X, axis=1, keepdims=True)
+        Y -= Y.mean(axis=0, keepdims=True)
+        want = Y / np.linalg.norm(Y, axis=1, keepdims=True)
+        assert normalize(X).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(600, 300), (3, 7)])
+    def test_float32_buffer_normalized_in_float64_and_rounded_once(self, shape):
+        X = np.random.default_rng(3).random(shape).astype(np.float32)
+        got = kernels._normalize_inplace(X.copy())
+        assert got.dtype == np.float32
+        assert got.tobytes() == normalize(X).astype(np.float32).tobytes()
+
     def test_unitr_extra_memory_is_a_block_of_rows(self):
         # the result, plus squares for about 256 rows at a time; the
         # whole-matrix norm held a second V x V array of squares (2 V^2)
@@ -401,6 +416,43 @@ class TestSimMatrix:
         with pytest.raises(ValidationError):
             sim_matrix(np.ones((1, 2)), np.ones((1, 2)), "manhattan")
 
+    @pytest.mark.parametrize("metric", ["dot", "cosine"])
+    def test_float32_operands_give_the_float64_product_rounded_once(self, metric):
+        rng = np.random.default_rng(6)
+        X, Z = rng.random((5, 4)), rng.random((3, 4))
+        X32, Z32 = X.astype(np.float32), Z.astype(np.float32)
+        got = sim_matrix(X32, Z32, metric)
+        assert got.dtype == np.float32
+        want = sim_matrix(X32.astype(np.float64), Z32.astype(np.float64), metric)
+        assert got.tobytes() == want.astype(np.float32).tobytes()
+        assert sim_matrix(X32, Z, metric).dtype == np.float64  # one float64 operand
+
+    def test_float32_product_is_formed_in_blocks_under_a_v2_float64_array(self):
+        # the float32 result plus float64 copies of two blocks of rows and
+        # their product block; a whole float64 product or operand copy would
+        # add V^2 float64
+        V = 1200
+        rng = np.random.default_rng(7)
+        X, Z = rng.random((V, V), dtype=np.float32), rng.random((V, V), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            got = sim_matrix(X, Z, "dot")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * V**2 * 8 + 3 * 256 * V * 8
+        want = (X.astype(np.float64) @ Z.astype(np.float64).T).astype(np.float32)
+        # blocks may sum in another order: within float32 rounding of the whole product
+        np.testing.assert_allclose(got, want, rtol=2.0**-23, atol=0)
+
+    def test_l1_reads_float32_operands_in_float64(self):
+        rng = np.random.default_rng(7)
+        X32, Z32 = rng.random((5, 4), dtype=np.float32), rng.random((3, 4), dtype=np.float32)
+        got = sim_matrix(X32, Z32, "neg_l1")
+        want = sim_matrix(X32.astype(np.float64), Z32.astype(np.float64), "neg_l1")
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
     def test_width_mismatch(self):
         with pytest.raises(ValidationError):
             sim_matrix(np.ones((1, 2)), np.ones((1, 3)))
@@ -501,13 +553,36 @@ class TestPairSimMatrix:
         assert ref.min() > 1.0 - 1e-9
         assert np.all(np.abs(got - ref) <= measure_bound(Z) * (1 + 1e-6))
 
+    @pytest.mark.parametrize("metric", ["cosine"])
+    def test_bound_holds_on_float32_operands(self, metric):
+        # the rows above, stored as float32 as the package stores its
+        # associations; the oracle measures the same float32 values in
+        # float64. A row of float32 subnormals ([1e-40, 2e-40, 3e-40], far
+        # below float32's normal range) still has float64 squares in the
+        # normal range, so its norm and the bound hold
+        rng = np.random.default_rng(8)
+        n = 3000
+        base = rng.random(n) + 0.5
+        X = (base * (1.0 + 1e-5 * rng.standard_normal((20, n)))).astype(np.float32)
+        Z = (base * (1.0 + 1e-5 * rng.standard_normal((30, n)))).astype(np.float32)
+        X[0, :3], X[0, 3:] = np.array([1e-40, 2e-40, 3e-40], dtype=np.float32), 0.0
+        Z[0, :3], Z[0, 3:] = [1.0, 2.0, 3.0], 0.0
+        assert 0.0 < X[0, 0] < np.finfo(np.float32).tiny
+        s = np.concatenate([np.arange(n), rng.integers(0, n, 500)])
+        t = np.concatenate([np.arange(n), s[n:]])
+        ref = sim_matrix(X.astype(np.float64)[:, s], Z.astype(np.float64)[:, t], metric)
+        got = pair_sim_matrix(X, Z, s, t, metric)
+        assert got.dtype == np.float32
+        assert ref[1:, 1:].min() > 1.0 - 1e-9 and ref[0, 0] > 1.0 - 1e-9
+        assert np.all(np.abs(got - ref) <= measure_bound(Z) * (1 + 1e-6))
+
     def test_extra_memory_within_its_model(self):
-        # 1.5 V^2 with the result: the float32 operands and product, then the
-        # product beside the float64 result; the float64 path held X M beside
-        # a V x V array of squares (2 V^2)
+        # 1.5 V^2 with the result: the float32 operands beside their float32
+        # product, the result; the float64 path held X M beside a V x V array
+        # of squares (2 V^2)
         V = 1024
         rng = np.random.default_rng(9)
-        X, Z = rng.random((V, V)), rng.random((V, V))
+        X, Z = rng.random((V, V), dtype=np.float32), rng.random((V, V), dtype=np.float32)
         state = match_bidirectional(rng.random((V, V)))
         tracemalloc.start()
         try:
