@@ -309,17 +309,20 @@ def run_staged(
     Memory, in V^2 float64 units (8 B) beyond the caller's counts, for
     float32 counts and associations: A1 and A2 (0.5 each), and X and Z
     (0.5 each) where a stage's steps make new matrices. Each
-    `assoc.apply_pipeline` call adds its float64 working copy beside each
-    step's float64 result (2). The initializer adds two float32 sorted
-    profiles and their float32 similarity matrix (1.5), a cosine measure
-    1.5 with its float32 product (`pair_sim_matrix`), and csls, matching,
-    normalization and product blocks of about 256 lanes. With no stage-1
-    steps the initializer sets the peak, 2.5 V^2 plus its product's float64
-    blocks (tracemalloc: 2.86 V^2 at V=1500 and 3.06 V^2 at V=1000, against
-    5.17 V^2 and 5.27 V^2 with float64 matrices); building A2 beside A1
-    reaches 2.5 plus two blocks, and the measure 2.5. A stage-1 clip or
-    truncation runs beside A1 and A2 and keeps X and Z beside them, about
-    5 V^2 (clip's percentiles copy its float64 input).
+    `assoc.apply_pipeline` call of stage steps adds at most 2 beside its
+    float32 input (a stage-1 clip 1.5: its float64 copy beside the float32
+    result). The initializer adds two float32 sorted profiles and their
+    float32 similarity matrix (1.5), a cosine measure 1.5 with its float32
+    product (`pair_sim_matrix`), and csls, matching, normalization and
+    product blocks of about 256 lanes. With no stage-1 steps the
+    initializer sets the peak, 2.5 V^2 plus its product's float64 blocks
+    (tracemalloc: 2.86 V^2 at V=1500 and 3.06 V^2 at V=1000); building A2
+    beside A1 reaches 2.5 plus two blocks, and the measure 2.5. With a
+    stage-1 clip (coocmap-drop) the initializer and the measure run beside
+    X and Z as well, 3.5 plus blocks, and the initializer still sets the
+    peak: stage 1's X and Z are freed before stage 2 builds its own, so
+    stage 2's second side is built beside A1, A2 and its X, 1.5 + 2
+    (tracemalloc at V=1000: 4.06 V^2).
     """
     A1 = assoc.apply_pipeline(A1, _trunc_steps(cfg))
     A2 = assoc.apply_pipeline(A2, _trunc_steps(cfg))
@@ -330,6 +333,7 @@ def run_staged(
     state, trace1, targets = coocmap_selflearn(X, Z, init, cfg, translate=cfg.drop_r is None)
     traces = [trace1]
     if cfg.drop_r is not None:
+        del X, Z  # stage 2 builds its own matrices from A1 and A2
         X = assoc.apply_pipeline(A1, _stage_tail(cfg, stage2=True))
         Z = assoc.apply_pipeline(A2, _stage_tail(cfg, stage2=True))
         state, trace2, targets = coocmap_selflearn(X, Z, state, cfg)

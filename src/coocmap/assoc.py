@@ -3,8 +3,9 @@ alternatives (marginal ratio, weighted PMI, positive PMI, centered log),
 vector import/export, and typed pipeline steps.
 
 An association is a V x V float32 array; word vectors are V x d float64.
-Each `apply_pipeline` call runs its steps on a float64 working copy and
-rounds the result to float32 once. A run's association is its counts
+Each `apply_pipeline` call runs its steps in float64 and rounds the result
+to float32 once: the first step reads a float32 input as its float64 values,
+so no float64 working copy of it is made. A run's association is its counts
 through `CONSTRUCTOR_CHAINS[cfg.assoc]` (`build`, one call); `align.run_staged`
 then truncates it (one call, if `dim` is set) and applies each stage's
 remaining steps (one call per stage), so the resolved config a report
@@ -33,6 +34,7 @@ class Step(NamedTuple):
 
 
 def _marginals(counts: np.ndarray):
+    counts = np.asarray(counts, dtype=np.float64)
     total = counts.sum()
     P = counts / total if total > 0 else np.zeros_like(counts)
     return P, P.sum(axis=1), P.sum(axis=0)
@@ -71,7 +73,7 @@ def _ppmi(counts: np.ndarray, k: float) -> np.ndarray:
 
 def _centered_log(counts: np.ndarray) -> np.ndarray:
     """log(1+C) minus its row means, then minus the column means of that."""
-    L = np.log1p(counts)
+    L = np.log1p(np.asarray(counts, dtype=np.float64))
     G = L - L.mean(axis=1, keepdims=True)
     return G - G.mean(axis=0, keepdims=True)
 
@@ -94,14 +96,15 @@ _STEPS = {
 
 def _run_steps(data, steps) -> np.ndarray:
     """data through the steps in float64, rounded to float32 once; with no
-    steps, data as float32 (not copied if it is float32 already)."""
+    steps, data as float32 (not copied if it is float32 already). Every step
+    reads a float32 input as its float64 values and returns float64, so no
+    float64 working copy of data is made up front."""
     steps = tuple(steps)
     for step in steps:
         if step.name not in _STEPS:
             raise ValidationError(f"unknown pipeline step {step.name!r}")
     if not steps:
         return np.asarray(data, dtype=np.float32)
-    data = np.asarray(data, dtype=np.float64)
     for step in steps:
         data = _STEPS[step.name](data, *step.args)
     return data.astype(np.float32)
@@ -122,9 +125,10 @@ def build(name: str, C: CoocMatrix) -> np.ndarray:
     """The float32 association of counts under a `CONSTRUCTOR_CHAINS` key
     (`AlignConfig` checks it).
 
-    Memory, in V^2 float64 units (8 B) beyond the counts: the float64
-    working copy beside each step's float64 result (2), then the working
-    copy beside the float32 result (1.5)."""
+    Memory, in V^2 float64 units (8 B) beyond the counts: each step's
+    float64 input or copy of it beside its float64 result (2, plus the
+    normalization's row blocks), then the last result beside the float32
+    one (1.5)."""
     return _run_steps(C.counts, CONSTRUCTOR_CHAINS[name])
 
 
@@ -144,7 +148,12 @@ def svd_vectors(C: CoocMatrix, r: int = 300) -> np.ndarray:
 
 def apply_pipeline(A: np.ndarray, steps) -> np.ndarray:
     """Apply Steps left to right to an association (or raw counts) in
-    float64; the result is float32, rounded once."""
+    float64; the result is float32, rounded once.
+
+    The stage steps (clip, drop, trunc) hold at most 2 V^2 float64 (8 B
+    units) beside a float32 input: clip its float64 copy, drop and trunc a
+    scaled copy beside the Gram matrix, and a step's float64 result beside
+    the next step's copy or the float32 result."""
     return _run_steps(A, steps)
 
 

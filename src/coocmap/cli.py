@@ -32,10 +32,9 @@ def _merge_config(ns: argparse.Namespace, parser_defaults: dict):
 
     if not ns.config:
         return
-    # keys are flag names, with dashes or underscores
-    types = {**parser_defaults, **{k.replace("_", "-"): v for k, v in parser_defaults.items()}}
-    for key, value in parse_kv_file(ns.config, types, "option").items():
-        dest = key.replace("-", "_")
+    # keys are flag names, with dashes or underscores: one option either way
+    dests = parse_kv_file(ns.config, parser_defaults, "option", lambda key: key.replace("-", "_"))
+    for dest, value in dests.items():
         if getattr(ns, dest) is None:  # not given on the command line
             setattr(ns, dest, value)
 

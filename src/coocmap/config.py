@@ -8,12 +8,19 @@ from typing import Any, Callable, Mapping
 from .errors import ValidationError
 
 
-def parse_kv_file(path, types: Mapping[str, Callable[[str], Any]], what: str) -> dict[str, Any]:
-    """Each key's value converted by `types[key]`. A key outside `types` is
-    an unknown `what`; a value that does not convert names its line and key,
-    and a key given twice names both lines."""
+def parse_kv_file(
+    path,
+    types: Mapping[str, Callable[[str], Any]],
+    what: str,
+    canonical: Callable[[str], str] = lambda key: key,
+) -> dict[str, Any]:
+    """Each key's value converted by `types[key]`, keyed by `canonical` of
+    the key as written, so two spellings of one key are that key given
+    twice. A key outside `types` is an unknown `what`; a value that does not
+    convert names its line and key, and a key given twice names both lines
+    (and the first spelling, if it differs)."""
     out: dict[str, Any] = {}
-    line_of: dict[str, int] = {}
+    first: dict[str, tuple[int, str]] = {}  # line and spelling of each key's first line
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -21,16 +28,21 @@ def parse_kv_file(path, types: Mapping[str, Callable[[str], Any]], what: str) ->
                 continue
             if "=" not in line:
                 raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
+            written, value = (part.strip() for part in line.split("=", 1))
+            key = canonical(written)
             if key not in types:
-                raise ValidationError(f"{path}: unknown {what} {key!r}")
-            if key in line_of:
+                raise ValidationError(f"{path}: unknown {what} {written!r}")
+            if key in first:
+                n, spelled = first[key]
+                as_ = f" as {spelled}" if spelled != written else ""
                 raise ValidationError(
-                    f"{path}:{lineno}: {what} {key} given twice, first on line {line_of[key]}"
+                    f"{path}:{lineno}: {what} {written} given twice, first on line {n}{as_}"
                 )
-            line_of[key] = lineno
+            first[key] = lineno, written
             try:
                 out[key] = types[key](value)
             except ValueError as e:
-                raise ValidationError(f"{path}:{lineno}: cannot read {key} = {value}: {e}") from e
+                raise ValidationError(
+                    f"{path}:{lineno}: cannot read {written} = {value}: {e}"
+                ) from e
     return out

@@ -5,7 +5,12 @@ orthogonal Procrustes.
 
 Every public function here is a pure function of real arrays: inputs are
 never mutated. The normalization chain, clipping and rank surgery compute
-and return float64. The normalization chain is built on private in-place
+and return float64, and read a float32 input as its float64 values. Clipping
+and rank surgery hold at most two float64 arrays of their input's size, the
+result among them: `clip` takes its row percentiles a block of rows at a
+time and clips its one float64 copy in place; `trunc` frees its scaled copy
+and Gram matrix before it projects, and `drop_head` subtracts into the
+projection's buffer. The normalization chain is built on private in-place
 cores (`_unitr_inplace`, `_normalize_inplace`) that overwrite and return a
 buffer their caller owns; the public `unitr`, `centerc` and `normalize`
 run them on one fresh float64 copy. Both cores work one block of rows at a
@@ -139,17 +144,27 @@ def check_percentiles(p_lo: float, p_hi: float) -> None:
 
 def clip_thresholds(X: np.ndarray, p_lo: float = 1.0, p_hi: float = 99.0):
     """Two-stage percentile thresholds: per-row percentiles, then the same
-    percentile over the row statistics, so no single row dominates."""
+    percentile over the row statistics, so no single row dominates.
+
+    The row percentiles are taken one block of rows at a time, each from a
+    float64 copy of the block that the percentile partitions in place; a
+    row's percentile reads that row alone, so the thresholds are bitwise
+    those of the whole-matrix call, and no V x V copy is made."""
     check_percentiles(p_lo, p_hi)
-    X = np.asarray(X, dtype=np.float64)
-    row_lo, row_hi = np.percentile(X, [p_lo, p_hi], axis=1)
+    X = _real(X)
+    row_lo, row_hi = np.empty(X.shape[0]), np.empty(X.shape[0])
+    for b in _blocks(X.shape[0]):
+        row_lo[b], row_hi[b] = np.percentile(X[b].astype(np.float64), [p_lo, p_hi], axis=1,
+                                             overwrite_input=True)
     return float(np.percentile(row_lo, p_lo)), float(np.percentile(row_hi, p_hi))
 
 
 def clip(X: np.ndarray, p_lo: float = 1.0, p_hi: float = 99.0) -> np.ndarray:
-    """Limit every entry to the two-stage percentile thresholds."""
+    """Limit every entry to the two-stage percentile thresholds: one float64
+    copy of X, clipped in place."""
     lo, hi = clip_thresholds(X, p_lo, p_hi)
-    return np.clip(np.asarray(X, dtype=np.float64), lo, hi)
+    out = np.array(X, dtype=np.float64)
+    return np.clip(out, lo, hi, out=out)
 
 
 @dataclass(frozen=True)
@@ -174,48 +189,59 @@ def svd(X: np.ndarray) -> SvdFactors:
 
 
 def trunc(X: np.ndarray, r: int) -> np.ndarray:
-    """Best rank-r approximation (tail removal) of an m x n matrix.
+    """Best rank-r approximation (tail removal) of an m x n matrix, in float64.
 
     Projects X onto the top-r eigenvectors Q of its smaller Gram matrix:
     Q (Q^T X) with G = X X^T when m <= n, (X Q) Q^T with G = X^T X when
     m > n. The projection needs no sign convention and does not depend on
-    the basis chosen inside a repeated or null eigenvalue. Extra memory is
-    one min(m, n)^2 Gram matrix (plus a scaled copy of X while it is formed)
-    and a min(m, n) x r basis, instead of a full SVD's U and V^T. The Gram
-    matrix squares the spectrum, so the error is about
+    the basis chosen inside a repeated or null eigenvalue. The Gram matrix
+    squares the spectrum, so the error is about
     eps * sigma_1^2 / (sigma_r - sigma_{r+1}) rather than the SVD's
     eps * sigma_1: the same to working precision unless the top r directions
     barely separate from the rest. Raises NumericError on NaN/inf entries or
     if the eigensolver fails.
+
+    X may be float32; it is read as its float64 values. Memory beside X, in
+    float64 arrays of X's size: at most 2 -- the scaled float64 copy of X
+    beside the min(m, n)^2 Gram matrix, which the eigensolver overwrites
+    rather than copies. Both are freed before the projection, which holds
+    one such array at a time (for a float32 X, the float64 copy of X its
+    first product reads, then the result) beside an r-wide product.
     """
     if r < 0:
         raise ValidationError(f"rank must be >= 0, got {r}")
-    X = np.asarray(X, dtype=np.float64)
-    peak = max(X.max(), -X.min()) if X.size else 0.0
+    X = _real(X)
+    peak = float(max(X.max(), -X.min())) if X.size else 0.0
     if not np.isfinite(peak):
         raise NumericError(f"non-finite entries in {X.shape} matrix to truncate")
     tall = X.shape[0] > X.shape[1]
     k = min(X.shape)
     r = min(r, k)
     if r == 0:
-        return np.zeros_like(X)
+        return np.zeros(X.shape)
     # squaring the entries must not underflow or overflow: scale by a power
     # of two (exact) so the largest magnitude lies in [0.5, 1)
-    Xs = np.ldexp(X, -int(np.frexp(peak)[1]))
+    Xs = X.astype(np.float64)
+    np.ldexp(Xs, -int(np.frexp(peak)[1]), out=Xs)
     G = Xs.T @ Xs if tall else Xs @ Xs.T
     del Xs
+    # numpy forms the Gram matrix by syrk, so G is exactly symmetric and G.T
+    # is G in Fortran order, which the eigensolver overwrites in place
     try:
-        Q = linalg.eigh(G, subset_by_index=[k - r, k - 1], overwrite_a=True)[1]
+        Q = linalg.eigh(G.T, subset_by_index=[k - r, k - 1], overwrite_a=True)[1]
     except (np.linalg.LinAlgError, ValueError) as e:
         raise NumericError(f"eigendecomposition failed on {X.shape} matrix") from e
+    del G
     return (X @ Q) @ Q.T if tall else Q @ (Q.T @ X)
 
 
 def drop_head(X: np.ndarray, r: int) -> np.ndarray:
     """Remove the top-r singular directions: X minus its rank-r approximation,
-    computed by `trunc` (same method and extra memory, plus the result)."""
-    X = np.asarray(X, dtype=np.float64)
-    return X - trunc(X, r)
+    computed by `trunc` and overwritten with the difference, so the extra
+    memory is `trunc`'s (at most 2 float64 copies of X's size, the result
+    among them)."""
+    P = trunc(X, r)
+    return np.subtract(X, P, out=P)
 
 
 def psd_sqrt_gram(Xv: np.ndarray) -> np.ndarray:

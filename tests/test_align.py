@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -417,6 +418,31 @@ class TestPipelines:
         assert len(seen) == 4 and len(run.traces) == 2
         for got, want in zip(seen, expected):
             assert got.tobytes() == want.tobytes()
+
+    def test_stage2_builds_after_stage1_matrices_are_freed(self, monkeypatch):
+        # stage 2 makes its matrices beside A1 and A2 only, not beside stage
+        # 1's clipped X and Z as well
+        from coocmap import align, assoc
+
+        C1, C2 = self._counts(26, V=14), self._counts(27, V=14)
+        cfg = align_config(get_preset("coocmap-drop"), csls_k=3, max_iters=3, drop_r=2)
+        refs, alive = [], []
+        real_selflearn, real_pipeline = align.coocmap_selflearn, assoc.apply_pipeline
+
+        def recording_selflearn(X, Z, init, cfg, **kw):
+            refs.extend([weakref.ref(X), weakref.ref(Z)])
+            return real_selflearn(X, Z, init, cfg, **kw)
+
+        def checking_pipeline(A, steps):
+            alive.append([ref() is not None for ref in refs])
+            return real_pipeline(A, steps)
+
+        monkeypatch.setattr(align, "coocmap_selflearn", recording_selflearn)
+        monkeypatch.setattr(assoc, "apply_pipeline", checking_pipeline)
+        run = run_coocmap(C1, C2, cfg)
+        assert len(run.traces) == 2
+        # the truncation and stage 1 (no refs yet), then stage 2's two sides
+        assert alive == [[], [], [], [], [False, False], [False, False]]
 
     @pytest.mark.parametrize("max_iters, measures", [(1, 2), (100, None)])
     def test_targets_are_the_last_measure_under_the_final_state(self, monkeypatch, max_iters,

@@ -17,6 +17,8 @@ from coocmap.errors import NumericError, ValidationError
 from coocmap.kernels import clip, drop_head, normalize, unitr, unitr_l1
 
 CONSTRUCTORS = ["coocmap", "log1p", "rapp", "fung", "ppmi", "glove"]
+# arguments for the `_STEPS` entries that take them
+STEP_ARGS = {"epow": (0.5,), "ppmi": (1.0,), "clip": (5, 95), "drop": (2,), "trunc": (3,)}
 
 
 def cmat(counts):
@@ -352,15 +354,27 @@ class TestApplyPipeline:
         assert apply_pipeline(A, []) is A
         assert apply_pipeline(A.astype(np.float64), []).dtype == np.float32
 
-    @pytest.mark.parametrize("step", [Step("clip", (5, 95)), Step("drop", (2,)),
-                                      Step("trunc", (3,))])
+    # clip, drop and trunc first: the stage steps this test covered alone
+    @pytest.mark.parametrize("step", [
+        Step(name, STEP_ARGS.get(name, ()))
+        for name in sorted(_STEPS, key=lambda name: name not in ("clip", "drop", "trunc"))
+    ])
     def test_stage_steps_read_float32_as_its_float64_values(self, step):
-        A = build("coocmap", random_counts(np.random.default_rng(20), V=8))
-        assert A.dtype == np.float32
-        want = apply_pipeline(A.astype(np.float64), [step])
-        assert apply_pipeline(A, [step]).tobytes() == want.tobytes()
-        assert _STEPS[step.name](A, *step.args).tobytes() == _STEPS[step.name](
-            A.astype(np.float64), *step.args).tobytes()
+        # `_run_steps` hands its first step the float32 input itself, so every
+        # step reads it as its float64 values; no step writes to its input
+        C = random_counts(np.random.default_rng(20), V=8)
+        inputs = [C.counts.astype(np.float32)]
+        if step.name in ("clip", "drop", "trunc"):
+            inputs.append(build("coocmap", C))
+        for A in inputs:
+            A64 = A.astype(np.float64)
+            before = A.tobytes(), A64.tobytes()
+            want = apply_pipeline(A64, [step])
+            assert apply_pipeline(A, [step]).tobytes() == want.tobytes()
+            got = _STEPS[step.name](A, *step.args)
+            assert got.dtype == np.float64
+            assert got.tobytes() == _STEPS[step.name](A64, *step.args).tobytes()
+            assert (A.tobytes(), A64.tobytes()) == before
 
     def test_unknown_step(self):
         with pytest.raises(ValidationError):

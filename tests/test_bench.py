@@ -178,6 +178,34 @@ def test_alignment_peak_memory_stays_under_its_model():
     assert peak < 2.5 * V**2 * 8 + 3 * 256 * V * 8
 
 
+def test_staged_alignment_peak_memory_stays_under_its_model():
+    """The model `align.run_staged` states for coocmap-drop (a stage-1 clip,
+    then a stage-2 head-drop and clip) beyond its float32 counts: 3.5 V^2
+    float64 plus row blocks of at most 256 lanes. The initializer and the
+    measure run beside A1, A2 and the clipped X and Z (2); each stage step
+    holds at most 2 float64 copies beside its float32 input, and stage 2
+    builds beside A1 and A2 alone. At V=1000 the model, with three blocks,
+    is 4.27 V^2 (measured: 4.06). A float64 working copy in every
+    `apply_pipeline` call does not fit it (4.51 V^2), nor does that copy
+    with whole-matrix percentiles and stage 1's X and Z kept through stage
+    2's build (5.07 V^2). At this V the row blocks hide those two alone;
+    the clip memory test in test_kernels and
+    `test_stage2_builds_after_stage1_matrices_are_freed` pin them."""
+    V = 1000
+    rng = np.random.default_rng(6)
+    C1, C2 = (CoocMatrix((M + M.T).astype(np.float32), 2, name, 1000)
+              for name, M in zip("st", rng.integers(0, 30, size=(2, V, V))))
+    cfg = AlignConfig(clip=(1.0, 99.0), drop_r=20, max_iters=3)
+    tracemalloc.start()
+    try:
+        run = run_coocmap(C1, C2, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(trace) >= 2 for trace in run.traces] == [True, True]
+    assert peak < 3.5 * V**2 * 8 + 3 * 256 * V * 8
+
+
 class TestIdentityBench:
     def test_identical_halves_give_perfect_accuracy(self, small_corpus, tmp_path):
         # duplicate each block so the two dealt halves are the same text

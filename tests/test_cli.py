@@ -256,6 +256,21 @@ def test_config_key_given_twice_names_both_lines(tmp_path, capsys):
     assert not (tmp_path / "t.vocab.txt").exists()
 
 
+def test_config_option_in_both_spellings_names_both_lines(tmp_path, capsys):
+    # the two spellings name one option, so the third line gives it twice
+    (tmp_path / "tiny.txt").write_text("a b a c d e\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("vocab-size = 2\nwindow = 1\nvocab_size = 4\n")
+    rc = main([
+        "count", "--input", str(tmp_path / "tiny.txt"), "--out", str(tmp_path / "t"),
+        "--config", str(cfg),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cfg.txt:3: option vocab_size given twice, first on line 1 as vocab-size" in err
+    assert not (tmp_path / "t.vocab.txt").exists()
+
+
 def test_exit_code_usage_error():
     assert main(["count", "--no-such-flag"]) == 1
     assert main(["frobnicate"]) == 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import linalg
 from scipy.spatial.distance import cdist
 
 from coocmap import kernels
@@ -384,6 +385,99 @@ class TestTruncByGram:
             np.testing.assert_allclose(
                 trunc(X * scale, 2), svd_trunc(X, 2) * scale, rtol=0, atol=1e-12 * scale
             )
+
+
+def clip_thresholds_whole(X, p_lo, p_hi):
+    """clip_thresholds as one whole-matrix percentile of a float64 copy."""
+    row_lo, row_hi = np.percentile(np.asarray(X, dtype=np.float64), [p_lo, p_hi], axis=1)
+    return float(np.percentile(row_lo, p_lo)), float(np.percentile(row_hi, p_hi))
+
+
+def clip_whole(X, p_lo, p_hi):
+    return np.clip(np.asarray(X, dtype=np.float64), *clip_thresholds_whole(X, p_lo, p_hi))
+
+
+def trunc_whole(X, r):
+    """trunc on a float64 copy of X, its Gram matrix handed to eigh as it is."""
+    X = np.asarray(X, dtype=np.float64)
+    k, r = min(X.shape), min(r, min(X.shape))
+    if r == 0:
+        return np.zeros_like(X)
+    Xs = np.ldexp(X, -int(np.frexp(max(X.max(), -X.min()))[1]))
+    tall = X.shape[0] > X.shape[1]
+    G = Xs.T @ Xs if tall else Xs @ Xs.T
+    Q = linalg.eigh(G, subset_by_index=[k - r, k - 1])[1]
+    return (X @ Q) @ Q.T if tall else Q @ (Q.T @ X)
+
+
+def drop_whole(X, r):
+    X = np.asarray(X, dtype=np.float64)
+    return X - trunc_whole(X, r)
+
+
+class TestStageKernelsAgainstWholeMatrixFormulas:
+    """clip, clip_thresholds, trunc and drop_head equal, bit for bit, the
+    whole-matrix formulas they replace (float64 copies of the input, a
+    percentile over the whole matrix, a C-ordered Gram matrix), on float32
+    and float64 inputs, and leave their inputs as they were."""
+
+    SHAPES = [(600, 300), (300, 700), (513, 40), (40, 513), (257, 257), (3, 5), (5, 3)]
+
+    @staticmethod
+    def _check(f, oracle, X, *args):
+        before = X.tobytes()
+        got, want = f(X, *args), oracle(X, *args)
+        assert X.tobytes() == before
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert got.dtype == np.float64 and not np.shares_memory(got, X)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_clip(self, shape, dtype):
+        X = np.random.default_rng(sum(shape)).standard_normal(shape).astype(dtype)
+        for p in ((1.0, 99.0), (5, 95), (0, 100)):
+            self._check(clip_thresholds, clip_thresholds_whole, X, *p)
+            self._check(clip, clip_whole, X, *p)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_trunc_and_drop(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        X = (rng.random(shape) + np.outer(rng.random(shape[0]), rng.random(shape[1]))).astype(dtype)
+        k = min(shape)
+        for r in sorted({0, 1, min(20, k), k, k + 3}):
+            self._check(trunc, trunc_whole, X, r)
+            self._check(drop_head, drop_whole, X, r)
+
+    def test_drop_head_extra_memory_on_float32(self):
+        # a float32 input is read as float64 without a float64 copy of it:
+        # the scaled copy beside the Gram matrix (2 V^2), then the result,
+        # which the difference overwrites; a copy of X first made it 3 V^2
+        V = 1024
+        X = np.random.default_rng(3).random((V, V), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            drop_head(X, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * V**2 * 8 + 256 * V * 8
+
+    def test_clip_extra_memory_on_float32(self):
+        # the result and one block of rows' copy for the percentiles; the
+        # whole-matrix percentile copied the float64 matrix again (2 V^2)
+        V = 1024
+        X = np.random.default_rng(4).random((V, V), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            clip(X, 1, 99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < V**2 * 8 + 256 * V * 8
 
 
 class TestSimMatrix:
