@@ -22,14 +22,7 @@ from .align import (  # noqa: E402
     coocmap_selflearn,
     vecmap_selflearn,
 )
-from .assoc import (  # noqa: E402
-    Step,
-    apply_pipeline,
-    assoc_from_vectors,
-    load_vectors,
-    save_vectors,
-    svd_vectors,
-)
+from .assoc import Step, apply_pipeline, svd_vectors  # noqa: E402
 from .bench import (  # noqa: E402
     BenchConfig,
     RunReport,

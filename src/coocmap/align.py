@@ -90,35 +90,32 @@ def match_bidirectional(S: np.ndarray) -> MatchState:
     return MatchState(s=s, t=t)
 
 
-# the optional AlignConfig fields each (family, vectors) pair reads
+# the optional AlignConfig fields each family reads
 READS = {
-    ("cooc", None): ("assoc", "clip", "drop_r", "dim"),
-    ("cooc", "import"): ("clip", "drop_r", "dim"),
-    ("vec", "svd"): ("dim",),
-    ("vec", "import"): (),
+    "cooc": ("assoc", "clip", "drop_r", "dim"),
+    "vec": ("dim",),
 }
 
 
 @dataclass(frozen=True)
 class AlignConfig:
     """One run's resolved method and tuning; `presets.PRESETS` holds one per
-    named method. `family` "cooc" matches association columns (`run_staged`)
-    of the counts (`vectors` None) or of "import"ed vectors; "vec" rotates
-    "import"ed vectors or the counts' `dim`-dimensional "svd" vectors
-    (`run_vecmap`). Every run reads `preset` (the name in reports and errors),
-    `seed_mode` ("unsupervised" or "dictionary"), `csls_k`, `max_iters` and
-    `tol`. `READS` says which pairs read `assoc` (a `CONSTRUCTOR_CHAINS` key;
-    it sets `metric`), `clip` (lo, hi percentiles), `drop_r` (stage 2's
+    named method. Both families start from window counts: `family` "cooc"
+    matches association columns of the counts (`run_staged`), and "vec"
+    rotates the counts' `dim`-dimensional SVD vectors (`run_vecmap`). Every
+    run reads `preset` (the name in reports and errors), `seed_mode`
+    ("unsupervised" or "dictionary"), `csls_k`, `max_iters` and `tol`.
+    `READS` says which families read `assoc` (a `CONSTRUCTOR_CHAINS` key; it
+    sets `metric`), `clip` (lo, hi percentiles), `drop_r` (stage 2's
     head-drop rank, `drop_schedule`; None: no stage 2) and `dim` (rank
-    truncation or SVD width, at most the smaller vocabulary). A field set off
-    its default where its pair does not read it, or any value not named here,
-    is a ValidationError.
+    truncation or SVD width, at most the smaller vocabulary; "vec" needs
+    it). A field set off its default where its family does not read it, or
+    any value not named here, is a ValidationError.
     """
 
     preset: str = "coocmap"
     family: str = "cooc"
     assoc: str = "coocmap"
-    vectors: str | None = None
     seed_mode: str = "unsupervised"
     clip: tuple[float, float] | None = None
     drop_r: int | None = None
@@ -134,18 +131,18 @@ class AlignConfig:
 
     def __post_init__(self):
         for name, value, valid in (
-            ("(family, vectors)", (self.family, self.vectors), tuple(READS)),
+            ("family", self.family, tuple(READS)),
             ("seed_mode", self.seed_mode, ("unsupervised", "dictionary")),
             ("assoc", self.assoc, tuple(assoc.CONSTRUCTOR_CHAINS)),
         ):
             if value not in valid:
                 raise ValidationError(f"unknown {name} {value!r}, expected one of {valid}")
-        reads = READS[self.family, self.vectors]
-        for name in READS["cooc", None]:  # counts through a cooc pipeline: all of them
+        reads = READS[self.family]
+        for name in READS["cooc"]:  # a cooc pipeline reads all of them
             value = getattr(self, name)
             if name not in reads and value != getattr(AlignConfig, name):
                 raise ValidationError(f"preset {self.preset} does not read {name} (given {value})")
-        if self.vectors == "svd" and self.dim is None:
+        if self.family == "vec" and self.dim is None:
             raise ValidationError(f"preset {self.preset} needs dim, its SVD vector dimension")
         if self.csls_k < 1 or self.max_iters < 1 or self.tol < 0:
             raise ValidationError("csls_k and max_iters must be >= 1, tol >= 0")

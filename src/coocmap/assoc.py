@@ -1,6 +1,6 @@
 """Association matrices: the sqrt-and-normalize default, the classic
 alternatives (marginal ratio, weighted PMI, positive PMI, centered log),
-vector import/export, and typed pipeline steps.
+the counts' SVD word vectors, and typed pipeline steps.
 
 An association is a V x V float32 array; word vectors are V x d float64.
 Each `apply_pipeline` call runs its steps in float64 and rounds the result
@@ -21,8 +21,7 @@ import numpy as np
 
 from . import kernels
 from .cooc import CoocMatrix
-from .corpus import Vocabulary
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 
 
 class Step(NamedTuple):
@@ -132,12 +131,6 @@ def build(name: str, C: CoocMatrix) -> np.ndarray:
     return _run_steps(C.counts, CONSTRUCTOR_CHAINS[name])
 
 
-def assoc_from_vectors(Xv: np.ndarray) -> np.ndarray:
-    """normalize((Xv Xv^T)^(1/2)): word vectors lifted to association space,
-    rounded to float32 once."""
-    return _run_steps(kernels.psd_sqrt_gram(Xv), (Step("normalize"),))
-
-
 def svd_vectors(C: CoocMatrix, r: int = 300) -> np.ndarray:
     """Left singular vectors of sqrt(counts) scaled by the top-r values."""
     if not 1 <= r <= C.size:
@@ -155,57 +148,3 @@ def apply_pipeline(A: np.ndarray, steps) -> np.ndarray:
     scaled copy beside the Gram matrix, and a step's float64 result beside
     the next step's copy or the float32 result."""
     return _run_steps(A, steps)
-
-
-def save_vectors(Xv: np.ndarray, vocab: Vocabulary, path) -> None:
-    """Text format: header "V d", then one "token v1 ... vd" line per word."""
-    V, d = Xv.shape
-    if V != vocab.size:
-        raise ValidationError(f"vectors have {V} rows but vocabulary has {vocab.size}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{V} {d}\n")
-        for tok, row in zip(vocab.tokens, Xv):
-            f.write(tok + " " + " ".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_vectors(path, vocab: Vocabulary):
-    """Read vectors aligned to the given vocabulary.
-
-    File words outside the vocabulary are skipped; vocabulary words missing
-    from the file keep zero vectors and are returned for reporting. A NaN or
-    infinite value raises NumericError naming its line and word; a word
-    listed twice, or a row count other than the header's V, a
-    ValidationError.
-    """
-    with open(path, encoding="utf-8") as f:
-        try:
-            rows, d = (int(x) for x in f.readline().split())
-        except ValueError:  # not two integers
-            d = 0
-        if d < 1:
-            raise ValidationError(f"{path}:1: expected header 'V d' with width d >= 1")
-        data = np.zeros((vocab.size, d))
-        seen = np.zeros(vocab.size, dtype=bool)
-        first_line: dict[str, int] = {}  # every word read, vocabulary or not
-        twice = None  # the first repeat, reported once the row count is checked
-        lineno = 1
-        for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != d + 1:
-                raise ValidationError(f"{path}:{lineno}: expected 1 token + {d} values")
-            first = first_line.setdefault(parts[0], lineno)
-            if first != lineno and twice is None:
-                twice = f"{path}:{lineno}: word {parts[0]!r} listed twice (first on line {first})"
-            wid = vocab.id_of(parts[0])
-            if wid == vocab.unk_id and parts[0] != vocab.tokens[vocab.unk_id]:
-                continue  # word not in the current vocabulary
-            data[wid] = [float(x) for x in parts[1:]]
-            if not np.isfinite(data[wid]).all():
-                raise NumericError(f"{path}:{lineno}: non-finite vector for {parts[0]!r}")
-            seen[wid] = True
-    if lineno - 1 != rows:
-        raise ValidationError(f"{path}: header says {rows} rows, the file has {lineno - 1}")
-    if twice is not None:
-        raise ValidationError(twice)
-    missing = [tok for tok, s in zip(vocab.tokens, seen) if not s]
-    return data, missing

@@ -77,7 +77,10 @@ class RunReport:
 
     `config` is a bench or sweep point's BenchConfig, and the resolved
     AlignConfig (the preset with its flags applied) of an `induce` run: its
-    fields, so not `metric`, which follows the association.
+    fields, so not `metric`, which follows the association. Every run reads
+    counts, so an induce report's `config` has no `vectors` field; reports
+    written by older versions may carry one, and `from_json` still reads
+    them, as `config` is a plain dict.
 
     `seconds` runs from reading the corpus to scoring. In a sweep, the
     points of one budget share a single ingest: the budget's first point
@@ -199,15 +202,9 @@ def check_seeding(cfg: AlignConfig, dictionary: Dictionary | None) -> None:
 
 
 def _point_config(cfg: BenchConfig, dictionary: Dictionary | None = None) -> AlignConfig:
-    """The resolved config of one bench point, once its seeding is checked.
-    A bench point reads no vectors, so a preset that imports them fails here,
-    before any ingest."""
+    """The resolved config of one bench point, once its seeding is checked."""
     acfg = align_config(get_preset(cfg.preset), csls_k=cfg.csls_k, max_iters=cfg.max_iters,
                         tol=cfg.tol, dim=cfg.dim)
-    if acfg.vectors == "import":
-        raise ValidationError(
-            f"preset {acfg.preset} aligns imported vectors; induce --vectors1/--vectors2 runs it"
-        )
     check_seeding(acfg, dictionary)
     return acfg
 
@@ -223,7 +220,6 @@ def align_and_score(
     answer: Dictionary | None = None,
     dictionary: Dictionary | None = None,
     top_eval: int | None = None,
-    vectors: tuple = (),
     budget: int = 0,
     seed: int | None = None,
     preds_out=None,
@@ -235,8 +231,7 @@ def align_and_score(
     A dictionary-seeded preset seeds from the supplied `dictionary`, which
     the caller has checked with `check_seeding`. Predictions are scored
     against the `answer` key (none: nothing is scored): at most `top_eval`
-    entries whose target is one of `labels`, in the key's order. `vectors`
-    are the imported (source, target) vectors of a preset that takes them.
+    entries whose target is one of `labels`, in the key's order.
     `record` is the report's `config`, recorded as given; the report's
     dimension is the `cfg.dim` that ran.
     """
@@ -244,7 +239,7 @@ def align_and_score(
     seed_state = None
     if cfg.seed_mode == "dictionary":
         seed_state = seed_from_dictionary(dictionary, v1, v2)
-    run = execute_preset(cfg, sides.C1, sides.C2, *vectors, seed=seed_state)
+    run = execute_preset(cfg, sides.C1, sides.C2, seed=seed_state)
     preds = translate(run, v1.tokens, labels)
     if answer is None:
         answer = Dictionary({})
@@ -361,7 +356,8 @@ class SweepSpec:
     its seeding: `dict-init` needs `dict_path` (crosslingual mode) and is an
     error row in identity and cipher modes. `top_eval` bounds identity and
     cipher scoring only; crosslingual points score every evaluable entry of
-    the dictionary.
+    the dictionary. `cipher_seed` is the first repetition's permutation seed
+    (default 0); only cipher mode reads it, and the other modes reject it.
     """
 
     source: str
@@ -379,7 +375,7 @@ class SweepSpec:
     tol: float = BenchConfig.tol
     top_eval: int = BenchConfig.top_eval
     block_lines: int = BenchConfig.block_lines
-    cipher_seed: int = 0
+    cipher_seed: int | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -394,7 +390,11 @@ class SweepSpec:
             raise ValidationError("crosslingual mode needs a target corpus")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be >= 1")
-        if self.cipher_seed < 0:
+        if self.cipher_seed is not None and self.mode != "cipher":
+            raise ValidationError(
+                f"cipher_seed is the cipher permutation seed; {self.mode} mode does not read it"
+            )
+        if self.cipher_seed is not None and self.cipher_seed < 0:
             raise ValidationError(f"cipher_seed must be >= 0, got {self.cipher_seed}")
         self.bench_config()  # checks the tuning fields as BenchConfig does
 
@@ -494,7 +494,7 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
         if rep > 0 and spec.mode != "cipher":
             reports.append(replace(deepcopy(reports[-1]), seconds=0.0))
             continue
-        seed = spec.cipher_seed + rep if spec.mode == "cipher" else None
+        seed = (spec.cipher_seed or 0) + rep if spec.mode == "cipher" else None
         try:
             report = _bench_point(
                 spec.mode, sides, cfg, acfg, budget, t0, seed, dictionary=dictionary
@@ -549,8 +549,13 @@ def sweep_summary(reports: list[RunReport]) -> dict[str, dict]:
 def run_sweep(spec: SweepSpec, workers: int = 1):
     """Cartesian product of budgets x presets x dims x repetitions, executed
     in spec order; input and numeric failures become error rows. Each budget
-    is read and counted once and its counts are shared by all of its points;
-    with workers > 1, budgets run in parallel. Returns (reports, csv text)."""
+    is read and counted once and its counts are shared by all of its points.
+    Budgets run in parallel on `workers` processes, at most one per budget;
+    one worker (or one budget) runs them in this process, with no pool.
+    Returns (reports, csv text)."""
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, len(spec.budgets))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_budget = list(pool.map(_budget_points, repeat(spec), spec.budgets))

@@ -8,7 +8,6 @@ flag names with underscores); explicit flags win over config values.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -70,11 +69,9 @@ def cmd_induce(ns) -> int:
     import time
     from dataclasses import asdict
 
-    from .assoc import load_vectors
     from .bench import Sides, align_and_score, check_seeding
     from .cooc import load_cooc
     from .corpus import Vocabulary
-    from .errors import ValidationError
     from .evaluation import load_dictionary
     from .presets import align_config, get_preset
 
@@ -89,19 +86,9 @@ def cmd_induce(ns) -> int:
     v2 = Vocabulary.load(ns.vocab2)
     C1 = load_cooc(ns.cooc1, v1)
     C2 = load_cooc(ns.cooc2, v2)
-    vectors = ()
-    if cfg.vectors == "import":
-        if not ns.vectors1 or not ns.vectors2:
-            raise ValidationError(f"preset {cfg.preset} needs --vectors1/--vectors2")
-        vectors1, missing1 = load_vectors(ns.vectors1, v1)
-        vectors2, missing2 = load_vectors(ns.vectors2, v2)
-        for side, missing in (("source", missing1), ("target", missing2)):
-            if missing:
-                print(f"note: {len(missing)} {side} words missing from vectors", file=sys.stderr)
-        vectors = (vectors1, vectors2)
     report = align_and_score(
         "induce", Sides(v1, v2, C1, C2, data_bytes=0), v2.tokens, cfg, asdict(cfg), t0,
-        answer=dictionary, dictionary=dictionary, vectors=vectors, preds_out=ns.out_preds,
+        answer=dictionary, dictionary=dictionary, preds_out=ns.out_preds,
     )
     with open(ns.out_report, "w", encoding="utf-8") as f:
         f.write(report.to_json() + "\n")
@@ -168,8 +155,7 @@ def _build_parser():
     from .bench import BenchConfig
 
     dim_help = ("rank truncation of the association (cooc presets) or SVD vector "
-                "dimension (vecmap-raw, default 300), at most the smaller vocabulary; "
-                "vecmap-vectors rejects it")
+                "dimension (vecmap-raw, default 300), at most the smaller vocabulary")
 
     parser = _Parser(prog="coocmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -199,15 +185,13 @@ def _build_parser():
     flag(p, "--preset", str, "pipeline preset name", t)
     flag(p, "--dict", str, "reference dictionary: scores every evaluable entry; "
          "a dictionary-seeded preset (dict-init) seeds from it and needs it", t)
-    flag(p, "--vectors1", str, "imported source vectors", t)
-    flag(p, "--vectors2", str, "imported target vectors", t)
     flag(p, "--dim", int, dim_help, t)
     flag(p, "--csls-k", int, f"csls neighborhood size (default {AlignConfig.csls_k})", t)
     flag(p, "--max-iters", int,
          f"self-learning iteration cap (default {AlignConfig.max_iters})", t)
     flag(p, "--tol", float, f"minimum objective improvement (default {AlignConfig.tol})", t)
     flag(p, "--clip-lo", float, "lower clip percentile; read by the cooc presets, where a "
-         "preset without clipping clips from (1.0, 99.0); vecmap-* rejects it", t)
+         "preset without clipping clips from (1.0, 99.0); vecmap-raw rejects it", t)
     flag(p, "--clip-hi", float, "upper clip percentile; read as --clip-lo is", t)
     flag(p, "--drop-r", int, "stage-2 head-drop rank; read by coocmap-drop and "
          "coocmap-drop-1.5 only, every other preset rejects it", t)
@@ -228,7 +212,7 @@ def _build_parser():
     flag(p, "--corpus", str, "plain-text corpus", t)
     flag(p, "--budget", int, "byte budget from the head", t)
     flag(p, "--mode", str, "identity or cipher (default identity)", t)
-    flag(p, "--seed", int, "cipher permutation seed (default 0)", t)
+    flag(p, "--seed", int, "cipher permutation seed (default 0); cipher mode only", t)
     flag(p, "--preset", str, f"pipeline preset (default {BenchConfig.preset})", t)
     flag(p, "--vocab-size", int, f"max vocabulary size (default {BenchConfig.vocab_size})", t)
     flag(p, "--window", int, f"window size (default {BenchConfig.window})", t)
@@ -245,7 +229,7 @@ def _build_parser():
     t = defaults["sweep"] = {}
     flag(p, "--spec", str, "sweep spec file (key = value lines)", t)
     flag(p, "--out-csv", str, "output CSV path", t)
-    flag(p, "--workers", int, "parallel workers, run across budgets (default 1)", t)
+    flag(p, "--workers", int, "parallel workers, at most one per budget (default 1)", t)
     flag(p, "--out-reports", str, "directory for per-run report JSON", t)
     _add_config_flag(p)
 
@@ -275,9 +259,13 @@ def _dispatch(argv) -> int:
         return cmd_eval(ns)
     if ns.command == "bench":
         require("corpus", "budget")
-        _resolve(ns, mode="identity", seed=0)
+        _resolve(ns, mode="identity")
         if ns.mode not in ("identity", "cipher"):
             raise ValidationError(f"--mode must be identity or cipher, got {ns.mode!r}")
+        if ns.seed is not None and ns.mode != "cipher":
+            raise ValidationError(f"--seed is the cipher permutation seed; --mode {ns.mode} "
+                                  "does not read it")
+        _resolve(ns, seed=0)
         return cmd_bench(ns)
     if ns.command == "sweep":
         require("spec", "out_csv")

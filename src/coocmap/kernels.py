@@ -206,7 +206,9 @@ def trunc(X: np.ndarray, r: int) -> np.ndarray:
     beside the min(m, n)^2 Gram matrix, which the eigensolver overwrites
     rather than copies. Both are freed before the projection, which holds
     one such array at a time (for a float32 X, the float64 copy of X its
-    first product reads, then the result) beside an r-wide product.
+    first product reads, then the result) beside an r-wide product. Only
+    when the subset eigensolver loses orthogonality does a second, full
+    solve run, adding its min(m, n)^2 eigenvectors.
     """
     if r < 0:
         raise ValidationError(f"rank must be >= 0, got {r}")
@@ -219,19 +221,26 @@ def trunc(X: np.ndarray, r: int) -> np.ndarray:
     r = min(r, k)
     if r == 0:
         return np.zeros(X.shape)
-    # squaring the entries must not underflow or overflow: scale by a power
-    # of two (exact) so the largest magnitude lies in [0.5, 1)
-    Xs = X.astype(np.float64)
-    np.ldexp(Xs, -int(np.frexp(peak)[1]), out=Xs)
-    G = Xs.T @ Xs if tall else Xs @ Xs.T
-    del Xs
-    # numpy forms the Gram matrix by syrk, so G is exactly symmetric and G.T
-    # is G in Fortran order, which the eigensolver overwrites in place
+
+    def gram():
+        # squaring the entries must not underflow or overflow: scale by a
+        # power of two (exact) so the largest magnitude lies in [0.5, 1)
+        Xs = X.astype(np.float64)
+        np.ldexp(Xs, -int(np.frexp(peak)[1]), out=Xs)
+        return Xs.T @ Xs if tall else Xs @ Xs.T
+
+    # numpy forms the Gram matrix G by syrk, so G is exactly symmetric and
+    # G.T is G in Fortran order, which the eigensolver overwrites in place
     try:
-        Q = linalg.eigh(G.T, subset_by_index=[k - r, k - 1], overwrite_a=True)[1]
+        Q = linalg.eigh(gram().T, subset_by_index=[k - r, k - 1], overwrite_a=True)[1]
+        # inside a cluster of (near-)null eigenvalues the subset solver can
+        # return far from orthonormal vectors, and Q Q^T is then no projection;
+        # the full solver's are orthonormal to rounding. 1e-8 is far above
+        # the k * eps a successful solve leaves and far below such a loss.
+        if np.abs(Q.T @ Q - np.eye(r)).max() > 1e-8:
+            Q = linalg.eigh(gram().T, overwrite_a=True)[1][:, k - r:]
     except (np.linalg.LinAlgError, ValueError) as e:
         raise NumericError(f"eigendecomposition failed on {X.shape} matrix") from e
-    del G
     return (X @ Q) @ Q.T if tall else Q @ (Q.T @ X)
 
 

@@ -5,19 +5,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
-from .align import (
-    AlignConfig,
-    MatchState,
-    PipelineRun,
-    run_coocmap,
-    run_staged,
-    run_vecmap,
-)
-from .assoc import assoc_from_vectors, svd_vectors
+from .align import AlignConfig, MatchState, PipelineRun, run_coocmap, run_vecmap
+from .assoc import svd_vectors
 from .cooc import CoocMatrix
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 
 PRESETS = {
     cfg.preset: cfg
@@ -33,10 +24,7 @@ PRESETS = {
         AlignConfig("fung", assoc="fung"),
         AlignConfig("ppmi", assoc="ppmi"),
         AlignConfig("glove", assoc="glove"),
-        AlignConfig("coocmap-vectors", vectors="import"),
-        AlignConfig("coocmap-vectors-clip", vectors="import", clip=(1.0, 99.0)),
-        AlignConfig("vecmap-raw", "vec", vectors="svd", dim=300),
-        AlignConfig("vecmap-vectors", "vec", vectors="import"),
+        AlignConfig("vecmap-raw", "vec", dim=300),
     ]
 }
 
@@ -77,26 +65,11 @@ def align_config(
 
 
 def execute_preset(
-    cfg: AlignConfig,
-    C1: CoocMatrix | None = None,
-    C2: CoocMatrix | None = None,
-    vectors1: np.ndarray | None = None,
-    vectors2: np.ndarray | None = None,
-    seed: MatchState | None = None,
+    cfg: AlignConfig, C1: CoocMatrix, C2: CoocMatrix, seed: MatchState | None = None
 ) -> PipelineRun:
-    """Dispatch a resolved config to its pipeline given counts and/or vectors,
-    once they are checked; a non-finite imported vector is a NumericError."""
-    if cfg.vectors == "import":
-        if vectors1 is None or vectors2 is None:
-            raise ValidationError(f"preset {cfg.preset} needs vectors on both sides")
-        for side, bad in (("source", ~np.isfinite(vectors1)), ("target", ~np.isfinite(vectors2))):
-            if bad.any():
-                raise NumericError(f"{side} vector row {bad.any(axis=1).argmax()} is not finite")
-        v1, v2 = vectors1.shape[0], vectors2.shape[0]
-    else:
-        if C1 is None or C2 is None:
-            raise ValidationError(f"preset {cfg.preset} needs co-occurrence counts")
-        v1, v2 = C1.counts.shape[0], C2.counts.shape[0]
+    """Dispatch a resolved config to its pipeline on the two sides' counts,
+    once its sizes are checked."""
+    v1, v2 = C1.counts.shape[0], C2.counts.shape[0]
     # every similarity matrix is V1 x V2, and `dim` is a rank or a vector
     # width of both sides: fail before building anything
     sizes = f"the smaller vocabulary (source {v1}, target {v2} words)"
@@ -104,19 +77,6 @@ def execute_preset(
         raise ValidationError(f"csls_k={cfg.csls_k} exceeds {sizes}")
     if cfg.dim is not None and cfg.dim > min(v1, v2):
         raise ValidationError(f"dim={cfg.dim} exceeds {sizes}")
-    if cfg.family == "vec" and cfg.vectors == "import" and vectors1.shape[1] != vectors2.shape[1]:
-        raise ValidationError(
-            f"preset {cfg.preset} needs vectors of one width, got source "
-            f"{vectors1.shape[1]} and target {vectors2.shape[1]}"
-        )
-
     if cfg.family == "vec":
-        if cfg.vectors == "svd":
-            vectors1 = svd_vectors(C1, cfg.dim)
-            vectors2 = svd_vectors(C2, cfg.dim)
-        return run_vecmap(vectors1, vectors2, cfg, seed)
-    if cfg.vectors == "import":
-        return run_staged(
-            assoc_from_vectors(vectors1), assoc_from_vectors(vectors2), cfg, seed
-        )
+        return run_vecmap(svd_vectors(C1, cfg.dim), svd_vectors(C2, cfg.dim), cfg, seed)
     return run_coocmap(C1, C2, cfg, seed)

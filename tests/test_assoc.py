@@ -6,14 +6,11 @@ from coocmap.assoc import (
     CONSTRUCTOR_CHAINS,
     Step,
     apply_pipeline,
-    assoc_from_vectors,
     build,
-    load_vectors,
     svd_vectors,
 )
 from coocmap.cooc import CoocMatrix
-from coocmap.corpus import build_vocab
-from coocmap.errors import NumericError, ValidationError
+from coocmap.errors import ValidationError
 from coocmap.kernels import clip, drop_head, normalize, unitr, unitr_l1
 
 CONSTRUCTORS = ["coocmap", "log1p", "rapp", "fung", "ppmi", "glove"]
@@ -183,14 +180,6 @@ class TestFloat32Storage:
         for name in CONSTRUCTORS:
             assert build(name, C32).tobytes() == build(name, C).tobytes()
 
-    def test_vectors_lift_to_float32(self):
-        Xv = np.random.default_rng(23).random((5, 3))
-        A = assoc_from_vectors(Xv)
-        from coocmap.kernels import psd_sqrt_gram
-
-        assert A.dtype == np.float32
-        assert A.tobytes() == normalize(psd_sqrt_gram(Xv)).astype(np.float32).tobytes()
-
 
 class TestDeterminism:
     def test_identical_counts_identical_bytes(self):
@@ -237,20 +226,6 @@ class TestVectors:
         with pytest.raises(ValidationError, match=rf"\[1, V=2\], got {r}"):
             svd_vectors(cmat(np.diag([16.0, 1.0])), r)
 
-    def test_assoc_from_orthonormal_vectors(self):
-        Q = np.linalg.qr(np.random.default_rng(12).random((3, 3)))[0]
-        A = assoc_from_vectors(Q)
-        np.testing.assert_allclose(A, normalize(np.eye(3)), atol=1e-10)
-
-    def test_full_rank_vectors_recover_coocmap_assoc(self):
-        # choose counts whose elementwise sqrt is itself PSD
-        rng = np.random.default_rng(13)
-        B = rng.random((4, 4))
-        B = B @ B.T  # PSD with nonnegative entries
-        C = cmat(B * B)
-        A = assoc_from_vectors(svd_vectors(C, C.size))
-        np.testing.assert_allclose(A, build("coocmap", C), atol=1e-6)
-
     def test_gram_sqrt_matches_symmetric_factor(self):
         C = random_counts(np.random.default_rng(14))
         f = np.linalg.svd(np.sqrt(C.counts))
@@ -260,63 +235,6 @@ class TestVectors:
         np.testing.assert_allclose(
             psd_sqrt_gram(Xv), (f[0] * f[1]) @ f[0].T, atol=1e-8
         )
-
-
-class TestVectorIO:
-    def test_round_trip(self, tmp_path):
-        vocab = build_vocab(["a", "b", "a"], 3)
-        Xv = np.random.default_rng(15).random((3, 4))
-        from coocmap.assoc import save_vectors
-
-        save_vectors(Xv, vocab, tmp_path / "v.txt")
-        loaded, missing = load_vectors(tmp_path / "v.txt", vocab)
-        np.testing.assert_array_equal(loaded, Xv)
-        assert missing == []
-
-    def test_missing_words_zeroed_and_reported(self, tmp_path):
-        (tmp_path / "v.txt").write_text("1 2\na 0.5 0.25\n")
-        vocab = build_vocab(["a", "b"], 3)
-        loaded, missing = load_vectors(tmp_path / "v.txt", vocab)
-        assert missing == ["[UNK]", "b"]
-        np.testing.assert_array_equal(loaded[vocab.id_of("a")], [0.5, 0.25])
-        assert not loaded[vocab.id_of("b")].any()
-
-    def test_extra_words_skipped(self, tmp_path):
-        (tmp_path / "v.txt").write_text("2 1\nzzz 9.0\na 1.0\n")
-        vocab = build_vocab(["a"], 2)
-        loaded, _ = load_vectors(tmp_path / "v.txt", vocab)
-        assert loaded[vocab.id_of("a")] == [1.0]
-        assert not loaded[vocab.unk_id].any()
-
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-    def test_non_finite_value_names_line_and_word(self, tmp_path, value):
-        (tmp_path / "v.txt").write_text(f"2 2\na 0.5 0.25\nb 1.0 {value}\n")
-        with pytest.raises(NumericError, match=r"v\.txt:3: non-finite vector for 'b'"):
-            load_vectors(tmp_path / "v.txt", build_vocab(["a", "b"], 3))
-
-    def test_non_integer_header_names_line_one(self, tmp_path):
-        (tmp_path / "v.txt").write_text("2 abc\na 0.5\n")
-        with pytest.raises(ValidationError, match=r"v\.txt:1: expected header 'V d'"):
-            load_vectors(tmp_path / "v.txt", build_vocab(["a"], 2))
-
-    @pytest.mark.parametrize("header, rows", [(5, 1), (1, 2)])
-    def test_row_count_must_match_header(self, tmp_path, header, rows):
-        (tmp_path / "v.txt").write_text(f"{header} 2\n" + "the 1 2\n" * rows)
-        message = rf"v\.txt: header says {header} rows, the file has {rows}"
-        with pytest.raises(ValidationError, match=message):
-            load_vectors(tmp_path / "v.txt", build_vocab(["the"], 2))
-
-    def test_word_listed_twice_names_path_line_and_word(self, tmp_path):
-        (tmp_path / "v.txt").write_text("3 2\na 1 2\nb 5 6\na 3 4\n")
-        with pytest.raises(ValidationError,
-                           match=r"v\.txt:4: word 'a' listed twice \(first on line 2\)"):
-            load_vectors(tmp_path / "v.txt", build_vocab(["a", "b"], 3))
-
-    def test_malformed_line_reports_number(self, tmp_path):
-        (tmp_path / "v.txt").write_text("1 2\na 0.5\n")
-        with pytest.raises(ValidationError) as e:
-            load_vectors(tmp_path / "v.txt", build_vocab(["a"], 2))
-        assert ":2:" in str(e.value)
 
 
 class TestApplyPipeline:

@@ -560,13 +560,12 @@ class TestSeedingByPreset:
     def test_sweep_without_runnable_point_reads_nothing(self, small_corpus, monkeypatch):
         reads = []
         monkeypatch.setattr(bench, "take_head_bytes", lambda *args: reads.append(args))
-        spec = SweepSpec(source=small_corpus, presets=("dict-init", "vecmap-vectors"),
-                         budgets=(200_000, 300_000))
+        spec = SweepSpec(source=small_corpus, presets=("dict-init",), budgets=(200_000, 300_000))
         reports, _ = run_sweep(spec)
         assert reads == []
-        assert [r.error.startswith("ValidationError") for r in reports] == [True] * 4
-        assert all("induce --vectors1/--vectors2" in r.error
-                   for r in reports if r.preset == "vecmap-vectors")
+        assert [r.error.startswith("ValidationError") for r in reports] == [True] * 2
+        assert all("preset dict-init seeds from a supplied dictionary" in r.error
+                   for r in reports)
 
     def test_ingest_seconds_go_to_first_point_that_runs(self, small_corpus, monkeypatch):
         import time
@@ -648,11 +647,11 @@ class TestSweep:
 
     def test_error_rows_keep_sweeping(self, small_corpus, tmp_path):
         spec = SweepSpec.from_file(
-            self._spec_file(tmp_path, small_corpus, presets="coocmap,vecmap-vectors")
+            self._spec_file(tmp_path, small_corpus, presets="coocmap,dict-init")
         )
         reports, csv_text = run_sweep(spec)
         assert len(reports) == 4
-        bad = [r for r in reports if r.preset == "vecmap-vectors"]
+        bad = [r for r in reports if r.preset == "dict-init"]
         assert all(r.error for r in bad)
         good = [r for r in reports if r.preset == "coocmap"]
         assert all(r.error is None for r in good)
@@ -706,6 +705,20 @@ class TestSweep:
             BenchConfig(**{field: value})
         with pytest.raises(ValidationError, match="need vocab_size, block_lines >= 1"):
             SweepSpec(source="unread.txt", budgets=(1,), **{field: value})
+
+    @pytest.mark.parametrize("mode", ["identity", "crosslingual"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_cipher_seed_outside_cipher_mode_rejected(self, mode, seed):
+        # 0 is the cipher default: given, it is still a seed no run reads
+        with pytest.raises(ValidationError, match=f"{mode} mode does not read it"):
+            SweepSpec(source="unread.txt", target="unread.txt", budgets=(1,), mode=mode,
+                      cipher_seed=seed)
+
+    def test_cipher_seed_defaults_to_zero(self, small_corpus):
+        spec = SweepSpec(source=small_corpus, mode="cipher", budgets=(200_000,),
+                         presets=("coocmap",), vocab_size=300, top_eval=200, max_iters=40)
+        reports, _ = run_sweep(spec)
+        assert [r.seed for r in reports] == [0]
 
     def test_cipher_repetitions_use_distinct_seeds(self, small_corpus, tmp_path):
         spec = SweepSpec.from_file(self._spec_file(
@@ -839,6 +852,48 @@ class TestSweepSharesIngest:
         assert all(r.seconds == 0.0 for r in reports[1::2])
         monkeypatch.setattr(bench, "execute_preset", real)
         assert mask_seconds(csv_text) == mask_seconds(sweep_csv(_point_reports(spec)))
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected_before_any_read(self, small_corpus, monkeypatch, workers):
+        reads = []
+        monkeypatch.setattr(bench, "take_head_bytes", lambda *args: reads.append(args))
+        with pytest.raises(ValidationError, match=f"workers must be >= 1, got {workers}"):
+            run_sweep(self._spec(small_corpus), workers=workers)
+        assert reads == []
+
+    @pytest.mark.parametrize("budgets, workers, pool_size", [
+        ((1_000,), 4, None),  # one budget: serial, no pool
+        ((1_000, 2_000), 1, None),
+        ((1_000, 2_000), 2, 2),
+        ((1_000, 2_000), 8, 2),  # capped at one process per budget
+    ])
+    def test_pool_has_at_most_one_worker_per_budget(
+        self, tmp_path, monkeypatch, budgets, workers, pool_size
+    ):
+        pools = []
+
+        class FakePool:
+            """Records its size and runs the tasks in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+        # a missing corpus: every point is an error row, so no work is done
+        spec = self._spec(str(tmp_path / "missing.txt"), budgets=budgets)
+        reports, _ = run_sweep(spec, workers=workers)
+        assert pools == ([] if pool_size is None else [pool_size])
+        assert len(reports) == len(spec.presets) * len(budgets)
+        assert all(r.error.startswith("FileNotFoundError") for r in reports)
 
     def test_parallel_budgets_same_csv(self, small_corpus):
         spec = self._spec(small_corpus)

@@ -296,28 +296,6 @@ def test_exit_code_validation(tmp_path):
     ]) == 2
 
 
-def test_vecmap_vectors_preset_via_files(counted, tmp_path):
-    from coocmap.assoc import save_vectors, svd_vectors
-
-    tmp, out = counted
-    vocab = Vocabulary.load(f"{out}.vocab.txt")
-    C = load_cooc(f"{out}.cooc.bin", vocab)
-    vec_path = tmp_path / "vecs.txt"
-    save_vectors(svd_vectors(C, 20), vocab, vec_path)
-    dict_path = tmp_path / "ident.txt"
-    dict_path.write_text("".join(f"{t} {t}\n" for t in vocab.tokens[1:]))
-    rc = main([
-        "induce",
-        "--cooc1", f"{out}.cooc.bin", "--cooc2", f"{out}.cooc.bin",
-        "--vocab1", f"{out}.vocab.txt", "--vocab2", f"{out}.vocab.txt",
-        "--preset", "vecmap-vectors", "--vectors1", str(vec_path),
-        "--vectors2", str(vec_path), "--dict", str(dict_path), "--csls-k", "5",
-        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
-    ])
-    assert rc == 0
-    assert json.loads((tmp_path / "r.json").read_text())["accuracy"] == 1.0
-
-
 def test_threads_env_propagates(tmp_path):
     """COOCMAP_THREADS reaches the BLAS variables before numpy loads, so a
     process that only imports the CLI runs with the thread cap."""
@@ -426,7 +404,6 @@ def test_bench_dict_init_reads_no_corpus(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("preset, flags, unread", [
     ("coocmap", ["--drop-r", "5"], "drop_r"),
     ("vecmap-raw", ["--clip-lo", "2"], "clip_lo"),
-    ("vecmap-vectors", ["--dim", "50"], "dim"),
 ])
 def test_induce_unread_override_exits_2(counted, tmp_path, capsys, preset, flags, unread):
     field = "clip" if unread.startswith("clip") else unread  # the field a clip flag sets
@@ -461,69 +438,6 @@ def test_induce_dim_beyond_vocabulary_exits_2(counted, tmp_path, capsys, preset,
     assert not (tmp_path / "r.json").exists()
 
 
-def test_induce_vector_widths_differ_exits_2(counted, tmp_path, capsys):
-    from coocmap.assoc import save_vectors, svd_vectors
-
-    tmp, out = counted
-    vocab = Vocabulary.load(f"{out}.vocab.txt")
-    C = load_cooc(f"{out}.cooc.bin", vocab)
-    for name, width in (("v1.txt", 20), ("v2.txt", 10)):
-        save_vectors(svd_vectors(C, width), vocab, tmp_path / name)
-    rc = main([
-        "induce",
-        "--cooc1", f"{out}.cooc.bin", "--cooc2", f"{out}.cooc.bin",
-        "--vocab1", f"{out}.vocab.txt", "--vocab2", f"{out}.vocab.txt",
-        "--preset", "vecmap-vectors", "--csls-k", "5",
-        "--vectors1", str(tmp_path / "v1.txt"), "--vectors2", str(tmp_path / "v2.txt"),
-        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
-    ])
-    assert rc == 2
-    assert "source 20 and target 10" in capsys.readouterr().err
-    assert not (tmp_path / "r.json").exists()
-
-
-def test_induce_non_finite_vector_exits_3(counted, tmp_path, capsys):
-    from coocmap.assoc import save_vectors, svd_vectors
-
-    tmp, out = counted
-    vocab = Vocabulary.load(f"{out}.vocab.txt")
-    C = load_cooc(f"{out}.cooc.bin", vocab)
-    Xv = svd_vectors(C, 10)
-    Xv[3, 2] = np.inf
-    save_vectors(Xv, vocab, tmp_path / "v.txt")
-    rc = main([
-        "induce",
-        "--cooc1", f"{out}.cooc.bin", "--cooc2", f"{out}.cooc.bin",
-        "--vocab1", f"{out}.vocab.txt", "--vocab2", f"{out}.vocab.txt",
-        "--preset", "vecmap-vectors", "--csls-k", "5",
-        "--vectors1", str(tmp_path / "v.txt"), "--vectors2", str(tmp_path / "v.txt"),
-        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
-    ])
-    assert rc == 3
-    # the header is line 1, so vocabulary row 3 is line 5
-    assert f"v.txt:5: non-finite vector for {vocab.tokens[3]!r}" in capsys.readouterr().err
-    assert not (tmp_path / "r.json").exists()
-
-
-@pytest.mark.parametrize("preset", ["coocmap-vectors", "vecmap-vectors"])
-def test_induce_zero_width_vectors_exit_2(counted, tmp_path, capsys, preset):
-    tmp, out = counted
-    vocab = Vocabulary.load(f"{out}.vocab.txt")
-    # a "V 0" header makes every line a bare word: all-zero vectors
-    (tmp_path / "v.txt").write_text(f"{vocab.size} 0\n" + "".join(t + "\n" for t in vocab.tokens))
-    rc = main([
-        "induce",
-        "--cooc1", f"{out}.cooc.bin", "--cooc2", f"{out}.cooc.bin",
-        "--vocab1", f"{out}.vocab.txt", "--vocab2", f"{out}.vocab.txt",
-        "--preset", preset, "--csls-k", "5",
-        "--vectors1", str(tmp_path / "v.txt"), "--vectors2", str(tmp_path / "v.txt"),
-        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
-    ])
-    assert rc == 2
-    assert "v.txt:1: expected header 'V d' with width d >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "r.json").exists()
-
-
 @pytest.mark.parametrize("command, flags, message", [
     ("induce", ["--dim", "0"], "need dim >= 1, drop_r >= 0, got 0, None"),
     ("induce", ["--preset", "coocmap-drop", "--drop-r", "-1"], "got None, -1"),
@@ -534,7 +448,8 @@ def test_induce_zero_width_vectors_exit_2(counted, tmp_path, capsys, preset):
     ("count", ["--vocab-size", "0"], "need vocab_size, block_lines >= 1, got 0, 1000"),
     ("bench", ["--block-lines", "0"], "need vocab_size, block_lines >= 1, got 5000, 0"),
     ("bench", ["--mode", "cipher", "--seed", "-1"], "cipher seed must be >= 0, got -1"),
-    ("bench", ["--preset", "coocmap-vectors"], "induce --vectors1/--vectors2"),
+    ("bench", ["--seed", "5"], "--seed is the cipher permutation seed; --mode identity does not"),
+    ("bench", ["--mode", "identity", "--seed", "0"], "--mode identity does not read it"),
 ])
 def test_bad_parameter_exits_2_before_reading_files(tmp_path, capsys, command, flags, message):
     missing = str(tmp_path / "missing")
@@ -549,3 +464,24 @@ def test_bad_parameter_exits_2_before_reading_files(tmp_path, capsys, command, f
     assert main([command, *inputs, *flags]) == 2
     err = capsys.readouterr().err
     assert message in err and "No such file" not in err
+
+
+@pytest.mark.parametrize("spec_lines, flags, message", [
+    ("cipher_seed = 5\n", [], "cipher_seed is the cipher permutation seed; identity mode"),
+    ("mode = cipher\n", ["--workers", "0"], "workers must be >= 1, got 0"),
+    ("mode = cipher\n", ["--workers", "-2"], "workers must be >= 1, got -2"),
+], ids=["cipher_seed-in-identity-mode", "workers-0", "workers-negative"])
+def test_sweep_bad_parameter_exits_2_before_reading_corpus(
+    tmp_path, capsys, monkeypatch, spec_lines, flags, message
+):
+    from coocmap import bench
+
+    reads = []
+    monkeypatch.setattr(bench, "take_head_bytes", lambda *args: reads.append(args))
+    spec = tmp_path / "spec.txt"
+    spec.write_text(f"source = {tmp_path / 'missing.txt'}\nbudgets = 1000\n{spec_lines}")
+    rc = main(["sweep", "--spec", str(spec), "--out-csv", str(tmp_path / "s.csv"), *flags])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "s.csv").exists()

@@ -10,7 +10,7 @@ from coocmap.align import (
     stage_steps,
     vec_measure,
 )
-from coocmap.assoc import apply_pipeline, assoc_from_vectors, build, svd_vectors
+from coocmap.assoc import apply_pipeline, build, svd_vectors
 from coocmap.cooc import CoocMatrix
 from coocmap.corpus import build_vocab
 from coocmap.errors import NumericError, ValidationError
@@ -295,19 +295,13 @@ class TestTranslateRanksTheRunsMeasure:
 
     @pytest.mark.parametrize("name, dim", [
         ("coocmap", None), ("coocmap-drop", 12), ("rapp", None), ("ppmi", 20),
-        ("coocmap-vectors", None),
     ])
     def test_cooc_oracle(self, name, dim):
         C1, C2 = _unrelated_counts()
         for max_iters in self.MAX_ITERS:
             cfg = align_config(get_preset(name), csls_k=3, max_iters=max_iters, dim=dim)
-            if cfg.vectors == "import":
-                vectors = (svd_vectors(C1, 10), svd_vectors(C2, 10))
-                run = execute_preset(cfg, vectors1=vectors[0], vectors2=vectors[1])
-                A1, A2 = (assoc_from_vectors(v) for v in vectors)
-            else:
-                run = execute_preset(cfg, C1, C2)
-                A1, A2 = build(cfg.assoc, C1), build(cfg.assoc, C2)
+            run = execute_preset(cfg, C1, C2)
+            A1, A2 = build(cfg.assoc, C1), build(cfg.assoc, C2)
             steps = stage_steps(cfg, stage2=cfg.drop_r is not None)
             X, Z = apply_pipeline(A1, steps), apply_pipeline(A2, steps)
             S = pair_sim_matrix(X, Z, run.state.s, run.state.t, cfg.metric)
@@ -333,17 +327,13 @@ class TestTranslateRanksTheRunsMeasure:
         assert iterations == len(run.traces)
         assert len(calls) == iterations + 1
 
-    @pytest.mark.parametrize("name", ["vecmap-raw", "vecmap-vectors"])
+    @pytest.mark.parametrize("name", ["vecmap-raw"])
     def test_vec_oracle(self, name):
         C1, C2 = _unrelated_counts()
-        dim = None if name == "vecmap-vectors" else 10
         Xv, Zv = svd_vectors(C1, 10), svd_vectors(C2, 10)
         for max_iters in self.MAX_ITERS:
-            cfg = align_config(get_preset(name), csls_k=3, max_iters=max_iters, dim=dim)
-            if cfg.vectors == "import":
-                run = execute_preset(cfg, vectors1=Xv, vectors2=Zv)
-            else:
-                run = execute_preset(cfg, C1, C2)
+            cfg = align_config(get_preset(name), csls_k=3, max_iters=max_iters, dim=10)
+            run = execute_preset(cfg, C1, C2)
             Xn, Zn = normalize(Xv), normalize(Zv)
             W = procrustes(Xn[run.state.s], Zn[run.state.t])
             want = csls(sim_matrix(Xn @ W, Zn), cfg.csls_k).argmax(axis=1)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import linalg
@@ -331,6 +331,9 @@ def trunc_problems(draw):
 
 class TestTruncByGram:
     @given(problem=trunc_problems())
+    # rank 1 with a 1e-63 row: scipy's subset eigensolver returns far from
+    # orthonormal vectors for the null cluster that r = 4 reaches into
+    @example(problem=(np.outer([1.0, 0.0, 1.25, 1.433520561335716e-63, 0.0], np.ones(5)), 4))
     @settings(max_examples=300, deadline=None)
     def test_equals_full_svd_truncation(self, problem):
         X, r = problem

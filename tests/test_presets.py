@@ -7,15 +7,14 @@ import pytest
 from coocmap.align import AlignConfig, MatchState, csls, vec_measure
 from coocmap.assoc import CONSTRUCTOR_CHAINS, svd_vectors
 from coocmap.cooc import CoocMatrix
-from coocmap.errors import NumericError, ValidationError
+from coocmap.errors import ValidationError
 from coocmap.kernels import METRICS, pair_sim_matrix
 from coocmap.presets import PRESETS, align_config, execute_preset, get_preset
 
 # the method names the CLI contract promises
 REQUIRED_PRESETS = {
     "dict-init", "coocmap", "coocmap-clip", "coocmap-drop", "coocmap-clip-1.5",
-    "coocmap-drop-1.5", "vecmap-raw", "vecmap-vectors", "coocmap-vectors",
-    "ppmi", "log1p", "rapp", "fung", "glove",
+    "coocmap-drop-1.5", "vecmap-raw", "ppmi", "log1p", "rapp", "fung", "glove",
 }
 
 
@@ -70,26 +69,6 @@ def test_execute_vecmap_raw_identity():
     assert all(forward[i] == i for i in range(n))
 
 
-def test_execute_import_vector_presets_identity():
-    C = counts(2)
-    Xv = svd_vectors(C, 6)
-    n = C.size
-    for name in ("vecmap-vectors", "coocmap-vectors"):
-        run = execute_preset(
-            align_config(get_preset(name), csls_k=3, max_iters=5), vectors1=Xv, vectors2=Xv
-        )
-        forward = dict(zip(run.state.s.tolist()[:n], run.state.t.tolist()[:n]))
-        assert all(forward[i] == i for i in range(n)), name
-
-
-def test_execute_missing_inputs_rejected():
-    C = counts(3)
-    with pytest.raises(ValidationError):
-        execute_preset(get_preset("vecmap-vectors"), C, C)
-    with pytest.raises(ValidationError):
-        execute_preset(get_preset("coocmap"))
-
-
 def forbid_work(monkeypatch):
     """Make every association, SVD and pipeline entry fail when called."""
     import coocmap.presets as presets
@@ -99,35 +78,33 @@ def forbid_work(monkeypatch):
         raise AssertionError("work started before the checks")
 
     monkeypatch.setattr(assoc, "build", no_work)
-    for attr in ("svd_vectors", "assoc_from_vectors", "run_staged", "run_vecmap", "run_coocmap"):
+    for attr in ("svd_vectors", "run_vecmap", "run_coocmap"):
         monkeypatch.setattr(presets, attr, no_work)
 
 
-@pytest.mark.parametrize("name", ["coocmap-drop", "vecmap-raw", "coocmap-vectors"])
+@pytest.mark.parametrize("name", ["coocmap-drop", "vecmap-raw"])
 def test_csls_k_beyond_vocabulary_fails_before_any_work(name, monkeypatch):
     forbid_work(monkeypatch)
     preset = get_preset(name)
-    if preset.vectors == "svd":
+    if preset.family == "vec":
         preset = replace(preset, dim=6)  # the shipped 300 exceeds both vocabularies
     C1, C2 = counts(4, V=12), counts(5, V=9)
-    v1, v2 = np.ones((12, 3)), np.ones((9, 3))
     with pytest.raises(ValidationError, match=r"csls_k=10 .*source 12, target 9"):
-        execute_preset(align_config(preset, csls_k=10), C1, C2, v1, v2)
+        execute_preset(align_config(preset, csls_k=10), C1, C2)
     # at the smaller size the check passes and the work starts
     with pytest.raises(AssertionError, match="work started"):
-        execute_preset(align_config(preset, csls_k=9), C1, C2, v1, v2)
+        execute_preset(align_config(preset, csls_k=9), C1, C2)
 
 
-@pytest.mark.parametrize("name", ["coocmap", "coocmap-drop", "coocmap-vectors", "vecmap-raw"])
+@pytest.mark.parametrize("name", ["coocmap", "coocmap-drop", "vecmap-raw"])
 def test_dim_beyond_vocabulary_fails_before_any_work(name, monkeypatch):
     forbid_work(monkeypatch)
     C1, C2 = counts(4, V=12), counts(5, V=9)
-    v1, v2 = np.ones((12, 3)), np.ones((9, 3))
     with pytest.raises(ValidationError, match=r"dim=10 .*source 12, target 9"):
-        execute_preset(align_config(get_preset(name), csls_k=3, dim=10), C1, C2, v1, v2)
+        execute_preset(align_config(get_preset(name), csls_k=3, dim=10), C1, C2)
     # at the smaller size the check passes and the work starts
     with pytest.raises(AssertionError, match="work started"):
-        execute_preset(align_config(get_preset(name), csls_k=3, dim=9), C1, C2, v1, v2)
+        execute_preset(align_config(get_preset(name), csls_k=3, dim=9), C1, C2)
 
 
 @pytest.mark.parametrize("name, V1, V2, dim", [
@@ -148,10 +125,8 @@ def test_dim_beyond_vocabulary_rejected(name, V1, V2, dim):
     ("clip", (50.0, 40.0), "need 0 <= p_lo < p_hi <= 100"),
     ("clip", (-1.0, 99.0), "need 0 <= p_lo < p_hi <= 100"),
     ("clip", (1.0, 101.0), "need 0 <= p_lo < p_hi <= 100"),
-    ("family", "vecc", r"unknown \(family, vectors\) \('vecc', None\)"),
-    ("family", "vec", r"unknown \(family, vectors\) \('vec', None\)"),
-    ("vectors", "svd", r"unknown \(family, vectors\) \('cooc', 'svd'\)"),
-    ("vectors", "imported", r"unknown \(family, vectors\) \('cooc', 'imported'\)"),
+    ("family", "vecc", "unknown family 'vecc', expected one of"),
+    ("family", "import", "unknown family 'import', expected one of"),
     ("seed_mode", "dict", "unknown seed_mode 'dict', expected one of"),
     ("assoc", "pmi", "unknown assoc 'pmi', expected one of"),
 ])
@@ -164,9 +139,6 @@ def test_config_out_of_range_rejected(field, value, message):
     ("vecmap-raw", "assoc", "ppmi"),
     ("vecmap-raw", "clip", (1.0, 99.0)),
     ("vecmap-raw", "drop_r", 3),
-    ("vecmap-vectors", "dim", 7),
-    ("vecmap-vectors", "clip", (1.0, 99.0)),
-    ("coocmap-vectors", "assoc", "ppmi"),
 ])
 def test_unread_field_rejected(name, field, value):
     with pytest.raises(ValidationError, match=rf"preset {name} does not read {field} \(given "):
@@ -175,50 +147,21 @@ def test_unread_field_rejected(name, field, value):
 
 def test_vec_config_with_cooc_fields_rejected():
     with pytest.raises(ValidationError, match="preset v does not read assoc"):
-        AlignConfig("v", "vec", vectors="import", clip=(1.0, 99.0), drop_r=3, dim=7, assoc="ppmi")
+        AlignConfig("v", "vec", clip=(1.0, 99.0), drop_r=3, dim=7, assoc="ppmi")
 
 
 def test_buildable_methods_are_the_presets():
-    """Every (family, vectors, assoc, metric) a config can hold is one a
-    preset names: no setting exists that no shipped method runs."""
+    """Every (family, assoc, metric) a config can hold is one a preset
+    names: no setting exists that no shipped method runs."""
     built = set()
-    pairs = product(("cooc", "vec"), (None, "import", "svd"))
-    for (family, vectors), name in product(pairs, CONSTRUCTOR_CHAINS):
+    for family, name in product(("cooc", "vec"), CONSTRUCTOR_CHAINS):
         try:
-            cfg = AlignConfig(family=family, vectors=vectors, assoc=name,
-                              dim=300 if vectors == "svd" else None)
+            cfg = AlignConfig(family=family, assoc=name, dim=300 if family == "vec" else None)
         except ValidationError:
             continue
-        built.add((cfg.family, cfg.vectors, cfg.assoc, cfg.metric))
-    assert built == {(c.family, c.vectors, c.assoc, c.metric) for c in PRESETS.values()}
-    assert len(built) == 9
-
-
-@pytest.mark.parametrize("name", ["coocmap-vectors", "vecmap-vectors"])
-@pytest.mark.parametrize("side", ["source", "target"])
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_non_finite_vectors_fail_before_any_work(monkeypatch, name, side, bad):
-    forbid_work(monkeypatch)
-    vectors = {"source": np.ones((12, 3)), "target": np.ones((9, 3))}
-    vectors[side][4, 1] = bad
-    cfg = align_config(get_preset(name), csls_k=3)
-    with pytest.raises(NumericError, match=f"{side} vector row 4 is not finite"):
-        execute_preset(cfg, vectors1=vectors["source"], vectors2=vectors["target"])
-
-
-def test_vec_import_widths_must_match(monkeypatch):
-    cfg = align_config(get_preset("vecmap-vectors"), csls_k=3, max_iters=5)
-    v1, v2 = np.ones((12, 3)), np.ones((10, 4))
-    forbid_work(monkeypatch)
-    with pytest.raises(ValidationError, match="source 3 and target 4"):
-        execute_preset(cfg, vectors1=v1, vectors2=v2)
-
-
-def test_cooc_import_widths_may_differ():
-    C1, C2 = counts(11, V=12), counts(12, V=10)
-    cfg = align_config(get_preset("coocmap-vectors"), csls_k=3, max_iters=5)
-    run = execute_preset(cfg, vectors1=svd_vectors(C1, 6), vectors2=svd_vectors(C2, 4))
-    assert set(run.state.s.tolist()) == set(range(12))
+        built.add((cfg.family, cfg.assoc, cfg.metric))
+    assert built == {(c.family, c.assoc, c.metric) for c in PRESETS.values()}
+    assert len(built) == 7
 
 
 def test_vecmap_raw_without_dim_names_dim():
@@ -245,8 +188,6 @@ def test_measure_serves_exactly_the_preset_metrics():
     ("vecmap-raw", "clip_lo", 2.0),
     ("vecmap-raw", "clip_hi", 98.0),
     ("vecmap-raw", "drop_r", 5),
-    ("vecmap-vectors", "clip_lo", 2.0),
-    ("vecmap-vectors", "dim", 50),
 ])
 def test_unread_override_rejected(name, flag, value):
     # a clip flag sets the clip field, which the config names
@@ -257,23 +198,34 @@ def test_unread_override_rejected(name, flag, value):
 
 def test_read_overrides_accepted():
     assert align_config(get_preset("coocmap-drop-1.5"), drop_r=5).drop_r == 5
-    assert align_config(get_preset("coocmap-vectors"), dim=4, clip_hi=97.0).clip == (1.0, 97.0)
+    assert align_config(get_preset("coocmap"), dim=4, clip_hi=97.0).clip == (1.0, 97.0)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_every_preset_executes(name):
     cfg = align_config(get_preset(name), csls_k=3, max_iters=5)
-    if cfg.vectors == "svd":
+    if cfg.family == "vec":
         cfg = replace(cfg, dim=6)  # the shipped 300 exceeds both vocabularies
-    C1, C2 = counts(7, V=12), counts(8, V=10)
-    inputs = {"C1": C1, "C2": C2}
-    if cfg.vectors == "import":
-        inputs = {"vectors1": svd_vectors(C1, 6), "vectors2": svd_vectors(C2, 6)}
     seed = None
     if cfg.seed_mode == "dictionary":
         seed = MatchState(np.arange(10), np.arange(10))
-    run = execute_preset(cfg, **inputs, seed=seed)
+    run = execute_preset(cfg, counts(7, V=12), counts(8, V=10), seed=seed)
     assert len(run.traces) == (1 if cfg.drop_r is None else 2)
     assert all(trace and np.isfinite(trace).all() for trace in run.traces)
     assert set(run.state.s.tolist()) == set(range(12))
     assert set(run.state.t.tolist()) == set(range(10))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_resolves_as_a_bench_point(name):
+    """Bench and sweep can run every shipped preset: each one resolves
+    through a bench point's config, dict-init given the dictionary it seeds
+    from."""
+    from coocmap.bench import BenchConfig, _point_config
+    from coocmap.evaluation import Dictionary
+
+    preset = get_preset(name)
+    dictionary = None
+    if preset.seed_mode == "dictionary":
+        dictionary = Dictionary({"a": frozenset({"a"})})
+    assert _point_config(BenchConfig(preset=name), dictionary) == preset
