@@ -38,7 +38,6 @@ from .corpus import (  # noqa: E402
     Vocabulary,
     build_vocab,
     encode,
-    line_blocks,
     take_head_bytes,
     tokenize,
 )

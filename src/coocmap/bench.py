@@ -11,8 +11,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import repeat, zip_longest
-from typing import Iterable, Sequence
+from functools import partial
+from itertools import count, repeat, zip_longest
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .corpus import (
     Vocabulary,
     build_vocab,
     encode,
-    line_blocks,
     take_head_bytes,
     tokenize,
 )
@@ -130,63 +130,74 @@ class Sides:
     data_bytes: int
 
 
-def build_side(text: str, blocks: Iterable[slice], cfg: BenchConfig):
-    """Vocabulary, window counts and number of distinct tokens of one side:
-    the `blocks` of `text` (consecutive blocks of lines, `line_blocks`).
-    Equal to counting `encode(tokenize(side), build_vocab(...))` of the
-    side's whole text.
+def build_sides(path, budget: int, cfg: BenchConfig, sides: int = 1):
+    """Vocabulary, window counts and number of distinct tokens of each of
+    `sides` sides, and the bytes read: the complete lines within the first
+    `budget` bytes of `path` are cut into consecutive blocks of `block_lines`
+    lines, dealt to the sides in turn. Each side equals counting
+    `encode(tokenize(side), build_vocab(...))` of its whole text.
 
-    Memory, over the text: token strings live for one block at a time,
-    about 80 B per token of the largest block (T_block). The side's T tokens
-    take 4 B each as type ids and 8 B more while relabelled; `count_cooc`
-    then adds about 20 B per token to the 4 B ids (a line-start flag,
-    crossing masks and the int64 keys of two window offsets) next to a
-    float32 V x V sum and an int64 bincount (12 B * V^2); the side keeps
-    its float32 counts (4 B * V^2). The type index takes about 100 B per
-    distinct token. The side needs at most about 24 B * T + 80 B * T_block
-    + 12 B * V^2 of it."""
-    types = TypeIndex()
-    parts = [encode(tokenize(text[b]), types) for b in blocks]
-    vocab = build_vocab(types.counts(parts), cfg.vocab_size)
-    corpus = types.relabel(parts, vocab)
-    del parts  # the type ids, not needed while counting
-    C = count_cooc(corpus, cfg.window)
-    C.counts.flags.writeable = False  # shared by every point of a sweep budget
-    return vocab, C, len(types) - 1  # less the [UNK] entry
+    One read of the budget encodes every side: a block is read, decoded,
+    tokenized and encoded against its side's `TypeIndex`, then dropped.
+    Then each side in turn is relabelled to its vocabulary, its type ids and
+    type index are dropped, and it is counted.
+
+    Memory, with T tokens over the sides, T_side in the largest side,
+    T_block in the largest block and D distinct tokens per side: reading
+    holds every side's type ids (4 B * T) and type index (100 B * D each)
+    beside one block's bytes, text and token strings (80 B * T_block), and
+    relabelling a side adds 8 B per token of it. `count_cooc` then adds
+    about 20 B per token of the side (a line-start flag, crossing masks and
+    the int64 keys of two window offsets) to the 4 B per token of ids held,
+    next to a float32 V x V sum and an int64 bincount (12 B * V^2); each
+    side keeps its float32 counts (4 B * V^2). So the sides need at most
+    about 4 B * V^2 * (sides - 1) + 100 B * D * sides + max(12 B * T +
+    80 B * T_block, 4 B * T + 20 B * T_side + 12 B * V^2), whatever the
+    byte budget."""
+    types = [TypeIndex() for _ in range(sides)]
+    parts = [[] for _ in range(sides)]
+    data_bytes = 0
+    with open(path, "rb") as f:
+        for i in count():
+            text, size = take_head_bytes(f, budget, cfg.block_lines)
+            if not size:
+                break
+            data_bytes += size
+            parts[i % sides].append(encode(tokenize(text), types[i % sides]))
+            del text
+    built = []
+    for side in range(sides):
+        vocab = build_vocab(types[side].counts(parts[side]), cfg.vocab_size)
+        corpus = types[side].relabel(parts[side], vocab)
+        n_types = len(types[side]) - 1  # less the [UNK] entry
+        types[side] = parts[side] = None  # not needed while counting
+        C = count_cooc(corpus, cfg.window)
+        del corpus
+        C.counts.flags.writeable = False  # shared by every point of a sweep budget
+        built.append((vocab, C, n_types))
+    return built, data_bytes
 
 
 def _split_sides(corpus_path, budget: int, cfg: BenchConfig) -> Sides:
     """Both halves of one corpus, dealt in alternate blocks of `block_lines`
-    lines and ingested one after the other.
+    lines, from one read of the budget.
 
-    Memory: reading holds the raw bytes and the decoded text at once, 2 B
-    per budget byte of ASCII text (a wider character takes up to 4 B in the
-    text); the text is then held through both sides. With T tokens in the
-    larger side, T_block in the largest block and V words per side, the
-    ingest peaks under about 2 B * budget + 24 B * T + 80 B * T_block +
-    16 B * V^2, the first side's float32 counts included, plus 100 B per
-    distinct token: it grows with the larger side, not with the budget's
-    tokens."""
-    text, data_bytes = take_head_bytes(corpus_path, budget)
-    blocks = line_blocks(text, cfg.block_lines)
-    v1, C1, _ = build_side(text, blocks[0::2], cfg)
-    v2, C2, _ = build_side(text, blocks[1::2], cfg)
+    Memory (`build_sides`' model for two sides): with T tokens in the
+    budget, T_block in the largest block, D distinct tokens per side and V
+    words per side, the ingest peaks under about 4 B * V^2 + 200 B * D +
+    max(12 B * T + 80 B * T_block, 4 B * T + 20 B * T_side + 12 B * V^2),
+    T_side the tokens of the larger side: it grows with the budget's tokens,
+    not with its bytes."""
+    ((v1, C1, _), (v2, C2, _)), data_bytes = build_sides(corpus_path, budget, cfg, 2)
     return Sides(v1, v2, C1, C2, data_bytes)
-
-
-def _file_side(path, budget: int, cfg: BenchConfig) -> tuple[Vocabulary, CoocMatrix, int]:
-    """One side from the first `budget` bytes of a corpus; with the bytes read."""
-    text, data_bytes = take_head_bytes(path, budget)
-    vocab, C, _ = build_side(text, line_blocks(text, cfg.block_lines), cfg)
-    return vocab, C, data_bytes
 
 
 def _corpus_pair_sides(source_path, target_path, budget: int, cfg: BenchConfig) -> Sides:
     """One side per corpus, each cut to the same byte budget. The target is
-    read once the source side is built, so the peak memory is that of
-    `_split_sides`, with T the tokens of the larger side."""
-    v1, C1, bytes1 = _file_side(source_path, budget, cfg)
-    v2, C2, bytes2 = _file_side(target_path, budget, cfg)
+    read once the source side is built, so the peak memory is that of one
+    side (`build_sides`) beside the source's float32 counts (4 B * V^2)."""
+    [(v1, C1, _)], bytes1 = build_sides(source_path, budget, cfg)
+    [(v2, C2, _)], bytes2 = build_sides(target_path, budget, cfg)
     return Sides(v1, v2, C1, C2, bytes1 + bytes2)
 
 
@@ -217,7 +228,7 @@ def align_and_score(
     record: dict,
     t0: float,
     *,
-    answer: Dictionary | None = None,
+    answer: Callable[[], Dictionary | None] = lambda: None,
     dictionary: Dictionary | None = None,
     top_eval: int | None = None,
     budget: int = 0,
@@ -230,8 +241,10 @@ def align_and_score(
 
     A dictionary-seeded preset seeds from the supplied `dictionary`, which
     the caller has checked with `check_seeding`. Predictions are scored
-    against the `answer` key (none: nothing is scored): at most `top_eval`
-    entries whose target is one of `labels`, in the key's order.
+    against the key `answer()` returns (None: nothing is scored): at most
+    `top_eval` entries whose target is one of `labels`, in the key's order.
+    It is called once the run is translated, so a key built from the sides
+    (identity, cipher) is not alive while they are aligned.
     `record` is the report's `config`, recorded as given; the report's
     dimension is the `cfg.dim` that ran.
     """
@@ -241,12 +254,11 @@ def align_and_score(
         seed_state = seed_from_dictionary(dictionary, v1, v2)
     run = execute_preset(cfg, sides.C1, sides.C2, seed=seed_state)
     preds = translate(run, v1.tokens, labels)
-    if answer is None:
-        answer = Dictionary({})
+    key = answer() or Dictionary({})
     if preds_out is not None:
-        write_predictions(preds, preds_out, answer)
+        write_predictions(preds, preds_out, key)
     acc, evaluated, correct, no_overlap = precision_at_1(
-        preds, answer, v1, frozenset(labels), top_eval
+        preds, key, v1, frozenset(labels), top_eval
     )
     return RunReport(
         mode=mode,
@@ -290,15 +302,15 @@ def _bench_point(
     first permutes the target side (by `pi`, or a permutation drawn from
     `seed`) and scores against the permutation, and crosslingual scores
     against the supplied dictionary."""
-    labels, answer = sides.v2.tokens, dictionary
+    labels, answer = sides.v2.tokens, lambda: dictionary
     if mode == "cipher":
         if pi is None:
             pi = np.random.default_rng(seed).permutation(sides.v2.size)
         sides = replace(sides, C2=permute_cooc(sides.C2, pi))
         labels = cipher_labels(sides.v2.size)
-        answer = _shared_key(sides, [labels[j] for j in pi])
+        answer = partial(_shared_key, sides, [labels[j] for j in pi])
     elif mode == "identity":
-        answer = _shared_key(sides, labels)
+        answer = partial(_shared_key, sides, labels)
     return align_and_score(
         mode, sides, labels, acfg, asdict(cfg), t0,
         answer=answer, dictionary=dictionary,
@@ -325,8 +337,9 @@ def cipher_bench(
     if pi is None and seed < 0:
         raise ValidationError(f"cipher seed must be >= 0, got {seed}")
     acfg = _point_config(cfg)
-    sides = _split_sides(corpus_path, budget, cfg)
-    return _bench_point("cipher", sides, cfg, acfg, budget, t0, seed, pi, preds_out=preds_out)
+    # passed straight in, so the unpermuted target counts die once permuted
+    return _bench_point("cipher", _split_sides(corpus_path, budget, cfg), cfg, acfg, budget, t0,
+                        seed, pi, preds_out=preds_out)
 
 
 def crosslingual_run(

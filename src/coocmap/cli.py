@@ -51,14 +51,12 @@ def _given(ns, *names) -> dict:
 
 
 def cmd_count(ns) -> int:
-    from .bench import BenchConfig, build_side
+    from .bench import BenchConfig, build_sides
     from .cooc import save_cooc
-    from .corpus import line_blocks, take_head_bytes
 
     cfg = BenchConfig(**_given(ns, "vocab_size", "window"))
     n = ns.bytes if ns.bytes is not None else os.path.getsize(ns.input)
-    text, _ = take_head_bytes(ns.input, n)
-    vocab, C, types = build_side(text, line_blocks(text, cfg.block_lines), cfg)
+    [(vocab, C, types)], _ = build_sides(ns.input, n, cfg)
     vocab.save(ns.out + ".vocab.txt")
     save_cooc(C, ns.out + ".cooc.bin")
     print(f"tokens={C.token_count} types={types} vocab={vocab.size}")
@@ -88,7 +86,7 @@ def cmd_induce(ns) -> int:
     C2 = load_cooc(ns.cooc2, v2)
     report = align_and_score(
         "induce", Sides(v1, v2, C1, C2, data_bytes=0), v2.tokens, cfg, asdict(cfg), t0,
-        answer=dictionary, dictionary=dictionary, preds_out=ns.out_preds,
+        answer=lambda: dictionary, dictionary=dictionary, preds_out=ns.out_preds,
     )
     with open(ns.out_report, "w", encoding="utf-8") as f:
         f.write(report.to_json() + "\n")

@@ -1,10 +1,20 @@
 """Corpus ingestion: byte slicing, tokenization, vocabularies, id encoding.
 
-Text is ingested in blocks of lines (`line_blocks`): each block is tokenized
-and encoded against a growing `TypeIndex`, so only one block's token strings
-are alive at a time. The side's vocabulary is then ranked from the type
+A corpus is read one block of lines at a time (`take_head_bytes`): each
+block is decoded, tokenized and encoded against a growing `TypeIndex`, then
+dropped, so one block's bytes, text and token strings are alive at a time,
+never the whole budget. The side's vocabulary is then ranked from the type
 counts and the type ids are relabelled to vocabulary ids in one array
-lookup; the result equals `encode(tokenize(text), build_vocab(...))`."""
+lookup; the result equals `encode(tokenize(text), build_vocab(...))` of the
+side's whole text.
+
+Memory of ingesting T tokens, with T_block tokens in the largest block and
+D distinct tokens: one block's bytes, text and token strings (about 80 B
+per token of it, plus up to 64 KiB read past its end), 4 B per token as
+type ids, 8 B more per token while a side is relabelled, and about 100 B
+per distinct token for the type index: at most about 12 B * T +
+80 B * T_block + 100 B * D, whatever the byte budget. `bench.build_sides`
+states what counting adds."""
 
 from __future__ import annotations
 
@@ -127,35 +137,37 @@ def _joined(arrays: Iterable[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate([np.empty(0, dtype), *arrays])
 
 
-def take_head_bytes(path, n: int) -> tuple[str, int]:
-    """First n bytes of the file, truncated back to the last complete line:
-    the decoded text and its length in bytes."""
+_READ_BYTES = 1 << 16  # bytes per read of a block; a block overshoots by less
+
+
+def take_head_bytes(f, n: int, block_lines: int) -> tuple[str, int]:
+    """The next block of the head of the binary file `f`: up to
+    `block_lines` complete lines from its position that end within the
+    file's first `n` bytes, decoded, and the block's length in bytes; ("", 0)
+    once the head is read. Called until it returns 0, it reads the first `n`
+    bytes cut back to their last newline, in consecutive blocks of
+    `block_lines` lines (only the last may be shorter). It leaves `f` at the
+    end of the block; no byte past the head is read, and none past the block
+    is decoded. A decoding error's `start` and `end` are file offsets."""
     if n < 0:
         raise ValidationError(f"byte budget must be >= 0, got {n}")
-    with open(path, "rb") as f:
-        head = f.read(n)
-    size = head.rfind(b"\n") + 1
-    return str(memoryview(head)[:size], "utf-8"), size
-
-
-def line_blocks(text: str, block_lines: int) -> list[slice]:
-    """Slices that cut `text` into consecutive blocks of `block_lines` lines
-    (the last may be shorter). A block keeps its lines' newlines, so
-    tokenizing the blocks in turn gives `tokenize(text)`."""
     if block_lines < 1:
         raise ValidationError(f"block_lines must be >= 1, got {block_lines}")
-    blocks = []
-    start, n = 0, len(text)
-    while start < n:
-        end = start
-        for _ in range(block_lines):
-            end = text.find("\n", end) + 1
-            if not end:
-                end = n
-                break
-        blocks.append(slice(start, end))
-        start = end
-    return blocks
+    start, head = f.tell(), bytearray()
+    while head.count(b"\n") < block_lines:
+        chunk = f.read(max(min(_READ_BYTES, n - start - len(head)), 0))
+        if not chunk:
+            break
+        head += chunk
+    ends = np.flatnonzero(np.frombuffer(head, np.uint8) == ord("\n"))[:block_lines]
+    size = int(ends[-1]) + 1 if ends.size else 0
+    f.seek(start + size)
+    try:
+        return str(memoryview(head)[:size], "utf-8"), size
+    except UnicodeDecodeError as e:
+        e.start += start
+        e.end += start
+        raise
 
 
 def tokenize(text: str) -> list[list[str]]:

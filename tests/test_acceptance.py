@@ -21,7 +21,7 @@ from coocmap.bench import (
     run_sweep,
 )
 from coocmap.cooc import CoocMatrix, count_cooc
-from coocmap.corpus import UNK_TOKEN, Vocabulary, build_vocab, encode, take_head_bytes, tokenize
+from coocmap.corpus import UNK_TOKEN, Vocabulary, build_vocab, encode, tokenize
 from coocmap.kernels import (
     clip,
     clip_thresholds,
@@ -30,7 +30,7 @@ from coocmap.kernels import (
     procrustes,
     trunc,
 )
-from splits import alternate_blocks
+from splits import alternate_blocks, head_text
 
 BUDGETS = (500_000, 1_000_000, 2_000_000, 5_000_000, 10_000_000, 20_000_000)
 VOCAB_SIZE = 1500
@@ -256,7 +256,7 @@ def test_criterion_9_sweep_driver_runs_supplied_corpora(bench_corpus, tmp_path):
     """Full cross-lingual reproduction is out of desk scope; the driver must
     still run unmodified on a supplied corpus pair plus dictionary."""
     with criterion(9) as c:
-        lines = take_head_bytes(bench_corpus, 3_000_000)[0].splitlines()
+        lines = head_text(bench_corpus, 3_000_000)[0].splitlines()
         a, b = alternate_blocks(lines, 1000)
         src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
         src.write_text("\n".join(a) + "\n")

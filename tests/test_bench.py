@@ -26,8 +26,8 @@ from coocmap.evaluation import load_dictionary, load_predictions, precision_at_1
 from coocmap.align import AlignConfig, run_coocmap
 from coocmap.cooc import CoocMatrix, count_cooc
 from coocmap.kernels import pair_sim_matrix
-from coocmap.corpus import Vocabulary, build_vocab, encode, line_blocks, take_head_bytes, tokenize
-from splits import alternate_blocks
+from coocmap.corpus import Vocabulary, build_vocab, encode, tokenize
+from splits import alternate_blocks, head_text, line_blocks
 
 FAST = BenchConfig(preset="coocmap", vocab_size=300, top_eval=200, max_iters=40)
 
@@ -54,33 +54,38 @@ class TestAlternateBlocks:
         assert a == [1, 2, 3] and b == []
 
 
-# letters lower() changes or keeps, a literal [UNK] in both cases, and
-# whitespace that split() cuts on but split("\n") does not
-_TEXT_PIECES = ["a", "b", "B", "\u00df", "\u1e9e", "\u00e9", "\u00c9", "[UNK]", "[unk]",
+# letters lower() changes or keeps (a capital sigma lowers by its context), a
+# literal [UNK] in both cases, and whitespace that split() cuts on but
+# split("\n") does not
+_TEXT_PIECES = ["a", "b", "B", "\u03a3", "\u00df", "\u1e9e", "\u00e9", "\u00c9", "[UNK]", "[unk]",
                 " ", "\t", "\r", "\x0c", "\x85", "\u2028", "\u00a0", "\n", "\n", "\n"]
 
 
-def _ingest(text, blocks, cfg):
-    """build_side's vocabulary, the corpus it counts, its counts and types."""
+def _ingest(path, budget, cfg, sides):
+    """Per side of build_sides: its vocabulary, the corpus it counts, its
+    counts and types; and the bytes read."""
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bench, "count_cooc", lambda corpus, m: seen.append(corpus) or count_cooc(corpus, m))
-        vocab, C, types = bench.build_side(text, blocks, cfg)
-    return vocab, seen[0], C, types
+        built, data_bytes = bench.build_sides(path, budget, cfg, sides)
+    return [(vocab, enc, C, types) for (vocab, C, types), enc in zip(built, seen)], data_bytes
 
 
 class TestStreamedIngest:
-    """Ingest in blocks of lines equals the whole-text composition
-    `encode(tokenize(text), build_vocab(...))` bit for bit, for a whole text
-    and for the two halves of a split."""
+    """Ingest in blocks of lines read from the file equals the whole-text
+    composition `encode(tokenize(text), build_vocab(...))` of the complete
+    lines within the budget, bit for bit, for a whole file and for the two
+    halves of a split."""
 
-    def _check(self, text, block_lines, v_max, window):
+    def _check(self, path, budget, block_lines, v_max, window):
         cfg = BenchConfig(vocab_size=v_max, window=window, block_lines=block_lines)
-        blocks = line_blocks(text, block_lines)
+        text, size = head_text(path, budget)
         lines = tokenize(text)
         half_a, half_b = alternate_blocks(lines, block_lines)
-        for side, side_lines in ((blocks, lines), (blocks[0::2], half_a), (blocks[1::2], half_b)):
-            vocab, enc, C, types = _ingest(text, side, cfg)
+        whole, data_bytes = _ingest(path, budget, cfg, 1)
+        halves, split_bytes = _ingest(path, budget, cfg, 2)
+        assert data_bytes == split_bytes == size
+        for (vocab, enc, C, types), side_lines in zip(whole + halves, (lines, half_a, half_b)):
             want_vocab = build_vocab(chain.from_iterable(side_lines), v_max)
             want = encode(side_lines, want_vocab)
             want_C = count_cooc(want, window)
@@ -97,42 +102,67 @@ class TestStreamedIngest:
     @example([], 1, 3, 1)
     @example(["a", "\n", "\n", " ", "\n", "b", "a", "\n", "\u2028", "\n", "b"], 2, 2, 2)
     @example(["b", " ", "a", "\n", "a", " ", "b", "\n", "[UNK]", "\n", "\u1e9e", "\n"], 1, 3, 1)
+    @example(["a", "\u03a3", "\n", "\u03a3", "a", "\u03a3", "\n", "B", "\u03a3", "\n"], 1, 6, 1)
     def test_equals_whole_text_composition(self, pieces, block_lines, v_max, window):
-        self._check("".join(pieces), block_lines, v_max, window)
+        import tempfile
+
+        raw = "".join(pieces).encode("utf-8")
+        with tempfile.NamedTemporaryFile(suffix=".txt") as f:
+            f.write(raw)
+            f.flush()
+            self._check(f.name, len(raw), block_lines, v_max, window)
 
     def test_corpus_blocks(self, small_corpus):
-        text, _ = take_head_bytes(small_corpus, 300_000)
-        self._check(text, 100, 150, 5)
+        self._check(small_corpus, 300_000, 100, 150, 5)
 
-    def test_block_lines_must_be_positive(self):
+    def test_block_lines_must_be_positive(self, small_corpus):
         with pytest.raises(ValidationError, match="block_lines"):
-            line_blocks("a\n", 0)
+            bench.build_sides(small_corpus, 100, replace(FAST, block_lines=0))
 
 
-@pytest.mark.parametrize("pair", [False, True])
-def test_ingest_peak_memory_stays_under_its_model(small_corpus, pair):
-    """The memory model `_split_sides` states (and `_corpus_pair_sides` with
-    one file read at a time): about 2 B per budget byte, 24 B per token of
-    the larger side, 80 B per token of the largest block and 16 B * V^2
-    (the first side's float32 counts beside the second side's float32 sum
-    and int64 bincount). Counting with per-token int64 segment ids and
-    compacted keys, about 45 B per token, does not fit it on the pair case
-    (16.0 MB against a 15.0 MB bound)."""
-    budget, cfg = 2_000_000, BenchConfig(vocab_size=300)
-    text, _ = take_head_bytes(small_corpus, budget)
-    block_tokens = max(len(text[b].split()) for b in line_blocks(text, cfg.block_lines))
-    del text
+def _ingest_peak(small_corpus, budget, cfg, pair, hold_text=False):
+    """tracemalloc's peak over one ingest of `budget` bytes, and its sides;
+    with `hold_text`, the decoded budget is read first and held through it."""
     tracemalloc.start()
     try:
+        text = head_text(small_corpus, budget) if hold_text else None
         if pair:
             sides = bench._corpus_pair_sides(small_corpus, small_corpus, budget, cfg)
         else:
             sides = bench._split_sides(small_corpus, budget, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        del text
+        return tracemalloc.get_traced_memory()[1], sides
     finally:
         tracemalloc.stop()
-    tokens = max(sides.C1.token_count, sides.C2.token_count)
-    assert peak < 2 * budget + 24 * tokens + 80 * block_tokens + 16 * cfg.vocab_size**2
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_ingest_peak_memory_stays_under_its_model(small_corpus, pair):
+    """The memory model `build_sides` states, for `_split_sides` (two sides
+    from one read) and `_corpus_pair_sides` (one side per read), with no
+    term per budget byte: the float32 counts of every side but the last
+    (4 B * V^2 each) and 100 B per distinct token per side, beside the
+    larger of reading and relabelling (12 B per token read, 80 B per token
+    of the largest block) and counting a side (4 B per token read, 20 B
+    per token of the side and a float32 sum beside an int64 bincount,
+    12 B * V^2). Holding the decoded budget through the ingest, as a
+    whole-text read did, does not fit it (on the split: 4.6 MB, and 6.6 MB
+    with the text held, against a 5.9 MB bound), nor does counting at about
+    45 B per token (per-token int64 segment ids and compacted keys)."""
+    budget, cfg = 2_000_000, BenchConfig(vocab_size=300)
+    text, _ = head_text(small_corpus, budget)
+    block_tokens = max(len(block.split()) for block in line_blocks(text, cfg.block_lines))
+    distinct = len(set(text.split()))
+    del text
+    peak, sides = _ingest_peak(small_corpus, budget, cfg, pair)
+    side_tokens = max(sides.C1.token_count, sides.C2.token_count)
+    tokens = side_tokens if pair else sides.C1.token_count + sides.C2.token_count
+    V, n_sides = cfg.vocab_size, 1 if pair else 2
+    bound = 4 * V**2 + 100 * distinct * n_sides + max(
+        12 * tokens + 80 * block_tokens, 4 * tokens + 20 * side_tokens + 12 * V**2
+    )
+    assert peak < bound
+    assert _ingest_peak(small_corpus, budget, cfg, pair, hold_text=True)[0] > bound
 
 
 def test_count_peak_memory_stays_under_its_model():
@@ -209,7 +239,7 @@ def test_staged_alignment_peak_memory_stays_under_its_model():
 class TestIdentityBench:
     def test_identical_halves_give_perfect_accuracy(self, small_corpus, tmp_path):
         # duplicate each block so the two dealt halves are the same text
-        lines = take_head_bytes(small_corpus, 400_000)[0].splitlines()
+        lines = head_text(small_corpus, 400_000)[0].splitlines()
         block = 50
         doubled = []
         for i in range(0, len(lines), block):
@@ -241,7 +271,7 @@ class TestIdentityBench:
         report = split_identity_bench(small_corpus, 600_000, FAST, preds_out=preds_path)
         preds = load_predictions(preds_path)
         # rebuild the scored set: top shared tokens in rank order
-        lines = tokenize(take_head_bytes(small_corpus, 600_000)[0])
+        lines = tokenize(head_text(small_corpus, 600_000)[0])
         half_a, half_b = alternate_blocks(lines, FAST.block_lines)
         v1 = build_vocab((t for l in half_a for t in l), FAST.vocab_size)
         v2 = build_vocab((t for l in half_b for t in l), FAST.vocab_size)
@@ -285,6 +315,35 @@ class TestCipherBench:
         report = cipher_bench(small_corpus, 400_000, 1, FAST)
         again = RunReport.from_json(report.to_json())
         assert again == report
+
+    def test_unpermuted_counts_freed_before_alignment(self, small_corpus, monkeypatch):
+        """The target counts are held once: the unpermuted copy is gone
+        while the permuted one is aligned, and the answer key is built only
+        once the run is translated."""
+        import weakref
+
+        refs, during = [], []
+        real_split, real_execute, real_key = bench._split_sides, bench.execute_preset, bench._shared_key
+
+        def split(*args):
+            sides = real_split(*args)
+            refs.append(weakref.ref(sides.C2.counts))
+            return sides
+
+        def execute(*args, **kwargs):
+            during.append(refs[0]() is None)
+            return real_execute(*args, **kwargs)
+
+        def key(*args):
+            during.append("key")
+            return real_key(*args)
+
+        monkeypatch.setattr(bench, "_split_sides", split)
+        monkeypatch.setattr(bench, "execute_preset", execute)
+        monkeypatch.setattr(bench, "_shared_key", key)
+        report = cipher_bench(small_corpus, 400_000, 1, FAST)
+        assert during == [True, "key"]
+        assert report.evaluated > 0
 
 
 def pair_sim_matrix_f64(X, Z, s, t, metric="cosine"):
@@ -440,7 +499,7 @@ def _corpus_pair(small_corpus, tmp_path, dict_size: int):
     """The two halves of the small corpus written to separate files (a
     supplied corpus pair) and an identity dictionary of the source half's
     top `dict_size - 1` words."""
-    lines = take_head_bytes(small_corpus, 900_000)[0].splitlines()
+    lines = head_text(small_corpus, 900_000)[0].splitlines()
     a, b = alternate_blocks(lines, 100)
     src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
     src.write_text("\n".join(a) + "\n")
@@ -571,9 +630,11 @@ class TestSeedingByPreset:
         import time
 
         real = bench.take_head_bytes
+        slept = []
 
         def slow_read(*args):
-            time.sleep(1.0)
+            if not slept:  # one second per ingest, not per block
+                slept.append(time.sleep(1.0))
             return real(*args)
 
         monkeypatch.setattr(bench, "take_head_bytes", slow_read)
@@ -700,7 +761,7 @@ class TestSweep:
     @pytest.mark.parametrize("field", ["vocab_size", "block_lines"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_ingest_sizes_below_one_rejected(self, field, value):
-        # checked before any file is read, not by build_vocab / line_blocks
+        # checked before any file is read, not by build_vocab / take_head_bytes
         with pytest.raises(ValidationError, match="need vocab_size, block_lines >= 1"):
             BenchConfig(**{field: value})
         with pytest.raises(ValidationError, match="need vocab_size, block_lines >= 1"):

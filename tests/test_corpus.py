@@ -14,7 +14,9 @@ from coocmap.corpus import (
     take_head_bytes,
     tokenize,
 )
+from coocmap import bench
 from coocmap.errors import ValidationError
+from splits import head_text, line_blocks
 
 
 def _write(tmp_path, content, name="c.txt"):
@@ -23,30 +25,78 @@ def _write(tmp_path, content, name="c.txt"):
     return p
 
 
+def _read(path, n, block_lines=1):
+    """Every block `take_head_bytes` reads from the head of `path`, and the
+    bytes read."""
+    blocks, total = [], 0
+    with open(path, "rb") as f:
+        while True:
+            text, size = take_head_bytes(f, n, block_lines)
+            if not size:
+                return blocks, total
+            assert size == len(text.encode("utf-8"))
+            blocks.append(text)
+            total += size
+
+
 class TestTakeHeadBytes:
     def test_partial_line_dropped(self, tmp_path):
-        assert take_head_bytes(_write(tmp_path, "ab\ncd\n"), 4) == ("ab\n", 3)
+        assert _read(_write(tmp_path, "ab\ncd\n"), 4) == (["ab\n"], 3)
 
     def test_exact_length(self, tmp_path):
-        assert take_head_bytes(_write(tmp_path, "ab\ncd\n"), 6) == ("ab\ncd\n", 6)
+        assert _read(_write(tmp_path, "ab\ncd\n"), 6) == (["ab\n", "cd\n"], 6)
+        assert _read(_write(tmp_path, "ab\ncd\n"), 6, 2) == (["ab\ncd\n"], 6)
 
     def test_empty_budget(self, tmp_path):
-        assert take_head_bytes(_write(tmp_path, "ab\ncd\n"), 0) == ("", 0)
+        assert _read(_write(tmp_path, "ab\ncd\n"), 0) == ([], 0)
+
+    def test_budget_past_end_of_file(self, tmp_path):
+        assert _read(_write(tmp_path, "ab\ncd\n"), 10**9, 3) == (["ab\ncd\n"], 6)
+
+    def test_last_line_without_newline_dropped(self, tmp_path):
+        assert _read(_write(tmp_path, "ab\ncd"), 10**9) == (["ab\n"], 3)
+
+    def test_crlf_line_kept_whole(self, tmp_path):
+        p = _write(tmp_path, "a b\r\nc\r\n")
+        assert _read(p, 10**9) == (["a b\r\n", "c\r\n"], 8)
+        assert _read(p, 7) == (["a b\r\n"], 5)  # the budget cuts before c's newline
+
+    def test_budget_inside_a_character_drops_its_line(self, tmp_path):
+        p = _write(tmp_path, "a\n\u00e9\u65e5\n")  # é is 2 bytes, 日 3
+        for n in range(2, 7):
+            assert _read(p, n) == (["a\n"], 2)
+        assert _read(p, 8) == (["a\n", "\u00e9\u65e5\n"], 8)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError) as e:
-            take_head_bytes(tmp_path / "nope.txt", 10)
+            bench.build_sides(tmp_path / "nope.txt", 10, bench.BenchConfig())
         assert "nope.txt" in str(e.value)
 
     def test_negative_budget(self, tmp_path):
         with pytest.raises(ValidationError):
-            take_head_bytes(_write(tmp_path, "x\n"), -1)
+            _read(_write(tmp_path, "x\n"), -1)
+
+    @pytest.mark.parametrize("block_lines", [0, -1])
+    def test_block_lines_below_one(self, tmp_path, block_lines):
+        with pytest.raises(ValidationError, match="block_lines must be >= 1"):
+            _read(_write(tmp_path, "x\n"), 2, block_lines)
 
     def test_invalid_utf8_reports_offset(self, tmp_path):
         p = _write(tmp_path, b"ok\n\xff\xfe\n")
         with pytest.raises(UnicodeDecodeError) as e:
-            take_head_bytes(p, 100)
+            _read(p, 100)
         assert e.value.start == 3
+
+    def test_invalid_utf8_in_a_later_block_reports_file_offset(self, tmp_path):
+        p = _write(tmp_path, b"ab\ncd\nef\ng\xffh\n")
+        with pytest.raises(UnicodeDecodeError) as e:
+            _read(p, 100, 2)
+        assert (e.value.start, e.value.end) == (10, 11)
+
+    def test_invalid_utf8_after_the_budget_is_not_read(self, tmp_path):
+        p = _write(tmp_path, b"ab\ncd\n\xff\n")
+        assert _read(p, 6) == (["ab\n", "cd\n"], 6)
+        assert _read(p, 7) == (["ab\n", "cd\n"], 6)  # the budget cuts \xff's line
 
     @given(st.lists(st.text(alphabet="abc é", max_size=8), max_size=6))
     def test_prefix_property(self, lines):
@@ -58,11 +108,31 @@ class TestTakeHeadBytes:
             f.write(raw)
             f.flush()
             for n in range(0, len(raw) + 2):
-                text, size = take_head_bytes(f.name, n)
-                head = text.encode("utf-8")
+                blocks, size = _read(f.name, n)
+                head = "".join(blocks).encode("utf-8")
                 assert size == len(head)
                 assert raw.startswith(head)
                 assert head == b"" or head.endswith(b"\n")
+
+    @given(st.lists(st.sampled_from(["a", "\u00e9", "\u65e5", " ", "\r", "\n", "\n"]), max_size=30),
+           st.integers(0, 80), st.integers(1, 4), st.booleans())
+    @example(["a", "\n", "\u65e5", "\n"], 4, 1, True)
+    @example(["a", "\n", "a", "\n", "a", "\n", "a"], 7, 2, False)
+    def test_blocks_equal_whole_head_cut_into_lines(self, pieces, n, block_lines, bad_tail):
+        """The blocks and bytes read equal the whole head read at once, cut
+        into blocks of lines, for any budget: inside a line, inside a
+        character, or past the end of a file whose last line may lack its
+        newline and whose bytes may turn invalid after the head."""
+        import tempfile
+
+        raw = "".join(pieces).encode("utf-8")
+        if bad_tail and n <= len(raw):  # invalid UTF-8 past the budget is never decoded
+            raw = raw[:n] + b"\xff\xfe\n"
+        with tempfile.NamedTemporaryFile(suffix=".txt") as f:
+            f.write(raw)
+            f.flush()
+            text, size = head_text(f.name, n)
+            assert _read(f.name, n, block_lines) == (line_blocks(text, block_lines), size)
 
 
 class TestTokenize:

@@ -49,3 +49,21 @@ def test_recorder_rebinds_every_target_and_restores_it():
     assert "assoc.build" in names and "align.unsupervised_init" in names
     learned = [s for s in recorder.spans if s["name"] == "align.coocmap_selflearn"]
     assert len(learned) == 1 and learned[0]["attrs"]["iterations"] >= 1
+
+
+def test_recorder_sees_every_ingest_layer(tmp_path):
+    """A split ingest under the recorder leaves spans of each ingest layer,
+    so the per-layer ingest metrics cannot go silently empty: one read per
+    block and one at the end of the head."""
+    from coocmap import bench
+
+    path = tmp_path / "c.txt"
+    path.write_text("a b c\nb c d\nc d a\nd a b\ne\n")
+    recorder = load_spans().Recorder()
+    with recorder.installed():
+        sides = bench._split_sides(path, 10**6, bench.BenchConfig(vocab_size=4, block_lines=2))
+    names = [s["name"] for s in recorder.spans]
+    assert sides.data_bytes == path.stat().st_size
+    assert names.count("corpus.take_head_bytes") == 4  # 3 blocks and the end
+    assert names.count("corpus.tokenize") == names.count("corpus.encode") == 3
+    assert names.count("corpus.build_vocab") == names.count("cooc.count_cooc") == 2
