@@ -11,9 +11,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
 from itertools import count, repeat, zip_longest
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,12 +67,8 @@ class BenchConfig:
 @dataclass
 class RunReport:
     """One experiment, serializable; `seconds` is the only volatile field.
-
-    Seeding comes from the preset alone: `dict-init` seeds from a supplied
-    dictionary (crosslingual, `induce --dict`) and is a ValidationError
-    without one, never seeded from an identity or cipher answer key.
-    `top_eval` bounds identity and cipher scoring only; crosslingual and
-    induce runs score every evaluable dictionary entry.
+    `run_point` builds it and states what each mode labels, seeds from and
+    scores.
 
     `config` is a bench or sweep point's BenchConfig, and the resolved
     AlignConfig (the preset with its flags applied) of an `induce` run: its
@@ -220,41 +215,68 @@ def _point_config(cfg: BenchConfig, dictionary: Dictionary | None = None) -> Ali
     return acfg
 
 
-def align_and_score(
+def cipher_labels(V: int) -> tuple[str, ...]:
+    return tuple("w%04d" % j for j in range(V))
+
+
+def _shared_key(sides: Sides, target_names: Sequence[str]) -> Dictionary:
+    """Answer key of a split corpus: each token both halves share maps to
+    the name of its own target id, in source-rank order."""
+    v2 = sides.v2
+    return Dictionary(
+        {tok: frozenset([target_names[v2.id_of(tok)]]) for tok in sides.v1.tokens if tok in v2}
+    )
+
+
+def run_point(
     mode: str,
     sides: Sides,
-    labels: Sequence[str],
     cfg: AlignConfig,
     record: dict,
     t0: float,
     *,
-    answer: Callable[[], Dictionary | None] = lambda: None,
-    dictionary: Dictionary | None = None,
     top_eval: int | None = None,
     budget: int = 0,
     seed: int | None = None,
+    pi=None,
+    dictionary: Dictionary | None = None,
     preds_out=None,
 ) -> RunReport:
-    """The experiment step every entry point shares: align the two sides
-    under `cfg`, translate each source word into `labels` (the target side's
-    word names), write the optional predictions dump and score it.
+    """The experiment step of every run: align the two sides under `cfg`,
+    translate each source word into the target side's labels, write the
+    optional predictions dump, score it and report it. Per mode:
 
-    A dictionary-seeded preset seeds from the supplied `dictionary`, which
-    the caller has checked with `check_seeding`. Predictions are scored
-    against the key `answer()` returns (None: nothing is scored): at most
-    `top_eval` entries whose target is one of `labels`, in the key's order.
-    It is called once the run is translated, so a key built from the sides
-    (identity, cipher) is not alive while they are aligned.
-    `record` is the report's `config`, recorded as given; the report's
-    dimension is the `cfg.dim` that ran.
+    - labels: the target's tokens; cipher first permutes the target counts
+      by `pi` (or one drawn from `seed`) and names its words `cipher_labels`.
+    - seeding: the preset's alone. dict-init seeds from `dictionary`, as
+      checked by `check_seeding`, so never from an answer key.
+    - key and scope: identity scores the tokens both sides share against
+      themselves and cipher against their permuted names, at most `top_eval`
+      of them in source-rank order; crosslingual and induce score every
+      evaluable entry of `dictionary` (none: nothing is scored). The key is
+      built once the run is translated, so it is not alive during alignment.
+
+    `record` is the report's `config`, as given; its dimension is the
+    `cfg.dim` that ran and its `seconds` run from `t0`.
     """
+    labels = sides.v2.tokens
+    if mode == "cipher":
+        if pi is None:
+            pi = np.random.default_rng(seed).permutation(sides.v2.size)
+        sides = replace(sides, C2=permute_cooc(sides.C2, pi))
+        labels = cipher_labels(sides.v2.size)
     v1, v2 = sides.v1, sides.v2
     seed_state = None
     if cfg.seed_mode == "dictionary":
         seed_state = seed_from_dictionary(dictionary, v1, v2)
     run = execute_preset(cfg, sides.C1, sides.C2, seed=seed_state)
     preds = translate(run, v1.tokens, labels)
-    key = answer() or Dictionary({})
+    if mode == "identity":
+        key = _shared_key(sides, labels)
+    elif mode == "cipher":
+        key = _shared_key(sides, [labels[j] for j in pi])
+    else:
+        key, top_eval = dictionary or Dictionary({}), None
     if preds_out is not None:
         write_predictions(preds, preds_out, key)
     acc, evaluated, correct, no_overlap = precision_at_1(
@@ -279,53 +301,13 @@ def align_and_score(
     )
 
 
-def cipher_labels(V: int) -> tuple[str, ...]:
-    return tuple("w%04d" % j for j in range(V))
-
-
-def _shared_key(sides: Sides, target_names: Sequence[str]) -> Dictionary:
-    """Answer key of a split corpus: each token both halves share maps to
-    the name of its own target id, in source-rank order."""
-    v2 = sides.v2
-    return Dictionary(
-        {tok: frozenset([target_names[v2.id_of(tok)]]) for tok in sides.v1.tokens if tok in v2}
-    )
-
-
-def _bench_point(
-    mode: str, sides: Sides, cfg: BenchConfig, acfg: AlignConfig, budget: int, t0,
-    seed=None, pi=None, dictionary: Dictionary | None = None, preds_out=None,
-) -> RunReport:
-    """One benchmark point on built sides, aligned under `acfg`, the
-    `_point_config` of `cfg`. The mode decides the target labels and the
-    answer key: identity scores each shared token against itself, cipher
-    first permutes the target side (by `pi`, or a permutation drawn from
-    `seed`) and scores against the permutation, and crosslingual scores
-    against the supplied dictionary."""
-    labels, answer = sides.v2.tokens, lambda: dictionary
-    if mode == "cipher":
-        if pi is None:
-            pi = np.random.default_rng(seed).permutation(sides.v2.size)
-        sides = replace(sides, C2=permute_cooc(sides.C2, pi))
-        labels = cipher_labels(sides.v2.size)
-        answer = partial(_shared_key, sides, [labels[j] for j in pi])
-    elif mode == "identity":
-        answer = partial(_shared_key, sides, labels)
-    return align_and_score(
-        mode, sides, labels, acfg, asdict(cfg), t0,
-        answer=answer, dictionary=dictionary,
-        top_eval=None if mode == "crosslingual" else cfg.top_eval,
-        budget=budget, seed=seed, preds_out=preds_out,
-    )
-
-
 def split_identity_bench(corpus_path, budget: int, cfg: BenchConfig, preds_out=None) -> RunReport:
     """Self-translation: align two disjoint halves of one corpus and score
     how many of the top shared tokens map to themselves."""
     t0 = time.perf_counter()
     acfg = _point_config(cfg)
-    sides = _split_sides(corpus_path, budget, cfg)
-    return _bench_point("identity", sides, cfg, acfg, budget, t0, preds_out=preds_out)
+    return run_point("identity", _split_sides(corpus_path, budget, cfg), acfg, asdict(cfg), t0,
+                     top_eval=cfg.top_eval, budget=budget, preds_out=preds_out)
 
 
 def cipher_bench(
@@ -338,8 +320,8 @@ def cipher_bench(
         raise ValidationError(f"cipher seed must be >= 0, got {seed}")
     acfg = _point_config(cfg)
     # passed straight in, so the unpermuted target counts die once permuted
-    return _bench_point("cipher", _split_sides(corpus_path, budget, cfg), cfg, acfg, budget, t0,
-                        seed, pi, preds_out=preds_out)
+    return run_point("cipher", _split_sides(corpus_path, budget, cfg), acfg, asdict(cfg), t0,
+                     top_eval=cfg.top_eval, budget=budget, seed=seed, pi=pi, preds_out=preds_out)
 
 
 def crosslingual_run(
@@ -356,21 +338,19 @@ def crosslingual_run(
     t0 = time.perf_counter()
     acfg = _point_config(cfg, dictionary)
     sides = _corpus_pair_sides(source_path, target_path, budget, cfg)
-    return _bench_point(
-        "crosslingual", sides, cfg, acfg, budget, t0, dictionary=dictionary, preds_out=preds_out
-    )
+    return run_point("crosslingual", sides, acfg, asdict(cfg), t0, budget=budget,
+                     dictionary=dictionary, preds_out=preds_out)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """A grid of benchmark points: budgets x presets x dims x repetitions.
 
-    The tuning fields default to BenchConfig's. Each point's preset decides
-    its seeding: `dict-init` needs `dict_path` (crosslingual mode) and is an
-    error row in identity and cipher modes. `top_eval` bounds identity and
-    cipher scoring only; crosslingual points score every evaluable entry of
-    the dictionary. `cipher_seed` is the first repetition's permutation seed
-    (default 0); only cipher mode reads it, and the other modes reject it.
+    The tuning fields default to BenchConfig's; each point runs as
+    `run_point` states, and a point whose preset needs a dictionary it
+    lacks (dict-init outside crosslingual mode with `dict_path`) is an error
+    row. `cipher_seed` is the first repetition's permutation seed (default
+    0); only cipher mode reads it, and the other modes reject it.
     """
 
     source: str
@@ -395,8 +375,13 @@ class SweepSpec:
             raise ValidationError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         if not self.budgets or any(b <= 0 for b in self.budgets):
             raise ValidationError("budgets must be a nonempty list of positive bytes")
-        if list(self.budgets) != sorted(self.budgets):
-            raise ValidationError("budgets must be ascending")
+        if any(a >= b for a, b in zip(self.budgets, self.budgets[1:])):
+            raise ValidationError(f"budgets must be strictly ascending, got {self.budgets}")
+        if not self.presets:
+            raise ValidationError("presets must be a nonempty list")
+        for name, values in (("presets", self.presets), ("dims", self.dims)):
+            if len(set(values)) != len(values):
+                raise ValidationError(f"{name} must not repeat a value, got {values}")
         for name in self.presets:
             get_preset(name)
         if self.mode == "crosslingual" and self.target is None:
@@ -509,9 +494,8 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
             continue
         seed = (spec.cipher_seed or 0) + rep if spec.mode == "cipher" else None
         try:
-            report = _bench_point(
-                spec.mode, sides, cfg, acfg, budget, t0, seed, dictionary=dictionary
-            )
+            report = run_point(spec.mode, sides, acfg, asdict(cfg), t0, top_eval=cfg.top_eval,
+                               budget=budget, seed=seed, dictionary=dictionary)
             t0 = time.perf_counter()
         except _RECORDED_ERRORS as e:
             report = _error_row(spec.mode, budget, cfg, e, acfg)
@@ -521,11 +505,8 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
 
 def sweep_csv(reports: list[RunReport]) -> str:
     """Fixed-header CSV; `seconds` is volatile, everything else deterministic.
-
-    A budget's first row's `seconds` includes that budget's ingest, and
-    repeated identity/crosslingual rows are copies that record 0 (see
-    RunReport); error rows record 0.
-    """
+    Each row is a `run_point` report (its `seconds` as RunReport states) or
+    an error row, which records 0."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_HEADER)

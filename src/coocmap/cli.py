@@ -67,7 +67,7 @@ def cmd_induce(ns) -> int:
     import time
     from dataclasses import asdict
 
-    from .bench import Sides, align_and_score, check_seeding
+    from .bench import Sides, check_seeding, run_point
     from .cooc import load_cooc
     from .corpus import Vocabulary
     from .evaluation import load_dictionary
@@ -84,10 +84,8 @@ def cmd_induce(ns) -> int:
     v2 = Vocabulary.load(ns.vocab2)
     C1 = load_cooc(ns.cooc1, v1)
     C2 = load_cooc(ns.cooc2, v2)
-    report = align_and_score(
-        "induce", Sides(v1, v2, C1, C2, data_bytes=0), v2.tokens, cfg, asdict(cfg), t0,
-        answer=lambda: dictionary, dictionary=dictionary, preds_out=ns.out_preds,
-    )
+    report = run_point("induce", Sides(v1, v2, C1, C2, data_bytes=0), cfg, asdict(cfg), t0,
+                       dictionary=dictionary, preds_out=ns.out_preds)
     with open(ns.out_report, "w", encoding="utf-8") as f:
         f.write(report.to_json() + "\n")
     print(f"accuracy={report.accuracy:.4f} evaluated={report.evaluated} correct={report.correct}")

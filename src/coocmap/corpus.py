@@ -87,7 +87,18 @@ class Vocabulary:
             tokens = [line.rstrip("\n") for line in f]
         if not tokens:
             raise ValidationError(f"empty vocabulary file: {path}")
-        return cls(tuple(tokens))
+        first: dict[str, int] = {}  # line of each token
+        for lineno, tok in enumerate(tokens, start=1):
+            if tok in first:
+                raise ValidationError(
+                    f"{path}:{lineno}: vocabulary tokens must be unique; {tok!r} is also on "
+                    f"line {first[tok]}"
+                )
+            first[tok] = lineno
+        try:
+            return cls(tuple(tokens))
+        except ValidationError as e:  # the constructor's own check, named by the file
+            raise ValidationError(f"{path}: {e}") from None
 
 
 class TypeIndex(dict):

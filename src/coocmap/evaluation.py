@@ -131,13 +131,28 @@ def write_predictions(preds: Predictions, path, dictionary: Dictionary | None = 
 
 
 def load_predictions(path) -> Predictions:
+    """A `write_predictions` dump; a malformed line or a rank that is not an
+    integer names its line, and a source listed twice names both lines."""
     rows: list[Prediction] = []
+    first: dict[str, int] = {}  # line of each source
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 4:
                 raise ValidationError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            rows.append(Prediction(source=parts[1], predicted=parts[2], rank=int(parts[0])))
+            try:
+                rank = int(parts[0])
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{lineno}: rank must be an integer, got {parts[0]!r}"
+                ) from None
+            if parts[1] in first:
+                raise ValidationError(
+                    f"{path}:{lineno}: source {parts[1]!r} listed twice, first on line "
+                    f"{first[parts[1]]}"
+                )
+            first[parts[1]] = lineno
+            rows.append(Prediction(source=parts[1], predicted=parts[2], rank=rank))
     return Predictions(rows=rows)
 
 

@@ -744,6 +744,19 @@ class TestSweep:
             SweepSpec(source=small_corpus, budgets=(1,), mode="banana")
         with pytest.raises(ValidationError, match="cipher_seed must be >= 0, got -1"):
             SweepSpec(source=small_corpus, budgets=(1,), mode="cipher", cipher_seed=-1)
+        # a spec that runs nothing, or one point twice, is rejected before any read
+        with pytest.raises(ValidationError, match="presets must be a nonempty list"):
+            SweepSpec(source="unread.txt", budgets=(1,), presets=())
+        with pytest.raises(ValidationError, match="budgets must be strictly ascending"):
+            SweepSpec(source="unread.txt", budgets=(100, 100))
+        with pytest.raises(ValidationError, match="presets must not repeat a value"):
+            SweepSpec(source="unread.txt", budgets=(1,), presets=("coocmap", "coocmap"))
+        with pytest.raises(ValidationError, match="dims must not repeat a value"):
+            SweepSpec(source="unread.txt", budgets=(1,), dims=(4, 8, 4))
+        empty = tmp_path / "empty.txt"
+        empty.write_text("source = unread.txt\nbudgets = 100\npresets =\n")
+        with pytest.raises(ValidationError, match="presets must be a nonempty list"):
+            SweepSpec.from_file(empty)
         bad = tmp_path / "bad.txt"
         bad.write_text("source = x\nbudgets = 10\nnot_a_key = 3\n")
         with pytest.raises(ValidationError):

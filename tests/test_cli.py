@@ -153,6 +153,46 @@ def test_eval_hand_written_two_of_three(tmp_path, capsys):
     assert "evaluated=3 correct=2" in capsys.readouterr().out
 
 
+def _eval_argv(tmp_path, preds, v1):
+    """`eval` of the dump `preds` against the dictionary 'a a', with the
+    source vocabulary file's lines `v1` and a target vocabulary of a, b."""
+    (tmp_path / "preds.tsv").write_text(preds)
+    (tmp_path / "dict.txt").write_text("a a\n")
+    (tmp_path / "v1.txt").write_text("".join(tok + "\n" for tok in v1))
+    build_vocab(["a", "b"], 10).save(tmp_path / "v2.txt")
+    return [
+        "eval", "--preds", str(tmp_path / "preds.tsv"), "--dict", str(tmp_path / "dict.txt"),
+        "--vocab1", str(tmp_path / "v1.txt"), "--vocab2", str(tmp_path / "v2.txt"),
+    ]
+
+
+@pytest.mark.parametrize("preds, v1, message", [
+    # scored, the later row would win: 0/1 with exit 0
+    ("0\ta\ta\t-\n1\ta\tb\t-\n", ("[UNK]", "a", "b"),
+     "preds.tsv:2: source 'a' listed twice, first on line 1"),
+    ("0\ta\ta\t-\n", ("[UNK]", "a", "b", "a"),
+     "v1.txt:4: vocabulary tokens must be unique; 'a' is also on line 2"),
+    ("0\ta\ta\t-\n", ("[UNK]", "a", "[UNK]"),
+     "v1.txt:3: vocabulary tokens must be unique; '[UNK]' is also on line 1"),
+    ("0\ta\ta\t-\n", ("a", "b"), "v1.txt: vocabulary must start with '[UNK]' at id 0"),
+], ids=["repeated-source", "repeated-token", "repeated-unk", "no-leading-unk"])
+def test_eval_malformed_input_exits_2_naming_the_file(tmp_path, capsys, preds, v1, message):
+    assert main(_eval_argv(tmp_path, preds, v1)) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_induce_vocabulary_without_leading_unk_names_the_file(tmp_path, capsys):
+    (tmp_path / "v.txt").write_text("a\nb\n")
+    rc = main([
+        "induce", "--cooc1", str(tmp_path / "c.bin"), "--cooc2", str(tmp_path / "c.bin"),
+        "--vocab1", str(tmp_path / "v.txt"), "--vocab2", str(tmp_path / "v.txt"),
+        "--preset", "coocmap",
+        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
+    ])
+    assert rc == 2
+    assert "v.txt: vocabulary must start with '[UNK]' at id 0" in capsys.readouterr().err
+
+
 def test_bench_subcommand(counted, tmp_path, capsys):
     tmp, _ = counted
     rc = main([

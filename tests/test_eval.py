@@ -212,6 +212,18 @@ class TestPredictionsIO:
         write_predictions(preds, p)
         assert p.read_text() == "0\ta\tb\t-\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("0\ta\ta\t-\nx\tb\tb\t-\n", r"preds\.tsv:2: rank must be an integer, got 'x'"),
+        # scored, the later row would win silently
+        ("0\ta\ta\t-\n1\tb\tb\t-\n2\ta\tb\t-\n",
+         r"preds\.tsv:3: source 'a' listed twice, first on line 1"),
+    ], ids=["rank", "repeated-source"])
+    def test_malformed_dump_names_its_lines(self, tmp_path, text, message):
+        p = tmp_path / "preds.tsv"
+        p.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            load_predictions(p)
+
 
 class TestClipDiffReport:
     def _vocab(self, n):

@@ -67,3 +67,23 @@ def test_recorder_sees_every_ingest_layer(tmp_path):
     assert names.count("corpus.take_head_bytes") == 4  # 3 blocks and the end
     assert names.count("corpus.tokenize") == names.count("corpus.encode") == 3
     assert names.count("corpus.build_vocab") == names.count("cooc.count_cooc") == 2
+
+
+def test_recorder_sees_the_experiment_step(tmp_path):
+    """One bench run records one span each of aligning, translating and
+    writing the dump, in that order, under the bench entry point."""
+    from coocmap import bench
+    from coocmap.synth import generate_corpus
+
+    path = tmp_path / "c.txt"
+    generate_corpus(path, 60_000, seed=5, n_types=60, n_companions=6)
+    cfg = bench.BenchConfig(vocab_size=30, csls_k=5, max_iters=3, top_eval=3)
+    recorder = load_spans().Recorder()
+    with recorder.installed():
+        report = bench.split_identity_bench(path, 10**6, cfg, preds_out=tmp_path / "p.tsv")
+    step = ("presets.execute_preset", "evaluation.translate", "evaluation.write_predictions")
+    spans = [s for s in recorder.spans if s["name"] in step]
+    assert [s["name"] for s in spans] == list(step)
+    entry = [s["id"] for s in recorder.spans if s["name"] == "bench.split_identity_bench"]
+    assert len(entry) == 1 and all(s["parent"] == entry[0] for s in spans)
+    assert report.evaluated == 3 and (tmp_path / "p.tsv").is_file()
