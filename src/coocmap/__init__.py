@@ -20,7 +20,6 @@ from .align import (  # noqa: E402
     run_vecmap,
     unsupervised_init,
     coocmap_selflearn,
-    vecmap_selflearn,
 )
 from .assoc import Step, apply_pipeline, svd_vectors  # noqa: E402
 from .bench import (  # noqa: E402
@@ -44,7 +43,6 @@ from .corpus import (  # noqa: E402
 from .errors import IntegrityError, NumericError, ValidationError  # noqa: E402
 from .evaluation import (  # noqa: E402
     Dictionary,
-    Predictions,
     clip_diff_report,
     load_dictionary,
     precision_at_1,
@@ -52,7 +50,6 @@ from .evaluation import (  # noqa: E402
 )
 from .kernels import (  # noqa: E402
     SvdFactors,
-    centerc,
     clip,
     clip_thresholds,
     drop_head,

@@ -242,15 +242,6 @@ def coocmap_selflearn(
     return _selflearn(cooc_measure(X, Z, cfg.metric), init, cfg, translate)
 
 
-def vecmap_selflearn(Xv: np.ndarray, Zv: np.ndarray, init: MatchState, cfg: AlignConfig):
-    """Self-learning in vector space (`vec_measure`): re-match by cosine
-    similarity of the vectors mapped under the current pairs."""
-    s, t = init.s, init.t
-    if min(s.min(), t.min()) < 0 or s.max() >= Xv.shape[0] or t.max() >= Zv.shape[0]:
-        raise ValidationError("initial match indices out of range")
-    return _selflearn(vec_measure(Xv, Zv), init, cfg)
-
-
 def drop_schedule(drop_r: int, dim: int | None) -> int:
     """Drop fewer head directions when the matrix is truncated to low rank."""
     if dim is None:
@@ -351,8 +342,13 @@ def run_coocmap(
 def run_vecmap(
     Xv: np.ndarray, Zv: np.ndarray, cfg: AlignConfig, seed: MatchState | None = None
 ) -> PipelineRun:
-    """Vector-space pipeline: gram-sqrt initializer, then Procrustes loop."""
+    """Vector-space pipeline: gram-sqrt initializer, then self-learning in
+    vector space (`vec_measure`): re-match by cosine similarity of the
+    vectors mapped under the current pairs."""
     if seed is None:
         seed = unsupervised_init(psd_sqrt_gram(Xv), psd_sqrt_gram(Zv), cfg)
-    state, trace, targets = vecmap_selflearn(Xv, Zv, seed, cfg)
+    s, t = seed.s, seed.t
+    if min(s.min(), t.min()) < 0 or s.max() >= Xv.shape[0] or t.max() >= Zv.shape[0]:
+        raise ValidationError("initial match indices out of range")
+    state, trace, targets = _selflearn(vec_measure(Xv, Zv), seed, cfg)
     return PipelineRun(state, [trace], targets)

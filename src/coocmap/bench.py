@@ -408,7 +408,10 @@ class SweepSpec:
             kwargs["dict_path"] = kwargs.pop("dict")
         if "source" not in kwargs:
             raise ValidationError(f"{path}: sweep spec needs a source corpus")
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValidationError as e:  # SweepSpec's own checks, named by the file
+            raise ValidationError(f"{path}: {e}") from None
 
 
 def _ints(raw: str) -> tuple[int, ...]:

@@ -58,18 +58,11 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
-    @property
-    def unk_id(self) -> int:
-        return UNK_ID
-
     def id_of(self, token: str) -> int:
         return self._index[token]
 
     def __contains__(self, token: str) -> bool:
         return token in self._index
-
-    def decode(self, ids: Iterable[int]) -> list[str]:
-        return [self.tokens[i] for i in ids]
 
     @property
     def digest(self) -> str:

@@ -46,23 +46,16 @@ class Prediction(NamedTuple):
     rank: int  # source frequency rank (= vocabulary id)
 
 
-@dataclass
-class Predictions:
-    rows: list[Prediction]
-
-    def as_dict(self) -> dict[str, str]:
-        return {r.source: r.predicted for r in self.rows}
-
-
 def translate(
     run: PipelineRun, source_tokens: Sequence[str], target_tokens: Sequence[str]
-) -> Predictions:
-    """Every source word predicts the target word the run matched it to,
-    `run.targets`: its CSLS best under the run's final correspondence."""
-    return Predictions([
+) -> list[Prediction]:
+    """A list of `Prediction`: every source word predicts the target word the
+    run matched it to, `run.targets`: its CSLS best under the run's final
+    correspondence."""
+    return [
         Prediction(source=tok, predicted=target_tokens[run.targets[i]], rank=i)
         for i, tok in enumerate(source_tokens)
-    ])
+    ]
 
 
 class EvalResult(NamedTuple):
@@ -73,7 +66,7 @@ class EvalResult(NamedTuple):
 
 
 def precision_at_1(
-    preds: Predictions,
+    preds: list[Prediction],
     dictionary: Dictionary,
     v1: Vocabulary,
     v2: Container[str],
@@ -83,7 +76,7 @@ def precision_at_1(
     (the target vocabulary, or any set of target labels), at most `limit` of
     them in dictionary order; zero evaluable entries report accuracy 0 with
     the no-overlap flag set."""
-    predicted = preds.as_dict()
+    predicted = {p.source: p.predicted for p in preds}
     evaluated = correct = 0
     for src, targets in dictionary.entries.items():
         if evaluated == limit:
@@ -119,20 +112,21 @@ def seed_from_dictionary(
     return MatchState(s=np.asarray(s), t=np.asarray(t))
 
 
-def write_predictions(preds: Predictions, path, dictionary: Dictionary | None = None):
-    """Tab-separated dump: rank, source, prediction, and correctness where a
-    dictionary entry applies ('-' otherwise)."""
+def write_predictions(preds: list[Prediction], path, dictionary: Dictionary | None = None):
+    """Tab-separated dump of a list of `Prediction`: rank, source, prediction,
+    and correctness where a dictionary entry applies ('-' otherwise)."""
     with open(path, "w", encoding="utf-8") as f:
-        for row in preds.rows:
+        for row in preds:
             flag = "-"
             if dictionary is not None and row.source in dictionary.entries:
                 flag = "1" if row.predicted in dictionary.entries[row.source] else "0"
             f.write(f"{row.rank}\t{row.source}\t{row.predicted}\t{flag}\n")
 
 
-def load_predictions(path) -> Predictions:
-    """A `write_predictions` dump; a malformed line or a rank that is not an
-    integer names its line, and a source listed twice names both lines."""
+def load_predictions(path) -> list[Prediction]:
+    """A `write_predictions` dump as a list of `Prediction`; a malformed line
+    or a rank that is not an integer names its line, and a source listed
+    twice names both lines."""
     rows: list[Prediction] = []
     first: dict[str, int] = {}  # line of each source
     with open(path, encoding="utf-8") as f:
@@ -153,7 +147,7 @@ def load_predictions(path) -> Predictions:
                 )
             first[parts[1]] = lineno
             rows.append(Prediction(source=parts[1], predicted=parts[2], rank=rank))
-    return Predictions(rows=rows)
+    return rows
 
 
 class ClipDiff(NamedTuple):

@@ -12,10 +12,10 @@ time and clips its one float64 copy in place; `trunc` frees its scaled copy
 and Gram matrix before it projects, and `drop_head` subtracts into the
 projection's buffer. The normalization chain is built on private in-place
 cores (`_unitr_inplace`, `_normalize_inplace`) that overwrite and return a
-buffer their caller owns; the public `unitr`, `centerc` and `normalize`
-run them on one fresh float64 copy. Both cores work one block of rows at a
-time, so none of them holds a V x V temporary, and `_normalize_inplace`
-also normalizes a float32 buffer in float64, rounding it once. The cdist
+buffer their caller owns; the public `unitr` and `normalize` run them on
+one fresh float64 copy. Both cores work one block of rows at a time, so
+none of them holds a V x V temporary, and `_normalize_inplace` also
+normalizes a float32 buffer in float64, rounding it once. The cdist
 metric (neg_l1) takes C-contiguous rows: scipy walks each row in turn, so
 a column-major operand costs a strided read per entry.
 
@@ -103,13 +103,6 @@ def unitr_l1(X: np.ndarray) -> np.ndarray:
     return X / mass
 
 
-def centerc(X: np.ndarray) -> np.ndarray:
-    """Subtract the column means so every column averages to zero."""
-    X = np.array(X, dtype=np.float64)
-    X -= X.mean(axis=0, keepdims=True)
-    return X
-
-
 def _normalize_inplace(X: np.ndarray) -> np.ndarray:
     """normalize on X's own float32 or float64 buffer: overwrites and returns X.
 
@@ -132,7 +125,8 @@ def _normalize_inplace(X: np.ndarray) -> np.ndarray:
 
 
 def normalize(X: np.ndarray) -> np.ndarray:
-    """unitr(centerc(unitr(X))), in exactly that order, in one copy of X."""
+    """Unit rows, then the column means subtracted, then unit rows again, in
+    exactly that order, in one copy of X."""
     return _normalize_inplace(np.array(X, dtype=np.float64))
 
 

@@ -21,7 +21,6 @@ from coocmap.align import (
     stage_steps,
     unsupervised_init,
     vec_measure,
-    vecmap_selflearn,
 )
 from coocmap.assoc import Step, build
 from coocmap.cooc import CoocMatrix, count_cooc, permute_cooc
@@ -288,7 +287,8 @@ class TestVecmapSelfLearn:
         n = Xv.shape[0]
         init = MatchState(np.arange(n), np.arange(n))
         cfg = AlignConfig(csls_k=3, max_iters=10)
-        state, trace, _ = vecmap_selflearn(Xv, Zv, init, cfg)
+        run = run_vecmap(Xv, Zv, cfg, seed=init)
+        state, trace = run.state, run.traces[0]
         forward = {(int(s), int(t)) for s, t in zip(state.s[:n], state.t[:n])}
         assert forward == {(i, i) for i in range(n)}
         W = np.linalg.lstsq(normalize(Xv), normalize(Zv), rcond=None)[0]
@@ -302,7 +302,7 @@ class TestVecmapSelfLearn:
 
         n = Xv.shape[0]
         init = MatchState(np.arange(n), np.arange(n))
-        state, _, _ = vecmap_selflearn(Xv, Xv, init, AlignConfig(csls_k=2, max_iters=5))
+        state = run_vecmap(Xv, Xv, AlignConfig(csls_k=2, max_iters=5), seed=init).state
         Xn = normalize(Xv)
         W = procrustes(Xn[state.s], Xn[state.t])
         np.testing.assert_allclose(W, np.eye(3), atol=1e-8)
@@ -311,7 +311,7 @@ class TestVecmapSelfLearn:
         rng = np.random.default_rng(14)
         Xv = rng.random((6, 1)) + 0.5
         init = MatchState(np.arange(6), np.arange(6))
-        state, _, _ = vecmap_selflearn(Xv, Xv, init, AlignConfig(csls_k=2, max_iters=3))
+        state = run_vecmap(Xv, Xv, AlignConfig(csls_k=2, max_iters=3), seed=init).state
         from coocmap.kernels import normalize, procrustes
 
         Xn = normalize(Xv)

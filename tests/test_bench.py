@@ -757,6 +757,17 @@ class TestSweep:
         empty.write_text("source = unread.txt\nbudgets = 100\npresets =\n")
         with pytest.raises(ValidationError, match="presets must be a nonempty list"):
             SweepSpec.from_file(empty)
+        # a spec that parses but fails SweepSpec's own checks names its file
+        repeated = tmp_path / "repeated.txt"
+        repeated.write_text("source = unread.txt\nbudgets = 100,100\n")
+        with pytest.raises(
+            ValidationError, match=r"repeated\.txt: budgets must be strictly ascending"
+        ):
+            SweepSpec.from_file(repeated)
+        unknown = tmp_path / "unknown.txt"
+        unknown.write_text("source = unread.txt\nbudgets = 100\npresets = nosuch\n")
+        with pytest.raises(ValidationError, match=r"unknown\.txt: unknown preset 'nosuch'"):
+            SweepSpec.from_file(unknown)
         bad = tmp_path / "bad.txt"
         bad.write_text("source = x\nbudgets = 10\nnot_a_key = 3\n")
         with pytest.raises(ValidationError):

@@ -18,7 +18,6 @@ from coocmap.evaluation import (
     ClipDiff,
     Dictionary,
     Prediction,
-    Predictions,
     clip_diff_report,
     load_dictionary,
     load_predictions,
@@ -92,16 +91,16 @@ class TestTranslate:
         state = MatchState(np.arange(n), np.arange(n))
         run = run_staged(X, X, AlignConfig(csls_k=2), seed=state)
         preds = translate(run, toks, toks)
-        assert [r.predicted for r in preds.rows] == list(toks)
-        assert [r.rank for r in preds.rows] == list(range(n))
+        assert [r.predicted for r in preds] == list(toks)
+        assert [r.rank for r in preds] == list(range(n))
 
     def test_covers_every_source_once(self):
         X, Z = _toy_pair(1), _toy_pair(2, V=4)
         src, tgt = tuple(f"s{i}" for i in range(6)), tuple(f"t{j}" for j in range(4))
         run = run_staged(X, Z, AlignConfig(csls_k=2))
         preds = translate(run, src, tgt)
-        assert [r.source for r in preds.rows] == list(src)
-        assert [r.predicted for r in preds.rows] == [tgt[j] for j in run.targets]
+        assert [r.source for r in preds] == list(src)
+        assert [r.predicted for r in preds] == [tgt[j] for j in run.targets]
 
     def test_deterministic(self):
         X, Z = _toy_pair(2), _toy_pair(3)
@@ -111,7 +110,7 @@ class TestTranslate:
         cfg = AlignConfig(csls_k=2)
         a = translate(run_staged(X, Z, cfg, seed=state), toks, toks)
         b = translate(run_staged(X, Z, cfg, seed=state), toks, toks)
-        assert a.rows == b.rows
+        assert a == b
 
     @pytest.mark.parametrize("family", ["cooc", "vec"])
     def test_non_finite_similarity_raises(self, family, monkeypatch):
@@ -153,26 +152,26 @@ class TestPrecisionAt1:
     def test_all_correct(self):
         v1, v2 = self._vocabs()
         d = Dictionary({"dog": frozenset({"chien"}), "cat": frozenset({"chat"})})
-        preds = Predictions([Prediction("dog", "chien", 1), Prediction("cat", "chat", 2)])
+        preds = [Prediction("dog", "chien", 1), Prediction("cat", "chat", 2)]
         assert precision_at_1(preds, d, v1, v2) == (1.0, 2, 2, False)
 
     def test_half_correct(self):
         v1, v2 = self._vocabs()
         d = Dictionary({"dog": frozenset({"chien"}), "cat": frozenset({"chat"})})
-        preds = Predictions([Prediction("dog", "chien", 1), Prediction("cat", "chien", 2)])
+        preds = [Prediction("dog", "chien", 1), Prediction("cat", "chien", 2)]
         assert precision_at_1(preds, d, v1, v2) == (0.5, 2, 1, False)
 
     def test_disjoint_vocab_flags_no_overlap(self):
         v1, v2 = self._vocabs()
         d = Dictionary({"horse": frozenset({"cheval"})})
-        preds = Predictions([Prediction("dog", "chien", 1)])
+        preds = [Prediction("dog", "chien", 1)]
         acc, evaluated, correct, no_overlap = precision_at_1(preds, d, v1, v2)
         assert (acc, evaluated, correct, no_overlap) == (0.0, 0, 0, True)
 
     def test_targets_outside_v2_skipped(self):
         v1, v2 = self._vocabs()
         d = Dictionary({"dog": frozenset({"hund"}), "cat": frozenset({"chat"})})
-        preds = Predictions([Prediction("dog", "chien", 1), Prediction("cat", "chat", 2)])
+        preds = [Prediction("dog", "chien", 1), Prediction("cat", "chat", 2)]
         assert precision_at_1(preds, d, v1, v2) == (1.0, 1, 1, False)
 
 
@@ -198,16 +197,16 @@ class TestSeedFromDictionary:
 
 class TestPredictionsIO:
     def test_round_trip_with_correct_column(self, tmp_path):
-        preds = Predictions([Prediction("dog", "chien", 1), Prediction("sun", "lune", 9)])
+        preds = [Prediction("dog", "chien", 1), Prediction("sun", "lune", 9)]
         d = Dictionary({"dog": frozenset({"chien"}), "sun": frozenset({"soleil"})})
         p = tmp_path / "preds.tsv"
         write_predictions(preds, p, d)
         lines = p.read_text().splitlines()
         assert lines == ["1\tdog\tchien\t1", "9\tsun\tlune\t0"]
-        assert load_predictions(p).rows == preds.rows
+        assert load_predictions(p) == preds
 
     def test_dash_without_dictionary(self, tmp_path):
-        preds = Predictions([Prediction("a", "b", 0)])
+        preds = [Prediction("a", "b", 0)]
         p = tmp_path / "preds.tsv"
         write_predictions(preds, p)
         assert p.read_text() == "0\ta\tb\t-\n"
@@ -303,7 +302,7 @@ class TestTranslateRanksTheRunsMeasure:
 
     def _predicted(self, run, V):
         toks = tuple(f"w{i}" for i in range(V))
-        return np.array([int(r.predicted[1:]) for r in translate(run, toks, toks).rows])
+        return np.array([int(r.predicted[1:]) for r in translate(run, toks, toks)])
 
     @pytest.mark.parametrize("name, dim", [
         ("coocmap", None), ("coocmap-drop", 12), ("rapp", None), ("ppmi", 20),

@@ -14,7 +14,6 @@ from coocmap.cooc import CoocMatrix
 from coocmap.errors import NumericError, ValidationError
 from coocmap.kernels import (
     METRICS,
-    centerc,
     check_finite,
     clip,
     clip_thresholds,
@@ -85,21 +84,12 @@ class TestElementwise:
         X = np.array([[1.0, -3.0], [0.0, 0.0]])
         np.testing.assert_allclose(unitr_l1(X), [[0.25, -0.75], [0.0, 0.0]])
 
-    def test_centerc(self):
-        np.testing.assert_allclose(
-            centerc(np.array([[1.0, 2.0], [3.0, 4.0]])), [[-1.0, -1.0], [1.0, 1.0]]
-        )
-
-    def test_centerc_idempotent(self):
-        X = centerc(np.random.default_rng(0).random((4, 3)))
-        np.testing.assert_allclose(centerc(X), X, atol=1e-15)
-
-    def test_centerc_single_cell(self):
-        np.testing.assert_array_equal(centerc(np.array([[5.0]])), [[0.0]])
-
 
 class TestNormalize:
     def test_is_the_composition(self):
+        def centerc(X):  # subtract the column means
+            return X - X.mean(axis=0, keepdims=True)
+
         X = np.random.default_rng(1).random((4, 4))
         np.testing.assert_array_equal(normalize(X), unitr(centerc(unitr(X))))
 
