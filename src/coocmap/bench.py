@@ -11,7 +11,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import count, repeat, zip_longest
+from itertools import count, repeat
 from typing import Sequence
 
 import numpy as np
@@ -349,8 +349,10 @@ class SweepSpec:
     The tuning fields default to BenchConfig's; each point runs as
     `run_point` states, and a point whose preset needs a dictionary it
     lacks (dict-init outside crosslingual mode with `dict_path`) is an error
-    row. `cipher_seed` is the first repetition's permutation seed (default
-    0); only cipher mode reads it, and the other modes reject it.
+    row. `target` and `dict_path` are crosslingual inputs, and the other
+    modes reject them. `cipher_seed` is the first repetition's permutation
+    seed (default 0); only cipher mode reads it, and the other modes reject
+    it.
     """
 
     source: str
@@ -386,6 +388,11 @@ class SweepSpec:
             get_preset(name)
         if self.mode == "crosslingual" and self.target is None:
             raise ValidationError("crosslingual mode needs a target corpus")
+        for name, value in (("target", self.target), ("dict", self.dict_path)):
+            if value is not None and self.mode != "crosslingual":
+                raise ValidationError(
+                    f"{name} is a crosslingual input; {self.mode} mode does not read it"
+                )
         if self.repetitions < 1:
             raise ValidationError("repetitions must be >= 1")
         if self.cipher_seed is not None and self.mode != "cipher":
@@ -438,12 +445,16 @@ _SPEC_KEYS = {
 _RECORDED_ERRORS = (ValidationError, NumericError, OSError, UnicodeDecodeError)
 
 
-def _error_row(mode: str, budget: int, cfg: BenchConfig, e, acfg: AlignConfig | None = None):
-    """The row of a point that failed; its dimension is the resolved `acfg`'s
-    (as on the rows that ran), or the point's own if it did not resolve."""
+def _error_row(mode: str, budget: int, cfg: BenchConfig, e):
+    """The row of a point that failed; its dimension is the one its preset
+    and dim resolve to (as on the rows that ran), or the point's own dim if
+    they do not resolve."""
+    try:
+        dim = align_config(get_preset(cfg.preset), dim=cfg.dim).dim
+    except ValidationError:
+        dim = cfg.dim
     return RunReport(
-        mode=mode, preset=cfg.preset, budget_bytes=budget,
-        dimension=cfg.dim if acfg is None else acfg.dim,
+        mode=mode, preset=cfg.preset, budget_bytes=budget, dimension=dim,
         accuracy=0.0, evaluated=0, correct=0, no_overlap=True, seconds=0.0,
         vocab_sizes=(0, 0), token_counts=(0, 0), data_bytes=0, traces=[],
         config=asdict(cfg), seed=None, error=f"{type(e).__name__}: {e}",
@@ -483,10 +494,7 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
         else:
             sides = _split_sides(spec.source, budget, base)
     except _RECORDED_ERRORS as e:
-        return [
-            _error_row(spec.mode, budget, cfg, e, acfg if isinstance(acfg, AlignConfig) else None)
-            for (cfg, _), acfg in zip_longest(points, resolved)
-        ]
+        return [_error_row(spec.mode, budget, cfg, e) for cfg, _ in points]
     reports = []
     for acfg, (cfg, rep) in zip(resolved, points):
         if isinstance(acfg, RunReport):
@@ -501,7 +509,7 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
                                budget=budget, seed=seed, dictionary=dictionary)
             t0 = time.perf_counter()
         except _RECORDED_ERRORS as e:
-            report = _error_row(spec.mode, budget, cfg, e, acfg)
+            report = _error_row(spec.mode, budget, cfg, e)
         reports.append(report)
     return reports
 

@@ -32,10 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, sparse
-from scipy.spatial.distance import cdist
 
 from .errors import NumericError, ValidationError
+
+# scipy is imported inside the three kernels that call it (trunc,
+# pair_sim_matrix and sim_matrix): it takes about 0.4 s to load, which a
+# command that never reaches them (count, eval, --help) should not pay
 
 METRICS = ("cosine", "neg_l1")  # the self-learning measure's, and AlignConfig.metric's
 
@@ -223,6 +225,8 @@ def trunc(X: np.ndarray, r: int) -> np.ndarray:
         np.ldexp(Xs, -int(np.frexp(peak)[1]), out=Xs)
         return Xs.T @ Xs if tall else Xs @ Xs.T
 
+    from scipy import linalg
+
     # numpy forms the Gram matrix G by syrk, so G is exactly symmetric and
     # G.T is G in Fortran order, which the eigensolver overwrites in place
     try:
@@ -283,6 +287,8 @@ def sim_matrix(X: np.ndarray, Z: np.ndarray, metric: str = "cosine") -> np.ndarr
     if metric == "dot":
         return _product(X, Z)
     if metric == "neg_l1":
+        from scipy.spatial.distance import cdist
+
         return -cdist(np.ascontiguousarray(X, dtype=np.float64),
                       np.ascontiguousarray(Z, dtype=np.float64), metric="cityblock")
     raise ValidationError(f"unknown metric {metric!r}, expected one of {(*METRICS, 'dot')}")
@@ -332,6 +338,8 @@ def pair_sim_matrix(X, Z, s, t, metric: str = "cosine") -> np.ndarray:
     if s.min() < 0 or s.max() >= v1 or t.min() < 0 or t.max() >= v2:
         raise ValidationError(f"pair indices out of range for {v1} x {v2} columns")
     if metric == "cosine":
+        from scipy import sparse
+
         M = sparse.csr_array((np.ones(s.size), (s, t)), shape=(v1, v2))
         # squared norms summed in float64 with the pair counts as weights,
         # no X * X array

@@ -795,9 +795,19 @@ class TestSweep:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_cipher_seed_outside_cipher_mode_rejected(self, mode, seed):
         # 0 is the cipher default: given, it is still a seed no run reads
+        target = "unread.txt" if mode == "crosslingual" else None
         with pytest.raises(ValidationError, match=f"{mode} mode does not read it"):
-            SweepSpec(source="unread.txt", target="unread.txt", budgets=(1,), mode=mode,
+            SweepSpec(source="unread.txt", target=target, budgets=(1,), mode=mode,
                       cipher_seed=seed)
+
+    @pytest.mark.parametrize("mode", ["identity", "cipher"])
+    @pytest.mark.parametrize("field, name", [("target", "target"), ("dict_path", "dict")])
+    def test_crosslingual_inputs_outside_crosslingual_mode_rejected(self, mode, field, name):
+        # read by no other mode: a given path that is never opened would be
+        # silently ignored
+        with pytest.raises(ValidationError,
+                           match=f"{name} is a crosslingual input; {mode} mode does not read it"):
+            SweepSpec(source="unread.txt", budgets=(1,), mode=mode, **{field: "unread.txt"})
 
     def test_cipher_seed_defaults_to_zero(self, small_corpus):
         spec = SweepSpec(source=small_corpus, mode="cipher", budgets=(200_000,),
@@ -1011,6 +1021,11 @@ class TestSweepSharesIngest:
         assert all(r.error.startswith("FileNotFoundError") for r in missing)
         assert [r.dimension for r in missing] == [None, 300, None] * len(self.BUDGETS)
         assert [row.split(",")[2] for row in csv_text.splitlines()[1:4]] == ["", "300", ""]
+        # a missing dictionary fails the budget before any point resolves
+        no_dict, _ = run_sweep(self._spec(small_corpus, target=small_corpus, mode="crosslingual",
+                                          dict_path=str(tmp_path / "nope.txt"), presets=presets))
+        assert all(r.error.startswith("FileNotFoundError") for r in no_dict)
+        assert [r.dimension for r in no_dict] == [None, 300, None] * len(self.BUDGETS)
         # 200 words per side: vecmap-raw's dim=300 fails the point after ingest
         failed, _ = run_sweep(self._spec(small_corpus, budgets=(300_000,), presets=("vecmap-raw",),
                                          vocab_size=200))

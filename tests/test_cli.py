@@ -336,15 +336,30 @@ def test_exit_code_validation(tmp_path):
     ]) == 2
 
 
-def test_threads_env_propagates(tmp_path):
-    """COOCMAP_THREADS reaches the BLAS variables before numpy loads, so a
-    process that only imports the CLI runs with the thread cap."""
+def _fresh_python(script: str, *args: str, **env_vars: str) -> str:
+    """stdout of `script` run with `args` by a new interpreter that imports
+    this checkout's package, with the BLAS thread variables unset and
+    `env_vars` set."""
     import os
     import subprocess
     import sys
 
     import coocmap
 
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(env_vars)
+    src = os.path.dirname(os.path.dirname(coocmap.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+
+
+def test_threads_env_propagates(tmp_path):
+    """COOCMAP_THREADS reaches the BLAS variables before numpy loads, so a
+    process that only imports the CLI runs with the thread cap."""
     script = (
         "import os, sys\n"
         "seen = []\n"
@@ -358,16 +373,32 @@ def test_threads_env_propagates(tmp_path):
         "print(rc, seen[0], os.environ['OMP_NUM_THREADS'])\n"
     )
     (tmp_path / "tiny.txt").write_text("a b a\n")
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["COOCMAP_THREADS"] = "1"
-    src = os.path.dirname(os.path.dirname(coocmap.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "tiny.txt"), str(tmp_path / "t")],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+    out = _fresh_python(script, str(tmp_path / "tiny.txt"), str(tmp_path / "t"),
+                        COOCMAP_THREADS="1")
+    assert out.splitlines()[-1].split() == ["0", "1", "1"]
+
+
+@pytest.mark.parametrize("command", ["count", "eval", "--help"])
+def test_command_loads_only_what_it_runs(tmp_path, command):
+    """`import coocmap` loads no numpy, and a command that reaches no kernel
+    calling scipy loads no scipy module."""
+    (tmp_path / "tiny.txt").write_text("a b a\n")
+    argv = {
+        "count": ["count", "--input", str(tmp_path / "tiny.txt"), "--out", str(tmp_path / "t")],
+        "eval": _eval_argv(tmp_path, "0\ta\ta\t-\n", ("[UNK]", "a", "b")),
+        "--help": ["--help"],
+    }[command]
+    script = (
+        "import json, sys\n"
+        "import coocmap\n"
+        "numpy_loaded = 'numpy' in sys.modules\n"
+        "from coocmap.cli import main\n"
+        "rc = main(json.loads(sys.argv[1]))\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([rc, numpy_loaded, scipy]))\n"
     )
-    assert out.stdout.splitlines()[-1].split() == ["0", "1", "1"]
+    out = _fresh_python(script, json.dumps(argv))
+    assert json.loads(out.splitlines()[-1]) == [0, False, []]
 
 
 def test_csls_k_beyond_vocabulary_exits_2(counted, tmp_path, capsys):
@@ -510,7 +541,11 @@ def test_bad_parameter_exits_2_before_reading_files(tmp_path, capsys, command, f
     ("cipher_seed = 5\n", [], "cipher_seed is the cipher permutation seed; identity mode"),
     ("mode = cipher\n", ["--workers", "0"], "workers must be >= 1, got 0"),
     ("mode = cipher\n", ["--workers", "-2"], "workers must be >= 1, got -2"),
-], ids=["cipher_seed-in-identity-mode", "workers-0", "workers-negative"])
+    ("target = t.txt\n", [], "target is a crosslingual input; identity mode does not read it"),
+    ("mode = cipher\ndict = nope.txt\n", [],
+     "dict is a crosslingual input; cipher mode does not read it"),
+], ids=["cipher_seed-in-identity-mode", "workers-0", "workers-negative",
+        "target-in-identity-mode", "dict-in-cipher-mode"])
 def test_sweep_bad_parameter_exits_2_before_reading_corpus(
     tmp_path, capsys, monkeypatch, spec_lines, flags, message
 ):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.spatial.distance
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -693,14 +694,16 @@ class TestPairSimMatrix:
 
 @pytest.fixture
 def cdist_calls(monkeypatch):
-    """Records, per call of kernels.cdist, whether both operands are C-contiguous."""
+    """Records, per call of scipy's cdist, whether both operands are
+    C-contiguous. kernels imports cdist where it calls it, so patching the
+    scipy module sees every call."""
     calls = []
 
     def recorder(XA, XB, metric):
         calls.append((XA.flags.c_contiguous, XB.flags.c_contiguous))
         return cdist(XA, XB, metric=metric)
 
-    monkeypatch.setattr(kernels, "cdist", recorder)
+    monkeypatch.setattr(scipy.spatial.distance, "cdist", recorder)
     return calls
 
 

@@ -2,8 +2,7 @@
 
 pyflakes' F401 rule, reduced to what this package needs: a name an import
 binds must be read in the scope that imports it (the module, or the function
-of a local import). An import marked `# noqa: F401` is exempt; `__init__.py`
-re-exports names and is not checked."""
+of a local import). An import marked `# noqa: F401` is exempt."""
 
 import ast
 from pathlib import Path
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coocmap"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
