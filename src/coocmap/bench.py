@@ -1,6 +1,6 @@
-"""Desk-scale benchmarks: split-corpus self-translation, substitution-cipher
-recovery, cross-lingual runs, and the sweep driver that grids budgets,
-presets, and dimensions into CSV tables."""
+"""Desk-scale benchmarks: split-corpus self-translation and
+substitution-cipher recovery, and the sweep driver that grids budgets,
+presets and dimensions of those and of cross-lingual runs into CSV tables."""
 
 from __future__ import annotations
 
@@ -79,10 +79,11 @@ class RunReport:
 
     `seconds` runs from reading the corpus to scoring. In a sweep, the
     points of one budget share a single ingest: the budget's first point
-    that is not an error row carries it, and the others cover their own
-    align and score. Only cipher mode depends on the repetition (its
-    permutation seed); in the other modes each (preset, dim) is aligned
-    once and its later repetitions are copies with `seconds` 0.0.
+    that runs carries it (with the time of any point that failed before
+    it), and the others cover their own align and score. Only cipher mode
+    depends on the repetition (its permutation seed); in the other modes
+    each (preset, dim) is aligned once and its later repetitions are copies
+    with `seconds` 0.0.
     """
 
     mode: str
@@ -196,22 +197,22 @@ def _corpus_pair_sides(source_path, target_path, budget: int, cfg: BenchConfig) 
     return Sides(v1, v2, C1, C2, bytes1 + bytes2)
 
 
-def check_seeding(cfg: AlignConfig, dictionary: Dictionary | None) -> None:
+def check_seeding(cfg: AlignConfig, has_dictionary: bool) -> None:
     """Reject a dictionary-seeded preset (dict-init) without a dictionary.
-    Entry points call it before reading any corpus or counts file, so the
-    error costs no ingest."""
-    if cfg.seed_mode == "dictionary" and dictionary is None:
+    Entry points, and a sweep spec for each of its points, call it before
+    reading any corpus or counts file, so the error costs no ingest."""
+    if cfg.seed_mode == "dictionary" and not has_dictionary:
         raise ValidationError(
             f"preset {cfg.preset} seeds from a supplied dictionary (induce --dict, "
             "or a crosslingual run's dictionary); none was given"
         )
 
 
-def _point_config(cfg: BenchConfig, dictionary: Dictionary | None = None) -> AlignConfig:
+def _point_config(cfg: BenchConfig, has_dictionary: bool = False) -> AlignConfig:
     """The resolved config of one bench point, once its seeding is checked."""
     acfg = align_config(get_preset(cfg.preset), csls_k=cfg.csls_k, max_iters=cfg.max_iters,
                         tol=cfg.tol, dim=cfg.dim)
-    check_seeding(acfg, dictionary)
+    check_seeding(acfg, has_dictionary)
     return acfg
 
 
@@ -256,8 +257,10 @@ def run_point(
       evaluable entry of `dictionary` (none: nothing is scored). The key is
       built once the run is translated, so it is not alive during alignment.
 
-    `record` is the report's `config`, as given; its dimension is the
-    `cfg.dim` that ran and its `seconds` run from `t0`.
+    The dump flags exactly the entries that are scored, less the `top_eval`
+    cut. `record` is the report's `config`, as given; its dimension is the
+    `cfg.dim` that ran and its `seconds` run from `t0`. A failure raises:
+    a sweep records it as that point's error row.
     """
     labels = sides.v2.tokens
     if mode == "cipher":
@@ -277,11 +280,10 @@ def run_point(
         key = _shared_key(sides, [labels[j] for j in pi])
     else:
         key, top_eval = dictionary or Dictionary({}), None
+    label_set = frozenset(labels)
     if preds_out is not None:
-        write_predictions(preds, preds_out, key)
-    acc, evaluated, correct, no_overlap = precision_at_1(
-        preds, key, v1, frozenset(labels), top_eval
-    )
+        write_predictions(preds, preds_out, key, label_set)
+    acc, evaluated, correct, no_overlap = precision_at_1(preds, key, v1, label_set, top_eval)
     return RunReport(
         mode=mode,
         preset=cfg.preset,
@@ -324,32 +326,15 @@ def cipher_bench(
                      top_eval=cfg.top_eval, budget=budget, seed=seed, pi=pi, preds_out=preds_out)
 
 
-def crosslingual_run(
-    source_path,
-    target_path,
-    budget: int,
-    cfg: BenchConfig,
-    dictionary: Dictionary | None = None,
-    preds_out=None,
-) -> RunReport:
-    """Two-corpus run scored with precision@1 against a reference dictionary,
-    over every evaluable entry (`top_eval` does not apply). The preset decides
-    seeding: `dict-init` seeds from `dictionary` and needs one."""
-    t0 = time.perf_counter()
-    acfg = _point_config(cfg, dictionary)
-    sides = _corpus_pair_sides(source_path, target_path, budget, cfg)
-    return run_point("crosslingual", sides, acfg, asdict(cfg), t0, budget=budget,
-                     dictionary=dictionary, preds_out=preds_out)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A grid of benchmark points: budgets x presets x dims x repetitions.
 
     The tuning fields default to BenchConfig's; each point runs as
-    `run_point` states, and a point whose preset needs a dictionary it
-    lacks (dict-init outside crosslingual mode with `dict_path`) is an error
-    row. `target` and `dict_path` are crosslingual inputs, and the other
+    `run_point` states. Every point resolves before anything is read, so a
+    point that does not (a bad tuning value or dim, or a preset that needs
+    a dictionary the spec lacks: dict-init without `dict_path`) rejects the
+    spec. `target` and `dict_path` are crosslingual inputs, and the other
     modes reject them. `cipher_seed` is the first repetition's permutation
     seed (default 0); only cipher mode reads it, and the other modes reject
     it.
@@ -384,8 +369,6 @@ class SweepSpec:
         for name, values in (("presets", self.presets), ("dims", self.dims)):
             if len(set(values)) != len(values):
                 raise ValidationError(f"{name} must not repeat a value, got {values}")
-        for name in self.presets:
-            get_preset(name)
         if self.mode == "crosslingual" and self.target is None:
             raise ValidationError("crosslingual mode needs a target corpus")
         for name, value in (("target", self.target), ("dict", self.dict_path)):
@@ -401,12 +384,19 @@ class SweepSpec:
             )
         if self.cipher_seed is not None and self.cipher_seed < 0:
             raise ValidationError(f"cipher_seed must be >= 0, got {self.cipher_seed}")
-        self.bench_config()  # checks the tuning fields as BenchConfig does
+        self.points()  # a point that does not resolve rejects the spec
 
-    def bench_config(self) -> BenchConfig:
-        """The BenchConfig of every point, less its preset and dim."""
+    def points(self) -> list[tuple[BenchConfig, AlignConfig]]:
+        """Each (preset, dim) point's BenchConfig and resolved config, in
+        spec order; dict-init resolves only when `dict_path` is given."""
         tuning = [f.name for f in fields(BenchConfig) if f.name not in ("preset", "dim")]
-        return BenchConfig(**{name: getattr(self, name) for name in tuning})
+        base = BenchConfig(**{name: getattr(self, name) for name in tuning})
+        out = []
+        for preset in self.presets:
+            for dim in self.dims or (None,):
+                cfg = replace(base, preset=preset, dim=dim)
+                out.append((cfg, _point_config(cfg, self.dict_path is not None)))
+        return out
 
     @classmethod
     def from_file(cls, path) -> "SweepSpec":
@@ -445,16 +435,11 @@ _SPEC_KEYS = {
 _RECORDED_ERRORS = (ValidationError, NumericError, OSError, UnicodeDecodeError)
 
 
-def _error_row(mode: str, budget: int, cfg: BenchConfig, e):
-    """The row of a point that failed; its dimension is the one its preset
-    and dim resolve to (as on the rows that ran), or the point's own dim if
-    they do not resolve."""
-    try:
-        dim = align_config(get_preset(cfg.preset), dim=cfg.dim).dim
-    except ValidationError:
-        dim = cfg.dim
+def _error_row(mode: str, budget: int, cfg: BenchConfig, acfg: AlignConfig, e):
+    """The row of a point that failed; its dimension is the resolved one, as
+    on the rows that ran."""
     return RunReport(
-        mode=mode, preset=cfg.preset, budget_bytes=budget, dimension=dim,
+        mode=mode, preset=cfg.preset, budget_bytes=budget, dimension=acfg.dim,
         accuracy=0.0, evaluated=0, correct=0, no_overlap=True, seconds=0.0,
         vocab_sizes=(0, 0), token_counts=(0, 0), data_bytes=0, traces=[],
         config=asdict(cfg), seed=None, error=f"{type(e).__name__}: {e}",
@@ -463,54 +448,37 @@ def _error_row(mode: str, budget: int, cfg: BenchConfig, e):
 
 def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
     """Every (preset, dim, rep) point of one budget, in spec order, on one
-    ingest of that budget. Each point's config and seeding are checked
-    before the ingest, and a point that fails them is an error row; a budget
-    with no point left reads no corpus. The first point that is not an error
-    row carries the ingest's time. Outside cipher mode a repetition would rerun
-    the same computation, so it copies the previous row with `seconds` 0.0."""
+    ingest of that budget; the spec has resolved every point. A failure to
+    read the dictionary or the corpus makes every point an error row, and a
+    point that fails to run is one. The first point that runs carries the
+    ingest's time. Outside cipher mode a repetition would rerun the same
+    computation, so it copies the previous row with `seconds` 0.0."""
     t0 = time.perf_counter()
-    base = spec.bench_config()
-    points = [
-        (replace(base, preset=preset, dim=dim), rep)
-        for preset in spec.presets
-        for dim in (spec.dims or (None,))
-        for rep in range(spec.repetitions)
-    ]
-    dictionary = None
-    # per point: its resolved config, or the error row that replaces it
-    resolved: list[AlignConfig | RunReport] = []
+    points = spec.points()
+    ingest = points[0][0]  # the points differ in preset and dim alone
     try:
-        if spec.mode == "crosslingual" and spec.dict_path:
-            dictionary = load_dictionary(spec.dict_path)
-        for cfg, _ in points:
-            try:
-                resolved.append(_point_config(cfg, dictionary))
-            except ValidationError as e:
-                resolved.append(_error_row(spec.mode, budget, cfg, e))
-        if all(isinstance(r, RunReport) for r in resolved):
-            return resolved
+        dictionary = load_dictionary(spec.dict_path) if spec.dict_path is not None else None
         if spec.mode == "crosslingual":
-            sides = _corpus_pair_sides(spec.source, spec.target, budget, base)
+            sides = _corpus_pair_sides(spec.source, spec.target, budget, ingest)
         else:
-            sides = _split_sides(spec.source, budget, base)
+            sides = _split_sides(spec.source, budget, ingest)
     except _RECORDED_ERRORS as e:
-        return [_error_row(spec.mode, budget, cfg, e) for cfg, _ in points]
+        return [_error_row(spec.mode, budget, cfg, acfg, e)
+                for cfg, acfg in points for _ in range(spec.repetitions)]
     reports = []
-    for acfg, (cfg, rep) in zip(resolved, points):
-        if isinstance(acfg, RunReport):
-            reports.append(acfg)
-            continue
-        if rep > 0 and spec.mode != "cipher":
-            reports.append(replace(deepcopy(reports[-1]), seconds=0.0))
-            continue
-        seed = (spec.cipher_seed or 0) + rep if spec.mode == "cipher" else None
-        try:
-            report = run_point(spec.mode, sides, acfg, asdict(cfg), t0, top_eval=cfg.top_eval,
-                               budget=budget, seed=seed, dictionary=dictionary)
-            t0 = time.perf_counter()
-        except _RECORDED_ERRORS as e:
-            report = _error_row(spec.mode, budget, cfg, e)
-        reports.append(report)
+    for cfg, acfg in points:
+        for rep in range(spec.repetitions):
+            if rep > 0 and spec.mode != "cipher":
+                reports.append(replace(deepcopy(reports[-1]), seconds=0.0))
+                continue
+            seed = (spec.cipher_seed or 0) + rep if spec.mode == "cipher" else None
+            try:
+                report = run_point(spec.mode, sides, acfg, asdict(cfg), t0, top_eval=cfg.top_eval,
+                                   budget=budget, seed=seed, dictionary=dictionary)
+                t0 = time.perf_counter()
+            except _RECORDED_ERRORS as e:
+                report = _error_row(spec.mode, budget, cfg, acfg, e)
+            reports.append(report)
     return reports
 
 

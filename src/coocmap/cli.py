@@ -79,7 +79,7 @@ def cmd_induce(ns) -> int:
         **_given(ns, "csls_k", "max_iters", "tol", "dim", "clip_lo", "clip_hi", "drop_r"),
     )
     dictionary = load_dictionary(ns.dict) if ns.dict else None
-    check_seeding(cfg, dictionary)
+    check_seeding(cfg, dictionary is not None)
     v1 = Vocabulary.load(ns.vocab1)
     v2 = Vocabulary.load(ns.vocab2)
     C1 = load_cooc(ns.cooc1, v1)

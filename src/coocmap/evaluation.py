@@ -112,14 +112,20 @@ def seed_from_dictionary(
     return MatchState(s=np.asarray(s), t=np.asarray(t))
 
 
-def write_predictions(preds: list[Prediction], path, dictionary: Dictionary | None = None):
+def write_predictions(
+    preds: list[Prediction], path, dictionary: Dictionary | None = None, v2: Container[str] = ()
+):
     """Tab-separated dump of a list of `Prediction`: rank, source, prediction,
-    and correctness where a dictionary entry applies ('-' otherwise)."""
+    and correctness ('-' otherwise) where `precision_at_1` scores the entry
+    against the target labels `v2`: its source is in `dictionary` and one of
+    its targets is in v2."""
     with open(path, "w", encoding="utf-8") as f:
         for row in preds:
             flag = "-"
             if dictionary is not None and row.source in dictionary.entries:
-                flag = "1" if row.predicted in dictionary.entries[row.source] else "0"
+                in_vocab = {t for t in dictionary.entries[row.source] if t in v2}
+                if in_vocab:
+                    flag = "1" if row.predicted in in_vocab else "0"
             f.write(f"{row.rank}\t{row.source}\t{row.predicted}\t{flag}\n")
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from dataclasses import asdict, replace
 from itertools import chain
@@ -15,7 +16,6 @@ from coocmap.bench import (
     RunReport,
     SweepSpec,
     cipher_bench,
-    crosslingual_run,
     run_sweep,
     split_identity_bench,
     sweep_csv,
@@ -510,26 +510,57 @@ def _corpus_pair(small_corpus, tmp_path, dict_size: int):
     return src, tgt, dict_path
 
 
+def _crosslingual_spec(src, tgt, dict_path, **overrides) -> SweepSpec:
+    """A one-budget crosslingual sweep of the whole corpus pair, tuned as
+    FAST."""
+    fields = dict(
+        source=str(src), target=str(tgt), mode="crosslingual", dict_path=str(dict_path),
+        budgets=(10**9,), vocab_size=FAST.vocab_size, top_eval=FAST.top_eval,
+        max_iters=FAST.max_iters,
+    )
+    fields.update(overrides)
+    return SweepSpec(**fields)
+
+
+def _count_and_induce(tmp_path, src, tgt, dict_path) -> RunReport:
+    """`coocmap count` of both corpora, then `coocmap induce` of coocmap
+    tuned as FAST, scored against `dict_path`; its dump is `cli.tsv`."""
+    from coocmap.cli import main
+
+    for name, path in (("s", src), ("t", tgt)):
+        assert main([
+            "count", "--input", str(path), "--out", str(tmp_path / name),
+            "--vocab-size", str(FAST.vocab_size), "--window", str(FAST.window),
+        ]) == 0
+    assert main([
+        "induce", "--cooc1", str(tmp_path / "s.cooc.bin"), "--cooc2", str(tmp_path / "t.cooc.bin"),
+        "--vocab1", str(tmp_path / "s.vocab.txt"), "--vocab2", str(tmp_path / "t.vocab.txt"),
+        "--preset", "coocmap", "--dict", str(dict_path),
+        "--csls-k", str(FAST.csls_k), "--max-iters", str(FAST.max_iters),
+        "--tol", repr(FAST.tol),
+        "--out-report", str(tmp_path / "cli.json"), "--out-preds", str(tmp_path / "cli.tsv"),
+    ]) == 0
+    return RunReport.from_json((tmp_path / "cli.json").read_text())
+
+
 class TestCrosslingual:
     def test_split_files_with_identity_dictionary(self, small_corpus, tmp_path):
         src, tgt, dict_path = _corpus_pair(small_corpus, tmp_path, 200)
-        dictionary = load_dictionary(dict_path)
-        cfg = BenchConfig(preset="coocmap", vocab_size=200, top_eval=200)
-        report = crosslingual_run(src, tgt, 10**9, cfg, dictionary)
+        spec = _crosslingual_spec(src, tgt, dict_path, vocab_size=200, top_eval=200,
+                                  max_iters=BenchConfig.max_iters)
+        [report], _ = run_sweep(spec)
         assert report.mode == "crosslingual"
         assert report.evaluated > 100
         assert report.error is None
 
     def test_dict_init_requires_dictionary(self, small_corpus):
-        with pytest.raises(ValidationError):
-            crosslingual_run(
-                small_corpus, small_corpus, 10**5, replace(FAST, preset="dict-init"), None
-            )
+        with pytest.raises(ValidationError, match="preset dict-init seeds from a supplied"):
+            SweepSpec(source=small_corpus, target=small_corpus, mode="crosslingual",
+                      budgets=(10**5,), presets=("dict-init",))
 
     def test_dict_init_seeds_from_the_supplied_dictionary(self, small_corpus, tmp_path,
                                                           monkeypatch):
         src, tgt, dict_path = _corpus_pair(small_corpus, tmp_path, 300)
-        dictionary = load_dictionary(dict_path)
         calls = []
         real = bench.seed_from_dictionary
 
@@ -538,40 +569,38 @@ class TestCrosslingual:
             return real(*args)
 
         monkeypatch.setattr(bench, "seed_from_dictionary", counting)
-        report = crosslingual_run(src, tgt, 10**9, replace(FAST, preset="dict-init"), dictionary)
-        assert calls == [dictionary]
-        assert report.preset == "dict-init"
-        crosslingual_run(src, tgt, 10**9, FAST, dictionary)
-        assert len(calls) == 1  # an unsupervised preset never seeds from it
+        spec = _crosslingual_spec(src, tgt, dict_path, presets=("dict-init", "coocmap"))
+        reports, _ = run_sweep(spec)
+        assert [(r.preset, r.error) for r in reports] == [("dict-init", None), ("coocmap", None)]
+        # an unsupervised preset never seeds from it
+        assert calls == [load_dictionary(dict_path)]
 
     def test_same_outputs_as_count_and_induce(self, small_corpus, tmp_path):
-        """The library run and `coocmap count` + `coocmap induce` on the same
-        files and dictionary agree byte for byte."""
-        from coocmap.cli import main
-
+        """A sweep row and `coocmap count` + `coocmap induce` on the same
+        files and dictionary agree."""
         src, tgt, dict_path = _corpus_pair(small_corpus, tmp_path, 300)
-        report = crosslingual_run(
-            src, tgt, 10**9, FAST, load_dictionary(dict_path), preds_out=tmp_path / "lib.tsv"
-        )
-        for name, path in (("s", src), ("t", tgt)):
-            assert main([
-                "count", "--input", str(path), "--out", str(tmp_path / name),
-                "--vocab-size", str(FAST.vocab_size), "--window", str(FAST.window),
-            ]) == 0
-        assert main([
-            "induce", "--cooc1", str(tmp_path / "s.cooc.bin"), "--cooc2", str(tmp_path / "t.cooc.bin"),
-            "--vocab1", str(tmp_path / "s.vocab.txt"), "--vocab2", str(tmp_path / "t.vocab.txt"),
-            "--preset", "coocmap", "--dict", str(dict_path),
-            "--csls-k", str(FAST.csls_k), "--max-iters", str(FAST.max_iters),
-            "--tol", repr(FAST.tol),
-            "--out-report", str(tmp_path / "cli.json"), "--out-preds", str(tmp_path / "cli.tsv"),
-        ]) == 0
-        assert (tmp_path / "cli.tsv").read_bytes() == (tmp_path / "lib.tsv").read_bytes()
-        induced = RunReport.from_json((tmp_path / "cli.json").read_text())
+        [report], _ = run_sweep(_crosslingual_spec(src, tgt, dict_path))
+        induced = _count_and_induce(tmp_path, src, tgt, dict_path)
         assert induced.evaluated > 100
         assert (induced.accuracy, induced.evaluated, induced.correct, induced.traces) == (
             report.accuracy, report.evaluated, report.correct, report.traces
         )
+
+    def test_dump_flags_rescore_to_the_report(self, small_corpus, tmp_path):
+        """The dump flags exactly the entries the report scores: an entry
+        with no target in the target vocabulary is neither flagged nor
+        scored."""
+        src, tgt, dict_path = _corpus_pair(small_corpus, tmp_path, 300)
+        lines = dict_path.read_text().splitlines()
+        unscored = lines[0].split()[0]
+        lines[0] = f"{unscored} zzz-unseen"
+        dict_path.write_text("\n".join(lines) + "\n")
+        report = _count_and_induce(tmp_path, src, tgt, dict_path)
+        rows = [line.split("\t") for line in (tmp_path / "cli.tsv").read_text().splitlines()]
+        flags = [flag for _, _, _, flag in rows]
+        assert flags.count("1") == report.correct > 0
+        assert flags.count("0") + flags.count("1") == report.evaluated
+        assert [flag for _, source, _, flag in rows if source == unscored] == ["-"]
 
 
 class TestSeedingByPreset:
@@ -593,7 +622,6 @@ class TestSeedingByPreset:
         entry_points = [
             lambda: split_identity_bench(small_corpus, 300_000, cfg),
             lambda: cipher_bench(small_corpus, 300_000, 1, cfg),
-            lambda: crosslingual_run(small_corpus, small_corpus, 300_000, cfg),
         ]
         for run in entry_points:
             with pytest.raises(ValidationError, match="dict-init"):
@@ -602,33 +630,33 @@ class TestSeedingByPreset:
 
     @pytest.mark.parametrize("mode", ["identity", "cipher", "crosslingual"])
     def test_sweep_error_row_per_point(self, small_corpus, mode):
-        spec = SweepSpec(
+        # dict-init without a dictionary rejects the spec; at 200 words per
+        # side vecmap-raw's dim=300 fails each of its points after ingest,
+        # one error row each, and the sweep goes on
+        fields = dict(
             source=small_corpus, target=small_corpus if mode == "crosslingual" else None,
-            mode=mode, budgets=(200_000, 300_000), presets=("dict-init", "coocmap"),
-            repetitions=2, vocab_size=300, top_eval=200, max_iters=40,
+            mode=mode, budgets=(200_000, 300_000), repetitions=2, vocab_size=200,
+            top_eval=200, max_iters=40,
         )
-        reports, _ = run_sweep(spec)
-        assert [r.preset for r in reports] == ["dict-init"] * 2 + ["coocmap"] * 2 + \
-            ["dict-init"] * 2 + ["coocmap"] * 2
+        with pytest.raises(ValidationError, match="preset dict-init seeds from a supplied"):
+            SweepSpec(presets=("dict-init", "coocmap"), **fields)
+        reports, _ = run_sweep(SweepSpec(presets=("vecmap-raw", "coocmap"), **fields))
+        assert [r.preset for r in reports] == (["vecmap-raw"] * 2 + ["coocmap"] * 2) * 2
         for r in reports:
-            if r.preset == "dict-init":
-                assert r.error.startswith("ValidationError") and "dict-init" in r.error
+            if r.preset == "vecmap-raw":
+                assert r.error.startswith("ValidationError: dim=300 exceeds")
             else:
                 assert r.error is None
 
     def test_sweep_without_runnable_point_reads_nothing(self, small_corpus, monkeypatch):
         reads = []
         monkeypatch.setattr(bench, "take_head_bytes", lambda *args: reads.append(args))
-        spec = SweepSpec(source=small_corpus, presets=("dict-init",), budgets=(200_000, 300_000))
-        reports, _ = run_sweep(spec)
+        with pytest.raises(ValidationError, match="preset dict-init seeds from a supplied"):
+            run_sweep(SweepSpec(source=small_corpus, presets=("dict-init",),
+                                budgets=(200_000, 300_000)))
         assert reads == []
-        assert [r.error.startswith("ValidationError") for r in reports] == [True] * 2
-        assert all("preset dict-init seeds from a supplied dictionary" in r.error
-                   for r in reports)
 
     def test_ingest_seconds_go_to_first_point_that_runs(self, small_corpus, monkeypatch):
-        import time
-
         real = bench.take_head_bytes
         slept = []
 
@@ -638,12 +666,13 @@ class TestSeedingByPreset:
             return real(*args)
 
         monkeypatch.setattr(bench, "take_head_bytes", slow_read)
+        # vecmap-raw's dim=300 fails after ingest at 200 words per side
         spec = SweepSpec(
-            source=small_corpus, budgets=(200_000,), presets=("dict-init", "coocmap"),
-            vocab_size=300, top_eval=200, max_iters=40,
+            source=small_corpus, budgets=(200_000,), presets=("vecmap-raw", "coocmap"),
+            vocab_size=200, top_eval=200, max_iters=40,
         )
         reports, _ = run_sweep(spec)
-        assert reports[0].seconds == 0.0
+        assert reports[0].error.startswith("ValidationError") and reports[0].seconds == 0.0
         assert reports[1].error is None and reports[1].seconds >= 1.0
 
     def test_spec_file_value_that_does_not_convert_names_line_and_key(self, tmp_path):
@@ -707,12 +736,13 @@ class TestSweep:
         assert mask_seconds(csv1) == mask_seconds(csv2)
 
     def test_error_rows_keep_sweeping(self, small_corpus, tmp_path):
+        # at 200 words per side, vecmap-raw's dim=300 fails after ingest
         spec = SweepSpec.from_file(
-            self._spec_file(tmp_path, small_corpus, presets="coocmap,dict-init")
+            self._spec_file(tmp_path, small_corpus, presets="coocmap,vecmap-raw", vocab_size="200")
         )
         reports, csv_text = run_sweep(spec)
         assert len(reports) == 4
-        bad = [r for r in reports if r.preset == "dict-init"]
+        bad = [r for r in reports if r.preset == "vecmap-raw"]
         assert all(r.error for r in bad)
         good = [r for r in reports if r.preset == "coocmap"]
         assert all(r.error is None for r in good)
@@ -857,7 +887,9 @@ class TestSweep:
 
 
 def _point_reports(spec: SweepSpec) -> list[RunReport]:
-    """One public bench call per sweep point, each ingesting on its own."""
+    """One bench call per sweep point, each ingesting on its own: the public
+    entry point of identity and cipher, and `run_point` on its own ingest
+    for crosslingual."""
     dictionary = load_dictionary(spec.dict_path) if spec.dict_path else None
     out = []
     for budget in spec.budgets:
@@ -874,9 +906,11 @@ def _point_reports(spec: SweepSpec) -> list[RunReport]:
                     elif spec.mode == "cipher":
                         out.append(cipher_bench(spec.source, budget, spec.cipher_seed + rep, cfg))
                     else:
-                        out.append(crosslingual_run(
-                            spec.source, spec.target, budget, cfg, dictionary
-                        ))
+                        sides = bench._corpus_pair_sides(spec.source, spec.target, budget, cfg)
+                        acfg = bench._point_config(cfg, dictionary is not None)
+                        out.append(bench.run_point("crosslingual", sides, acfg, asdict(cfg),
+                                                   time.perf_counter(), budget=budget,
+                                                   dictionary=dictionary))
     return out
 
 
@@ -1017,13 +1051,19 @@ class TestSweepSharesIngest:
         # a point whose config resolved records the dim it would have run,
         # as the rows that ran do: vecmap-raw's shipped 300
         presets = ("coocmap", "vecmap-raw", "dict-init")
-        missing, csv_text = run_sweep(self._spec(str(tmp_path / "missing.txt"), presets=presets))
+        dict_path = tmp_path / "dict.txt"
+        dict_path.write_text("a a\n")
+
+        def spec(source, dict_path):
+            return self._spec(source, target=small_corpus, mode="crosslingual",
+                              dict_path=str(dict_path), presets=presets)
+
+        missing, csv_text = run_sweep(spec(str(tmp_path / "missing.txt"), dict_path))
         assert all(r.error.startswith("FileNotFoundError") for r in missing)
         assert [r.dimension for r in missing] == [None, 300, None] * len(self.BUDGETS)
         assert [row.split(",")[2] for row in csv_text.splitlines()[1:4]] == ["", "300", ""]
-        # a missing dictionary fails the budget before any point resolves
-        no_dict, _ = run_sweep(self._spec(small_corpus, target=small_corpus, mode="crosslingual",
-                                          dict_path=str(tmp_path / "nope.txt"), presets=presets))
+        # a missing dictionary fails every point of the budget
+        no_dict, _ = run_sweep(spec(small_corpus, tmp_path / "nope.txt"))
         assert all(r.error.startswith("FileNotFoundError") for r in no_dict)
         assert [r.dimension for r in no_dict] == [None, 300, None] * len(self.BUDGETS)
         # 200 words per side: vecmap-raw's dim=300 fails the point after ingest

@@ -544,8 +544,13 @@ def test_bad_parameter_exits_2_before_reading_files(tmp_path, capsys, command, f
     ("target = t.txt\n", [], "target is a crosslingual input; identity mode does not read it"),
     ("mode = cipher\ndict = nope.txt\n", [],
      "dict is a crosslingual input; cipher mode does not read it"),
+    # every point resolves before the corpus is read, as `coocmap bench` does
+    ("csls_k = 0\n", [], "csls_k and max_iters must be >= 1"),
+    ("dims = 0\n", [], "need dim >= 1, drop_r >= 0, got 0, None"),
+    ("presets = coocmap, dict-init\n", [], "preset dict-init seeds from a supplied dictionary"),
 ], ids=["cipher_seed-in-identity-mode", "workers-0", "workers-negative",
-        "target-in-identity-mode", "dict-in-cipher-mode"])
+        "target-in-identity-mode", "dict-in-cipher-mode", "csls_k-0", "dims-0",
+        "dict-init-without-dict"])
 def test_sweep_bad_parameter_exits_2_before_reading_corpus(
     tmp_path, capsys, monkeypatch, spec_lines, flags, message
 ):
@@ -557,6 +562,8 @@ def test_sweep_bad_parameter_exits_2_before_reading_corpus(
     spec.write_text(f"source = {tmp_path / 'missing.txt'}\nbudgets = 1000\n{spec_lines}")
     rc = main(["sweep", "--spec", str(spec), "--out-csv", str(tmp_path / "s.csv"), *flags])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert (f"{spec}: " in err) == (not flags)  # a spec check names the spec file
     assert reads == []
     assert not (tmp_path / "s.csv").exists()

@@ -197,12 +197,16 @@ class TestSeedFromDictionary:
 
 class TestPredictionsIO:
     def test_round_trip_with_correct_column(self, tmp_path):
-        preds = [Prediction("dog", "chien", 1), Prediction("sun", "lune", 9)]
-        d = Dictionary({"dog": frozenset({"chien"}), "sun": frozenset({"soleil"})})
+        preds = [Prediction("dog", "chien", 1), Prediction("sun", "lune", 9),
+                 Prediction("cat", "lune", 12)]
+        # no target of cat is a target word: precision_at_1 skips it, so the
+        # dump does not flag it
+        d = Dictionary({"dog": frozenset({"chien"}), "sun": frozenset({"soleil"}),
+                        "cat": frozenset({"chat"})})
         p = tmp_path / "preds.tsv"
-        write_predictions(preds, p, d)
+        write_predictions(preds, p, d, {"chien", "lune", "soleil"})
         lines = p.read_text().splitlines()
-        assert lines == ["1\tdog\tchien\t1", "9\tsun\tlune\t0"]
+        assert lines == ["1\tdog\tchien\t1", "9\tsun\tlune\t0", "12\tcat\tlune\t-"]
         assert load_predictions(p) == preds
 
     def test_dash_without_dictionary(self, tmp_path):

@@ -219,13 +219,9 @@ def test_every_preset_executes(name):
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_every_preset_resolves_as_a_bench_point(name):
     """Bench and sweep can run every shipped preset: each one resolves
-    through a bench point's config, dict-init given the dictionary it seeds
-    from."""
+    through a bench point's config, dict-init once told that a dictionary
+    to seed from is given."""
     from coocmap.bench import BenchConfig, _point_config
-    from coocmap.evaluation import Dictionary
 
     preset = get_preset(name)
-    dictionary = None
-    if preset.seed_mode == "dictionary":
-        dictionary = Dictionary({"a": frozenset({"a"})})
-    assert _point_config(BenchConfig(preset=name), dictionary) == preset
+    assert _point_config(BenchConfig(preset=name), preset.seed_mode == "dictionary") == preset
