@@ -31,7 +31,7 @@ from .errors import NumericError, ValidationError
 from .evaluation import (
     Dictionary,
     load_dictionary,
-    precision_at_1,
+    score,
     seed_from_dictionary,
     translate,
     write_predictions,
@@ -72,10 +72,7 @@ class RunReport:
 
     `config` is a bench or sweep point's BenchConfig, and the resolved
     AlignConfig (the preset with its flags applied) of an `induce` run: its
-    fields, so not `metric`, which follows the association. Every run reads
-    counts, so an induce report's `config` has no `vectors` field; reports
-    written by older versions may carry one, and `from_json` still reads
-    them, as `config` is a plain dict.
+    fields, so not `metric`, which follows the association.
 
     `seconds` runs from reading the corpus to scoring. In a sweep, the
     points of one budget share a single ingest: the budget's first point
@@ -105,13 +102,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        d = json.loads(text)
-        d["vocab_sizes"] = tuple(d["vocab_sizes"])
-        d["token_counts"] = tuple(d["token_counts"])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -244,23 +234,27 @@ def run_point(
     preds_out=None,
 ) -> RunReport:
     """The experiment step of every run: align the two sides under `cfg`,
-    translate each source word into the target side's labels, write the
-    optional predictions dump, score it and report it. Per mode:
+    translate each source word into the target side's labels, score the
+    translations, write the optional predictions dump and report. Per mode:
 
     - labels: the target's tokens; cipher first permutes the target counts
       by `pi` (or one drawn from `seed`) and names its words `cipher_labels`.
     - seeding: the preset's alone. dict-init seeds from `dictionary`, as
       checked by `check_seeding`, so never from an answer key.
-    - key and scope: identity scores the tokens both sides share against
-      themselves and cipher against their permuted names, at most `top_eval`
-      of them in source-rank order; crosslingual and induce score every
-      evaluable entry of `dictionary` (none: nothing is scored). The key is
-      built once the run is translated, so it is not alive during alignment.
+    - key and cut: identity keys the tokens both sides share to themselves
+      and cipher to their permuted names (`[UNK]` too, so the bucket is
+      scored as a word), and counts the first `top_eval` in rank order;
+      crosslingual and induce key `dictionary` (none: nothing is scored)
+      with no cut. The key is built once the run is translated, so it is
+      not alive during alignment.
 
-    The dump flags exactly the entries that are scored, less the `top_eval`
-    cut. `record` is the report's `config`, as given; its dimension is the
-    `cfg.dim` that ran and its `seconds` run from `t0`. A failure raises:
-    a sweep records it as that point's error row.
+    One `evaluation.score` call decides which predictions are scored (source
+    in v1 and the key, a target among the labels) and whether each is
+    right; the report counts the first `top_eval` and the dump writes the
+    flag of every scored source. `record` is the report's `config`, as
+    given; its dimension is the `cfg.dim` that ran and its `seconds` run
+    from `t0`. A failure raises: a sweep records it as that point's error
+    row.
     """
     labels = sides.v2.tokens
     if mode == "cipher":
@@ -280,19 +274,18 @@ def run_point(
         key = _shared_key(sides, [labels[j] for j in pi])
     else:
         key, top_eval = dictionary or Dictionary({}), None
-    label_set = frozenset(labels)
+    result = score(preds, key, v1, frozenset(labels), top_eval)
     if preds_out is not None:
-        write_predictions(preds, preds_out, key, label_set)
-    acc, evaluated, correct, no_overlap = precision_at_1(preds, key, v1, label_set, top_eval)
+        write_predictions(preds, preds_out, result.flags)
     return RunReport(
         mode=mode,
         preset=cfg.preset,
         budget_bytes=budget,
         dimension=cfg.dim,
-        accuracy=acc,
-        evaluated=evaluated,
-        correct=correct,
-        no_overlap=no_overlap,
+        accuracy=result.accuracy,
+        evaluated=result.evaluated,
+        correct=result.correct,
+        no_overlap=result.no_overlap,
         seconds=time.perf_counter() - t0,
         vocab_sizes=(v1.size, v2.size),
         token_counts=(sides.C1.token_count, sides.C2.token_count),

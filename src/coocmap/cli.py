@@ -94,14 +94,14 @@ def cmd_induce(ns) -> int:
 
 def cmd_eval(ns) -> int:
     from .corpus import Vocabulary
-    from .evaluation import load_dictionary, load_predictions, precision_at_1
+    from .evaluation import load_dictionary, load_predictions, score
 
     preds = load_predictions(ns.preds)
     dictionary = load_dictionary(ns.dict)
     v1 = Vocabulary.load(ns.vocab1)
     v2 = Vocabulary.load(ns.vocab2)
-    acc, evaluated, correct, _ = precision_at_1(preds, dictionary, v1, v2)
-    print(f"accuracy={acc:.4f} evaluated={evaluated} correct={correct}")
+    result = score(preds, dictionary, v1, v2)
+    print(f"accuracy={result.accuracy:.4f} evaluated={result.evaluated} correct={result.correct}")
     return 0
 
 

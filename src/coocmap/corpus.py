@@ -157,12 +157,13 @@ def take_head_bytes(f, n: int, block_lines: int) -> tuple[str, int]:
         raise ValidationError(f"byte budget must be >= 0, got {n}")
     if block_lines < 1:
         raise ValidationError(f"block_lines must be >= 1, got {block_lines}")
-    start, head = f.tell(), bytearray()
-    while head.count(b"\n") < block_lines:
+    start, head, newlines = f.tell(), bytearray(), 0
+    while newlines < block_lines:
         chunk = f.read(max(min(_READ_BYTES, n - start - len(head)), 0))
         if not chunk:
             break
         head += chunk
+        newlines += chunk.count(b"\n")
     ends = np.flatnonzero(np.frombuffer(head, np.uint8) == ord("\n"))[:block_lines]
     size = int(ends[-1]) + 1 if ends.size else 0
     f.seek(start + size)

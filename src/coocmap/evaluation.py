@@ -1,10 +1,18 @@
 """Dictionary loading, translation extraction, precision@1 scoring, and the
-clipped-pair diagnostic comparing full-rank against reduced matrices."""
+clipped-pair diagnostic comparing full-rank against reduced matrices.
+
+`score` is the one rule for which predictions are scored and whether each
+is right: the source is a source word with a dictionary entry, one of its
+targets is a target label, and the prediction is right when it names one of
+those. Reports (`bench.run_point`), dump flags (`write_predictions`) and
+`coocmap eval` all read it. The identity and cipher answer keys keep the
+`[UNK]` bucket, which both vocabularies hold, so it is scored as a word."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Container, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,36 +70,38 @@ class EvalResult(NamedTuple):
     accuracy: float
     evaluated: int
     correct: int
-    no_overlap: bool = False
+    flags: dict[str, bool]  # every scored source: whether its prediction is right
+
+    @property
+    def no_overlap(self) -> bool:
+        return self.evaluated == 0
 
 
-def precision_at_1(
-    preds: list[Prediction],
+def score(
+    preds: Sequence[Prediction],
     dictionary: Dictionary,
-    v1: Vocabulary,
-    v2: Container[str],
+    v1: Container[str],
+    labels: Container[str],
     limit: int | None = None,
 ) -> EvalResult:
-    """Score only entries whose source is in v1 and whose target set meets v2
-    (the target vocabulary, or any set of target labels), at most `limit` of
-    them in dictionary order; zero evaluable entries report accuracy 0 with
-    the no-overlap flag set."""
-    predicted = {p.source: p.predicted for p in preds}
+    """The scoring rule, in one pass over `preds` (distinct sources) in rank
+    order. A prediction is scored when its source is in v1 and in
+    `dictionary` and one of its targets is among `labels` (the target
+    vocabulary, or any set of target labels); it is right when it predicts
+    one of those targets. Every scored source is flagged; accuracy,
+    evaluated and correct count the first `limit` of them, and none scored
+    reads accuracy 0 with `no_overlap` set."""
+    flags: dict[str, bool] = {}
     evaluated = correct = 0
-    for src, targets in dictionary.entries.items():
-        if evaluated == limit:
-            break
-        if src not in v1 or src not in predicted:
+    for p in sorted(preds, key=attrgetter("rank")):
+        targets = [t for t in dictionary.entries.get(p.source, ()) if t in labels]
+        if not targets or p.source not in v1:
             continue
-        in_vocab = {t for t in targets if t in v2}
-        if not in_vocab:
-            continue
-        evaluated += 1
-        if predicted[src] in in_vocab:
-            correct += 1
-    if evaluated == 0:
-        return EvalResult(0.0, 0, 0, no_overlap=True)
-    return EvalResult(correct / evaluated, evaluated, correct)
+        flags[p.source] = right = p.predicted in targets
+        if evaluated != limit:
+            evaluated += 1
+            correct += right
+    return EvalResult(correct / evaluated if evaluated else 0.0, evaluated, correct, flags)
 
 
 def seed_from_dictionary(
@@ -112,20 +122,12 @@ def seed_from_dictionary(
     return MatchState(s=np.asarray(s), t=np.asarray(t))
 
 
-def write_predictions(
-    preds: list[Prediction], path, dictionary: Dictionary | None = None, v2: Container[str] = ()
-):
+def write_predictions(preds: list[Prediction], path, flags: Mapping[str, bool]):
     """Tab-separated dump of a list of `Prediction`: rank, source, prediction,
-    and correctness ('-' otherwise) where `precision_at_1` scores the entry
-    against the target labels `v2`: its source is in `dictionary` and one of
-    its targets is in v2."""
+    and the flag `score` gave its source (1 right, 0 wrong, '-' not scored)."""
     with open(path, "w", encoding="utf-8") as f:
         for row in preds:
-            flag = "-"
-            if dictionary is not None and row.source in dictionary.entries:
-                in_vocab = {t for t in dictionary.entries[row.source] if t in v2}
-                if in_vocab:
-                    flag = "1" if row.predicted in in_vocab else "0"
+            flag = "-" if row.source not in flags else "1" if flags[row.source] else "0"
             f.write(f"{row.rank}\t{row.source}\t{row.predicted}\t{flag}\n")
 
 

@@ -22,7 +22,7 @@ from coocmap.bench import (
     sweep_summary,
 )
 from coocmap.errors import ValidationError
-from coocmap.evaluation import load_dictionary, load_predictions, precision_at_1
+from coocmap.evaluation import load_dictionary, load_predictions, score
 from coocmap.align import AlignConfig, run_coocmap
 from coocmap.cooc import CoocMatrix, count_cooc
 from coocmap.kernels import pair_sim_matrix
@@ -279,9 +279,9 @@ class TestIdentityBench:
         from coocmap.evaluation import Dictionary
 
         identity = Dictionary({tok: frozenset([tok]) for tok in shared})
-        acc, evaluated, correct, _ = precision_at_1(preds, identity, v1, v2)
-        assert evaluated == report.evaluated
-        assert acc == pytest.approx(report.accuracy)
+        result = score(preds, identity, v1, v2)
+        assert result.evaluated == report.evaluated
+        assert result.accuracy == pytest.approx(report.accuracy)
 
 
 class TestCipherBench:
@@ -313,8 +313,9 @@ class TestCipherBench:
 
     def test_report_json_round_trip(self, small_corpus):
         report = cipher_bench(small_corpus, 400_000, 1, FAST)
-        again = RunReport.from_json(report.to_json())
-        assert again == report
+        d = json.loads(report.to_json())
+        d["vocab_sizes"], d["token_counts"] = tuple(d["vocab_sizes"]), tuple(d["token_counts"])
+        assert RunReport(**d) == report
 
     def test_unpermuted_counts_freed_before_alignment(self, small_corpus, monkeypatch):
         """The target counts are held once: the unpermuted copy is gone
@@ -522,7 +523,7 @@ def _crosslingual_spec(src, tgt, dict_path, **overrides) -> SweepSpec:
     return SweepSpec(**fields)
 
 
-def _count_and_induce(tmp_path, src, tgt, dict_path) -> RunReport:
+def _count_and_induce(tmp_path, src, tgt, dict_path) -> dict:
     """`coocmap count` of both corpora, then `coocmap induce` of coocmap
     tuned as FAST, scored against `dict_path`; its dump is `cli.tsv`."""
     from coocmap.cli import main
@@ -540,7 +541,7 @@ def _count_and_induce(tmp_path, src, tgt, dict_path) -> RunReport:
         "--tol", repr(FAST.tol),
         "--out-report", str(tmp_path / "cli.json"), "--out-preds", str(tmp_path / "cli.tsv"),
     ]) == 0
-    return RunReport.from_json((tmp_path / "cli.json").read_text())
+    return json.loads((tmp_path / "cli.json").read_text())
 
 
 class TestCrosslingual:
@@ -581,10 +582,10 @@ class TestCrosslingual:
         src, tgt, dict_path = _corpus_pair(small_corpus, tmp_path, 300)
         [report], _ = run_sweep(_crosslingual_spec(src, tgt, dict_path))
         induced = _count_and_induce(tmp_path, src, tgt, dict_path)
-        assert induced.evaluated > 100
-        assert (induced.accuracy, induced.evaluated, induced.correct, induced.traces) == (
+        assert induced["evaluated"] > 100
+        assert [induced[k] for k in ("accuracy", "evaluated", "correct", "traces")] == [
             report.accuracy, report.evaluated, report.correct, report.traces
-        )
+        ]
 
     def test_dump_flags_rescore_to_the_report(self, small_corpus, tmp_path):
         """The dump flags exactly the entries the report scores: an entry
@@ -598,8 +599,8 @@ class TestCrosslingual:
         report = _count_and_induce(tmp_path, src, tgt, dict_path)
         rows = [line.split("\t") for line in (tmp_path / "cli.tsv").read_text().splitlines()]
         flags = [flag for _, _, _, flag in rows]
-        assert flags.count("1") == report.correct > 0
-        assert flags.count("0") + flags.count("1") == report.evaluated
+        assert flags.count("1") == report["correct"] > 0
+        assert flags.count("0") + flags.count("1") == report["evaluated"]
         assert [flag for _, source, _, flag in rows if source == unscored] == ["-"]
 
 

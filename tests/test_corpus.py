@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from coocmap.corpus import (
     UNK_ID,
     UNK_TOKEN,
+    _READ_BYTES,
     Vocabulary,
     build_vocab,
     encode,
@@ -134,6 +135,19 @@ class TestTakeHeadBytes:
             f.flush()
             text, size = head_text(f.name, n)
             assert _read(f.name, n, block_lines) == (line_blocks(text, block_lines), size)
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 3])
+    def test_lines_longer_than_a_read(self, tmp_path, block_lines):
+        """Lines that span several reads still form blocks that equal the
+        whole head cut into lines, for budgets inside a line, on a newline
+        and past the end of the file."""
+        R = _READ_BYTES
+        lengths = [2 * R + 5, R, 3, 3 * R + 1, R - 1]  # each with its newline
+        raw = b"".join(b"abcde"[i : i + 1] * (k - 1) + b"\n" for i, k in enumerate(lengths))
+        p = _write(tmp_path, raw)
+        for n in (R // 2, 2 * R + 5, 3 * R + 4, 3 * R + 9, len(raw) - 1, len(raw), 10**9):
+            text, size = head_text(p, n)
+            assert _read(p, n, block_lines) == (line_blocks(text, block_lines), size)
 
 
 class TestTokenize:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coocmap.align import (
     AlignConfig,
@@ -21,7 +23,7 @@ from coocmap.evaluation import (
     clip_diff_report,
     load_dictionary,
     load_predictions,
-    precision_at_1,
+    score,
     seed_from_dictionary,
     translate,
     write_predictions,
@@ -143,6 +145,10 @@ class TestTranslate:
             measure(np.array([0, 2, 3, 4, 5]), np.array([0, 2, 3, 4, 5]))
 
 
+def _counts(r):
+    return r.accuracy, r.evaluated, r.correct, r.no_overlap
+
+
 class TestPrecisionAt1:
     def _vocabs(self):
         v1 = build_vocab(["dog", "cat"], 4)
@@ -153,26 +159,83 @@ class TestPrecisionAt1:
         v1, v2 = self._vocabs()
         d = Dictionary({"dog": frozenset({"chien"}), "cat": frozenset({"chat"})})
         preds = [Prediction("dog", "chien", 1), Prediction("cat", "chat", 2)]
-        assert precision_at_1(preds, d, v1, v2) == (1.0, 2, 2, False)
+        r = score(preds, d, v1, v2)
+        assert _counts(r) == (1.0, 2, 2, False)
+        assert r.flags == {"dog": True, "cat": True}
 
     def test_half_correct(self):
         v1, v2 = self._vocabs()
         d = Dictionary({"dog": frozenset({"chien"}), "cat": frozenset({"chat"})})
         preds = [Prediction("dog", "chien", 1), Prediction("cat", "chien", 2)]
-        assert precision_at_1(preds, d, v1, v2) == (0.5, 2, 1, False)
+        r = score(preds, d, v1, v2)
+        assert _counts(r) == (0.5, 2, 1, False)
+        assert r.flags == {"dog": True, "cat": False}
 
     def test_disjoint_vocab_flags_no_overlap(self):
         v1, v2 = self._vocabs()
         d = Dictionary({"horse": frozenset({"cheval"})})
         preds = [Prediction("dog", "chien", 1)]
-        acc, evaluated, correct, no_overlap = precision_at_1(preds, d, v1, v2)
-        assert (acc, evaluated, correct, no_overlap) == (0.0, 0, 0, True)
+        r = score(preds, d, v1, v2)
+        assert _counts(r) == (0.0, 0, 0, True)
+        assert r.flags == {}
 
     def test_targets_outside_v2_skipped(self):
         v1, v2 = self._vocabs()
         d = Dictionary({"dog": frozenset({"hund"}), "cat": frozenset({"chat"})})
         preds = [Prediction("dog", "chien", 1), Prediction("cat", "chat", 2)]
-        assert precision_at_1(preds, d, v1, v2) == (1.0, 1, 1, False)
+        r = score(preds, d, v1, v2)
+        assert _counts(r) == (1.0, 1, 1, False)
+        assert r.flags == {"cat": True}
+
+    def test_cut_counts_scored_entries_in_rank_order(self):
+        """The cut takes the first scored entries by rank, whatever the
+        dictionary's or the list's order; every scored source is flagged."""
+        v1, v2 = self._vocabs()
+        d = Dictionary({"cat": frozenset({"chat"}), "horse": frozenset({"chat"}),
+                        "dog": frozenset({"chien"})})
+        preds = [Prediction("cat", "chien", 2), Prediction("dog", "chien", 1)]
+        r = score(preds, d, v1, v2, limit=1)
+        assert _counts(r) == (1.0, 1, 1, False)
+        assert r.flags == {"dog": True, "cat": False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=12,
+                 unique_by=lambda p: p[0]),
+        st.dictionaries(st.integers(0, 14), st.frozensets(st.integers(0, 11), min_size=1),
+                        max_size=14),
+        st.frozensets(st.integers(0, 14)),
+        st.frozensets(st.integers(0, 11)),
+        st.one_of(st.none(), st.integers(0, 13)),
+        st.randoms(use_true_random=False),
+    )
+    def test_dump_rescores_to_the_result(self, pairs, entries, v1, labels, limit, rng):
+        """Sources outside v1 or the dictionary, and targets outside the
+        labels, in any list order: the dump's flags, counted as a dump is
+        re-scored (rank order, the first `limit` flagged rows), give the
+        result's evaluated and correct, and flag exactly the predictions
+        with an entry that has a target label."""
+        import tempfile
+        from pathlib import Path
+
+        ranks = rng.sample(range(100), len(pairs))
+        preds = [Prediction(f"s{s}", f"t{t}", rank) for (s, t), rank in zip(pairs, ranks)]
+        d = Dictionary({f"s{s}": frozenset(f"t{t}" for t in ts) for s, ts in entries.items()})
+        v1 = {f"s{s}" for s in v1}
+        labels = {f"t{t}" for t in labels}
+        r = score(preds, d, v1, labels, limit)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "preds.tsv"
+            write_predictions(preds, path, r.flags)
+            assert load_predictions(path) == preds
+            rows = sorted((line.split("\t") for line in path.read_text().splitlines()),
+                          key=lambda row: int(row[0]))
+        flagged = [row[3] for row in rows if row[3] != "-"][:limit]
+        assert (len(flagged), flagged.count("1")) == (r.evaluated, r.correct)
+        assert r.no_overlap == (r.evaluated == 0)
+        keyed = {p.source: d.entries.get(p.source, frozenset()) & labels for p in preds}
+        assert r.flags == {p.source: p.predicted in keyed[p.source]
+                           for p in preds if p.source in v1 and keyed[p.source]}
 
 
 class TestSeedFromDictionary:
@@ -199,12 +262,13 @@ class TestPredictionsIO:
     def test_round_trip_with_correct_column(self, tmp_path):
         preds = [Prediction("dog", "chien", 1), Prediction("sun", "lune", 9),
                  Prediction("cat", "lune", 12)]
-        # no target of cat is a target word: precision_at_1 skips it, so the
-        # dump does not flag it
+        # no target of cat is a target word: score skips it, so the dump
+        # does not flag it
         d = Dictionary({"dog": frozenset({"chien"}), "sun": frozenset({"soleil"}),
                         "cat": frozenset({"chat"})})
         p = tmp_path / "preds.tsv"
-        write_predictions(preds, p, d, {"chien", "lune", "soleil"})
+        labels = {"chien", "lune", "soleil"}
+        write_predictions(preds, p, score(preds, d, {"dog", "sun", "cat"}, labels).flags)
         lines = p.read_text().splitlines()
         assert lines == ["1\tdog\tchien\t1", "9\tsun\tlune\t0", "12\tcat\tlune\t-"]
         assert load_predictions(p) == preds
@@ -212,7 +276,7 @@ class TestPredictionsIO:
     def test_dash_without_dictionary(self, tmp_path):
         preds = [Prediction("a", "b", 0)]
         p = tmp_path / "preds.tsv"
-        write_predictions(preds, p)
+        write_predictions(preds, p, {})
         assert p.read_text() == "0\ta\tb\t-\n"
 
     @pytest.mark.parametrize("text, message", [
