@@ -5,13 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import assoc
 from .assoc import Step
-from .cooc import CoocMatrix
 from .errors import ValidationError
 from .kernels import (
     _blocks,
@@ -100,11 +98,12 @@ READS = {
 @dataclass(frozen=True)
 class AlignConfig:
     """One run's resolved method and tuning; `presets.PRESETS` holds one per
-    named method. Both families start from window counts: `family` "cooc"
-    matches association columns of the counts (`run_staged`), and "vec"
-    rotates the counts' `dim`-dimensional SVD vectors (`run_vecmap`). Every
-    run reads `preset` (the name in reports and errors), `seed_mode`
-    ("unsupervised" or "dictionary"), `csls_k`, `max_iters` and `tol`.
+    named method, and `presets.execute_preset` runs it. Both families start
+    from window counts: `family` "cooc" matches association columns of the
+    counts (`run_staged`), and "vec" rotates the counts' `dim`-dimensional
+    SVD vectors (`run_vecmap`). Every run reads `preset` (the name in
+    reports and errors), `seed_mode` ("unsupervised" or "dictionary"),
+    `csls_k`, `max_iters` and `tol`.
     `READS` says which families read `assoc` (a `CONSTRUCTOR_CHAINS` key; it
     sets `metric`), `clip` (lo, hi percentiles), `drop_r` (stage 2's
     head-drop rank, `drop_schedule`; None: no stage 2) and `dim` (rank
@@ -185,44 +184,40 @@ def unsupervised_init(X: np.ndarray, Z: np.ndarray, cfg: AlignConfig) -> MatchSt
 
 
 def _selflearn(measure, init: MatchState, cfg: AlignConfig, translate: bool = True):
-    """Alternate measuring similarities under (s, t) and re-matching until the
-    objective stops improving. Returns the best state seen, the trace, and
-    the translation: the forward half of the match made from the measurement
-    under the best state, measured once more if no iteration did. With
-    `translate` False (a stage whose state the next stage refines) there is
-    no extra measure, and the translation is None when it would be needed."""
-    state = init
-    best = targets = None
-    best_obj = -math.inf  # every objective is finite: measures are checked
+    """Alternate measuring similarities under (s, t) and re-matching until
+    the objective rises by less than `tol`, at most `max_iters` times.
+
+    The loop keeps its history, the matches made (from `init` on) and the
+    objective trace, and one rule reads it: the best state is the match made
+    from the first highest objective, and its translation is the forward
+    half of the next match if one was made. Otherwise, only when `translate`
+    is set (False: a stage the next one refines), the loop measures once
+    more under the best state; else the translation is None. The history
+    costs 16 (V1 + V2) bytes per iteration: 4.8 MB at V=1500, `max_iters` 100.
+    """
+    history = [init]
     trace: list[float] = []
     for _ in range(cfg.max_iters):
-        S = check_finite(measure(state.s, state.t), "self-learning")
-        obj = objective(S)
-        matched = match_bidirectional(csls(S, cfg.csls_k))
-        if state is best:
-            targets = matched.t[: S.shape[0]]
+        S = check_finite(measure(history[-1].s, history[-1].t), "self-learning")
+        rows = S.shape[0]
+        trace.append(objective(S))
+        history.append(match_bidirectional(csls(S, cfg.csls_k)))
         del S  # csls overwrote it; free it before the next measure
-        state = matched
-        trace.append(obj)
-        if obj > best_obj:
-            best, best_obj, targets = state, obj, None
-        if len(trace) > 1 and obj - trace[-2] < cfg.tol:
+        if len(trace) > 1 and trace[-1] - trace[-2] < cfg.tol:
             break
-    if targets is None and translate:
+    i = int(np.argmax(trace)) + 1  # every objective is finite: measures are checked
+    best = history[i]
+    if i + 1 < len(history):
+        targets = history[i + 1].t[:rows]
+    elif translate:
         S = check_finite(measure(best.s, best.t), "translation")
         targets = csls(S, cfg.csls_k).argmax(axis=1)
+    else:
+        targets = None
     return best, trace, targets
 
 
-Measure = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def cooc_measure(X: np.ndarray, Z: np.ndarray, metric: str) -> Measure:
-    """Similarity of association columns under pairs (s, t): X[:, s] vs Z[:, t]."""
-    return lambda s, t: pair_sim_matrix(X, Z, s, t, metric)
-
-
-def vec_measure(Xv: np.ndarray, Zv: np.ndarray) -> Measure:
+def vec_measure(Xv: np.ndarray, Zv: np.ndarray):
     """Solve an orthogonal map on the pairs (s, t) of unit vectors, then take
     the cosine similarity of the mapped source vectors to the targets."""
     Xn = normalize(Xv)
@@ -238,8 +233,9 @@ def vec_measure(Xv: np.ndarray, Zv: np.ndarray) -> Measure:
 def coocmap_selflearn(
     X: np.ndarray, Z: np.ndarray, init: MatchState, cfg: AlignConfig, translate: bool = True
 ):
-    """Self-learning on association columns (`cooc_measure`)."""
-    return _selflearn(cooc_measure(X, Z, cfg.metric), init, cfg, translate)
+    """Self-learning on association columns: the measure under pairs (s, t)
+    is the similarity of X[:, s] and Z[:, t] (`pair_sim_matrix`)."""
+    return _selflearn(lambda s, t: pair_sim_matrix(X, Z, s, t, cfg.metric), init, cfg, translate)
 
 
 def drop_schedule(drop_r: int, dim: int | None) -> int:
@@ -287,6 +283,7 @@ def run_staged(
     """Stage 1: self-learn on the (optionally clipped) association matrices,
     starting from the sorted-row initializer or a supplied seed. Stage 2, if
     `drop_r` is set: rebuild with head-drop plus clip, re-learn from stage 1.
+    The stages run in one loop, and only the last one translates.
 
     Each side is truncated once; both stages apply their own steps to that
     matrix, so with steps = `stage_steps(cfg, stage2)` every stage's data
@@ -314,29 +311,18 @@ def run_staged(
     """
     A1 = assoc.apply_pipeline(A1, _trunc_steps(cfg))
     A2 = assoc.apply_pipeline(A2, _trunc_steps(cfg))
-    X = assoc.apply_pipeline(A1, _stage_tail(cfg, stage2=False))
-    Z = assoc.apply_pipeline(A2, _stage_tail(cfg, stage2=False))
-    init = seed if seed is not None else unsupervised_init(X, Z, cfg)
-    # a stage 2 replaces stage 1's translation: stage 1 need not measure for it
-    state, trace1, targets = coocmap_selflearn(X, Z, init, cfg, translate=cfg.drop_r is None)
-    traces = [trace1]
-    if cfg.drop_r is not None:
-        del X, Z  # stage 2 builds its own matrices from A1 and A2
-        X = assoc.apply_pipeline(A1, _stage_tail(cfg, stage2=True))
-        Z = assoc.apply_pipeline(A2, _stage_tail(cfg, stage2=True))
-        state, trace2, targets = coocmap_selflearn(X, Z, state, cfg)
-        traces.append(trace2)
+    stage2_flags = [False] if cfg.drop_r is None else [False, True]
+    state, traces = seed, []
+    for stage2 in stage2_flags:
+        X = assoc.apply_pipeline(A1, _stage_tail(cfg, stage2))
+        Z = assoc.apply_pipeline(A2, _stage_tail(cfg, stage2))
+        if state is None:
+            state = unsupervised_init(X, Z, cfg)
+        last = stage2 == stage2_flags[-1]
+        state, trace, targets = coocmap_selflearn(X, Z, state, cfg, translate=last)
+        traces.append(trace)
+        del X, Z  # the next stage builds its own matrices from A1 and A2
     return PipelineRun(state, traces, targets)
-
-
-def run_coocmap(
-    C1: CoocMatrix,
-    C2: CoocMatrix,
-    cfg: AlignConfig,
-    seed: MatchState | None = None,
-) -> PipelineRun:
-    """Full pipeline from raw counts via the config's association constructor."""
-    return run_staged(assoc.build(cfg.assoc, C1), assoc.build(cfg.assoc, C2), cfg, seed)
 
 
 def run_vecmap(

@@ -229,7 +229,6 @@ def run_point(
     top_eval: int | None = None,
     budget: int = 0,
     seed: int | None = None,
-    pi=None,
     dictionary: Dictionary | None = None,
     preds_out=None,
 ) -> RunReport:
@@ -238,7 +237,7 @@ def run_point(
     translations, write the optional predictions dump and report. Per mode:
 
     - labels: the target's tokens; cipher first permutes the target counts
-      by `pi` (or one drawn from `seed`) and names its words `cipher_labels`.
+      by a permutation drawn from `seed` and names its words `cipher_labels`.
     - seeding: the preset's alone. dict-init seeds from `dictionary`, as
       checked by `check_seeding`, so never from an answer key.
     - key and cut: identity keys the tokens both sides share to themselves
@@ -258,8 +257,7 @@ def run_point(
     """
     labels = sides.v2.tokens
     if mode == "cipher":
-        if pi is None:
-            pi = np.random.default_rng(seed).permutation(sides.v2.size)
+        pi = np.random.default_rng(seed).permutation(sides.v2.size)
         sides = replace(sides, C2=permute_cooc(sides.C2, pi))
         labels = cipher_labels(sides.v2.size)
     v1, v2 = sides.v1, sides.v2
@@ -306,17 +304,17 @@ def split_identity_bench(corpus_path, budget: int, cfg: BenchConfig, preds_out=N
 
 
 def cipher_bench(
-    corpus_path, budget: int, seed: int, cfg: BenchConfig, preds_out=None, pi=None
+    corpus_path, budget: int, seed: int, cfg: BenchConfig, preds_out=None
 ) -> RunReport:
-    """Identity benchmark with one side's vocabulary scrambled by a seeded
-    permutation (or an explicit one); scored against the permutation."""
+    """Identity benchmark with one side's vocabulary scrambled by a
+    permutation drawn from `seed`; scored against the permutation."""
     t0 = time.perf_counter()
-    if pi is None and seed < 0:
+    if seed < 0:
         raise ValidationError(f"cipher seed must be >= 0, got {seed}")
     acfg = _point_config(cfg)
     # passed straight in, so the unpermuted target counts die once permuted
     return run_point("cipher", _split_sides(corpus_path, budget, cfg), acfg, asdict(cfg), t0,
-                     top_eval=cfg.top_eval, budget=budget, seed=seed, pi=pi, preds_out=preds_out)
+                     top_eval=cfg.top_eval, budget=budget, seed=seed, preds_out=preds_out)
 
 
 @dataclass(frozen=True)

@@ -132,11 +132,12 @@ def write_predictions(preds: list[Prediction], path, flags: Mapping[str, bool]):
 
 
 def load_predictions(path) -> list[Prediction]:
-    """A `write_predictions` dump as a list of `Prediction`; a malformed line
-    or a rank that is not an integer names its line, and a source listed
-    twice names both lines."""
+    """A `write_predictions` dump as a list of `Prediction`; a malformed line,
+    a rank that is not an integer or a flag other than 0, 1 or '-' names its
+    line, and a source or rank listed twice names both lines."""
     rows: list[Prediction] = []
-    first: dict[str, int] = {}  # line of each source
+    source_line: dict[str, int] = {}
+    rank_line: dict[int, int] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.rstrip("\n").split("\t")
@@ -148,12 +149,16 @@ def load_predictions(path) -> list[Prediction]:
                 raise ValidationError(
                     f"{path}:{lineno}: rank must be an integer, got {parts[0]!r}"
                 ) from None
-            if parts[1] in first:
+            if parts[3] not in ("0", "1", "-"):
                 raise ValidationError(
-                    f"{path}:{lineno}: source {parts[1]!r} listed twice, first on line "
-                    f"{first[parts[1]]}"
+                    f"{path}:{lineno}: flag must be 0, 1 or '-', got {parts[3]!r}"
                 )
-            first[parts[1]] = lineno
+            for what, key, seen in (("source", parts[1], source_line), ("rank", rank, rank_line)):
+                if key in seen:
+                    raise ValidationError(
+                        f"{path}:{lineno}: {what} {key!r} listed twice, first on line {seen[key]}"
+                    )
+                seen[key] = lineno
             rows.append(Prediction(source=parts[1], predicted=parts[2], rank=rank))
     return rows
 

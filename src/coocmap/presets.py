@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .align import AlignConfig, MatchState, PipelineRun, run_coocmap, run_vecmap
-from .assoc import svd_vectors
+from . import assoc
+from .align import AlignConfig, MatchState, PipelineRun, run_staged, run_vecmap
 from .cooc import CoocMatrix
 from .errors import ValidationError
 
@@ -67,8 +67,10 @@ def align_config(
 def execute_preset(
     cfg: AlignConfig, C1: CoocMatrix, C2: CoocMatrix, seed: MatchState | None = None
 ) -> PipelineRun:
-    """Dispatch a resolved config to its pipeline on the two sides' counts,
-    once its sizes are checked."""
+    """Run a resolved config on the two sides' counts, once its sizes are
+    checked: "vec" aligns the counts' SVD vectors (`align.run_vecmap`), and
+    "cooc" builds each side's association through `cfg.assoc`'s chain and
+    aligns them in stages (`align.run_staged`)."""
     v1, v2 = C1.counts.shape[0], C2.counts.shape[0]
     # every similarity matrix is V1 x V2, and `dim` is a rank or a vector
     # width of both sides: fail before building anything
@@ -78,5 +80,6 @@ def execute_preset(
     if cfg.dim is not None and cfg.dim > min(v1, v2):
         raise ValidationError(f"dim={cfg.dim} exceeds {sizes}")
     if cfg.family == "vec":
-        return run_vecmap(svd_vectors(C1, cfg.dim), svd_vectors(C2, cfg.dim), cfg, seed)
-    return run_coocmap(C1, C2, cfg, seed)
+        return run_vecmap(assoc.svd_vectors(C1, cfg.dim), assoc.svd_vectors(C2, cfg.dim), cfg, seed)
+    # looked up on assoc, where perfbench/spans.py rebinds build to time it
+    return run_staged(assoc.build(cfg.assoc, C1), assoc.build(cfg.assoc, C2), cfg, seed)

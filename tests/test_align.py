@@ -1,3 +1,4 @@
+import math
 import weakref
 from dataclasses import replace
 
@@ -9,14 +10,13 @@ from hypothesis.extra.numpy import arrays
 
 from coocmap.align import (
     AlignConfig,
+    _selflearn,
     MatchState,
     coocmap_selflearn,
-    cooc_measure,
     csls,
     drop_schedule,
     match_bidirectional,
     objective,
-    run_coocmap,
     run_vecmap,
     stage_steps,
     unsupervised_init,
@@ -26,8 +26,8 @@ from coocmap.assoc import Step, build
 from coocmap.cooc import CoocMatrix, count_cooc, permute_cooc
 from coocmap.corpus import build_vocab, encode, tokenize
 from coocmap.errors import NumericError, ValidationError
-from coocmap.kernels import pair_sim_matrix
-from coocmap.presets import align_config, get_preset
+from coocmap.kernels import check_finite, pair_sim_matrix
+from coocmap.presets import align_config, execute_preset, get_preset
 from coocmap.synth import generate_corpus
 
 finite = st.floats(-5, 5, allow_nan=False, width=64)
@@ -250,6 +250,86 @@ class TestSelfLearn:
             unsupervised_init(X, toy_assoc(11), cfg)
 
 
+def _selflearn_reference(measure, init: MatchState, cfg: AlignConfig, translate: bool = True):
+    """The loop as it kept its best state and translation in running
+    bookkeeping, before it read them from its history; the oracle of
+    `TestSelfLearnRule`."""
+    state = init
+    best = targets = None
+    best_obj = -math.inf  # every objective is finite: measures are checked
+    trace: list[float] = []
+    for _ in range(cfg.max_iters):
+        S = check_finite(measure(state.s, state.t), "self-learning")
+        obj = objective(S)
+        matched = match_bidirectional(csls(S, cfg.csls_k))
+        if state is best:
+            targets = matched.t[: S.shape[0]]
+        del S  # csls overwrote it; free it before the next measure
+        state = matched
+        trace.append(obj)
+        if obj > best_obj:
+            best, best_obj, targets = state, obj, None
+        if len(trace) > 1 and obj - trace[-2] < cfg.tol:
+            break
+    if targets is None and translate:
+        S = check_finite(measure(best.s, best.t), "translation")
+        targets = csls(S, cfg.csls_k).argmax(axis=1)
+    return best, trace, targets
+
+
+class TestSelfLearnRule:
+    @given(
+        sizes=st.tuples(st.integers(4, 12), st.integers(4, 12)),
+        name=st.sampled_from(["coocmap", "rapp"]),  # the cosine and neg_l1 measures
+        csls_k=st.integers(1, 4),
+        max_iters=st.integers(1, 8),
+        tol=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]),
+        translate=st.booleans(),
+        start=st.sampled_from(["init", "seed"]),
+        flat=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_history_rule_equals_the_bookkeeping_loop(
+        self, sizes, name, csls_k, max_iters, tol, translate, start, flat, seed
+    ):
+        rng = np.random.default_rng(seed)
+        X, Z = (build(name, CoocMatrix((M + M.T).astype(np.float32), 1, "t", 100))
+                for M in (rng.integers(1, 20, size=(V, V)) for V in sizes))
+        cfg = AlignConfig(assoc=name, csls_k=csls_k, max_iters=max_iters, tol=tol)
+        if start == "init":
+            init = unsupervised_init(X, Z, cfg)
+        else:
+            n = int(rng.integers(1, 10))
+            init = MatchState(rng.integers(0, sizes[0], n), rng.integers(0, sizes[1], n))
+
+        def measure(s, t):
+            if not flat:
+                return pair_sim_matrix(X, Z, s, t, cfg.metric)
+            # every row's best is 1.0, where the pairs place it: the
+            # objective ties at every iteration while the matches change
+            r = np.random.default_rng(np.concatenate([s, t]))
+            S = r.random(sizes) / 2
+            S[np.arange(sizes[0]), r.integers(0, sizes[1], sizes[0])] = 1.0
+            return S
+
+        outs, calls = [], []
+        for loop in (_selflearn, _selflearn_reference):
+            counted = []
+            outs.append(loop(lambda s, t: counted.append(1) or measure(s, t), init, cfg, translate))
+            calls.append(len(counted))
+        (best, trace, targets), (want_best, want_trace, want_targets) = outs
+        assert calls[0] == calls[1]
+        assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
+        assert best.s.tobytes() == want_best.s.tobytes()
+        assert best.t.tobytes() == want_best.t.tobytes()
+        if want_targets is None:
+            assert targets is None
+        else:
+            assert targets.dtype == want_targets.dtype
+            assert targets.tobytes() == want_targets.tobytes()
+
+
 class TestCipherOracle:
     def test_selflearn_recovers_permutation(self, tmp_path):
         """200-word synthetic language, one side relabeled by a known
@@ -372,7 +452,7 @@ class TestPipelines:
     def test_stage1_only_matches_manual(self):
         C1, C2 = self._counts(16), self._counts(17)
         cfg = AlignConfig(csls_k=3, max_iters=5)
-        run = run_coocmap(C1, C2, cfg)
+        run = execute_preset(cfg, C1, C2)
         assert len(run.traces) == 1
         X = build("coocmap", C1)
         Z = build("coocmap", C2)
@@ -386,7 +466,7 @@ class TestPipelines:
         cfg = AlignConfig(
             csls_k=3, max_iters=5, clip=(1.0, 99.0), drop_r=2,
         )
-        run = run_coocmap(C1, C2, cfg)
+        run = execute_preset(cfg, C1, C2)
         assert len(run.traces) == 2
 
     def test_truncates_once_per_side(self, monkeypatch):
@@ -439,7 +519,7 @@ class TestPipelines:
 
         monkeypatch.setattr(align, "coocmap_selflearn", recording_selflearn)
         monkeypatch.setattr(assoc, "apply_pipeline", checking_pipeline)
-        run = run_coocmap(C1, C2, cfg)
+        run = execute_preset(cfg, C1, C2)
         assert len(run.traces) == 2
         # the truncation and stage 1 (no refs yet), then stage 2's two sides
         assert alive == [[], [], [], [], [False, False], [False, False]]
@@ -457,21 +537,22 @@ class TestPipelines:
         monkeypatch.setattr(
             align, "pair_sim_matrix", lambda *a: calls.append(a) or pair_sim_matrix(*a)
         )
-        run = run_coocmap(C1, C2, cfg)
+        run = execute_preset(cfg, C1, C2)
         (trace,) = run.traces
         if measures is None:
             assert len(trace) < max_iters and trace[-1] < max(trace)
             measures = len(trace)
         assert len(calls) == measures
-        measure = cooc_measure(build("coocmap", C1), build("coocmap", C2), cfg.metric)
-        want = csls(measure(run.state.s, run.state.t), cfg.csls_k).argmax(axis=1)
+        X, Z = build("coocmap", C1), build("coocmap", C2)
+        S = pair_sim_matrix(X, Z, run.state.s, run.state.t, cfg.metric)
+        want = csls(S, cfg.csls_k).argmax(axis=1)
         assert run.targets.tobytes() == want.tobytes()
 
     def test_dict_seed_fixed_point_on_identical_counts(self):
         C = self._counts(20)
         n = C.size
         seed = MatchState(np.arange(n), np.arange(n))
-        run = run_coocmap(C, C, AlignConfig(csls_k=3, max_iters=10), seed=seed)
+        run = execute_preset(AlignConfig(csls_k=3, max_iters=10), C, C, seed=seed)
         forward = dict(zip(run.state.s.tolist(), run.state.t.tolist()))
         assert all(forward[i] == i for i in range(n))
 

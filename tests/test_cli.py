@@ -175,7 +175,11 @@ def _eval_argv(tmp_path, preds, v1):
     ("0\ta\ta\t-\n", ("[UNK]", "a", "[UNK]"),
      "v1.txt:3: vocabulary tokens must be unique; '[UNK]' is also on line 1"),
     ("0\ta\ta\t-\n", ("a", "b"), "v1.txt: vocabulary must start with '[UNK]' at id 0"),
-], ids=["repeated-source", "repeated-token", "repeated-unk", "no-leading-unk"])
+    ("0\ta\ta\tyes\n", ("[UNK]", "a", "b"), "preds.tsv:1: flag must be 0, 1 or '-', got 'yes'"),
+    ("0\ta\ta\t-\n0\tb\tb\t-\n", ("[UNK]", "a", "b"),
+     "preds.tsv:2: rank 0 listed twice, first on line 1"),
+], ids=["repeated-source", "repeated-token", "repeated-unk", "no-leading-unk", "bad-flag",
+        "repeated-rank"])
 def test_eval_malformed_input_exits_2_naming_the_file(tmp_path, capsys, preds, v1, message):
     assert main(_eval_argv(tmp_path, preds, v1)) == 2
     assert message in capsys.readouterr().err

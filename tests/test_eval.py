@@ -284,7 +284,12 @@ class TestPredictionsIO:
         # scored, the later row would win silently
         ("0\ta\ta\t-\n1\tb\tb\t-\n2\ta\tb\t-\n",
          r"preds\.tsv:3: source 'a' listed twice, first on line 1"),
-    ], ids=["rank", "repeated-source"])
+        # a flag eval does not read, but a dump never writes
+        ("0\ta\ta\t1\n1\tb\tb\tbanana\n", r"preds\.tsv:2: flag must be 0, 1 or '-', got 'banana'"),
+        # the rank order a dump is scored in would be ambiguous
+        ("0\ta\ta\t-\n1\tb\tb\t-\n1\tc\tc\t-\n",
+         r"preds\.tsv:3: rank 1 listed twice, first on line 2"),
+    ], ids=["rank", "repeated-source", "flag", "repeated-rank"])
     def test_malformed_dump_names_its_lines(self, tmp_path, text, message):
         p = tmp_path / "preds.tsv"
         p.write_text(text)

@@ -77,8 +77,9 @@ def forbid_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the checks")
 
-    monkeypatch.setattr(assoc, "build", no_work)
-    for attr in ("svd_vectors", "run_vecmap", "run_coocmap"):
+    for attr in ("build", "svd_vectors"):
+        monkeypatch.setattr(assoc, attr, no_work)
+    for attr in ("run_vecmap", "run_staged"):
         monkeypatch.setattr(presets, attr, no_work)
 
 

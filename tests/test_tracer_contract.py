@@ -2,6 +2,7 @@
 name in the modules that call them. A rename that breaks it fails here, in
 the tier-1 run, instead of only in the benchmark's own smoke test."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -11,7 +12,8 @@ import numpy as np
 from coocmap.align import AlignConfig
 from coocmap.cooc import CoocMatrix
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -39,14 +41,14 @@ def test_recorder_rebinds_every_target_and_restores_it():
     C = CoocMatrix(M + M.T, 1, "t", 500)
     with recorder.installed():
         inside = bound_names(spans.TARGETS)
-        from coocmap import align
+        from coocmap import presets
 
-        align.run_coocmap(C, C, AlignConfig(csls_k=3, max_iters=5))
+        presets.execute_preset(AlignConfig(csls_k=3, max_iters=5), C, C)
     assert all(inside[key] is not fn for key, fn in before.items())
     after = bound_names(spans.TARGETS)
     assert all(after[key] is fn for key, fn in before.items())
     names = [s["name"] for s in recorder.spans]
-    assert "assoc.build" in names and "align.unsupervised_init" in names
+    assert names.count("assoc.build") == 2 and "align.unsupervised_init" in names
     learned = [s for s in recorder.spans if s["name"] == "align.coocmap_selflearn"]
     assert len(learned) == 1 and learned[0]["attrs"]["iterations"] >= 1
 
@@ -87,3 +89,38 @@ def test_recorder_sees_the_experiment_step(tmp_path):
     entry = [s["id"] for s in recorder.spans if s["name"] == "bench.split_identity_bench"]
     assert len(entry) == 1 and all(s["parent"] == entry[0] for s in spans)
     assert report.evaluated == 3 and (tmp_path / "p.tsv").is_file()
+
+
+def unseen_bindings(sources: dict[str, str], targets) -> list[str]:
+    """`module: from .layer import fname` for each module-level import of a
+    traced function into a module (name -> source) the tracer does not
+    rebind it in. Such a module keeps the untraced function, so the layer
+    reads nothing for its calls. An import inside a function reads the
+    module attribute when it runs, and sees the rebinding."""
+    callers = {(layer, fname): names for layer, fname, names in targets}
+    out = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            for alias in node.names:
+                if module not in callers.get((node.module, alias.name), (module,)):
+                    out.append(f"{module}: from .{node.module} import {alias.name}")
+    return out
+
+
+def test_every_imported_target_is_rebound_where_it_is_imported():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "coocmap").glob("*.py"))}
+    assert unseen_bindings(sources, load_spans().TARGETS) == []
+
+
+def test_the_binding_check_sees_a_module_level_import():
+    # assoc.build is rebound in assoc alone: presets would keep its own copy
+    targets = (("assoc", "build", ("assoc",)), ("align", "csls", ("align", "evaluation")))
+    sources = {
+        "presets": "from . import assoc\nfrom .assoc import build, svd_vectors\n",
+        "evaluation": "from .align import csls\n",
+        "cli": "def main():\n    from .assoc import build\n",
+    }
+    assert unseen_bindings(sources, targets) == ["presets: from .assoc import build"]
