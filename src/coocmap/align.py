@@ -256,22 +256,17 @@ class PipelineRun:
     targets: np.ndarray
 
 
-def _trunc_steps(cfg: AlignConfig) -> list[Step]:
-    """The rank truncation both stages start from, if `dim` is set."""
-    return [] if cfg.dim is None else [Step("trunc", (cfg.dim,))]
-
-
-def _stage_tail(cfg: AlignConfig, stage2: bool) -> list[Step]:
-    """A stage's steps after the truncation: clip, after a head-drop in stage 2."""
-    steps = [Step("drop", (drop_schedule(cfg.drop_r, cfg.dim),))] if stage2 else []
-    if cfg.clip is not None:
-        steps.append(Step("clip", cfg.clip))
-    return steps
-
-
-def stage_steps(cfg: AlignConfig, stage2: bool) -> list[Step]:
-    """Pipeline steps appended to the association constructor for a stage."""
-    return _trunc_steps(cfg) + _stage_tail(cfg, stage2)
+def stage_steps(cfg: AlignConfig) -> tuple[list[Step], list[list[Step]]]:
+    """(head, stages): the rank truncation each side takes once, if `dim` is
+    set, and each stage's steps after it: stage 1 clips, if `clip` is set,
+    and stage 2, if `drop_r` is set, drops the head (`drop_schedule`), then
+    clips."""
+    head = [] if cfg.dim is None else [Step("trunc", (cfg.dim,))]
+    clip = [] if cfg.clip is None else [Step("clip", cfg.clip)]
+    stages = [clip]
+    if cfg.drop_r is not None:
+        stages.append([Step("drop", (drop_schedule(cfg.drop_r, cfg.dim),)), *clip])
+    return head, stages
 
 
 def run_staged(
@@ -285,11 +280,10 @@ def run_staged(
     `drop_r` is set: rebuild with head-drop plus clip, re-learn from stage 1.
     The stages run in one loop, and only the last one translates.
 
-    Each side is truncated once; both stages apply their own steps to that
-    matrix, so with steps = `stage_steps(cfg, stage2)` every stage's data
-    equals `assoc.apply_pipeline(assoc.apply_pipeline(A, steps[:1]), steps[1:])`
-    when `dim` is set (the truncation is rounded to float32 on its own), and
-    `assoc.apply_pipeline(A, steps)` when it is not.
+    With (head, stages) = `stage_steps(cfg)`, each side takes `head` once,
+    and each stage's data equals `assoc.apply_pipeline(assoc.apply_pipeline(A,
+    head), steps)`: the truncation is rounded to float32 on its own, and with
+    no `head` the inner call returns the float32 A itself.
 
     Memory, in V^2 float64 units (8 B) beyond the caller's counts, for
     float32 counts and associations: A1 and A2 (0.5 each), and X and Z
@@ -309,17 +303,16 @@ def run_staged(
     stage 2's second side is built beside A1, A2 and its X, 1.5 + 2
     (tracemalloc at V=1000: 4.06 V^2).
     """
-    A1 = assoc.apply_pipeline(A1, _trunc_steps(cfg))
-    A2 = assoc.apply_pipeline(A2, _trunc_steps(cfg))
-    stage2_flags = [False] if cfg.drop_r is None else [False, True]
+    head, stages = stage_steps(cfg)
+    A1 = assoc.apply_pipeline(A1, head)
+    A2 = assoc.apply_pipeline(A2, head)
     state, traces = seed, []
-    for stage2 in stage2_flags:
-        X = assoc.apply_pipeline(A1, _stage_tail(cfg, stage2))
-        Z = assoc.apply_pipeline(A2, _stage_tail(cfg, stage2))
+    for i, steps in enumerate(stages, start=1):
+        X = assoc.apply_pipeline(A1, steps)
+        Z = assoc.apply_pipeline(A2, steps)
         if state is None:
             state = unsupervised_init(X, Z, cfg)
-        last = stage2 == stage2_flags[-1]
-        state, trace, targets = coocmap_selflearn(X, Z, state, cfg, translate=last)
+        state, trace, targets = coocmap_selflearn(X, Z, state, cfg, translate=i == len(stages))
         traces.append(trace)
         del X, Z  # the next stage builds its own matrices from A1 and A2
     return PipelineRun(state, traces, targets)

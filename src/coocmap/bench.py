@@ -9,7 +9,6 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from copy import deepcopy
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import count, repeat
 from typing import Sequence
@@ -77,10 +76,8 @@ class RunReport:
     `seconds` runs from reading the corpus to scoring. In a sweep, the
     points of one budget share a single ingest: the budget's first point
     that runs carries it (with the time of any point that failed before
-    it), and the others cover their own align and score. Only cipher mode
-    depends on the repetition (its permutation seed); in the other modes
-    each (preset, dim) is aligned once and its later repetitions are copies
-    with `seconds` 0.0.
+    it), and the others cover their own align and score. Repetitions are a
+    cipher input: each one draws its own permutation seed.
     """
 
     mode: str
@@ -199,10 +196,17 @@ def check_seeding(cfg: AlignConfig, has_dictionary: bool) -> None:
 
 
 def _point_config(cfg: BenchConfig, has_dictionary: bool = False) -> AlignConfig:
-    """The resolved config of one bench point, once its seeding is checked."""
+    """The resolved config of one bench point, once its seeding is checked
+    and its `dim` and `csls_k` fit `vocab_size`, the most words a side can
+    hold: a point that cannot run fails before any read."""
     acfg = align_config(get_preset(cfg.preset), csls_k=cfg.csls_k, max_iters=cfg.max_iters,
                         tol=cfg.tol, dim=cfg.dim)
     check_seeding(acfg, has_dictionary)
+    for name in ("dim", "csls_k"):
+        value = getattr(acfg, name)
+        if value is not None and value > cfg.vocab_size:
+            raise ValidationError(f"{name}={value} exceeds vocab_size={cfg.vocab_size}, "
+                                  "the most words a side holds")
     return acfg
 
 
@@ -323,12 +327,13 @@ class SweepSpec:
 
     The tuning fields default to BenchConfig's; each point runs as
     `run_point` states. Every point resolves before anything is read, so a
-    point that does not (a bad tuning value or dim, or a preset that needs
-    a dictionary the spec lacks: dict-init without `dict_path`) rejects the
-    spec. `target` and `dict_path` are crosslingual inputs, and the other
-    modes reject them. `cipher_seed` is the first repetition's permutation
-    seed (default 0); only cipher mode reads it, and the other modes reject
-    it.
+    point that does not (a bad tuning value, a dim or csls_k above
+    `vocab_size`, or a preset that needs a dictionary the spec lacks:
+    dict-init without `dict_path`) rejects the spec. `target` and
+    `dict_path` are crosslingual inputs, and the other modes reject them.
+    `repetitions` and `cipher_seed`, the first repetition's permutation seed
+    (default 0), are cipher inputs: the other modes reject `cipher_seed`
+    and more than one repetition, which would only rerun the same point.
     """
 
     source: str
@@ -369,6 +374,10 @@ class SweepSpec:
                 )
         if self.repetitions < 1:
             raise ValidationError("repetitions must be >= 1")
+        if self.repetitions > 1 and self.mode != "cipher":
+            raise ValidationError(
+                f"repetitions draw cipher permutation seeds; {self.mode} mode runs each point once"
+            )
         if self.cipher_seed is not None and self.mode != "cipher":
             raise ValidationError(
                 f"cipher_seed is the cipher permutation seed; {self.mode} mode does not read it"
@@ -442,8 +451,7 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
     ingest of that budget; the spec has resolved every point. A failure to
     read the dictionary or the corpus makes every point an error row, and a
     point that fails to run is one. The first point that runs carries the
-    ingest's time. Outside cipher mode a repetition would rerun the same
-    computation, so it copies the previous row with `seconds` 0.0."""
+    ingest's time."""
     t0 = time.perf_counter()
     points = spec.points()
     ingest = points[0][0]  # the points differ in preset and dim alone
@@ -459,9 +467,6 @@ def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:
     reports = []
     for cfg, acfg in points:
         for rep in range(spec.repetitions):
-            if rep > 0 and spec.mode != "cipher":
-                reports.append(replace(deepcopy(reports[-1]), seconds=0.0))
-                continue
             seed = (spec.cipher_seed or 0) + rep if spec.mode == "cipher" else None
             try:
                 report = run_point(spec.mode, sides, acfg, asdict(cfg), t0, top_eval=cfg.top_eval,

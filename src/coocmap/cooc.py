@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -142,43 +143,45 @@ def _parse_header(raw: bytes, path) -> dict:
 
 
 def load_cooc(path, vocab: Vocabulary | None = None) -> CoocMatrix:
-    """Read a counts file into float32 counts, one row at a time; if a
-    vocabulary is given, verify its digest. A malformed header or a short
-    payload raises IntegrityError naming the key or the shortfall; a value
-    that is not an exact count below `EXACT_COUNTS` (NaN, infinite, negative,
-    fractional or too large) raises NumericError naming the first one."""
+    """Read a counts file into float32 counts, one row at a time. Before the
+    counts are allocated, the header, the vocabulary's digest (if one is
+    given) and the payload's size are checked: a malformed header, a digest
+    mismatch, or a payload other than 8 V^2 bytes raises IntegrityError
+    naming the key, the mismatch or the sizes. Then the first value that is
+    not an exact count below `EXACT_COUNTS` (NaN, infinite, negative,
+    fractional or too large) raises NumericError naming it."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != MAGIC:
             raise IntegrityError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
         (hlen,) = struct.unpack("<I", _read_exact(f, 4, path, "header length"))
         header = _parse_header(_read_exact(f, hlen, path, "header"), path)
+        if vocab is not None and vocab.digest != header["vocab_digest"]:
+            raise IntegrityError(f"{path}: vocabulary digest mismatch")
         V = header["V"]
+        expected, found = 8 * V * V, os.fstat(f.fileno()).st_size - f.tell()
+        if found < expected:
+            raise IntegrityError(
+                f"{path}: truncated counts for V={V}: expected {expected} bytes, read {found}"
+            )
+        if found > expected:
+            raise IntegrityError(
+                f"{path}: {found - expected} trailing bytes after the {expected} bytes of "
+                f"counts for V={V}"
+            )
         counts = np.empty((V, V), dtype=np.float32)
         row = np.empty(V, dtype="<f8")
-        first_bad = None
         for i in range(V):
-            got = f.readinto(row)
-            if got != row.nbytes:
-                raise IntegrityError(
-                    f"{path}: truncated counts for V={V}: expected {V * row.nbytes} bytes, "
-                    f"read {i * row.nbytes + got}"
+            f.readinto(row)
+            # NaN fails every comparison, so it is caught as not exact
+            exact = (row >= 0) & (row < EXACT_COUNTS) & (np.floor(row) == row)
+            if not exact.all():
+                col = int(np.argmin(exact))
+                what = "non-finite count" if not np.isfinite(row[col]) else "count"
+                raise NumericError(
+                    f"{path}: {what} {row[col]} at ({i}, {col}) is not an exact count below 2**24"
                 )
-            if first_bad is None:
-                # NaN fails every comparison, so it is caught as not exact
-                exact = (row >= 0) & (row < EXACT_COUNTS) & (np.floor(row) == row)
-                if not exact.all():
-                    col = int(np.argmin(exact))
-                    first_bad = (i, col, row[col])
             counts[i] = row
-    if vocab is not None and vocab.digest != header["vocab_digest"]:
-        raise IntegrityError(f"{path}: vocabulary digest mismatch")
-    if first_bad is not None:
-        i, col, value = first_bad
-        what = "non-finite count" if not np.isfinite(value) else "count"
-        raise NumericError(
-            f"{path}: {what} {value} at ({i}, {col}) is not an exact count below 2**24"
-        )
     return CoocMatrix(
         counts=counts,
         window=header["m"],

@@ -1,5 +1,5 @@
-"""Dictionary loading, translation extraction, precision@1 scoring, and the
-clipped-pair diagnostic comparing full-rank against reduced matrices.
+"""Dictionary loading and seeding, translation extraction, precision@1
+scoring, and the predictions dump.
 
 `score` is the one rule for which predictions are scored and whether each
 is right: the source is a source word with a dictionary entry, one of its
@@ -162,41 +162,3 @@ def load_predictions(path) -> list[Prediction]:
             rows.append(Prediction(source=parts[1], predicted=parts[2], rank=rank))
     return rows
 
-
-class ClipDiff(NamedTuple):
-    token_i: str
-    token_j: str
-    side: str  # "full-rank+" or "reduced+"
-    magnitude: float
-
-
-def clip_diff_report(
-    X_full: np.ndarray,
-    X_reduced: np.ndarray,
-    thresholds: tuple[float, float],
-    vocab: Vocabulary,
-    top_n: int | None = None,
-) -> list[ClipDiff]:
-    """Pairs clipped in one matrix but not the other, largest change first.
-
-    full-rank+ marks pairs the reduced matrix tamed below the thresholds;
-    reduced+ marks pairs reduction pushed past them.
-    """
-    Xf = np.asarray(X_full, dtype=np.float64)
-    Xr = np.asarray(X_reduced, dtype=np.float64)
-    if Xf.shape != Xr.shape:
-        raise ValidationError(f"shape mismatch: {Xf.shape} vs {Xr.shape}")
-    lo, hi = thresholds
-    full_clipped = (Xf < lo) | (Xf > hi)
-    red_clipped = (Xr < lo) | (Xr > hi)
-    diff = np.abs(Xf - Xr)
-    out: list[ClipDiff] = []
-    for mask, side in [
-        (full_clipped & ~red_clipped, "full-rank+"),
-        (red_clipped & ~full_clipped, "reduced+"),
-    ]:
-        ii, jj = np.nonzero(mask)
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            out.append(ClipDiff(vocab.tokens[i], vocab.tokens[j], side, float(diff[i, j])))
-    out.sort(key=lambda r: -r.magnitude)
-    return out[:top_n] if top_n is not None else out

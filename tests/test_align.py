@@ -438,11 +438,13 @@ class TestPipelines:
 
     def test_stage_steps_keep_parameters_exactly(self):
         plain = AlignConfig(clip=(1.0, 99.0), drop_r=20, dim=300)
-        trunc, clip = Step("trunc", (300,)), Step("clip", (1.0, 99.0))
-        assert stage_steps(plain, False) == [trunc, clip]
-        assert stage_steps(plain, True) == [trunc, Step("drop", (15,)), clip]
+        clip = Step("clip", (1.0, 99.0))
+        head, stages = stage_steps(plain)
+        assert head == [Step("trunc", (300,))]
+        assert stages == [[clip], [Step("drop", (15,)), clip]]
         odd = AlignConfig(clip=(1.2345678, 98.7654321))
-        assert stage_steps(odd, False) == [Step("clip", (1.2345678, 98.7654321))]
+        assert stage_steps(odd) == ([], [[Step("clip", (1.2345678, 98.7654321))]])
+        assert stage_steps(AlignConfig(drop_r=3)) == ([], [[], [Step("drop", (3,))]])
 
     def _counts(self, seed, V=10):
         rng = np.random.default_rng(seed)
@@ -475,10 +477,11 @@ class TestPipelines:
         C1, C2 = self._counts(22, V=14), self._counts(23, V=14)
         cfg = align_config(get_preset("coocmap-drop"), csls_k=3, max_iters=5, dim=6)
         A1, A2 = build("coocmap", C1), build("coocmap", C2)
-        # one rounding after the truncation, one after each stage's tail
+        # one rounding after the truncation, one after each stage's steps
+        head, stages = stage_steps(cfg)
         expected = [
-            assoc.apply_pipeline(assoc.apply_pipeline(A, steps[:1]), steps[1:])
-            for steps in (stage_steps(cfg, False), stage_steps(cfg, True)) for A in (A1, A2)
+            assoc.apply_pipeline(assoc.apply_pipeline(A, head), steps)
+            for steps in stages for A in (A1, A2)
         ]
         trunc_calls, seen = [], []
         real_trunc, real_selflearn = assoc._STEPS["trunc"], align.coocmap_selflearn

@@ -28,9 +28,19 @@ from coocmap.cooc import CoocMatrix, count_cooc
 from coocmap.kernels import pair_sim_matrix
 from coocmap.corpus import Vocabulary, build_vocab, encode, tokenize
 from coocmap.presets import execute_preset
+from coocmap.synth import generate_corpus
 from splits import alternate_blocks, head_text, line_blocks
 
 FAST = BenchConfig(preset="coocmap", vocab_size=300, top_eval=200, max_iters=40)
+
+
+@pytest.fixture(scope="module")
+def few_words_corpus(tmp_path_factory):
+    """A corpus of 60 distinct words: a point whose dim fits vocab_size but
+    not the 61 words of a side ([UNK] included) fails after ingest."""
+    path = tmp_path_factory.mktemp("data") / "few.txt"
+    generate_corpus(path, 300_000, seed=11, n_types=60, n_companions=6)
+    return str(path)
 
 
 def mask_seconds(csv_text: str) -> str:
@@ -640,24 +650,49 @@ class TestSeedingByPreset:
         assert reads == []
 
     @pytest.mark.parametrize("mode", ["identity", "cipher", "crosslingual"])
-    def test_sweep_error_row_per_point(self, small_corpus, mode):
-        # dict-init without a dictionary rejects the spec; at 200 words per
-        # side vecmap-raw's dim=300 fails each of its points after ingest,
-        # one error row each, and the sweep goes on
+    def test_sweep_error_row_per_point(self, few_words_corpus, mode):
+        # dict-init without a dictionary rejects the spec; vecmap-raw's
+        # dim=300 fits vocab_size=300 but not the corpus's 61 words, so each
+        # of its points fails after ingest, one error row each, and the
+        # sweep goes on
+        reps = 2 if mode == "cipher" else 1
         fields = dict(
-            source=small_corpus, target=small_corpus if mode == "crosslingual" else None,
-            mode=mode, budgets=(200_000, 300_000), repetitions=2, vocab_size=200,
+            source=few_words_corpus,
+            target=few_words_corpus if mode == "crosslingual" else None,
+            mode=mode, budgets=(200_000, 300_000), repetitions=reps, vocab_size=300,
             top_eval=200, max_iters=40,
         )
         with pytest.raises(ValidationError, match="preset dict-init seeds from a supplied"):
             SweepSpec(presets=("dict-init", "coocmap"), **fields)
         reports, _ = run_sweep(SweepSpec(presets=("vecmap-raw", "coocmap"), **fields))
-        assert [r.preset for r in reports] == (["vecmap-raw"] * 2 + ["coocmap"] * 2) * 2
+        assert [r.preset for r in reports] == (["vecmap-raw"] * reps + ["coocmap"] * reps) * 2
         for r in reports:
             if r.preset == "vecmap-raw":
                 assert r.error.startswith("ValidationError: dim=300 exceeds")
             else:
                 assert r.error is None
+
+    @pytest.mark.parametrize("preset, dims, csls_k, message", [
+        ("vecmap-raw", (), 10, "dim=300 exceeds vocab_size=200"),  # the shipped dim
+        ("coocmap", (8, 201), 10, "dim=201 exceeds vocab_size=200"),
+        ("coocmap", (), 201, "csls_k=201 exceeds vocab_size=200"),
+    ])
+    def test_point_beyond_vocab_size_fails_before_ingest(
+        self, small_corpus, monkeypatch, preset, dims, csls_k, message
+    ):
+        # a side holds at most vocab_size words, so the point cannot run
+        reads = []
+        monkeypatch.setattr(bench, "take_head_bytes", lambda *args: reads.append(args))
+        with pytest.raises(ValidationError, match=message):
+            SweepSpec(source=small_corpus, budgets=(200_000,), presets=(preset,), dims=dims,
+                      csls_k=csls_k, vocab_size=200)
+        cfg = replace(FAST, preset=preset, dim=dims[-1] if dims else None, csls_k=csls_k,
+                      vocab_size=200)
+        for run in (lambda: split_identity_bench(small_corpus, 200_000, cfg),
+                    lambda: cipher_bench(small_corpus, 200_000, 1, cfg)):
+            with pytest.raises(ValidationError, match=message):
+                run()
+        assert reads == []
 
     def test_sweep_without_runnable_point_reads_nothing(self, small_corpus, monkeypatch):
         reads = []
@@ -667,7 +702,7 @@ class TestSeedingByPreset:
                                 budgets=(200_000, 300_000)))
         assert reads == []
 
-    def test_ingest_seconds_go_to_first_point_that_runs(self, small_corpus, monkeypatch):
+    def test_ingest_seconds_go_to_first_point_that_runs(self, few_words_corpus, monkeypatch):
         real = bench.take_head_bytes
         slept = []
 
@@ -677,10 +712,10 @@ class TestSeedingByPreset:
             return real(*args)
 
         monkeypatch.setattr(bench, "take_head_bytes", slow_read)
-        # vecmap-raw's dim=300 fails after ingest at 200 words per side
+        # vecmap-raw's dim=300 fails after ingest at 61 words per side
         spec = SweepSpec(
-            source=small_corpus, budgets=(200_000,), presets=("vecmap-raw", "coocmap"),
-            vocab_size=200, top_eval=200, max_iters=40,
+            source=few_words_corpus, budgets=(200_000,), presets=("vecmap-raw", "coocmap"),
+            vocab_size=300, top_eval=200, max_iters=40,
         )
         reports, _ = run_sweep(spec)
         assert reports[0].error.startswith("ValidationError") and reports[0].seconds == 0.0
@@ -746,10 +781,10 @@ class TestSweep:
         _, csv2 = run_sweep(spec)
         assert mask_seconds(csv1) == mask_seconds(csv2)
 
-    def test_error_rows_keep_sweeping(self, small_corpus, tmp_path):
-        # at 200 words per side, vecmap-raw's dim=300 fails after ingest
+    def test_error_rows_keep_sweeping(self, few_words_corpus, tmp_path):
+        # at 61 words per side, vecmap-raw's dim=300 fails after ingest
         spec = SweepSpec.from_file(
-            self._spec_file(tmp_path, small_corpus, presets="coocmap,vecmap-raw", vocab_size="200")
+            self._spec_file(tmp_path, few_words_corpus, presets="coocmap,vecmap-raw")
         )
         reports, csv_text = run_sweep(spec)
         assert len(reports) == 4
@@ -972,11 +1007,17 @@ class TestSweepSharesIngest:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(bench, "count_cooc", counting)
-        reports, _ = run_sweep(self._spec(small_corpus, repetitions=2))
+        reports, _ = run_sweep(self._spec(small_corpus, mode="cipher", repetitions=2))
         assert len(reports) == 2 * 2 * len(self.BUDGETS)
         assert len(calls) == 2 * len(self.BUDGETS)
 
     def test_identity_repetitions_align_once(self, small_corpus, monkeypatch):
+        # a repetition outside cipher mode would rerun the same point, so
+        # the spec rejects it, and each (preset, dim) point aligns once
+        for mode, target in (("identity", None), ("crosslingual", small_corpus)):
+            with pytest.raises(ValidationError, match=f"repetitions draw cipher permutation "
+                                                      f"seeds; {mode} mode runs each point once"):
+                self._spec(small_corpus, mode=mode, target=target, repetitions=2)
         calls = []
         real = bench.execute_preset
 
@@ -984,14 +1025,13 @@ class TestSweepSharesIngest:
             calls.append(args[0].preset)
             return real(*args, **kwargs)
 
-        spec = self._spec(small_corpus, repetitions=2, dims=(4, 8))
+        spec = self._spec(small_corpus, budgets=self.BUDGETS[:1], dims=(4, 8))
         monkeypatch.setattr(bench, "execute_preset", counting)
-        reports, csv_text = run_sweep(spec)
-        assert len(calls) == len(spec.presets) * len(spec.dims) * len(self.BUDGETS)
-        assert len(reports) == 2 * len(calls)
-        assert all(r.seconds == 0.0 for r in reports[1::2])
-        monkeypatch.setattr(bench, "execute_preset", real)
-        assert mask_seconds(csv_text) == mask_seconds(sweep_csv(_point_reports(spec)))
+        reports, _ = run_sweep(spec)
+        assert calls == ["coocmap", "coocmap", "ppmi", "ppmi"]
+        assert [(r.preset, r.dimension, r.error) for r in reports] == [
+            (p, d, None) for p in spec.presets for d in spec.dims
+        ]
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected_before_any_read(self, small_corpus, monkeypatch, workers):
@@ -1050,7 +1090,7 @@ class TestSweepSharesIngest:
             run_sweep(self._spec(small_corpus))
 
     def test_missing_source_one_error_row_per_point(self, tmp_path):
-        spec = self._spec(str(tmp_path / "missing.txt"), repetitions=2)
+        spec = self._spec(str(tmp_path / "missing.txt"), mode="cipher", repetitions=2)
         reports, csv_text = run_sweep(spec)
         assert [(r.budget_bytes, r.preset) for r in reports] == [
             (b, p) for b in self.BUDGETS for p in spec.presets for _ in range(2)
@@ -1058,7 +1098,8 @@ class TestSweepSharesIngest:
         assert all(r.error.startswith("FileNotFoundError") for r in reports)
         assert csv_text.count("FileNotFoundError") == len(reports)
 
-    def test_error_rows_record_the_resolved_dimension(self, small_corpus, tmp_path):
+    def test_error_rows_record_the_resolved_dimension(self, small_corpus, few_words_corpus,
+                                                      tmp_path):
         # a point whose config resolved records the dim it would have run,
         # as the rows that ran do: vecmap-raw's shipped 300
         presets = ("coocmap", "vecmap-raw", "dict-init")
@@ -1077,9 +1118,9 @@ class TestSweepSharesIngest:
         no_dict, _ = run_sweep(spec(small_corpus, tmp_path / "nope.txt"))
         assert all(r.error.startswith("FileNotFoundError") for r in no_dict)
         assert [r.dimension for r in no_dict] == [None, 300, None] * len(self.BUDGETS)
-        # 200 words per side: vecmap-raw's dim=300 fails the point after ingest
-        failed, _ = run_sweep(self._spec(small_corpus, budgets=(300_000,), presets=("vecmap-raw",),
-                                         vocab_size=200))
+        # 61 words per side: vecmap-raw's dim=300 fails the point after ingest
+        failed, _ = run_sweep(self._spec(few_words_corpus, budgets=(300_000,),
+                                         presets=("vecmap-raw",)))
         assert failed[0].error.startswith("ValidationError: dim=300 exceeds")
         assert failed[0].dimension == 300
 

@@ -451,6 +451,23 @@ def test_malformed_cooc_header_exits_2(tmp_path, capsys):
     assert "c.bin: header key 'V'" in capsys.readouterr().err
 
 
+def test_huge_cooc_header_without_payload_exits_2(tmp_path, capsys):
+    # the payload's size is checked before V x V counts are allocated
+    (tmp_path / "v.txt").write_text("[UNK]\na\n")
+    digest = Vocabulary.load(tmp_path / "v.txt").digest
+    raw = json.dumps({"V": 1_000_000, "m": 1, "token_count": 3, "vocab_digest": digest})
+    (tmp_path / "c.bin").write_bytes(b"COOCMAT1" + len(raw).to_bytes(4, "little") + raw.encode())
+    rc = main([
+        "induce", "--cooc1", str(tmp_path / "c.bin"), "--cooc2", str(tmp_path / "c.bin"),
+        "--vocab1", str(tmp_path / "v.txt"), "--vocab2", str(tmp_path / "v.txt"),
+        "--preset", "coocmap",
+        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
+    ])
+    assert rc == 2
+    assert "c.bin: truncated counts for V=1000000: expected 8000000000000 bytes, read 0" \
+        in capsys.readouterr().err
+
+
 def test_induce_dict_init_fails_before_reading_counts(tmp_path, capsys):
     rc = main([
         "induce", "--cooc1", str(tmp_path / "no1.bin"), "--cooc2", str(tmp_path / "no2.bin"),
@@ -525,6 +542,8 @@ def test_induce_dim_beyond_vocabulary_exits_2(counted, tmp_path, capsys, preset,
     ("bench", ["--mode", "cipher", "--seed", "-1"], "cipher seed must be >= 0, got -1"),
     ("bench", ["--seed", "5"], "--seed is the cipher permutation seed; --mode identity does not"),
     ("bench", ["--mode", "identity", "--seed", "0"], "--mode identity does not read it"),
+    ("bench", ["--preset", "vecmap-raw", "--vocab-size", "200"], "dim=300 exceeds vocab_size=200"),
+    ("bench", ["--csls-k", "11", "--vocab-size", "10"], "csls_k=11 exceeds vocab_size=10"),
 ])
 def test_bad_parameter_exits_2_before_reading_files(tmp_path, capsys, command, flags, message):
     missing = str(tmp_path / "missing")
@@ -552,9 +571,11 @@ def test_bad_parameter_exits_2_before_reading_files(tmp_path, capsys, command, f
     ("csls_k = 0\n", [], "csls_k and max_iters must be >= 1"),
     ("dims = 0\n", [], "need dim >= 1, drop_r >= 0, got 0, None"),
     ("presets = coocmap, dict-init\n", [], "preset dict-init seeds from a supplied dictionary"),
+    ("presets = vecmap-raw\nvocab_size = 200\n", [], "dim=300 exceeds vocab_size=200"),
+    ("repetitions = 2\n", [], "repetitions draw cipher permutation seeds; identity mode"),
 ], ids=["cipher_seed-in-identity-mode", "workers-0", "workers-negative",
         "target-in-identity-mode", "dict-in-cipher-mode", "csls_k-0", "dims-0",
-        "dict-init-without-dict"])
+        "dict-init-without-dict", "dim-beyond-vocab_size", "repetitions-in-identity-mode"])
 def test_sweep_bad_parameter_exits_2_before_reading_corpus(
     tmp_path, capsys, monkeypatch, spec_lines, flags, message
 ):

@@ -225,6 +225,21 @@ class TestSerialization:
         with pytest.raises(IntegrityError):
             load_cooc(tmp_path / "c.bin", other)
 
+    def test_digest_is_checked_before_the_payload(self, tmp_path):
+        # a wrong vocabulary fails before its V x V counts are sized or read
+        write_with_header(tmp_path / "c.bin", {**GOOD_HEADER, "V": 1_000_000})
+        with pytest.raises(IntegrityError, match=r"c\.bin: vocabulary digest mismatch"):
+            load_cooc(tmp_path / "c.bin", build_vocab(["x", "y"], 3))
+
+    def test_trailing_bytes_are_an_integrity_error(self, tmp_path):
+        vocab = build_vocab(["a", "b", "a", "c"], 4)
+        save_cooc(count_cooc(encode([["a", "b", "a", "c"]], vocab), 2), tmp_path / "c.bin")
+        with open(tmp_path / "c.bin", "ab") as f:
+            f.write(bytes(8))
+        with pytest.raises(IntegrityError, match=r"c\.bin: 8 trailing bytes after the 128 bytes "
+                                                 r"of counts for V=4"):
+            load_cooc(tmp_path / "c.bin", vocab)
+
     @pytest.mark.parametrize("cut", [8, 1])
     def test_truncated_payload(self, tmp_path, cut):
         vocab = build_vocab(["a", "b", "a", "c"], 4)
@@ -291,6 +306,13 @@ class TestMalformedHeader:
             load_cooc(tmp_path / "c.bin")
         assert "c.bin" in str(e.value)
         assert (repr(key) if key else "not an object") in str(e.value)
+
+    def test_huge_v_without_payload_is_truncated_before_allocating(self, tmp_path):
+        # 1e6 x 1e6 float32 counts would be 3.64 TiB: the size check comes first
+        write_with_header(tmp_path / "c.bin", {**GOOD_HEADER, "V": 1_000_000})
+        with pytest.raises(IntegrityError, match=r"c\.bin: truncated counts for V=1000000: "
+                                                 r"expected 8000000000000 bytes, read 32"):
+            load_cooc(tmp_path / "c.bin")
 
     def test_header_not_json(self, tmp_path):
         raw = b"{not json"

@@ -17,10 +17,8 @@ from coocmap.cooc import CoocMatrix
 from coocmap.corpus import build_vocab
 from coocmap.errors import NumericError, ValidationError
 from coocmap.evaluation import (
-    ClipDiff,
     Dictionary,
     Prediction,
-    clip_diff_report,
     load_dictionary,
     load_predictions,
     score,
@@ -28,7 +26,7 @@ from coocmap.evaluation import (
     translate,
     write_predictions,
 )
-from coocmap.kernels import clip_thresholds, normalize, pair_sim_matrix, procrustes, sim_matrix
+from coocmap.kernels import normalize, pair_sim_matrix, procrustes, sim_matrix
 from coocmap.presets import align_config, execute_preset, get_preset
 
 
@@ -297,64 +295,6 @@ class TestPredictionsIO:
             load_predictions(p)
 
 
-class TestClipDiffReport:
-    def _vocab(self, n):
-        return build_vocab([f"w{i}" for i in range(1, n)] * 2, n)
-
-    def test_identical_matrices_empty(self):
-        X = np.random.default_rng(4).random((4, 4))
-        assert clip_diff_report(X, X, (0.2, 0.8), self._vocab(4)) == []
-
-    def test_engineered_outlier_is_full_rank_plus(self):
-        X = np.full((3, 3), 0.5)
-        Y = X.copy()
-        X[1, 2] = 5.0  # clipped in the full matrix only
-        vocab = self._vocab(3)
-        report = clip_diff_report(X, Y, (0.0, 1.0), vocab)
-        assert report == [
-            ClipDiff(vocab.tokens[1], vocab.tokens[2], "full-rank+", 4.5)
-        ]
-
-    def test_sides_disjoint_and_sorted(self):
-        rng = np.random.default_rng(5)
-        Xf, Xr = rng.random((6, 6)), rng.random((6, 6))
-        lo, hi = clip_thresholds(Xf, 10, 90)
-        report = clip_diff_report(Xf, Xr, (lo, hi), self._vocab(6))
-        pairs = {}
-        for r in report:
-            assert r.side in ("full-rank+", "reduced+")
-            assert (r.token_i, r.token_j) not in pairs
-            pairs[(r.token_i, r.token_j)] = r.side
-        mags = [r.magnitude for r in report]
-        assert mags == sorted(mags, reverse=True)
-
-    def test_matches_brute_force_sets(self):
-        rng = np.random.default_rng(6)
-        Xf, Xr = rng.random((5, 5)), rng.random((5, 5))
-        lo, hi = 0.3, 0.7
-        vocab = self._vocab(5)
-        report = clip_diff_report(Xf, Xr, (lo, hi), vocab)
-        got_full = {(r.token_i, r.token_j) for r in report if r.side == "full-rank+"}
-        got_red = {(r.token_i, r.token_j) for r in report if r.side == "reduced+"}
-        expect_full, expect_red = set(), set()
-        for i in range(5):
-            for j in range(5):
-                f_clip = Xf[i, j] < lo or Xf[i, j] > hi
-                r_clip = Xr[i, j] < lo or Xr[i, j] > hi
-                if f_clip and not r_clip:
-                    expect_full.add((vocab.tokens[i], vocab.tokens[j]))
-                if r_clip and not f_clip:
-                    expect_red.add((vocab.tokens[i], vocab.tokens[j]))
-        assert got_full == expect_full and got_red == expect_red
-
-    def test_top_n_limits(self):
-        rng = np.random.default_rng(7)
-        Xf, Xr = rng.random((5, 5)), rng.random((5, 5))
-        full = clip_diff_report(Xf, Xr, (0.3, 0.7), self._vocab(5))
-        top = clip_diff_report(Xf, Xr, (0.3, 0.7), self._vocab(5), top_n=3)
-        assert top == full[:3]
-
-
 def _unrelated_counts(V=30):
     """Two independent random count matrices: with no true translation to
     find, the predictions depend on every detail of the measure."""
@@ -386,8 +326,8 @@ class TestTranslateRanksTheRunsMeasure:
             cfg = align_config(get_preset(name), csls_k=3, max_iters=max_iters, dim=dim)
             run = execute_preset(cfg, C1, C2)
             A1, A2 = build(cfg.assoc, C1), build(cfg.assoc, C2)
-            steps = stage_steps(cfg, stage2=cfg.drop_r is not None)
-            X, Z = apply_pipeline(A1, steps), apply_pipeline(A2, steps)
+            head, stages = stage_steps(cfg)
+            X, Z = (apply_pipeline(apply_pipeline(A, head), stages[-1]) for A in (A1, A2))
             S = pair_sim_matrix(X, Z, run.state.s, run.state.t, cfg.metric)
             want = csls(S, cfg.csls_k).argmax(axis=1)
             np.testing.assert_array_equal(

@@ -124,3 +124,55 @@ def test_the_binding_check_sees_a_module_level_import():
         "cli": "def main():\n    from .assoc import build\n",
     }
     assert unseen_bindings(sources, targets) == ["presets: from .assoc import build"]
+
+
+def untraced_noqa_imports(sources: dict[str, str], targets) -> list[str]:
+    """`module: from .layer import name` for each name a `# noqa: F401`
+    import binds in a module (name -> source) that the module never reads
+    and the tracer does not rebind there. Such an import is kept only for
+    the tracer, so once the tracer stops rebinding it, it is dead."""
+    callers = {(layer, fname): names for layer, fname, names in targets}
+    out = []
+    for module, source in sources.items():
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if "# noqa: F401" not in "\n".join(lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            layer = getattr(node, "module", None)  # a plain import rebinds nothing
+            where = f"from {'.' * node.level}{layer} import" if layer else "import"
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and module not in callers.get((layer, alias.name), ()):
+                    out.append(f"{module}: {where} {name}")
+    return out
+
+
+def test_every_tracer_only_import_is_rebound_there():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "coocmap").glob("*.py"))}
+    assert untraced_noqa_imports(sources, load_spans().TARGETS) == []
+
+
+def test_the_tracer_only_import_check_sees_an_unrebound_name():
+    # csls is rebound in evaluation, so its unread import stays; sim_matrix
+    # is not, and MatchState is read, so it needs no rebinding
+    targets = (("align", "csls", ("align", "evaluation")), ("kernels", "sim_matrix", ("align",)))
+    sources = {
+        "evaluation": (
+            "from .align import MatchState, csls  # noqa: F401\n"
+            "from .kernels import (  # noqa: F401\n"
+            "    sim_matrix,\n"
+            ")\n"
+            "def f(state: MatchState):\n"
+            "    pass\n"
+        ),
+        "bench": "from .align import csls\n",  # not marked: the unused-import check's case
+        "cli": "import json  # noqa: F401\n",
+    }
+    assert untraced_noqa_imports(sources, targets) == [
+        "evaluation: from .kernels import sim_matrix", "cli: import json",
+    ]

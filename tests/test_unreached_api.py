@@ -19,8 +19,6 @@ READERS = ROOT / "perfbench"
 
 # kept though no code reaches them, each with its reason
 KEPT = {
-    "align.stage_steps": "states run_staged's replay contract, which tests replay through",
-    "evaluation.clip_diff_report": "ROADMAP item 12 deletes it unless item 7 wires it to the CLI",
     "synth.generate_corpus": "builds the acceptance suite's corpus",
 }
 
