@@ -150,6 +150,14 @@ class AlignConfig:
         if self.clip is not None:
             check_percentiles(*self.clip)
 
+    def check_fits(self, words: int, limit: str) -> None:
+        """Reject a `dim` or `csls_k` above `words`, the most words a side
+        holds, as `limit` names it: each is a size of both sides' matrices."""
+        for name in ("dim", "csls_k"):
+            value = getattr(self, name)
+            if value is not None and value > words:
+                raise ValidationError(f"{name}={value} exceeds {limit}")
+
 
 def _profile(A: np.ndarray, width: int) -> np.ndarray:
     """A's rows sorted ascending, cut to `width`, normalized in that buffer:

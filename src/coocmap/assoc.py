@@ -131,12 +131,12 @@ def build(name: str, C: CoocMatrix) -> np.ndarray:
     return _run_steps(C.counts, CONSTRUCTOR_CHAINS[name])
 
 
-def svd_vectors(C: CoocMatrix, r: int = 300) -> np.ndarray:
+def svd_vectors(C: CoocMatrix, r: int) -> np.ndarray:
     """Left singular vectors of sqrt(counts) scaled by the top-r values."""
     if not 1 <= r <= C.size:
         raise ValidationError(f"vector dimension must be in [1, V={C.size}], got {r}")
-    f = kernels.svd(kernels.epow(C.counts, 0.5))
-    return f.U[:, :r] * f.S[:r]
+    U, S, _ = kernels.svd(kernels.epow(C.counts, 0.5))
+    return U[:, :r] * S[:r]
 
 
 def apply_pipeline(A: np.ndarray, steps) -> np.ndarray:

@@ -9,7 +9,7 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import count, repeat
 from typing import Sequence
 
@@ -67,7 +67,7 @@ class BenchConfig:
 class RunReport:
     """One experiment, serializable; `seconds` is the only volatile field.
     `run_point` builds it and states what each mode labels, seeds from and
-    scores.
+    scores. The result fields default to the empty result of an error row.
 
     `config` is a bench or sweep point's BenchConfig, and the resolved
     AlignConfig (the preset with its flags applied) of an `induce` run: its
@@ -84,16 +84,16 @@ class RunReport:
     preset: str
     budget_bytes: int
     dimension: int | None
-    accuracy: float
-    evaluated: int
-    correct: int
-    no_overlap: bool
-    seconds: float
-    vocab_sizes: tuple[int, int]
-    token_counts: tuple[int, int]
-    data_bytes: int
-    traces: list[list[float]]
     config: dict
+    accuracy: float = 0.0
+    evaluated: int = 0
+    correct: int = 0
+    no_overlap: bool = True
+    seconds: float = 0.0
+    vocab_sizes: tuple[int, int] = (0, 0)
+    token_counts: tuple[int, int] = (0, 0)
+    data_bytes: int = 0
+    traces: list[list[float]] = field(default_factory=list)
     seed: int | None = None
     error: str | None = None
 
@@ -115,9 +115,9 @@ class Sides:
 
 def build_sides(path, budget: int, cfg: BenchConfig, sides: int = 1):
     """Vocabulary, window counts and number of distinct tokens of each of
-    `sides` sides, and the bytes read: the complete lines within the first
-    `budget` bytes of `path` are cut into consecutive blocks of `block_lines`
-    lines, dealt to the sides in turn. Each side equals counting
+    `sides` sides, and the bytes read: the lines within the first `budget`
+    bytes of `path` (`take_head_bytes`) are cut into consecutive blocks of
+    `block_lines` lines, dealt to the sides in turn. Each side equals counting
     `encode(tokenize(side), build_vocab(...))` of its whole text.
 
     One read of the budget encodes every side: a block is read, decoded,
@@ -197,30 +197,20 @@ def check_seeding(cfg: AlignConfig, has_dictionary: bool) -> None:
 
 def _point_config(cfg: BenchConfig, has_dictionary: bool = False) -> AlignConfig:
     """The resolved config of one bench point, once its seeding is checked
-    and its `dim` and `csls_k` fit `vocab_size`, the most words a side can
-    hold: a point that cannot run fails before any read."""
+    and its sizes fit `vocab_size` (`AlignConfig.check_fits`; `execute_preset`
+    checks the sides read): a point that cannot run fails before any read."""
     acfg = align_config(get_preset(cfg.preset), csls_k=cfg.csls_k, max_iters=cfg.max_iters,
                         tol=cfg.tol, dim=cfg.dim)
     check_seeding(acfg, has_dictionary)
-    for name in ("dim", "csls_k"):
-        value = getattr(acfg, name)
-        if value is not None and value > cfg.vocab_size:
-            raise ValidationError(f"{name}={value} exceeds vocab_size={cfg.vocab_size}, "
-                                  "the most words a side holds")
+    acfg.check_fits(cfg.vocab_size, f"vocab_size={cfg.vocab_size}, the most words a side holds")
     return acfg
-
-
-def cipher_labels(V: int) -> tuple[str, ...]:
-    return tuple("w%04d" % j for j in range(V))
 
 
 def _shared_key(sides: Sides, target_names: Sequence[str]) -> Dictionary:
     """Answer key of a split corpus: each token both halves share maps to
     the name of its own target id, in source-rank order."""
     v2 = sides.v2
-    return Dictionary(
-        {tok: frozenset([target_names[v2.id_of(tok)]]) for tok in sides.v1.tokens if tok in v2}
-    )
+    return {tok: frozenset([target_names[v2.id_of(tok)]]) for tok in sides.v1.tokens if tok in v2}
 
 
 def run_point(
@@ -241,7 +231,7 @@ def run_point(
     translations, write the optional predictions dump and report. Per mode:
 
     - labels: the target's tokens; cipher first permutes the target counts
-      by a permutation drawn from `seed` and names its words `cipher_labels`.
+      by a permutation drawn from `seed` and names its words "w%04d" by id.
     - seeding: the preset's alone. dict-init seeds from `dictionary`, as
       checked by `check_seeding`, so never from an answer key.
     - key and cut: identity keys the tokens both sides share to themselves
@@ -263,7 +253,7 @@ def run_point(
     if mode == "cipher":
         pi = np.random.default_rng(seed).permutation(sides.v2.size)
         sides = replace(sides, C2=permute_cooc(sides.C2, pi))
-        labels = cipher_labels(sides.v2.size)
+        labels = tuple("w%04d" % j for j in range(sides.v2.size))
     v1, v2 = sides.v1, sides.v2
     seed_state = None
     if cfg.seed_mode == "dictionary":
@@ -275,7 +265,7 @@ def run_point(
     elif mode == "cipher":
         key = _shared_key(sides, [labels[j] for j in pi])
     else:
-        key, top_eval = dictionary or Dictionary({}), None
+        key, top_eval = dictionary or {}, None
     result = score(preds, key, v1, frozenset(labels), top_eval)
     if preds_out is not None:
         write_predictions(preds, preds_out, result.flags)
@@ -436,14 +426,10 @@ _RECORDED_ERRORS = (ValidationError, NumericError, OSError, UnicodeDecodeError)
 
 
 def _error_row(mode: str, budget: int, cfg: BenchConfig, acfg: AlignConfig, e):
-    """The row of a point that failed; its dimension is the resolved one, as
-    on the rows that ran."""
-    return RunReport(
-        mode=mode, preset=cfg.preset, budget_bytes=budget, dimension=acfg.dim,
-        accuracy=0.0, evaluated=0, correct=0, no_overlap=True, seconds=0.0,
-        vocab_sizes=(0, 0), token_counts=(0, 0), data_bytes=0, traces=[],
-        config=asdict(cfg), seed=None, error=f"{type(e).__name__}: {e}",
-    )
+    """The row of a point that failed: RunReport's empty result with the
+    error; its dimension is the resolved one, as on the rows that ran."""
+    return RunReport(mode=mode, preset=cfg.preset, budget_bytes=budget, dimension=acfg.dim,
+                     config=asdict(cfg), error=f"{type(e).__name__}: {e}")
 
 
 def _budget_points(spec: SweepSpec, budget: int) -> list[RunReport]:

@@ -149,9 +149,11 @@ def cmd_sweep(ns) -> int:
 def _build_parser():
     from .align import AlignConfig
     from .bench import BenchConfig
+    from .presets import CLIP, PRESETS
 
     dim_help = ("rank truncation of the association (cooc presets) or SVD vector "
-                "dimension (vecmap-raw, default 300), at most the smaller vocabulary")
+                f"dimension (vecmap-raw, default {PRESETS['vecmap-raw'].dim}), at most the "
+                "smaller vocabulary")
 
     parser = _Parser(prog="coocmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -166,7 +168,9 @@ def _build_parser():
     p = sub.add_parser("count", help="count a corpus into vocab + cooc files")
     t = defaults["count"] = {}
     flag(p, "--input", str, "plain-text corpus, one fragment per line", t)
-    flag(p, "--bytes", int, "byte budget from the head (default: whole file)", t)
+    flag(p, "--bytes", int, "byte budget from the head: the lines that end within it, and a "
+         "last line without a newline once it reaches the end of the file (default: whole "
+         "file)", t)
     flag(p, "--vocab-size", int, f"max vocabulary size (default {BenchConfig.vocab_size})", t)
     flag(p, "--window", int, f"co-occurrence window per side (default {BenchConfig.window})", t)
     flag(p, "--out", str, "output prefix (.vocab.txt, .cooc.bin)", t)
@@ -187,7 +191,7 @@ def _build_parser():
          f"self-learning iteration cap (default {AlignConfig.max_iters})", t)
     flag(p, "--tol", float, f"minimum objective improvement (default {AlignConfig.tol})", t)
     flag(p, "--clip-lo", float, "lower clip percentile; read by the cooc presets, where a "
-         "preset without clipping clips from (1.0, 99.0); vecmap-raw rejects it", t)
+         f"preset without clipping clips from {CLIP}; vecmap-raw rejects it", t)
     flag(p, "--clip-hi", float, "upper clip percentile; read as --clip-lo is", t)
     flag(p, "--drop-r", int, "stage-2 head-drop rank; read by coocmap-drop and "
          "coocmap-drop-1.5 only, every other preset rejects it", t)

@@ -34,7 +34,7 @@ class CoocMatrix:
         return self.counts.shape[0]
 
 
-def count_cooc(corpus: EncodedCorpus, m: int = 5) -> CoocMatrix:
+def count_cooc(corpus: EncodedCorpus, m: int) -> CoocMatrix:
     """Count pairs within m tokens on either side, never across lines.
 
     The counts are float32, exact while every count stays below
@@ -145,11 +145,12 @@ def _parse_header(raw: bytes, path) -> dict:
 def load_cooc(path, vocab: Vocabulary | None = None) -> CoocMatrix:
     """Read a counts file into float32 counts, one row at a time. Before the
     counts are allocated, the header, the vocabulary's digest (if one is
-    given) and the payload's size are checked: a malformed header, a digest
-    mismatch, or a payload other than 8 V^2 bytes raises IntegrityError
-    naming the key, the mismatch or the sizes. Then the first value that is
-    not an exact count below `EXACT_COUNTS` (NaN, infinite, negative,
-    fractional or too large) raises NumericError naming it."""
+    given), the payload's size and the vocabulary's size are checked: a
+    malformed header, a digest mismatch, a payload other than 8 V^2 bytes or
+    a `V` other than the vocabulary's size raises IntegrityError naming the
+    key, the mismatch or the sizes. Then the first value that is not an exact
+    count below `EXACT_COUNTS` (NaN, infinite, negative, fractional or too
+    large) raises NumericError naming it."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != MAGIC:
@@ -169,6 +170,8 @@ def load_cooc(path, vocab: Vocabulary | None = None) -> CoocMatrix:
                 f"{path}: {found - expected} trailing bytes after the {expected} bytes of "
                 f"counts for V={V}"
             )
+        if vocab is not None and V != vocab.size:
+            raise IntegrityError(f"{path}: header V={V}, but the vocabulary has {vocab.size} words")
         counts = np.empty((V, V), dtype=np.float32)
         row = np.empty(V, dtype="<f8")
         for i in range(V):

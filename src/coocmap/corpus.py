@@ -1,12 +1,14 @@
 """Corpus ingestion: byte slicing, tokenization, vocabularies, id encoding.
 
-A corpus is read one block of lines at a time (`take_head_bytes`): each
-block is decoded, tokenized and encoded against a growing `TypeIndex`, then
-dropped, so one block's bytes, text and token strings are alive at a time,
-never the whole budget. The side's vocabulary is then ranked from the type
-counts and the type ids are relabelled to vocabulary ids in one array
-lookup; the result equals `encode(tokenize(text), build_vocab(...))` of the
-side's whole text.
+A corpus is read one block of lines at a time (`take_head_bytes`): a byte
+budget takes the lines that end within it, and the file's last line, with
+or without a newline, once it reaches the end of the file. Each block is
+decoded, tokenized and encoded against a growing `TypeIndex`, then dropped,
+so one block's bytes, text and token strings are alive at a time, never the
+whole budget. The side's vocabulary is then ranked from the type counts and
+the type ids are relabelled to vocabulary ids in one array lookup; the
+result equals `encode(tokenize(text), build_vocab(...))` of the side's
+whole text.
 
 Memory of ingesting T tokens, with T_block tokens in the largest block and
 D distinct tokens: one block's bytes, text and token strings (about 80 B
@@ -19,6 +21,7 @@ states what counting adds."""
 from __future__ import annotations
 
 import hashlib
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -148,11 +151,13 @@ def take_head_bytes(f, n: int, block_lines: int) -> tuple[str, int]:
     """The next block of the head of the binary file `f`: up to
     `block_lines` complete lines from its position that end within the
     file's first `n` bytes, decoded, and the block's length in bytes; ("", 0)
-    once the head is read. Called until it returns 0, it reads the first `n`
-    bytes cut back to their last newline, in consecutive blocks of
-    `block_lines` lines (only the last may be shorter). It leaves `f` at the
-    end of the block; no byte past the head is read, and none past the block
-    is decoded. A decoding error's `start` and `end` are file offsets."""
+    once the head is read. A line ends at its newline, or at the end of the
+    file when `n` reaches it. Called until it returns 0, it reads the first
+    `n` bytes cut back to their last newline (all of them, if they are the
+    whole file), in consecutive blocks of `block_lines` lines (only the last
+    may be shorter). It leaves `f` at the end of the block; no byte past the
+    head is read, and none past the block is decoded. A decoding error's
+    `start` and `end` are file offsets."""
     if n < 0:
         raise ValidationError(f"byte budget must be >= 0, got {n}")
     if block_lines < 1:
@@ -166,6 +171,8 @@ def take_head_bytes(f, n: int, block_lines: int) -> tuple[str, int]:
         newlines += chunk.count(b"\n")
     ends = np.flatnonzero(np.frombuffer(head, np.uint8) == ord("\n"))[:block_lines]
     size = int(ends[-1]) + 1 if ends.size else 0
+    if ends.size < block_lines and start + len(head) == os.fstat(f.fileno()).st_size:
+        size = len(head)  # the budget reaches the end of the file: its last line counts
     f.seek(start + size)
     try:
         return str(memoryview(head)[:size], "utf-8"), size

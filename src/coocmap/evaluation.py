@@ -1,5 +1,6 @@
 """Dictionary loading and seeding, translation extraction, precision@1
-scoring, and the predictions dump.
+scoring, and the predictions dump. A `Dictionary` is a plain dict: source
+token -> the frozenset of its acceptable targets (`load_dictionary` lowercases).
 
 `score` is the one rule for which predictions are scored and whether each
 is right: the source is a source word with a dictionary entry, one of its
@@ -10,7 +11,6 @@ those. Reports (`bench.run_point`), dump flags (`write_predictions`) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Container, Mapping, NamedTuple, Sequence
 
@@ -23,11 +23,7 @@ from .errors import ValidationError
 from .kernels import sim_matrix  # noqa: F401
 
 
-@dataclass(frozen=True)
-class Dictionary:
-    """source token -> acceptable target tokens, all lowercased."""
-
-    entries: dict[str, frozenset[str]]
+Dictionary = dict[str, frozenset[str]]
 
 
 def load_dictionary(path) -> Dictionary:
@@ -45,7 +41,7 @@ def load_dictionary(path) -> Dictionary:
             entries.setdefault(src, set()).add(tgt)
     if not entries:
         raise ValidationError(f"{path}: empty dictionary")
-    return Dictionary({src: frozenset(tgts) for src, tgts in entries.items()})
+    return {src: frozenset(tgts) for src, tgts in entries.items()}
 
 
 class Prediction(NamedTuple):
@@ -94,7 +90,7 @@ def score(
     flags: dict[str, bool] = {}
     evaluated = correct = 0
     for p in sorted(preds, key=attrgetter("rank")):
-        targets = [t for t in dictionary.entries.get(p.source, ()) if t in labels]
+        targets = [t for t in dictionary.get(p.source, ()) if t in labels]
         if not targets or p.source not in v1:
             continue
         flags[p.source] = right = p.predicted in targets
@@ -110,7 +106,7 @@ def seed_from_dictionary(
     """Initial correspondence from every in-vocabulary dictionary pair."""
     s: list[int] = []
     t: list[int] = []
-    for src, targets in dictionary.entries.items():
+    for src, targets in dictionary.items():
         if src not in v1:
             continue
         for tgt in sorted(targets):

@@ -29,8 +29,6 @@ bound this costs. The cdist metric reads float64 operands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError, ValidationError
@@ -138,7 +136,7 @@ def check_percentiles(p_lo: float, p_hi: float) -> None:
         raise ValidationError(f"need 0 <= p_lo < p_hi <= 100, got ({p_lo}, {p_hi})")
 
 
-def clip_thresholds(X: np.ndarray, p_lo: float = 1.0, p_hi: float = 99.0):
+def clip_thresholds(X: np.ndarray, p_lo: float, p_hi: float):
     """Two-stage percentile thresholds: per-row percentiles, then the same
     percentile over the row statistics, so no single row dominates.
 
@@ -155,7 +153,7 @@ def clip_thresholds(X: np.ndarray, p_lo: float = 1.0, p_hi: float = 99.0):
     return float(np.percentile(row_lo, p_lo)), float(np.percentile(row_hi, p_hi))
 
 
-def clip(X: np.ndarray, p_lo: float = 1.0, p_hi: float = 99.0) -> np.ndarray:
+def clip(X: np.ndarray, p_lo: float, p_hi: float) -> np.ndarray:
     """Limit every entry to the two-stage percentile thresholds: one float64
     copy of X, clipped in place."""
     lo, hi = clip_thresholds(X, p_lo, p_hi)
@@ -163,16 +161,10 @@ def clip(X: np.ndarray, p_lo: float = 1.0, p_hi: float = 99.0) -> np.ndarray:
     return np.clip(out, lo, hi, out=out)
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    U: np.ndarray  # rows x k, orthonormal columns
-    S: np.ndarray  # k, nonincreasing
-    Vt: np.ndarray  # k x cols, orthonormal rows
-
-
-def svd(X: np.ndarray) -> SvdFactors:
-    """Thin SVD with a deterministic sign convention: in each column of U
-    the largest-magnitude entry (first on ties) is made nonnegative."""
+def svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (U, S, Vt) as `np.linalg.svd` returns it, with a deterministic
+    sign convention: in each column of U the largest-magnitude entry (first
+    on ties) is made nonnegative, and the matching row of Vt follows."""
     X = np.asarray(X, dtype=np.float64)
     try:
         U, S, Vt = np.linalg.svd(X, full_matrices=False)
@@ -181,7 +173,7 @@ def svd(X: np.ndarray) -> SvdFactors:
     lead = np.abs(U).argmax(axis=0)
     signs = np.sign(U[lead, np.arange(U.shape[1])])
     signs[signs == 0.0] = 1.0
-    return SvdFactors(U=U * signs, S=S, Vt=Vt * signs[:, None])
+    return U * signs, S, Vt * signs[:, None]
 
 
 def trunc(X: np.ndarray, r: int) -> np.ndarray:
@@ -253,8 +245,8 @@ def drop_head(X: np.ndarray, r: int) -> np.ndarray:
 
 def psd_sqrt_gram(Xv: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root of the gram matrix: U S U^T for Xv = U S Vt."""
-    f = svd(Xv)
-    return (f.U * f.S) @ f.U.T
+    U, S, _ = svd(Xv)
+    return (U * S) @ U.T
 
 
 def _product(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -272,7 +264,7 @@ def _product(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-def sim_matrix(X: np.ndarray, Z: np.ndarray, metric: str = "cosine") -> np.ndarray:
+def sim_matrix(X: np.ndarray, Z: np.ndarray, metric: str) -> np.ndarray:
     """Pairwise row similarities (a metric of METRICS, or "dot"), higher = more
     similar; cosine treats all-zero rows as similarity 0 to everything.
 
@@ -294,7 +286,7 @@ def sim_matrix(X: np.ndarray, Z: np.ndarray, metric: str = "cosine") -> np.ndarr
     raise ValidationError(f"unknown metric {metric!r}, expected one of {(*METRICS, 'dot')}")
 
 
-def pair_sim_matrix(X, Z, s, t, metric: str = "cosine") -> np.ndarray:
+def pair_sim_matrix(X, Z, s, t, metric: str) -> np.ndarray:
     """sim_matrix(X[:, s], Z[:, t], metric) without gathering the paired columns.
 
     Column p of the gathered pair contributes once per occurrence of the pair
@@ -384,5 +376,5 @@ def procrustes(Xs: np.ndarray, Zt: np.ndarray) -> np.ndarray:
         raise ValidationError(f"paired shapes required, got {Xs.shape} vs {Zt.shape}")
     if 0 in Xs.shape:
         raise ValidationError("empty point sets")
-    f = svd(Xs.T @ Zt)
-    return f.U @ f.Vt
+    U, _, Vt = svd(Xs.T @ Zt)
+    return U @ Vt

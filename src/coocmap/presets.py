@@ -10,13 +10,16 @@ from .align import AlignConfig, MatchState, PipelineRun, run_staged, run_vecmap
 from .cooc import CoocMatrix
 from .errors import ValidationError
 
+# the default clip percentiles (lo, hi)
+CLIP = (1.0, 99.0)
+
 PRESETS = {
     cfg.preset: cfg
     for cfg in [
         AlignConfig("coocmap"),
-        AlignConfig("coocmap-clip", clip=(1.0, 99.0)),
+        AlignConfig("coocmap-clip", clip=CLIP),
         AlignConfig("coocmap-clip-1.5", clip=(1.5, 98.5)),
-        AlignConfig("coocmap-drop", clip=(1.0, 99.0), drop_r=20),
+        AlignConfig("coocmap-drop", clip=CLIP, drop_r=20),
         AlignConfig("coocmap-drop-1.5", clip=(1.5, 98.5), drop_r=20),
         AlignConfig("dict-init", seed_mode="dictionary"),
         AlignConfig("log1p", assoc="log1p"),
@@ -52,13 +55,13 @@ def align_config(
     """A preset with per-flag overrides; None keeps the preset's value. Beyond
     `AlignConfig`'s own check of the fields a run reads, two rules hold: a
     clip bound given to a preset without clipping turns clipping on, the
-    other bound from (1.0, 99.0), and `drop_r` given to a preset without a
-    stage 2 raises ValidationError."""
+    other bound from `CLIP`, and `drop_r` given to a preset without a stage
+    2 raises ValidationError."""
     if drop_r is not None and preset.drop_r is None:
         raise ValidationError(f"preset {preset.preset} does not read drop_r (given {drop_r})")
     clip = preset.clip
     if clip_lo is not None or clip_hi is not None:
-        lo, hi = clip if clip is not None else (1.0, 99.0)
+        lo, hi = clip if clip is not None else CLIP
         clip = (lo if clip_lo is None else clip_lo, hi if clip_hi is None else clip_hi)
     given = {"csls_k": csls_k, "max_iters": max_iters, "tol": tol, "dim": dim, "drop_r": drop_r}
     return replace(preset, clip=clip, **{k: v for k, v in given.items() if v is not None})
@@ -67,18 +70,12 @@ def align_config(
 def execute_preset(
     cfg: AlignConfig, C1: CoocMatrix, C2: CoocMatrix, seed: MatchState | None = None
 ) -> PipelineRun:
-    """Run a resolved config on the two sides' counts, once its sizes are
-    checked: "vec" aligns the counts' SVD vectors (`align.run_vecmap`), and
-    "cooc" builds each side's association through `cfg.assoc`'s chain and
-    aligns them in stages (`align.run_staged`)."""
-    v1, v2 = C1.counts.shape[0], C2.counts.shape[0]
-    # every similarity matrix is V1 x V2, and `dim` is a rank or a vector
-    # width of both sides: fail before building anything
-    sizes = f"the smaller vocabulary (source {v1}, target {v2} words)"
-    if cfg.csls_k > min(v1, v2):
-        raise ValidationError(f"csls_k={cfg.csls_k} exceeds {sizes}")
-    if cfg.dim is not None and cfg.dim > min(v1, v2):
-        raise ValidationError(f"dim={cfg.dim} exceeds {sizes}")
+    """Run a resolved config on the two sides' counts once its sizes fit the
+    smaller side (`AlignConfig.check_fits`): "vec" aligns the counts' SVD
+    vectors (`align.run_vecmap`), and "cooc" builds each side's association
+    through `cfg.assoc`'s chain and aligns them in stages (`run_staged`)."""
+    v1, v2 = C1.size, C2.size
+    cfg.check_fits(min(v1, v2), f"the smaller vocabulary (source {v1}, target {v2} words)")
     if cfg.family == "vec":
         return run_vecmap(assoc.svd_vectors(C1, cfg.dim), assoc.svd_vectors(C2, cfg.dim), cfg, seed)
     # looked up on assoc, where perfbench/spans.py rebinds build to time it

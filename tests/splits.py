@@ -2,6 +2,8 @@
 stream, computed on whole texts and lists: the oracles the ingest tests
 compare against."""
 
+import os
+
 
 def alternate_blocks(lines: list, block: int) -> tuple[list, list]:
     """Deal consecutive blocks of lines to the two halves alternately."""
@@ -13,12 +15,13 @@ def alternate_blocks(lines: list, block: int) -> tuple[list, list]:
 
 
 def head_text(path, n: int) -> tuple[str, int]:
-    """The complete lines within the first n bytes of a file, read whole and
-    decoded, and their length in bytes: the budget rule the block reader
-    `coocmap.corpus.take_head_bytes` streams."""
+    """The complete lines within the first n bytes of a file (all of them,
+    the last line with or without its newline, when n reaches the end of the
+    file), read whole and decoded, and their length in bytes: the budget
+    rule the block reader `coocmap.corpus.take_head_bytes` streams."""
     with open(path, "rb") as f:
         head = f.read(n)
-    size = head.rfind(b"\n") + 1
+    size = len(head) if n >= os.path.getsize(path) else head.rfind(b"\n") + 1
     return str(memoryview(head)[:size], "utf-8"), size
 
 

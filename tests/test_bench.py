@@ -323,9 +323,9 @@ class TestCipherBench:
         cipher_bench(small_corpus, 600_000, 2, cfg, preds_out=tmp_path / "gram.tsv")
 
         def full_svd_trunc(X, r):
-            f = kernels.svd(X)
-            r = min(r, f.S.size)
-            return (f.U[:, :r] * f.S[:r]) @ f.Vt[:r]
+            U, S, Vt = kernels.svd(X)
+            r = min(r, S.size)
+            return (U[:, :r] * S[:r]) @ Vt[:r]
 
         monkeypatch.setattr(kernels, "trunc", full_svd_trunc)
         cipher_bench(small_corpus, 600_000, 2, cfg, preds_out=tmp_path / "svd.tsv")

@@ -48,6 +48,17 @@ def test_count_hand_checked_window(tmp_path, capsys):
     assert C.counts[a, b] == 2 and C.counts[b, a] == 2 and C.counts[a, a] == 0
 
 
+@pytest.mark.parametrize("budget, tokens", [(None, 8), ("15", 8), ("14", 6)])
+def test_count_keeps_a_last_line_without_newline(tmp_path, capsys, budget, tokens):
+    """The file's last line counts without a newline when the budget reaches
+    the end of the file (the default budget is the whole file); a budget
+    that stops inside it cuts back to the last newline."""
+    (tmp_path / "c.txt").write_bytes(b"a b c\nd e f\ng h")
+    argv = ["count", "--input", str(tmp_path / "c.txt"), "--out", str(tmp_path / "t")]
+    assert main(argv + (["--bytes", budget] if budget else [])) == 0
+    assert f"tokens={tokens} types={tokens}" in capsys.readouterr().out
+
+
 def test_count_files_equal_the_whole_text_composition(tmp_path, capsys):
     """`count` ingests in blocks of lines; its files are byte for byte those
     of counting `encode(tokenize(text), build_vocab(...))` of the whole text."""
@@ -449,6 +460,24 @@ def test_malformed_cooc_header_exits_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "c.bin: header key 'V'" in capsys.readouterr().err
+
+
+def test_cooc_of_another_vocabulary_size_exits_2(tmp_path, capsys):
+    # the digest matches, the header's V does not: no alignment runs
+    (tmp_path / "v.txt").write_text("[UNK]\na\nb\n")
+    digest = Vocabulary.load(tmp_path / "v.txt").digest
+    raw = json.dumps({"V": 2, "m": 1, "token_count": 3, "vocab_digest": digest}).encode()
+    (tmp_path / "c.bin").write_bytes(b"COOCMAT1" + len(raw).to_bytes(4, "little") + raw
+                                     + np.zeros(4).tobytes())
+    rc = main([
+        "induce", "--cooc1", str(tmp_path / "c.bin"), "--cooc2", str(tmp_path / "c.bin"),
+        "--vocab1", str(tmp_path / "v.txt"), "--vocab2", str(tmp_path / "v.txt"),
+        "--preset", "coocmap",
+        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
+    ])
+    assert rc == 2
+    assert "c.bin: header V=2, but the vocabulary has 3 words" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_huge_cooc_header_without_payload_exits_2(tmp_path, capsys):

@@ -240,6 +240,15 @@ class TestSerialization:
                                                  r"of counts for V=4"):
             load_cooc(tmp_path / "c.bin", vocab)
 
+    def test_header_v_other_than_the_vocabulary_size(self, tmp_path):
+        # a counts file of V=2 under a 3-word vocabulary with its digest:
+        # the whole alignment would run and fail in translate
+        vocab = build_vocab(["a", "b"], 3)
+        write_with_header(tmp_path / "c.bin", {**GOOD_HEADER, "vocab_digest": vocab.digest})
+        with pytest.raises(IntegrityError, match=r"c\.bin: header V=2, but the vocabulary has "
+                                                 r"3 words"):
+            load_cooc(tmp_path / "c.bin", vocab)
+
     @pytest.mark.parametrize("cut", [8, 1])
     def test_truncated_payload(self, tmp_path, cut):
         vocab = build_vocab(["a", "b", "a", "c"], 4)

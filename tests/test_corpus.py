@@ -55,8 +55,12 @@ class TestTakeHeadBytes:
     def test_budget_past_end_of_file(self, tmp_path):
         assert _read(_write(tmp_path, "ab\ncd\n"), 10**9, 3) == (["ab\ncd\n"], 6)
 
-    def test_last_line_without_newline_dropped(self, tmp_path):
-        assert _read(_write(tmp_path, "ab\ncd"), 10**9) == (["ab\n"], 3)
+    def test_last_line_without_newline_counts_at_end_of_file(self, tmp_path):
+        p = _write(tmp_path, "ab\ncd")
+        for n in (5, 10**9):  # the budget reaches the end of the file
+            assert _read(p, n) == (["ab\n", "cd"], 5)
+            assert _read(p, n, 2) == (["ab\ncd"], 5)
+        assert _read(p, 4) == (["ab\n"], 3)  # a budget inside the line cuts it
 
     def test_crlf_line_kept_whole(self, tmp_path):
         p = _write(tmp_path, "a b\r\nc\r\n")
@@ -113,8 +117,8 @@ class TestTakeHeadBytes:
                 blocks, size = _read(f.name, n)
                 head = "".join(blocks).encode("utf-8")
                 assert size == len(head)
-                assert raw.startswith(head)
-                assert head == b"" or head.endswith(b"\n")
+                # the lines that end within the budget, or the whole file
+                assert head == (raw if n >= len(raw) else raw[: raw.rfind(b"\n", 0, n) + 1])
 
     @given(st.lists(st.sampled_from(["a", "\u00e9", "\u65e5", " ", "\r", "\n", "\n"]), max_size=30),
            st.integers(0, 80), st.integers(1, 4), st.booleans())

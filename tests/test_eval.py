@@ -35,12 +35,12 @@ class TestLoadDictionary:
         p = tmp_path / "d.txt"
         p.write_text("dog chien\ndog toutou\n")
         d = load_dictionary(p)
-        assert d.entries == {"dog": frozenset({"chien", "toutou"})}
+        assert d == {"dog": frozenset({"chien", "toutou"})}
 
     def test_lowercases(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("Dog Chien\n")
-        assert load_dictionary(p).entries == {"dog": frozenset({"chien"})}
+        assert load_dictionary(p) == {"dog": frozenset({"chien"})}
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "d.txt"
@@ -58,7 +58,7 @@ class TestLoadDictionary:
     def test_tab_separated(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("dog\tchien\n")
-        assert load_dictionary(p).entries == {"dog": frozenset({"chien"})}
+        assert load_dictionary(p) == {"dog": frozenset({"chien"})}
 
 
 def _toy_pair(seed=0, V=6):
@@ -231,7 +231,7 @@ class TestPrecisionAt1:
         flagged = [row[3] for row in rows if row[3] != "-"][:limit]
         assert (len(flagged), flagged.count("1")) == (r.evaluated, r.correct)
         assert r.no_overlap == (r.evaluated == 0)
-        keyed = {p.source: d.entries.get(p.source, frozenset()) & labels for p in preds}
+        keyed = {p.source: d.get(p.source, frozenset()) & labels for p in preds}
         assert r.flags == {p.source: p.predicted in keyed[p.source]
                            for p in preds if p.source in v1 and keyed[p.source]}
 
@@ -360,7 +360,7 @@ class TestTranslateRanksTheRunsMeasure:
             run = execute_preset(cfg, C1, C2)
             Xn, Zn = normalize(Xv), normalize(Zv)
             W = procrustes(Xn[run.state.s], Zn[run.state.t])
-            want = csls(sim_matrix(Xn @ W, Zn), cfg.csls_k).argmax(axis=1)
+            want = csls(sim_matrix(Xn @ W, Zn, "cosine"), cfg.csls_k).argmax(axis=1)
             np.testing.assert_array_equal(
                 self._predicted(run, C1.size), want, err_msg=f"max_iters={max_iters}"
             )

@@ -1,0 +1,31 @@
+"""tools/fingerprint.py gives one digest per set of outputs: two runs on one
+checkout agree, and the digest is the MD5 of the JSON it writes."""
+
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_two_runs_give_the_same_digest(tmp_path):
+    digests = []
+    for i in range(2):
+        out = tmp_path / f"fp{i}.json"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "fingerprint.py"), "--src", str(ROOT / "src"),
+             "--out", str(out), "--size", "tiny"],
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        digest = proc.stdout.strip().splitlines()[-1]
+        assert digest == hashlib.md5(out.read_bytes()).hexdigest()
+        digests.append(digest)
+    assert digests[0] == digests[1]
+    result = json.loads(out.read_text())
+    # every point ran or recorded its error, and the error sweep has its rows
+    assert len(result["benches"]) == 24
+    assert all(row["error"].startswith("FileNotFoundError")
+               for row in result["sweeps"]["error-rows"])
+    assert result["round_trip"]["output"][-1].startswith("eval rc=0 accuracy=")

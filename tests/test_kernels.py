@@ -206,22 +206,22 @@ class TestSvdOps:
     def test_factors_contract(self):
         rng = np.random.default_rng(4)
         X = rng.random((6, 4))
-        f = svd(X)
-        np.testing.assert_allclose(f.U.T @ f.U, np.eye(4), atol=1e-8)
-        np.testing.assert_allclose(f.Vt @ f.Vt.T, np.eye(4), atol=1e-8)
-        assert np.all(np.diff(f.S) <= 0) and np.all(f.S >= 0)
-        recon = (f.U * f.S) @ f.Vt
+        U, S, Vt = svd(X)
+        np.testing.assert_allclose(U.T @ U, np.eye(4), atol=1e-8)
+        np.testing.assert_allclose(Vt @ Vt.T, np.eye(4), atol=1e-8)
+        assert np.all(np.diff(S) <= 0) and np.all(S >= 0)
+        recon = (U * S) @ Vt
         assert np.linalg.norm(recon - X) <= 1e-6 * np.linalg.norm(X)
 
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(5)
         X = rng.random((5, 5))
-        f1, f2 = svd(X), svd(X.copy())
-        assert f1.U.tobytes() == f2.U.tobytes()
-        assert f1.Vt.tobytes() == f2.Vt.tobytes()
+        (U1, _, Vt1), (U2, _, Vt2) = svd(X), svd(X.copy())
+        assert U1.tobytes() == U2.tobytes()
+        assert Vt1.tobytes() == Vt2.tobytes()
         # largest-magnitude entry of each column is nonnegative
-        lead = np.abs(f1.U).argmax(axis=0)
-        assert np.all(f1.U[lead, np.arange(5)] >= 0)
+        lead = np.abs(U1).argmax(axis=0)
+        assert np.all(U1[lead, np.arange(5)] >= 0)
 
     def test_drop_rank1_gives_zero(self):
         u = np.array([[1.0], [2.0], [3.0]])
@@ -288,9 +288,9 @@ class TestSvdOps:
 
 def svd_trunc(X, r):
     """Reference rank-r truncation from the full SVD."""
-    f = svd(X)
-    r = min(r, f.S.size)
-    return (f.U[:, :r] * f.S[:r]) @ f.Vt[:r]
+    U, S, Vt = svd(X)
+    r = min(r, S.size)
+    return (U[:, :r] * S[:r]) @ Vt[:r]
 
 
 def split_resolved(s, r):
@@ -543,7 +543,7 @@ class TestSimMatrix:
 
     def test_width_mismatch(self):
         with pytest.raises(ValidationError):
-            sim_matrix(np.ones((1, 2)), np.ones((1, 3)))
+            sim_matrix(np.ones((1, 2)), np.ones((1, 3)), "cosine")
 
 
 # no subnormals: their squares lose the bits both norm computations rely on
