@@ -26,7 +26,7 @@ from .corpus import (
     take_head_bytes,
     tokenize,
 )
-from .errors import NumericError, ValidationError
+from .errors import INPUT_ERRORS, NumericError, ValidationError
 from .evaluation import (
     Dictionary,
     load_dictionary,
@@ -422,7 +422,7 @@ _SPEC_KEYS = {
 # Failures a sweep records as error rows: bad input and numeric failure, the
 # classes the CLI maps to exits 2 and 3. Anything else is a programming error
 # and propagates.
-_RECORDED_ERRORS = (ValidationError, NumericError, OSError, UnicodeDecodeError)
+_RECORDED_ERRORS = (*INPUT_ERRORS, NumericError)
 
 
 def _error_row(mode: str, budget: int, cfg: BenchConfig, acfg: AlignConfig, e):

@@ -11,6 +11,8 @@ import argparse
 import os
 import sys
 
+from .errors import INPUT_ERRORS, NumericError, ValidationError
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors on exit code 1 instead of 2."""
@@ -21,27 +23,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_config_flag(p):
-    p.add_argument("--config", default=None, help="key = value config file")
-
-
-def _merge_config(ns: argparse.Namespace, parser_defaults: dict):
+def _merge_config(ns: argparse.Namespace):
     """Fill unset flags from the config file; explicit flags keep priority."""
     from .config import parse_kv_file
 
     if not ns.config:
         return
     # keys are flag names, with dashes or underscores: one option either way
-    dests = parse_kv_file(ns.config, parser_defaults, "option", lambda key: key.replace("-", "_"))
+    dests = parse_kv_file(ns.config, ns.types, "option", lambda key: key.replace("-", "_"))
     for dest, value in dests.items():
         if getattr(ns, dest) is None:  # not given on the command line
             setattr(ns, dest, value)
-
-
-def _resolve(ns, **fallbacks):
-    for key, value in fallbacks.items():
-        if getattr(ns, key) is None:
-            setattr(ns, key, value)
 
 
 def _given(ns, *names) -> dict:
@@ -108,14 +100,20 @@ def cmd_eval(ns) -> int:
 def cmd_bench(ns) -> int:
     from .bench import BenchConfig, cipher_bench, split_identity_bench
 
+    mode = "identity" if ns.mode is None else ns.mode
+    if mode not in ("identity", "cipher"):
+        raise ValidationError(f"--mode must be identity or cipher, got {mode!r}")
+    if ns.seed is not None and mode != "cipher":
+        raise ValidationError(f"--seed is the cipher permutation seed; --mode {mode} "
+                              "does not read it")
     cfg = BenchConfig(**_given(
         ns, "preset", "vocab_size", "window", "dim", "csls_k", "max_iters", "top_eval",
         "block_lines",
     ))
-    if ns.mode == "identity":
+    if mode == "identity":
         report = split_identity_bench(ns.corpus, ns.budget, cfg, preds_out=ns.out_preds)
     else:
-        report = cipher_bench(ns.corpus, ns.budget, ns.seed, cfg, preds_out=ns.out_preds)
+        report = cipher_bench(ns.corpus, ns.budget, ns.seed or 0, cfg, preds_out=ns.out_preds)
     if ns.out_report:
         with open(ns.out_report, "w", encoding="utf-8") as f:
             f.write(report.to_json() + "\n")
@@ -131,7 +129,7 @@ def cmd_sweep(ns) -> int:
     from .bench import SweepSpec, run_sweep, sweep_summary
 
     spec = SweepSpec.from_file(ns.spec)
-    reports, csv_text = run_sweep(spec, workers=ns.workers)
+    reports, csv_text = run_sweep(spec, **_given(ns, "workers"))
     with open(ns.out_csv, "w", encoding="utf-8") as f:
         f.write(csv_text)
     if ns.out_reports:
@@ -157,136 +155,108 @@ def _build_parser():
 
     parser = _Parser(prog="coocmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # every flag defaults to None so config-file values can fill the gaps;
-    # real defaults are applied after the merge
-    defaults: dict[str, dict] = {}
 
-    def flag(p, name, conv, help, table):
-        p.add_argument(name, type=conv, default=None, help=help)
-        table[name.lstrip("-").replace("-", "_")] = conv
+    def command(name, help, run):
+        """Declare subcommand `name`, run by `run`, and return its flag declarer.
+        Flags default to None so a config file can fill them; `_dispatch` then
+        checks the required ones, and `run` applies the real defaults."""
+        p = sub.add_parser(name, help=help)
+        types, needed = {}, []  # each flag's converter, for the config file
+        p.set_defaults(run=run, types=types, required=needed)
 
-    p = sub.add_parser("count", help="count a corpus into vocab + cooc files")
-    t = defaults["count"] = {}
-    flag(p, "--input", str, "plain-text corpus, one fragment per line", t)
-    flag(p, "--bytes", int, "byte budget from the head: the lines that end within it, and a "
-         "last line without a newline once it reaches the end of the file (default: whole "
-         "file)", t)
-    flag(p, "--vocab-size", int, f"max vocabulary size (default {BenchConfig.vocab_size})", t)
-    flag(p, "--window", int, f"co-occurrence window per side (default {BenchConfig.window})", t)
-    flag(p, "--out", str, "output prefix (.vocab.txt, .cooc.bin)", t)
-    _add_config_flag(p)
+        def flag(name, conv, help, required=False):
+            dest = p.add_argument(name, type=conv, default=None, help=help).dest
+            types[dest] = conv
+            if required:
+                needed.append(dest)
 
-    p = sub.add_parser("induce", help="run a translation pipeline on counts")
-    t = defaults["induce"] = {}
-    flag(p, "--cooc1", str, "source counts file", t)
-    flag(p, "--cooc2", str, "target counts file", t)
-    flag(p, "--vocab1", str, "source vocabulary", t)
-    flag(p, "--vocab2", str, "target vocabulary", t)
-    flag(p, "--preset", str, "pipeline preset name", t)
-    flag(p, "--dict", str, "reference dictionary: scores every evaluable entry; "
-         "a dictionary-seeded preset (dict-init) seeds from it and needs it", t)
-    flag(p, "--dim", int, dim_help, t)
-    flag(p, "--csls-k", int, f"csls neighborhood size (default {AlignConfig.csls_k})", t)
-    flag(p, "--max-iters", int,
-         f"self-learning iteration cap (default {AlignConfig.max_iters})", t)
-    flag(p, "--tol", float, f"minimum objective improvement (default {AlignConfig.tol})", t)
-    flag(p, "--clip-lo", float, "lower clip percentile; read by the cooc presets, where a "
-         f"preset without clipping clips from {CLIP}; vecmap-raw rejects it", t)
-    flag(p, "--clip-hi", float, "upper clip percentile; read as --clip-lo is", t)
-    flag(p, "--drop-r", int, "stage-2 head-drop rank; read by coocmap-drop and "
-         "coocmap-drop-1.5 only, every other preset rejects it", t)
-    flag(p, "--out-report", str, "where to write the run report JSON", t)
-    flag(p, "--out-preds", str, "where to write the predictions dump", t)
-    _add_config_flag(p)
+        return flag
 
-    p = sub.add_parser("eval", help="score a predictions dump")
-    t = defaults["eval"] = {}
-    flag(p, "--preds", str, "predictions dump", t)
-    flag(p, "--dict", str, "reference dictionary", t)
-    flag(p, "--vocab1", str, "source vocabulary", t)
-    flag(p, "--vocab2", str, "target vocabulary", t)
-    _add_config_flag(p)
+    flag = command("count", "count a corpus into vocab + cooc files", cmd_count)
+    flag("--input", str, "plain-text corpus, one fragment per line", required=True)
+    flag("--bytes", int, "byte budget from the head: the lines that end within it, and a last "
+         "line without a newline once it reaches the end of the file (default: whole file)")
+    flag("--vocab-size", int, f"max vocabulary size (default {BenchConfig.vocab_size})")
+    flag("--window", int, f"co-occurrence window per side (default {BenchConfig.window})")
+    flag("--out", str, "output prefix (.vocab.txt, .cooc.bin)", required=True)
 
-    p = sub.add_parser("bench", help="identity / cipher benchmark on one corpus")
-    t = defaults["bench"] = {}
-    flag(p, "--corpus", str, "plain-text corpus", t)
-    flag(p, "--budget", int, "byte budget from the head", t)
-    flag(p, "--mode", str, "identity or cipher (default identity)", t)
-    flag(p, "--seed", int, "cipher permutation seed (default 0); cipher mode only", t)
-    flag(p, "--preset", str, f"pipeline preset (default {BenchConfig.preset})", t)
-    flag(p, "--vocab-size", int, f"max vocabulary size (default {BenchConfig.vocab_size})", t)
-    flag(p, "--window", int, f"window size (default {BenchConfig.window})", t)
-    flag(p, "--dim", int, dim_help, t)
-    flag(p, "--csls-k", int, f"csls neighborhood size (default {BenchConfig.csls_k})", t)
-    flag(p, "--max-iters", int, f"iteration cap (default {BenchConfig.max_iters})", t)
-    flag(p, "--top-eval", int, f"shared tokens scored (default {BenchConfig.top_eval})", t)
-    flag(p, "--block-lines", int, f"split block size (default {BenchConfig.block_lines})", t)
-    flag(p, "--out-report", str, "write the run report JSON here", t)
-    flag(p, "--out-preds", str, "write the predictions dump here", t)
-    _add_config_flag(p)
+    flag = command("induce", "run a translation pipeline on counts", cmd_induce)
+    flag("--cooc1", str, "source counts file", required=True)
+    flag("--cooc2", str, "target counts file", required=True)
+    flag("--vocab1", str, "source vocabulary", required=True)
+    flag("--vocab2", str, "target vocabulary", required=True)
+    flag("--preset", str, "pipeline preset name", required=True)
+    flag("--dict", str, "reference dictionary: scores every evaluable entry; "
+         "a dictionary-seeded preset (dict-init) seeds from it and needs it")
+    flag("--dim", int, dim_help)
+    flag("--csls-k", int, f"csls neighborhood size (default {AlignConfig.csls_k})")
+    flag("--max-iters", int, f"self-learning iteration cap (default {AlignConfig.max_iters})")
+    flag("--tol", float, f"minimum objective improvement (default {AlignConfig.tol})")
+    flag("--clip-lo", float, "lower clip percentile; read by the cooc presets, where a "
+         f"preset without clipping clips from {CLIP}; vecmap-raw rejects it")
+    flag("--clip-hi", float, "upper clip percentile; read as --clip-lo is")
+    flag("--drop-r", int, "stage-2 head-drop rank; read by coocmap-drop and "
+         "coocmap-drop-1.5 only, every other preset rejects it")
+    flag("--out-report", str, "where to write the run report JSON", required=True)
+    flag("--out-preds", str, "where to write the predictions dump", required=True)
 
-    p = sub.add_parser("sweep", help="run a budget/preset/dimension sweep")
-    t = defaults["sweep"] = {}
-    flag(p, "--spec", str, "sweep spec file (key = value lines)", t)
-    flag(p, "--out-csv", str, "output CSV path", t)
-    flag(p, "--workers", int, "parallel workers, at most one per budget (default 1)", t)
-    flag(p, "--out-reports", str, "directory for per-run report JSON", t)
-    _add_config_flag(p)
+    flag = command("eval", "score a predictions dump", cmd_eval)
+    flag("--preds", str, "predictions dump", required=True)
+    flag("--dict", str, "reference dictionary", required=True)
+    flag("--vocab1", str, "source vocabulary", required=True)
+    flag("--vocab2", str, "target vocabulary", required=True)
 
-    return parser, defaults
+    flag = command("bench", "identity / cipher benchmark on one corpus", cmd_bench)
+    flag("--corpus", str, "plain-text corpus", required=True)
+    flag("--budget", int, "byte budget from the head", required=True)
+    flag("--mode", str, "identity or cipher (default identity)")
+    flag("--seed", int, "cipher permutation seed (default 0); cipher mode only")
+    flag("--preset", str, f"pipeline preset (default {BenchConfig.preset})")
+    flag("--vocab-size", int, f"max vocabulary size (default {BenchConfig.vocab_size})")
+    flag("--window", int, f"window size (default {BenchConfig.window})")
+    flag("--dim", int, dim_help)
+    flag("--csls-k", int, f"csls neighborhood size (default {BenchConfig.csls_k})")
+    flag("--max-iters", int, f"iteration cap (default {BenchConfig.max_iters})")
+    flag("--top-eval", int, f"shared tokens scored (default {BenchConfig.top_eval})")
+    flag("--block-lines", int, f"split block size (default {BenchConfig.block_lines})")
+    flag("--out-report", str, "write the run report JSON here")
+    flag("--out-preds", str, "write the predictions dump here")
+
+    flag = command("sweep", "run a budget/preset/dimension sweep", cmd_sweep)
+    flag("--spec", str, "sweep spec file (key = value lines)", required=True)
+    flag("--out-csv", str, "output CSV path", required=True)
+    flag("--workers", int, "parallel workers, at most one per budget (default 1)")
+    flag("--out-reports", str, "directory for per-run report JSON")
+
+    # last in each --help; not a flag a config file can set
+    for p in sub.choices.values():
+        p.add_argument("--config", default=None, help="key = value config file")
+    return parser
 
 
 def _dispatch(argv) -> int:
-    from .errors import ValidationError
-
-    parser, defaults = _build_parser()
-    ns = parser.parse_args(argv)
-    _merge_config(ns, defaults[ns.command])
-
-    def require(*names):
-        for name in names:
-            if getattr(ns, name) is None:
-                raise ValidationError(f"missing required option --{name.replace('_', '-')}")
-
-    if ns.command == "count":
-        require("input", "out")
-        return cmd_count(ns)
-    if ns.command == "induce":
-        require("cooc1", "cooc2", "vocab1", "vocab2", "preset", "out_report", "out_preds")
-        return cmd_induce(ns)
-    if ns.command == "eval":
-        require("preds", "dict", "vocab1", "vocab2")
-        return cmd_eval(ns)
-    if ns.command == "bench":
-        require("corpus", "budget")
-        _resolve(ns, mode="identity")
-        if ns.mode not in ("identity", "cipher"):
-            raise ValidationError(f"--mode must be identity or cipher, got {ns.mode!r}")
-        if ns.seed is not None and ns.mode != "cipher":
-            raise ValidationError(f"--seed is the cipher permutation seed; --mode {ns.mode} "
-                                  "does not read it")
-        _resolve(ns, seed=0)
-        return cmd_bench(ns)
-    if ns.command == "sweep":
-        require("spec", "out_csv")
-        _resolve(ns, workers=1)
-        return cmd_sweep(ns)
-    raise AssertionError(ns.command)
+    ns = _build_parser().parse_args(argv)
+    _merge_config(ns)
+    for name in ns.required:
+        if getattr(ns, name) is None:
+            raise ValidationError(f"missing required option --{name.replace('_', '-')}")
+    return ns.run(ns)
 
 
 def main(argv=None) -> int:
-    # COOCMAP_THREADS is applied by the package's __init__, before numpy loads
+    # COOCMAP_THREADS is applied by the package's __init__, before numpy loads.
+    # Any error but the caller's and NumericError is a programming error: it
+    # propagates, and Python exits 1 with its traceback.
     try:
         return _dispatch(argv)
     except SystemExit as e:
         return int(e.code or 0)
     except BrokenPipeError:
         return 0
-    except (OSError, UnicodeDecodeError, ValueError) as e:
-        # ValidationError is a ValueError: bad inputs, malformed files
+    except INPUT_ERRORS as e:
         print(f"coocmap: {e}", file=sys.stderr)
         return 2
-    except ArithmeticError as e:
+    except NumericError as e:
         print(f"coocmap: numeric failure: {e}", file=sys.stderr)
         return 3
 

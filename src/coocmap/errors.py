@@ -1,7 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one rule for which
+failures are the caller's.
 
-The CLI maps these onto exit codes: ValidationError (and subclasses) to 2,
-NumericError to 3.
+INPUT_ERRORS are bad input: ValidationError (and subclasses), a file that
+cannot be opened or read (OSError) or decoded (UnicodeDecodeError). The CLI
+maps them to exit 2 and NumericError to exit 3, and a sweep records either
+as an error row. Any other exception is a programming error: it propagates,
+and the CLI exits 1 with its traceback.
 """
 
 
@@ -15,3 +19,6 @@ class IntegrityError(ValidationError):
 
 class NumericError(ArithmeticError):
     """A numeric routine failed (e.g. SVD did not converge)."""
+
+
+INPUT_ERRORS = (ValidationError, OSError, UnicodeDecodeError)

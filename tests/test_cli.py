@@ -351,6 +351,39 @@ def test_exit_code_validation(tmp_path):
     ]) == 2
 
 
+# every required option of each subcommand, with a value that passes every
+# check before the first file is read
+REQUIRED = {
+    "count": {"input": "missing", "out": "missing"},
+    "induce": {"cooc1": "missing", "cooc2": "missing", "vocab1": "missing",
+               "vocab2": "missing", "preset": "coocmap", "out-report": "missing",
+               "out-preds": "missing"},
+    "eval": {"preds": "missing", "dict": "missing", "vocab1": "missing", "vocab2": "missing"},
+    "bench": {"corpus": "missing", "budget": "1000"},
+    "sweep": {"spec": "missing", "out-csv": "missing"},
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, options in REQUIRED.items() for option in options
+])
+def test_required_option_missing_exits_2_and_a_config_file_gives_it(
+    tmp_path, monkeypatch, capsys, command, option
+):
+    monkeypatch.chdir(tmp_path)
+    others = REQUIRED[command].copy()
+    value = others.pop(option)
+    argv = [command, *(arg for name, v in others.items() for arg in (f"--{name}", v))]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"coocmap: missing required option --{option}\n"
+    # given only in the config file, the option passes the check, and the
+    # command goes on to read its first missing file
+    (tmp_path / "cfg.txt").write_text(f"{option} = {value}\n")
+    assert main([*argv, "--config", "cfg.txt"]) == 2
+    err = capsys.readouterr().err
+    assert "missing required option" not in err and "No such file" in err
+
+
 def _fresh_python(script: str, *args: str, **env_vars: str) -> str:
     """stdout of `script` run with `args` by a new interpreter that imports
     this checkout's package, with the BLAS thread variables unset and
@@ -428,6 +461,20 @@ def test_csls_k_beyond_vocabulary_exits_2(counted, tmp_path, capsys):
     assert rc == 2
     assert "csls_k=100000" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_internal_error_propagates(tmp_path, monkeypatch):
+    """A failure outside errors.INPUT_ERRORS and NumericError is a programming
+    error, even a ValueError such as numpy's LinAlgError: `main` lets it
+    through, so the program exits 1 with its traceback."""
+    from coocmap import evaluation
+
+    def broken(path):
+        raise np.linalg.LinAlgError("internal")
+
+    monkeypatch.setattr(evaluation, "load_predictions", broken)
+    with pytest.raises(np.linalg.LinAlgError, match="internal"):
+        main(_eval_argv(tmp_path, "0\ta\ta\t-\n", ("[UNK]", "a", "b")))
 
 
 def test_exit_code_numeric_failure(tmp_path):
@@ -573,6 +620,7 @@ def test_induce_dim_beyond_vocabulary_exits_2(counted, tmp_path, capsys, preset,
     ("bench", ["--mode", "identity", "--seed", "0"], "--mode identity does not read it"),
     ("bench", ["--preset", "vecmap-raw", "--vocab-size", "200"], "dim=300 exceeds vocab_size=200"),
     ("bench", ["--csls-k", "11", "--vocab-size", "10"], "csls_k=11 exceeds vocab_size=10"),
+    ("induce", ["--tol", "nan"], "csls_k and max_iters must be >= 1, tol >= 0"),
 ])
 def test_bad_parameter_exits_2_before_reading_files(tmp_path, capsys, command, flags, message):
     missing = str(tmp_path / "missing")
@@ -602,9 +650,11 @@ def test_bad_parameter_exits_2_before_reading_files(tmp_path, capsys, command, f
     ("presets = coocmap, dict-init\n", [], "preset dict-init seeds from a supplied dictionary"),
     ("presets = vecmap-raw\nvocab_size = 200\n", [], "dim=300 exceeds vocab_size=200"),
     ("repetitions = 2\n", [], "repetitions draw cipher permutation seeds; identity mode"),
+    ("tol = nan\n", [], "csls_k and max_iters must be >= 1, tol >= 0"),
 ], ids=["cipher_seed-in-identity-mode", "workers-0", "workers-negative",
         "target-in-identity-mode", "dict-in-cipher-mode", "csls_k-0", "dims-0",
-        "dict-init-without-dict", "dim-beyond-vocab_size", "repetitions-in-identity-mode"])
+        "dict-init-without-dict", "dim-beyond-vocab_size", "repetitions-in-identity-mode",
+        "tol-nan"])
 def test_sweep_bad_parameter_exits_2_before_reading_corpus(
     tmp_path, capsys, monkeypatch, spec_lines, flags, message
 ):

@@ -28,4 +28,9 @@ def test_two_runs_give_the_same_digest(tmp_path):
     assert len(result["benches"]) == 24
     assert all(row["error"].startswith("FileNotFoundError")
                for row in result["sweeps"]["error-rows"])
-    assert result["round_trip"]["output"][-1].startswith("eval rc=0 accuracy=")
+    # six --help, the usage error and the missing option, then eight runs
+    output = result["cli"]["output"]
+    codes = [line.split(" rc=", 1)[1].split(" ", 1)[0] for line in output]
+    assert codes == ["0"] * 6 + ["1", "2"] + ["0"] * 8
+    assert output[-1].startswith("sweep --spec rc=0 rows=8 failed=0 ")
+    assert "seconds" not in json.dumps(result["cli"])

@@ -130,6 +130,7 @@ def test_dim_beyond_vocabulary_rejected(name, V1, V2, dim):
     ("family", "import", "unknown family 'import', expected one of"),
     ("seed_mode", "dict", "unknown seed_mode 'dict', expected one of"),
     ("assoc", "pmi", "unknown assoc 'pmi', expected one of"),
+    ("tol", float("nan"), "csls_k and max_iters must be >= 1, tol >= 0"),
 ])
 def test_config_out_of_range_rejected(field, value, message):
     with pytest.raises(ValidationError, match=message):

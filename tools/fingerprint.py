@@ -10,14 +10,18 @@ entry points, with BLAS pinned to one thread:
 - a cipher `run_sweep` over two budgets, two presets, two dims and two
   repetitions, and a crosslingual sweep whose missing target makes every
   point an error row;
-- a `count` -> `induce --preset dict-init --dict` -> `eval` round trip
-  through `cli.main`.
+- every subcommand through `cli.main`, help text wrapped at 100 columns:
+  `--help` of the program and of each subcommand, a usage error, a missing
+  required option, a `count` -> `induce --preset dict-init --dict` -> `eval`
+  round trip, an `induce` that reads `--config`, `bench` in identity and
+  cipher mode, and a two-worker cipher `sweep` from a spec file.
 
 FILE gets sorted JSON: every report without `seconds`, the MD5 of every
-predictions dump and of every file the round trip writes, and the round
-trip's exit codes and output lines. The last line printed is the MD5 of
-FILE: two checkouts with the same digest gave the same outputs here. A
-point that raises stops the tool with its traceback.
+predictions dump and of every file `count` writes, the sweep CSV without its
+`seconds` column, and each command's exit code and output without `bench`'s
+`seconds=`. The last line printed is the MD5 of FILE: two checkouts with the
+same digest gave the same outputs here. A point that raises stops the tool
+with its traceback.
 
 The corpus is the benchmark's seed-7 text, written by `perfbench/inputs.py`
 of the checkout this tool sits in, so a change to the package under test
@@ -29,11 +33,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from dataclasses import asdict
@@ -42,6 +48,7 @@ from pathlib import Path
 # before anything loads numpy
 for _var in ("COOCMAP_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+os.environ["COLUMNS"] = "100"  # before any parser is built: argparse wraps --help to it
 
 ROOT = Path(__file__).resolve().parent.parent
 VOCAB = 300
@@ -91,15 +98,20 @@ def _sweeps(bench, budgets) -> dict:
     return {name: [_row(r) for r in bench.run_sweep(spec)[0]] for name, spec in specs.items()}
 
 
-def _round_trip(cli, heads) -> dict:
+def _cli(cli, budget: int, budgets, heads) -> dict:
     output = []
 
     def run(*argv):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
             rc = cli.main([str(a) for a in argv])
-        output.append(f"{argv[0]} rc={rc} {buf.getvalue().strip()}")
+        text = re.sub(r" seconds=\S+", "", buf.getvalue().strip())
+        output.append(f"{' '.join(map(str, argv[:2]))} rc={rc} {text}")
 
+    for argv in ([], ["count"], ["induce"], ["eval"], ["bench"], ["sweep"]):
+        run(*argv, "--help")
+    run("align", "--input", "corpus.txt")  # usage error
+    run("count", "--input", "corpus.txt")  # missing --out
     for side, head in zip(("src", "tgt"), heads):
         run("count", "--input", "corpus.txt", "--bytes", head, "--vocab-size", VOCAB,
             "--out", side)
@@ -112,10 +124,34 @@ def _round_trip(cli, heads) -> dict:
     run("induce", *paths, "--preset", "dict-init", "--out-report", "report.json",
         "--out-preds", "preds.tsv")
     run("eval", "--preds", "preds.tsv", *paths[4:])
-    report = json.loads(Path("report.json").read_text(encoding="utf-8"))
-    del report["seconds"]
-    files = ("src.vocab.txt", "src.cooc.bin", "tgt.vocab.txt", "tgt.cooc.bin", "preds.tsv")
-    return {"output": output, "files": {name: _md5(name) for name in files}, "report": report}
+    # options in a config file, in both spellings, one of them also given as a flag
+    Path("induce.cfg").write_text("preset = coocmap\nmax-iters = 8\ncsls_k = 5\n"
+                                  "out_report = config.json\nout-preds = config.tsv\n",
+                                  encoding="utf-8")
+    run("induce", *paths, "--config", "induce.cfg", "--csls-k", "7")
+    for mode in ("identity", "cipher"):  # identity by default, cipher with its default seed
+        flags = ["--mode", mode] if mode == "cipher" else []
+        run("bench", "--corpus", "corpus.txt", "--budget", budget, *flags, "--vocab-size", VOCAB,
+            "--out-report", f"bench-{mode}.json", "--out-preds", f"bench-{mode}.tsv")
+    Path("sweep.spec").write_text(
+        f"source = corpus.txt\nmode = cipher\nbudgets = {', '.join(map(str, budgets))}\n"
+        f"presets = coocmap, vecmap-raw\ndims = 20\nrepetitions = 2\nvocab_size = {VOCAB}\n",
+        encoding="utf-8",
+    )
+    run("sweep", "--spec", "sweep.spec", "--out-csv", "sweep.csv", "--out-reports", "reports",
+        "--workers", 2)
+
+    reports = {}
+    for name in ("report.json", "config.json", "bench-identity.json", "bench-cipher.json",
+                 *(f"reports/{n}" for n in sorted(os.listdir("reports")))):
+        reports[name] = json.loads(Path(name).read_text(encoding="utf-8"))
+        del reports[name]["seconds"]
+    with open("sweep.csv", newline="", encoding="utf-8") as f:
+        csv_rows = [{k: v for k, v in row.items() if k != "seconds"} for row in csv.DictReader(f)]
+    files = ("src.vocab.txt", "src.cooc.bin", "tgt.vocab.txt", "tgt.cooc.bin", "preds.tsv",
+             "config.tsv", "bench-identity.tsv", "bench-cipher.tsv")
+    return {"output": output, "files": {name: _md5(name) for name in files},
+            "reports": reports, "csv": csv_rows}
 
 
 def main(argv=None) -> int:
@@ -145,7 +181,7 @@ def main(argv=None) -> int:
                 "size": args.size,
                 "benches": _benches(bench, presets.PRESETS, budget),
                 "sweeps": _sweeps(bench, budgets),
-                "round_trip": _round_trip(cli, heads),
+                "cli": _cli(cli, budget, budgets, heads),
             }
         finally:
             os.chdir(cwd)
