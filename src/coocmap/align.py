@@ -143,8 +143,9 @@ class AlignConfig:
                 raise ValidationError(f"preset {self.preset} does not read {name} (given {value})")
         if self.family == "vec" and self.dim is None:
             raise ValidationError(f"preset {self.preset} needs dim, its SVD vector dimension")
-        if self.csls_k < 1 or self.max_iters < 1 or not self.tol >= 0:  # NaN fails too
-            raise ValidationError("csls_k and max_iters must be >= 1, tol >= 0")
+        # tol is written to the report as JSON, where neither NaN nor inf is a number
+        if self.csls_k < 1 or self.max_iters < 1 or not 0 <= self.tol < math.inf:
+            raise ValidationError("csls_k and max_iters must be >= 1, tol >= 0 and finite")
         if (self.dim is not None and self.dim < 1) or (self.drop_r is not None and self.drop_r < 0):
             raise ValidationError(f"need dim >= 1, drop_r >= 0, got {self.dim}, {self.drop_r}")
         if self.clip is not None:

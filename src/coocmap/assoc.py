@@ -32,17 +32,17 @@ class Step(NamedTuple):
     args: tuple = ()
 
 
-def _marginals(counts: np.ndarray):
+def _joint(counts: np.ndarray):
+    """(p(s,i), p(s) p(i)) of the counts in float64; both zero if no count is."""
     counts = np.asarray(counts, dtype=np.float64)
     total = counts.sum()
     P = counts / total if total > 0 else np.zeros_like(counts)
-    return P, P.sum(axis=1), P.sum(axis=0)
+    return P, np.outer(P.sum(axis=1), P.sum(axis=0))
 
 
 def _ratio(counts: np.ndarray) -> np.ndarray:
     """p(s,i) / (p(s) p(i)); zero wherever a marginal (or the cell) is zero."""
-    P, ps, pi = _marginals(counts)
-    denom = np.outer(ps, pi)
+    P, denom = _joint(counts)
     out = np.zeros_like(P)
     np.divide(P, denom, out=out, where=denom > 0)
     return out
@@ -50,8 +50,7 @@ def _ratio(counts: np.ndarray) -> np.ndarray:
 
 def _weighted_pmi(counts: np.ndarray) -> np.ndarray:
     """p(s,i) * log(p(s,i) / (p(s) p(i))), with 0 log 0 := 0."""
-    P, ps, pi = _marginals(counts)
-    denom = np.outer(ps, pi)
+    P, denom = _joint(counts)
     mask = (P > 0) & (denom > 0)
     out = np.zeros_like(P)
     out[mask] = P[mask] * np.log(P[mask] / denom[mask])
@@ -62,8 +61,7 @@ def _ppmi(counts: np.ndarray, k: float) -> np.ndarray:
     """max(0, log(p(s,i) / (p(s) p(i))) - log k)."""
     if k <= 0:
         raise ValidationError(f"ppmi shift must be > 0, got {k}")
-    P, ps, pi = _marginals(counts)
-    denom = np.outer(ps, pi)
+    P, denom = _joint(counts)
     mask = (P > 0) & (denom > 0)
     out = np.zeros_like(P)
     out[mask] = np.maximum(0.0, np.log(P[mask] / denom[mask]) - np.log(k))

@@ -48,9 +48,9 @@ class BenchConfig:
     vocab_size: int = 5000
     window: int = 5
     dim: int | None = None
-    csls_k: int = AlignConfig.csls_k
-    max_iters: int = AlignConfig.max_iters
-    tol: float = AlignConfig.tol
+    csls_k: int | None = None
+    max_iters: int | None = None
+    tol: float | None = None
     top_eval: int = 1000
     block_lines: int = 1000
 
@@ -69,9 +69,10 @@ class RunReport:
     `run_point` builds it and states what each mode labels, seeds from and
     scores. The result fields default to the empty result of an error row.
 
-    `config` is a bench or sweep point's BenchConfig, and the resolved
-    AlignConfig (the preset with its flags applied) of an `induce` run: its
-    fields, so not `metric`, which follows the association.
+    `config` is a bench or sweep point's BenchConfig, whose `dim`, `csls_k`,
+    `max_iters` and `tol` are null where the caller kept the preset's value,
+    and the resolved AlignConfig (the preset with its flags applied) of an
+    `induce` run: its fields, so not `metric`, which follows the association.
 
     `seconds` runs from reading the corpus to scoring. In a sweep, the
     points of one budget share a single ingest: the budget's first point
@@ -315,11 +316,11 @@ def cipher_bench(
 class SweepSpec:
     """A grid of benchmark points: budgets x presets x dims x repetitions.
 
-    The tuning fields default to BenchConfig's; each point runs as
-    `run_point` states. Every point resolves before anything is read, so a
-    point that does not (a bad tuning value, a dim or csls_k above
-    `vocab_size`, or a preset that needs a dictionary the spec lacks:
-    dict-init without `dict_path`) rejects the spec. `target` and
+    The tuning fields default to BenchConfig's (None: the preset's value);
+    each point runs as `run_point` states. Every point resolves before
+    anything is read, so a point that does not (a bad tuning value, a dim or
+    csls_k above `vocab_size`, or a preset that needs a dictionary the spec
+    lacks: dict-init without `dict_path`) rejects the spec. `target` and
     `dict_path` are crosslingual inputs, and the other modes reject them.
     `repetitions` and `cipher_seed`, the first repetition's permutation seed
     (default 0), are cipher inputs: the other modes reject `cipher_seed`
@@ -336,9 +337,9 @@ class SweepSpec:
     repetitions: int = 1
     vocab_size: int = BenchConfig.vocab_size
     window: int = BenchConfig.window
-    csls_k: int = BenchConfig.csls_k
-    max_iters: int = BenchConfig.max_iters
-    tol: float = BenchConfig.tol
+    csls_k: int | None = BenchConfig.csls_k
+    max_iters: int | None = BenchConfig.max_iters
+    tol: float | None = BenchConfig.tol
     top_eval: int = BenchConfig.top_eval
     block_lines: int = BenchConfig.block_lines
     cipher_seed: int | None = None

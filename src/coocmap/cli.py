@@ -1,8 +1,9 @@
 """Command-line surface: count, induce, eval, bench, sweep.
 
-Exit codes: 0 success, 1 usage error, 2 input validation, 3 numeric failure.
-Any subcommand accepts --config FILE with flat key = value lines (keys are
-flag names with underscores); explicit flags win over config values.
+Exit codes: 0 success, 1 usage error (or an internal error, with its
+traceback), 2 input validation, 3 numeric failure. Any subcommand accepts
+--config FILE with flat key = value lines (keys are flag names, with dashes
+or underscores); explicit flags win over config values.
 """
 
 from __future__ import annotations
@@ -42,6 +43,14 @@ def _given(ns, *names) -> dict:
     return {name: getattr(ns, name) for name in names if getattr(ns, name) is not None}
 
 
+def percentiles(raw: str) -> tuple[float, float]:
+    """LO,HI as two floats; a ValueError otherwise, so a config file names its line."""
+    parts = raw.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"expected LO,HI, two percentiles, got {raw!r}")
+    return float(parts[0]), float(parts[1])
+
+
 def cmd_count(ns) -> int:
     from .bench import BenchConfig, build_sides
     from .cooc import save_cooc
@@ -66,10 +75,8 @@ def cmd_induce(ns) -> int:
     from .presets import align_config, get_preset
 
     t0 = time.perf_counter()
-    cfg = align_config(
-        get_preset(ns.preset),
-        **_given(ns, "csls_k", "max_iters", "tol", "dim", "clip_lo", "clip_hi", "drop_r"),
-    )
+    cfg = align_config(get_preset(ns.preset),
+                       **_given(ns, "csls_k", "max_iters", "tol", "dim", "clip", "drop_r"))
     dictionary = load_dictionary(ns.dict) if ns.dict else None
     check_seeding(cfg, dictionary is not None)
     v1 = Vocabulary.load(ns.vocab1)
@@ -147,7 +154,7 @@ def cmd_sweep(ns) -> int:
 def _build_parser():
     from .align import AlignConfig
     from .bench import BenchConfig
-    from .presets import CLIP, PRESETS
+    from .presets import PRESETS
 
     dim_help = ("rank truncation of the association (cooc presets) or SVD vector "
                 f"dimension (vecmap-raw, default {PRESETS['vecmap-raw'].dim}), at most the "
@@ -164,8 +171,8 @@ def _build_parser():
         types, needed = {}, []  # each flag's converter, for the config file
         p.set_defaults(run=run, types=types, required=needed)
 
-        def flag(name, conv, help, required=False):
-            dest = p.add_argument(name, type=conv, default=None, help=help).dest
+        def flag(name, conv, help, required=False, metavar=None):
+            dest = p.add_argument(name, type=conv, default=None, help=help, metavar=metavar).dest
             types[dest] = conv
             if required:
                 needed.append(dest)
@@ -192,11 +199,11 @@ def _build_parser():
     flag("--csls-k", int, f"csls neighborhood size (default {AlignConfig.csls_k})")
     flag("--max-iters", int, f"self-learning iteration cap (default {AlignConfig.max_iters})")
     flag("--tol", float, f"minimum objective improvement (default {AlignConfig.tol})")
-    flag("--clip-lo", float, "lower clip percentile; read by the cooc presets, where a "
-         f"preset without clipping clips from {CLIP}; vecmap-raw rejects it")
-    flag("--clip-hi", float, "upper clip percentile; read as --clip-lo is")
-    flag("--drop-r", int, "stage-2 head-drop rank; read by coocmap-drop and "
-         "coocmap-drop-1.5 only, every other preset rejects it")
+    flag("--clip", percentiles, "clip percentiles, both bounds; read by the cooc presets, "
+         "where a preset without clipping turns it on; vecmap-raw rejects it", metavar="LO,HI")
+    flag("--drop-r", int, "stage-2 head-drop rank; read by the cooc presets, where a preset "
+         "without a stage 2 gains one that drops, then clips as stage 1 does; vecmap-raw "
+         "rejects it")
     flag("--out-report", str, "where to write the run report JSON", required=True)
     flag("--out-preds", str, "where to write the predictions dump", required=True)
 
@@ -215,8 +222,8 @@ def _build_parser():
     flag("--vocab-size", int, f"max vocabulary size (default {BenchConfig.vocab_size})")
     flag("--window", int, f"window size (default {BenchConfig.window})")
     flag("--dim", int, dim_help)
-    flag("--csls-k", int, f"csls neighborhood size (default {BenchConfig.csls_k})")
-    flag("--max-iters", int, f"iteration cap (default {BenchConfig.max_iters})")
+    flag("--csls-k", int, f"csls neighborhood size (default {AlignConfig.csls_k})")
+    flag("--max-iters", int, f"iteration cap (default {AlignConfig.max_iters})")
     flag("--top-eval", int, f"shared tokens scored (default {BenchConfig.top_eval})")
     flag("--block-lines", int, f"split block size (default {BenchConfig.block_lines})")
     flag("--out-report", str, "write the run report JSON here")

@@ -1,5 +1,5 @@
 """Named pipeline presets: the single source of truth for what each method
-runs, overridable flag by flag from the CLI."""
+runs. A run is its preset with the fields its caller set (`align_config`)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from .align import AlignConfig, MatchState, PipelineRun, run_staged, run_vecmap
 from .cooc import CoocMatrix
 from .errors import ValidationError
 
-# the default clip percentiles (lo, hi)
+# the clip percentiles (lo, hi) of coocmap-clip and coocmap-drop
 CLIP = (1.0, 99.0)
 
 PRESETS = {
@@ -41,30 +41,11 @@ def get_preset(name: str) -> AlignConfig:
         ) from None
 
 
-def align_config(
-    preset: AlignConfig,
-    *,
-    csls_k: int | None = None,
-    max_iters: int | None = None,
-    tol: float | None = None,
-    dim: int | None = None,
-    clip_lo: float | None = None,
-    clip_hi: float | None = None,
-    drop_r: int | None = None,
-) -> AlignConfig:
-    """A preset with per-flag overrides; None keeps the preset's value. Beyond
-    `AlignConfig`'s own check of the fields a run reads, two rules hold: a
-    clip bound given to a preset without clipping turns clipping on, the
-    other bound from `CLIP`, and `drop_r` given to a preset without a stage
-    2 raises ValidationError."""
-    if drop_r is not None and preset.drop_r is None:
-        raise ValidationError(f"preset {preset.preset} does not read drop_r (given {drop_r})")
-    clip = preset.clip
-    if clip_lo is not None or clip_hi is not None:
-        lo, hi = clip if clip is not None else CLIP
-        clip = (lo if clip_lo is None else clip_lo, hi if clip_hi is None else clip_hi)
-    given = {"csls_k": csls_k, "max_iters": max_iters, "tol": tol, "dim": dim, "drop_r": drop_r}
-    return replace(preset, clip=clip, **{k: v for k, v in given.items() if v is not None})
+def align_config(preset: AlignConfig, **overrides) -> AlignConfig:
+    """The preset with each override that is not None: the one rule of every
+    entry point. `AlignConfig` checks the result, so a field its preset's
+    family does not read raises ValidationError."""
+    return replace(preset, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def execute_preset(

@@ -556,9 +556,7 @@ def _count_and_induce(tmp_path, src, tgt, dict_path) -> dict:
     assert main([
         "induce", "--cooc1", str(tmp_path / "s.cooc.bin"), "--cooc2", str(tmp_path / "t.cooc.bin"),
         "--vocab1", str(tmp_path / "s.vocab.txt"), "--vocab2", str(tmp_path / "t.vocab.txt"),
-        "--preset", "coocmap", "--dict", str(dict_path),
-        "--csls-k", str(FAST.csls_k), "--max-iters", str(FAST.max_iters),
-        "--tol", repr(FAST.tol),
+        "--preset", "coocmap", "--dict", str(dict_path), "--max-iters", str(FAST.max_iters),
         "--out-report", str(tmp_path / "cli.json"), "--out-preds", str(tmp_path / "cli.tsv"),
     ]) == 0
     return json.loads((tmp_path / "cli.json").read_text())
@@ -908,6 +906,21 @@ class TestSweep:
         assert json.loads(reports[0].to_json())["dimension"] == 300
         assert csv_text.splitlines()[1].split(",")[2] == "300"
         assert list(sweep_summary(reports)) == ["vecmap-raw@300"]
+
+    def test_points_keep_the_preset_tuning(self, monkeypatch):
+        """A bench or sweep point runs its preset's own csls_k, max_iters and
+        tol unless it sets them, and reports the ones it left as None."""
+        from coocmap import presets
+
+        probe = AlignConfig("probe", max_iters=3, csls_k=4, tol=0.5)
+        monkeypatch.setitem(presets.PRESETS, "probe", probe)
+        assert bench._point_config(BenchConfig(preset="probe")) == probe
+        [(cfg, acfg)] = SweepSpec(source="unread.txt", budgets=(1,), presets=("probe",)).points()
+        assert acfg == probe
+        assert (cfg.csls_k, cfg.max_iters, cfg.tol) == (None, None, None)
+        [(_, acfg)] = SweepSpec(source="unread.txt", budgets=(1,), presets=("probe",),
+                                csls_k=5).points()
+        assert acfg == replace(probe, csls_k=5)
 
     def test_sweep_summary_thresholds(self):
         def rep(budget, acc):

@@ -569,12 +569,11 @@ def test_bench_dict_init_reads_no_corpus(tmp_path, capsys, monkeypatch):
     assert reads == []
 
 
-@pytest.mark.parametrize("preset, flags, unread", [
-    ("coocmap", ["--drop-r", "5"], "drop_r"),
-    ("vecmap-raw", ["--clip-lo", "2"], "clip_lo"),
+@pytest.mark.parametrize("preset, flags, field", [
+    ("vecmap-raw", ["--drop-r", "5"], "drop_r"),
+    ("vecmap-raw", ["--clip", "2,98"], "clip"),
 ])
-def test_induce_unread_override_exits_2(counted, tmp_path, capsys, preset, flags, unread):
-    field = "clip" if unread.startswith("clip") else unread  # the field a clip flag sets
+def test_induce_unread_override_exits_2(counted, tmp_path, capsys, preset, flags, field):
     tmp, out = counted
     rc = main([
         "induce",
@@ -586,6 +585,46 @@ def test_induce_unread_override_exits_2(counted, tmp_path, capsys, preset, flags
     assert rc == 2
     assert f"preset {preset} does not read {field} " in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("flags, clip, traces", [
+    (["--drop-r", "3"], None, 2),  # a preset without a stage 2 gains one
+    (["--clip", "2,98"], [2.0, 98.0], 1),  # and one without clipping clips
+], ids=["drop-r-adds-a-stage-2", "clip-turns-clipping-on"])
+def test_induce_override_is_recorded_and_run(counted, tmp_path, flags, clip, traces):
+    tmp, out = counted
+    rc = main([
+        "induce",
+        "--cooc1", f"{out}.cooc.bin", "--cooc2", f"{out}.cooc.bin",
+        "--vocab1", f"{out}.vocab.txt", "--vocab2", f"{out}.vocab.txt",
+        "--preset", "coocmap", *flags,
+        "--out-report", str(tmp_path / "r.json"), "--out-preds", str(tmp_path / "p.tsv"),
+    ])
+    assert rc == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["config"]["clip"] == clip
+    assert len(report["traces"]) == traces
+
+
+@pytest.mark.parametrize("argv, config, code, message", [
+    (["--clip", "2"], "", 1, "argument --clip: invalid percentiles value: '2'"),
+    (["--clip", "2,x"], "", 1, "argument --clip: invalid percentiles value: '2,x'"),
+    ([], "clip = 2\n", 2, "cfg.txt:1: cannot read clip = 2: expected LO,HI, two percentiles"),
+    (["--clip-lo", "2"], "", 1, "unrecognized arguments: --clip-lo 2"),
+    ([], "clip_lo = 2\n", 2, "cfg.txt: unknown option 'clip_lo'"),
+], ids=["one-number", "not-a-number", "one-number-in-config", "clip-lo-flag", "clip_lo-key"])
+def test_induce_clip_takes_two_percentiles(tmp_path, capsys, argv, config, code, message):
+    missing = str(tmp_path / "missing")
+    (tmp_path / "cfg.txt").write_text(config)
+    assert main([
+        "induce", "--cooc1", missing, "--cooc2", missing, "--vocab1", missing,
+        "--vocab2", missing, "--out-report", missing, "--out-preds", missing,
+        "--preset", "coocmap", "--config", str(tmp_path / "cfg.txt"), *argv,
+    ]) == code
+    err = capsys.readouterr().err
+    assert message in err and "No such file" not in err
+    if "invalid percentiles" in message:
+        assert "[--clip LO,HI]" in err  # the usage line shows the form
 
 
 @pytest.mark.parametrize("preset, flags", [
@@ -609,7 +648,7 @@ def test_induce_dim_beyond_vocabulary_exits_2(counted, tmp_path, capsys, preset,
 @pytest.mark.parametrize("command, flags, message", [
     ("induce", ["--dim", "0"], "need dim >= 1, drop_r >= 0, got 0, None"),
     ("induce", ["--preset", "coocmap-drop", "--drop-r", "-1"], "got None, -1"),
-    ("induce", ["--clip-lo", "50", "--clip-hi", "40"], "need 0 <= p_lo < p_hi <= 100"),
+    ("induce", ["--clip", "50,40"], "need 0 <= p_lo < p_hi <= 100"),
     ("bench", ["--top-eval", "0"], "need window, top_eval >= 1"),
     ("bench", ["--window", "0"], "need window, top_eval >= 1"),
     ("count", ["--window", "0"], "need window, top_eval >= 1"),
@@ -621,6 +660,7 @@ def test_induce_dim_beyond_vocabulary_exits_2(counted, tmp_path, capsys, preset,
     ("bench", ["--preset", "vecmap-raw", "--vocab-size", "200"], "dim=300 exceeds vocab_size=200"),
     ("bench", ["--csls-k", "11", "--vocab-size", "10"], "csls_k=11 exceeds vocab_size=10"),
     ("induce", ["--tol", "nan"], "csls_k and max_iters must be >= 1, tol >= 0"),
+    ("induce", ["--tol", "inf"], "csls_k and max_iters must be >= 1, tol >= 0"),
 ])
 def test_bad_parameter_exits_2_before_reading_files(tmp_path, capsys, command, flags, message):
     missing = str(tmp_path / "missing")
@@ -651,10 +691,11 @@ def test_bad_parameter_exits_2_before_reading_files(tmp_path, capsys, command, f
     ("presets = vecmap-raw\nvocab_size = 200\n", [], "dim=300 exceeds vocab_size=200"),
     ("repetitions = 2\n", [], "repetitions draw cipher permutation seeds; identity mode"),
     ("tol = nan\n", [], "csls_k and max_iters must be >= 1, tol >= 0"),
+    ("tol = inf\n", [], "csls_k and max_iters must be >= 1, tol >= 0"),
 ], ids=["cipher_seed-in-identity-mode", "workers-0", "workers-negative",
         "target-in-identity-mode", "dict-in-cipher-mode", "csls_k-0", "dims-0",
         "dict-init-without-dict", "dim-beyond-vocab_size", "repetitions-in-identity-mode",
-        "tol-nan"])
+        "tol-nan", "tol-inf"])
 def test_sweep_bad_parameter_exits_2_before_reading_corpus(
     tmp_path, capsys, monkeypatch, spec_lines, flags, message
 ):

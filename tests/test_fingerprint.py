@@ -2,12 +2,26 @@
 checkout agree, and the digest is the MD5 of the JSON it writes."""
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_changed_paths_name_each_entry_that_differs():
+    spec = importlib.util.spec_from_file_location("fingerprint", ROOT / "tools" / "fingerprint.py")
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    old = {"a": {"x": 1, "y": [1, 2]}, "b/c": [{"z": None}], "gone": 0, "n": 1}
+    new = {"a": {"x": 1, "y": [1, 3]}, "b/c": [{"z": 0}], "added": 0, "n": True}
+    assert fingerprint.changed_paths(old, new) == [
+        '$["a"]["y"][1]', '$["added"]', '$["b/c"][0]["z"]', '$["gone"]', '$["n"]',
+    ]
+    assert fingerprint.changed_paths(old, old) == []
+    assert fingerprint.changed_paths([1], [1, 2]) == ["$"]  # a length change names the list
 
 
 def test_two_runs_give_the_same_digest(tmp_path):

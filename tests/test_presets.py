@@ -1,11 +1,12 @@
+import re
 from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
-from coocmap.align import AlignConfig, MatchState, csls, vec_measure
-from coocmap.assoc import CONSTRUCTOR_CHAINS, svd_vectors
+from coocmap.align import AlignConfig, MatchState, csls, stage_steps, vec_measure
+from coocmap.assoc import CONSTRUCTOR_CHAINS, Step, svd_vectors
 from coocmap.cooc import CoocMatrix
 from coocmap.errors import ValidationError
 from coocmap.kernels import METRICS, pair_sim_matrix
@@ -46,12 +47,12 @@ def test_align_config_defaults_per_preset():
 
 
 def test_flag_overrides_win():
-    cfg = align_config(get_preset("coocmap-drop"), clip_hi=98.0, drop_r=7, csls_k=4)
+    cfg = align_config(get_preset("coocmap-drop"), clip=(1.0, 98.0), drop_r=7, csls_k=4)
     assert cfg.clip == (1.0, 98.0)
     assert cfg.drop_r == 7
     assert cfg.csls_k == 4
     # clip override on a preset without clip turns it on
-    assert align_config(get_preset("coocmap"), clip_lo=2.0).clip == (2.0, 99.0)
+    assert align_config(get_preset("coocmap"), clip=(2.0, 99.0)).clip == (2.0, 99.0)
 
 
 def test_vec_dim_flag_overrides_default():
@@ -131,6 +132,7 @@ def test_dim_beyond_vocabulary_rejected(name, V1, V2, dim):
     ("seed_mode", "dict", "unknown seed_mode 'dict', expected one of"),
     ("assoc", "pmi", "unknown assoc 'pmi', expected one of"),
     ("tol", float("nan"), "csls_k and max_iters must be >= 1, tol >= 0"),
+    ("tol", float("inf"), "csls_k and max_iters must be >= 1, tol >= 0"),
 ])
 def test_config_out_of_range_rejected(field, value, message):
     with pytest.raises(ValidationError, match=message):
@@ -184,23 +186,47 @@ def test_measure_serves_exactly_the_preset_metrics():
     assert served == {cfg.metric for cfg in PRESETS.values()} == set(METRICS)
 
 
-@pytest.mark.parametrize("name, flag, value", [
-    ("coocmap", "drop_r", 5),
-    ("coocmap-clip", "drop_r", 5),
-    ("vecmap-raw", "clip_lo", 2.0),
-    ("vecmap-raw", "clip_hi", 98.0),
+@pytest.mark.parametrize("name, field, value", [
+    ("vecmap-raw", "clip", (2.0, 99.0)),
+    ("vecmap-raw", "clip", (1.0, 98.0)),
     ("vecmap-raw", "drop_r", 5),
-])
-def test_unread_override_rejected(name, flag, value):
-    # a clip flag sets the clip field, which the config names
-    field = "clip" if flag.startswith("clip") else flag
+], ids=["vecmap-raw-clip-2.0,99.0", "vecmap-raw-clip-1.0,98.0", "vecmap-raw-drop_r-5"])
+def test_unread_override_rejected(name, field, value):
     with pytest.raises(ValidationError, match=f"preset {name} does not read {field} "):
-        align_config(get_preset(name), **{flag: value})
+        align_config(get_preset(name), **{field: value})
 
 
 def test_read_overrides_accepted():
     assert align_config(get_preset("coocmap-drop-1.5"), drop_r=5).drop_r == 5
-    assert align_config(get_preset("coocmap"), dim=4, clip_hi=97.0).clip == (1.0, 97.0)
+    assert align_config(get_preset("coocmap"), dim=4, clip=(1.0, 97.0)).clip == (1.0, 97.0)
+
+
+@pytest.mark.parametrize("name", ["coocmap", "coocmap-clip"])
+def test_drop_r_adds_a_stage_2(name):
+    """A preset without a stage 2 gains one from `drop_r`: the head drop,
+    then the preset's clip if it has one."""
+    cfg = align_config(get_preset(name), drop_r=5)
+    clip = [] if cfg.clip is None else [Step("clip", cfg.clip)]
+    assert stage_steps(cfg) == ([], [clip, [Step("drop", (5,)), *clip]])
+
+
+# one valid value of each field a caller can override
+OVERRIDES = {"csls_k": 4, "max_iters": 3, "tol": 0.5, "dim": 8, "clip": (2.0, 98.0), "drop_r": 3}
+
+
+@pytest.mark.parametrize("name, field", product(sorted(PRESETS), OVERRIDES))
+def test_override_is_the_preset_replaced(name, field):
+    """Every entry point's one rule: the preset with the field set, checked
+    by `AlignConfig` alone."""
+    preset, value = get_preset(name), OVERRIDES[field]
+    try:
+        expected = replace(preset, **{field: value})
+    except ValidationError as e:
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(e))}$"):
+            align_config(preset, **{field: value})
+    else:
+        assert align_config(preset, **{field: value}) == expected
+    assert align_config(preset, **{field: None}) == preset
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

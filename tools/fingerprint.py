@@ -1,6 +1,7 @@
 """Fingerprint of a checkout's outputs, for byte-identity checks.
 
     python3 tools/fingerprint.py --src <checkout>/src --out FILE [--size tiny]
+                                 [--against OLD.json]
 
 Imports `coocmap` from `--src` and runs fixed points through the public
 entry points, with BLAS pinned to one thread:
@@ -20,8 +21,10 @@ FILE gets sorted JSON: every report without `seconds`, the MD5 of every
 predictions dump and of every file `count` writes, the sweep CSV without its
 `seconds` column, and each command's exit code and output without `bench`'s
 `seconds=`. The last line printed is the MD5 of FILE: two checkouts with the
-same digest gave the same outputs here. A point that raises stops the tool
-with its traceback.
+same digest gave the same outputs here. With `--against OLD.json`, an
+earlier FILE, the path of each entry that differs from OLD's is printed
+first, one per line in key order (`changed_paths`). A point that raises
+stops the tool with its traceback.
 
 The corpus is the benchmark's seed-7 text, written by `perfbench/inputs.py`
 of the checkout this tool sits in, so a change to the package under test
@@ -45,11 +48,6 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
-# before anything loads numpy
-for _var in ("COOCMAP_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-os.environ["COLUMNS"] = "100"  # before any parser is built: argparse wraps --help to it
-
 ROOT = Path(__file__).resolve().parent.parent
 VOCAB = 300
 DICT_ENTRIES = 150
@@ -59,6 +57,24 @@ SIZES = {
     "full": (3_200_000, 2_000_000, (1_000_000, 2_000_000), (2_000_000, 3_000_000)),
     "tiny": (400_000, 250_000, (150_000, 250_000), (250_000, 350_000)),
 }
+
+
+_ABSENT = object()
+
+
+def changed_paths(old, new, path: str = "$") -> list[str]:
+    """The path of each entry of JSON value `new` that differs from `old`, in
+    key and index order: a key present on one side only, a list whose length
+    changed, or a differing scalar. A path is `$` and the keys and indices
+    in brackets, `$["cli"]["output"][0]`; equal values give none."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [p for key in sorted(old.keys() | new.keys())
+                for p in changed_paths(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                                       f"{path}[{json.dumps(key)}]")]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [p for i, (a, b) in enumerate(zip(old, new))
+                for p in changed_paths(a, b, f"{path}[{i}]")]
+    return [] if type(old) is type(new) and old == new else [path]
 
 
 def _md5(path) -> str:
@@ -155,10 +171,15 @@ def _cli(cli, budget: int, budgets, heads) -> dict:
 
 
 def main(argv=None) -> int:
+    # before anything loads numpy
+    for var in ("COOCMAP_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    os.environ["COLUMNS"] = "100"  # before any parser is built: argparse wraps --help to it
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", required=True, help="the checkout's src directory")
     p.add_argument("--out", required=True, help="where to write the fingerprint JSON")
     p.add_argument("--size", choices=list(SIZES), default="full")
+    p.add_argument("--against", help="an earlier fingerprint JSON to list the changes from")
     args = p.parse_args(argv)
 
     src = Path(args.src).resolve()
@@ -187,6 +208,10 @@ def main(argv=None) -> int:
             os.chdir(cwd)
     text = json.dumps(result, indent=1, sort_keys=True) + "\n"
     out.write_text(text, encoding="utf-8")
+    if args.against:
+        old = json.loads(Path(args.against).read_text(encoding="utf-8"))
+        for path in changed_paths(old, json.loads(text)):
+            print(path)
     print(hashlib.md5(text.encode("utf-8")).hexdigest())
     return 0
 
