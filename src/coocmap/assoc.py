@@ -10,7 +10,9 @@ through `CONSTRUCTOR_CHAINS[cfg.assoc]` (`build`, one call); `align.run_staged`
 then truncates it (one call, if `dim` is set) and applies each stage's
 remaining steps (one call per stage), so the resolved config a report
 records is the provenance: the same calls on the raw counts replay any
-run's matrices bitwise.
+run's matrices bitwise. No chain step takes an argument: every argument a
+run passes is a field of its config, in the clip, drop and trunc steps that
+`align.stage_steps` builds.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ class Step(NamedTuple):
 
     name: str
     args: tuple = ()
+
+
+def _sqrt(counts: np.ndarray) -> np.ndarray:
+    """The entrywise square root of the counts in float64."""
+    return np.sqrt(np.asarray(counts, dtype=np.float64))
 
 
 def _joint(counts: np.ndarray):
@@ -57,14 +64,12 @@ def _weighted_pmi(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ppmi(counts: np.ndarray, k: float) -> np.ndarray:
-    """max(0, log(p(s,i) / (p(s) p(i))) - log k)."""
-    if k <= 0:
-        raise ValidationError(f"ppmi shift must be > 0, got {k}")
+def _ppmi(counts: np.ndarray) -> np.ndarray:
+    """max(0, log(p(s,i) / (p(s) p(i))))."""
     P, denom = _joint(counts)
     mask = (P > 0) & (denom > 0)
     out = np.zeros_like(P)
-    out[mask] = np.maximum(0.0, np.log(P[mask] / denom[mask]) - np.log(k))
+    out[mask] = np.maximum(0.0, np.log(P[mask] / denom[mask]))
     return out
 
 
@@ -76,7 +81,7 @@ def _centered_log(counts: np.ndarray) -> np.ndarray:
 
 
 _STEPS = {
-    "epow": kernels.epow,
+    "sqrt": _sqrt,
     "log1p": lambda X: np.log1p(np.asarray(X, dtype=np.float64)),
     "ratio": _ratio,
     "wpmi": _weighted_pmi,
@@ -109,11 +114,11 @@ def _run_steps(data, steps) -> np.ndarray:
 
 # canonical constructor chains, keyed by the preset-facing name
 CONSTRUCTOR_CHAINS = {
-    "coocmap": (Step("epow", (0.5,)), Step("normalize")),
+    "coocmap": (Step("sqrt"), Step("normalize")),
     "log1p": (Step("log1p"), Step("normalize")),
     "rapp": (Step("ratio"), Step("unit_l1")),
     "fung": (Step("wpmi"), Step("unit_l1")),
-    "ppmi": (Step("ppmi", (1.0,)), Step("unit_l2")),
+    "ppmi": (Step("ppmi"), Step("unit_l2")),
     "glove": (Step("centered_log"), Step("unit_l2")),
 }
 
@@ -133,7 +138,7 @@ def svd_vectors(C: CoocMatrix, r: int) -> np.ndarray:
     """Left singular vectors of sqrt(counts) scaled by the top-r values."""
     if not 1 <= r <= C.size:
         raise ValidationError(f"vector dimension must be in [1, V={C.size}], got {r}")
-    U, S, _ = kernels.svd(kernels.epow(C.counts, 0.5))
+    U, S, _ = kernels.svd(_sqrt(C.counts))
     return U[:, :r] * S[:r]
 
 

@@ -56,14 +56,6 @@ def _blocks(n: int) -> list[slice]:
     return [slice(n * b // nb, n * (b + 1) // nb) for b in range(nb)]
 
 
-def epow(X: np.ndarray, alpha: float) -> np.ndarray:
-    """Entrywise power X[i,j] ** alpha."""
-    X = np.asarray(X, dtype=np.float64)
-    if alpha != int(alpha) and np.any(X < 0):
-        raise ValidationError("fractional power of a matrix with negative entries")
-    return X**alpha
-
-
 def _real(X) -> np.ndarray:
     """X as an array of float32 or float64, copied only if it is neither."""
     X = np.asarray(X)

@@ -1,5 +1,7 @@
 """Named pipeline presets: the single source of truth for what each method
-runs. A run is its preset with the fields its caller set (`align_config`)."""
+runs, one entry per method. A run is its preset with the fields its caller
+set (`align_config`), so a point of a method's parameters is an override,
+not a preset: `induce --preset coocmap-clip --clip 1.5,98.5`."""
 
 from __future__ import annotations
 
@@ -18,9 +20,7 @@ PRESETS = {
     for cfg in [
         AlignConfig("coocmap"),
         AlignConfig("coocmap-clip", clip=CLIP),
-        AlignConfig("coocmap-clip-1.5", clip=(1.5, 98.5)),
         AlignConfig("coocmap-drop", clip=CLIP, drop_r=20),
-        AlignConfig("coocmap-drop-1.5", clip=(1.5, 98.5), drop_r=20),
         AlignConfig("dict-init", seed_mode="dictionary"),
         AlignConfig("log1p", assoc="log1p"),
         AlignConfig("rapp", assoc="rapp"),

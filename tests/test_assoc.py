@@ -15,7 +15,7 @@ from coocmap.kernels import clip, drop_head, normalize, unitr, unitr_l1
 
 CONSTRUCTORS = ["coocmap", "log1p", "rapp", "fung", "ppmi", "glove"]
 # arguments for the `_STEPS` entries that take them
-STEP_ARGS = {"epow": (0.5,), "ppmi": (1.0,), "clip": (5, 95), "drop": (2,), "trunc": (3,)}
+STEP_ARGS = {"clip": (5, 95), "drop": (2,), "trunc": (3,)}
 
 
 def cmat(counts):
@@ -47,6 +47,16 @@ class TestCoocmapAssoc:
         r = np.sqrt(0.5)
         np.testing.assert_allclose(A, [[-r, r], [r, -r]], atol=1e-12)
 
+    def test_sqrt_step(self):
+        np.testing.assert_array_equal(
+            apply_pipeline(np.array([[4.0, 9.0], [0.0, 16.0]]), (Step("sqrt"),)),
+            [[2.0, 3.0], [0.0, 4.0]],
+        )
+
+
+def test_chain_steps_take_no_arguments():
+    """Every argument a run passes is its config's (the stage steps)."""
+    assert all(step.args == () for chain in CONSTRUCTOR_CHAINS.values() for step in chain)
 
 
 class TestLog1p:
@@ -106,45 +116,19 @@ class TestFung:
         np.testing.assert_allclose(build("fung", C), unitr_l1(expect), atol=1e-12)
 
 
-def ppmi_steps(k):
-    return (Step("ppmi", (k,)), Step("unit_l2"))
-
-
-def ppmi(C, k):
-    """The ppmi association with shift k."""
-    return apply_pipeline(C.counts, ppmi_steps(k))
-
-
 class TestPpmi:
     def test_independence_k1_gives_zero(self):
         C = independent_counts(np.random.default_rng(6))
         np.testing.assert_allclose(build("ppmi", C), 0.0, atol=1e-10)
 
-    def test_huge_shift_gives_zero(self):
-        C = random_counts(np.random.default_rng(7))
-        assert not ppmi(C, 1e12).any()
-
-    @staticmethod
-    def oracle(C, k):
+    def test_direct_recomputation(self):
+        C = random_counts(np.random.default_rng(8))
         P = C.counts / C.counts.sum()
         denom = np.outer(P.sum(1), P.sum(0))
         expect = np.zeros_like(P)
         m = (P > 0) & (denom > 0)
-        expect[m] = np.maximum(0.0, np.log(P[m] / denom[m]) - np.log(k))
-        return unitr(expect)
-
-    def test_direct_recomputation(self):
-        C = random_counts(np.random.default_rng(8))
-        np.testing.assert_allclose(ppmi(C, 2.0), self.oracle(C, 2.0), atol=1e-12)
-
-    def test_bad_shift(self):
-        with pytest.raises(ValidationError):
-            ppmi(cmat(np.eye(2)), 0.0)
-
-    def test_chain_keeps_shift_exactly(self):
-        C = random_counts(np.random.default_rng(9))
-        A = apply_pipeline(C.counts, ppmi_steps(1.2345678))
-        np.testing.assert_allclose(A, self.oracle(C, 1.2345678), atol=1e-12)
+        expect[m] = np.maximum(0.0, np.log(P[m] / denom[m]))
+        np.testing.assert_allclose(build("ppmi", C), unitr(expect), atol=1e-12)
 
 
 class TestGlove:

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from coocmap.presets import PRESETS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -38,8 +40,9 @@ def test_two_runs_give_the_same_digest(tmp_path):
         digests.append(digest)
     assert digests[0] == digests[1]
     result = json.loads(out.read_text())
-    # every point ran or recorded its error, and the error sweep has its rows
-    assert len(result["benches"]) == 24
+    # every point ran or recorded its error, and the error sweep has its rows;
+    # the points are each preset but dict-init in both modes, and coocmap-drop at dim 50
+    assert len(result["benches"]) == 2 * (len(PRESETS) - 1) + 2
     assert all(row["error"].startswith("FileNotFoundError")
                for row in result["sweeps"]["error-rows"])
     # six --help, the usage error and the missing option, then eight runs

@@ -19,7 +19,6 @@ from coocmap.kernels import (
     clip,
     clip_thresholds,
     drop_head,
-    epow,
     normalize,
     pair_sim_matrix,
     procrustes,
@@ -54,23 +53,6 @@ def ref_percentile(values, p):
 
 
 class TestElementwise:
-    def test_epow_sqrt(self):
-        np.testing.assert_allclose(epow(np.array([[4.0, 9.0]]), 0.5), [[2.0, 3.0]])
-
-    def test_epow_identity(self):
-        X = np.array([[1.0, -2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(epow(X, 1.0), X)
-
-    def test_epow_diag(self):
-        np.testing.assert_allclose(
-            epow(np.array([[1.0, 0.0], [0.0, 16.0]]), 0.5),
-            [[1.0, 0.0], [0.0, 4.0]],
-        )
-
-    def test_epow_domain_error(self):
-        with pytest.raises(ValidationError):
-            epow(np.array([[-1.0]]), 0.5)
-
     def test_unitr_345(self):
         np.testing.assert_allclose(unitr(np.array([[3.0, 4.0]])), [[0.6, 0.8]])
 

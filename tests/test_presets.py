@@ -1,6 +1,8 @@
 import re
-from dataclasses import replace
-from itertools import product
+from collections import defaultdict
+from dataclasses import fields, replace
+from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from coocmap.presets import PRESETS, align_config, execute_preset, get_preset
 
 # the method names the CLI contract promises
 REQUIRED_PRESETS = {
-    "dict-init", "coocmap", "coocmap-clip", "coocmap-drop", "coocmap-clip-1.5",
-    "coocmap-drop-1.5", "vecmap-raw", "ppmi", "log1p", "rapp", "fung", "glove",
+    "dict-init", "coocmap", "coocmap-clip", "coocmap-drop", "vecmap-raw", "ppmi", "log1p",
+    "rapp", "fung", "glove",
 }
+# the fields that name a method; the others are its parameters
+METHOD_FIELDS = ("family", "assoc", "seed_mode")
 
 
 def counts(seed=0, V=12):
@@ -29,6 +33,25 @@ def test_registry_contains_required_names():
     assert REQUIRED_PRESETS <= set(PRESETS)
 
 
+def test_each_preset_is_a_method():
+    """Two presets that set the same fields off the defaults differ in a
+    method field: one that differs only in a parameter is an override."""
+    groups = defaultdict(list)
+    for cfg in PRESETS.values():
+        set_fields = frozenset(f.name for f in fields(AlignConfig)
+                               if f.name != "preset" and getattr(cfg, f.name) != f.default)
+        groups[set_fields].append(cfg)
+    for group in groups.values():
+        for a, b in combinations(group, 2):
+            assert any(getattr(a, f) != getattr(b, f) for f in METHOD_FIELDS), (a.preset, b.preset)
+
+
+def test_readme_table_lists_the_presets_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Presets\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `([^`]+)` \|", section, flags=re.M) == list(PRESETS)
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ValidationError):
         get_preset("cooc-map")
@@ -37,7 +60,7 @@ def test_unknown_preset_rejected():
 def test_align_config_defaults_per_preset():
     assert align_config(get_preset("coocmap")).clip is None
     assert align_config(get_preset("coocmap-clip")).clip == (1.0, 99.0)
-    assert align_config(get_preset("coocmap-clip-1.5")).clip == (1.5, 98.5)
+    assert align_config(get_preset("coocmap-clip"), clip=(1.5, 98.5)).clip == (1.5, 98.5)
     drop = align_config(get_preset("coocmap-drop"))
     assert (drop.drop_r, drop.clip) == (20, (1.0, 99.0))
     assert align_config(get_preset("vecmap-raw")).dim == 300
@@ -197,7 +220,11 @@ def test_unread_override_rejected(name, field, value):
 
 
 def test_read_overrides_accepted():
-    assert align_config(get_preset("coocmap-drop-1.5"), drop_r=5).drop_r == 5
+    assert align_config(get_preset("coocmap-drop"), clip=(1.5, 98.5), drop_r=5).drop_r == 5
+    # a parameter point of a method is its preset overridden
+    old_point = AlignConfig("coocmap-drop-1.5", clip=(1.5, 98.5), drop_r=20)
+    assert align_config(get_preset("coocmap-drop"), clip=(1.5, 98.5)) == replace(
+        old_point, preset="coocmap-drop")
     assert align_config(get_preset("coocmap"), dim=4, clip=(1.0, 97.0)).clip == (1.0, 97.0)
 
 
